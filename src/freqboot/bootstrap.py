@@ -147,10 +147,11 @@ def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
     m = cvec.size
     out = np.empty(B)
     buf = np.empty(m)
-    for r in range(B):
-        gen = rngmod.stream(master_seed, rngmod.TAG_BOOT, replicate_id, r)
+    gens = rngmod.streams(master_seed, rngmod.TAG_BOOT, replicate_id, B)
+    for r, gen in enumerate(gens):
         gen.standard_exponential(out=buf)
-        out[r] = scale * (cvec @ (buf - 1.0))
+        buf -= 1.0
+        out[r] = scale * (cvec @ buf)
     return out
 
 

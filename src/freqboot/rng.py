@@ -6,9 +6,16 @@ addresses are non-overlapping by construction (each address owns a
 2^128-block region of the Philox counter space), so results are
 bit-reproducible for a given master seed regardless of execution order
 or worker count.
+
+Bootstrap weights need one stream per bootstrap replicate.  Rather than
+build a generator for each, ``streams`` keys one Philox per call and
+moves its counter to each draw's address in turn; the address layout is
+the one ``stream`` uses, so every random bit is unchanged.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -28,6 +35,27 @@ def stream(master_seed: int, tag: int = TAG_GENERIC, replicate: int = 0,
     counter = np.array([0, draw & _MASK64, replicate & _MASK64, 0],
                        dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+def streams(master_seed: int, tag: int, replicate: int,
+            count: int) -> Iterator[np.random.Generator]:
+    """Yield the generators for draws 0..count-1 of (master_seed, tag,
+    replicate); the r-th gives the same bits as
+    ``stream(master_seed, tag, replicate, r)``.
+
+    One Philox is re-addressed for every draw, so each yielded generator
+    is valid only until the next one is yielded.
+    """
+    key = np.array([master_seed & _MASK64, tag & _MASK64], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state    # fresh: empty buffer, no cached uint32
+    counter = state["state"]["counter"]
+    counter[2] = replicate & _MASK64
+    for r in range(count):
+        counter[1] = r
+        bitgen.state = state
+        yield gen
 
 
 def as_generator(seed_or_rng) -> np.random.Generator:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from freqboot import (BlockSpec, ConfigError, NumericalError,
                       SpectralDensityEstimate, WhiteNoise,
@@ -12,7 +14,7 @@ from freqboot import (BlockSpec, ConfigError, NumericalError,
                       simulate_gaussian, subsample_ensemble,
                       variance_estimates)
 from freqboot import rng as rngmod
-from freqboot.bootstrap import fdwb_draws
+from freqboot.bootstrap import _half_plane_reduction, fdwb_draws
 from freqboot.simulate import TransformedGaussian, matern_model
 from freqboot.spectral import PsiFunction
 
@@ -82,6 +84,32 @@ class TestFdwbStatistic:
             assert direct == pytest.approx(0.0, abs=1e-12)
             assert fdwb_statistic(de, psi_odd, rngmod.stream(76, 1, r)) \
                 == pytest.approx(0.0, abs=1e-12)
+
+
+class TestStreamAddressing:
+    @settings(max_examples=60, deadline=None)
+    @given(n1=hst.integers(2, 9), n2=hst.integers(2, 9),
+           lag=hst.tuples(hst.integers(-3, 3), hst.integers(-3, 3)),
+           master_seed=hst.integers(0, (1 << 64) - 1),
+           replicate_id=hst.integers(-(1 << 64), 1 << 66),
+           B=hst.integers(1, 24), density_seed=hst.integers(0, 2 ** 32 - 1))
+    def test_replicate_r_reads_stream_r(self, n1, n2, lag, master_seed,
+                                        replicate_id, B, density_seed):
+        # both grid parities; replicate ids past 2^63 and 2^64 wrap by
+        # masking, exactly as in rng.stream
+        grid = build_frequency_grid(n1, n2)
+        values = np.random.default_rng(density_seed).uniform(0.1, 2.0, (n1, n2))
+        de = SpectralDensityEstimate(grid=grid, values=values,
+                                     bandwidth=(1.0, 1.0))
+        psi = psi_cos_lag(lag)
+        draws = fdwb_draws(de, psi, B, master_seed, replicate_id)
+        cvec = _half_plane_reduction(de, psi)
+        scale = TWO_PI ** 2 / np.sqrt(grid.n)
+        assert draws.shape == (B,)
+        for r in range(B):
+            gen = rngmod.stream(master_seed, rngmod.TAG_BOOT, replicate_id, r)
+            expected = scale * (cvec @ (gen.standard_exponential(cvec.size) - 1.0))
+            assert draws[r] == expected
 
 
 class TestFdwbVariance:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqboot import NumericalError
 from freqboot import rng as rngmod
@@ -29,6 +31,32 @@ class TestStreams:
         gen = rngmod.stream(5)
         assert rngmod.as_generator(gen) is gen
         assert isinstance(rngmod.as_generator(11), np.random.Generator)
+
+
+# addresses past 2^64 and below 0 must wrap exactly as ``stream`` masks them
+ADDRESS = st.integers(min_value=-(1 << 65), max_value=1 << 66)
+
+
+class TestReaddressedStreams:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=ADDRESS, tag=st.sampled_from([rngmod.TAG_FIELD, rngmod.TAG_BOOT,
+                                              rngmod.TAG_ORACLE]),
+           replicate=ADDRESS, count=st.integers(min_value=0, max_value=12),
+           size=st.integers(min_value=1, max_value=9))
+    def test_rth_generator_equals_stream_r(self, seed, tag, replicate, count,
+                                            size):
+        # the sizes leave part of Philox's 4-word output buffer unused and
+        # three 32-bit draws leave half a word cached, so state carried
+        # over from the previous draw would show
+        def draw(gen):
+            return np.concatenate([gen.standard_exponential(size),
+                                   gen.integers(0, 1 << 30, 3, dtype=np.int32)])
+
+        got = [draw(gen) for gen in rngmod.streams(seed, tag, replicate, count)]
+        assert len(got) == count
+        for r, values in enumerate(got):
+            assert np.array_equal(values,
+                                  draw(rngmod.stream(seed, tag, replicate, r)))
 
 
 class TestQuadratureFailure:
