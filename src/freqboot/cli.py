@@ -257,12 +257,13 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
     methods = tuple(m.strip() for m in
                     st.get_str("methods", "fdwb,hfdb,subsample").split(",") if m.strip())
     tau_raw = st.raw("process.tau_r_list")
+    tau_key = "process.tau_r" if tau_raw is None else "process.tau_r_list"
     tau_list = (tuple(float(x) for x in tau_raw.split(",") if x.strip())
                 if tau_raw is not None else (st.get_float("process.tau_r", 1.0),))
-    if generator == "exp_cholesky" and any(t != 1.0 for t in tau_list):
+    if not isinstance(model, SphericalAniso) and any(t != 1.0 for t in tau_list):
         raise ConfigError(
-            "exp_cholesky supports tau_r = 1 only (anisotropic Matern "
-            "covariance is out of scope)")
+            f"{tau_key}: tau_r != 1 needs process.kind=spherical, the "
+            f"{type(model).__name__} model here is isotropic")
     truth_raw = st.raw("truth.value")
     truth = float(truth_raw) if truth_raw is not None else None
     fixture = st.raw("truth.fixture")

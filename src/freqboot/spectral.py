@@ -113,28 +113,47 @@ def psi_isotropy_contrast(h1, h2) -> PsiFunction:
 
 
 _PSI_SPEC = re.compile(r"^(?P<kind>[a-z_]+)\{(?P<args>.*)\}$")
+_ARG_SPLIT = re.compile(r",(?=[a-z0-9]+=\()")    # commas between arguments
 _PAIR = re.compile(r"(?P<key>[a-z0-9]+)=\((?P<a>-?[0-9.]+),(?P<b>-?[0-9.]+)\)")
+_PSI_KINDS = {"cos_lag": (psi_cos_lag, ("h",)),
+              "iso_contrast": (psi_isotropy_contrast, ("h1", "h2")),
+              "spectral_cdf": (psi_spectral_cdf, ("t",))}
 
 
 def psi_from_name(spec: str) -> PsiFunction:
     """Parse a catalog spelling such as ``cos_lag{h=(1,0)}``,
-    ``iso_contrast{h1=(1,0),h2=(0,1)}`` or ``spectral_cdf{t=(0,0)}``."""
+    ``iso_contrast{h1=(1,0),h2=(0,1)}`` or ``spectral_cdf{t=(0,0)}``.
+
+    Each argument the kind needs must appear exactly once and nothing
+    else may; lags must be integers, the corner ``t`` may be real.
+    """
     m = _PSI_SPEC.match(spec.strip().replace(" ", ""))
     if not m:
         raise ConfigError(f"cannot parse psi descriptor {spec!r}")
     kind = m.group("kind")
-    args = {g["key"]: (float(g["a"]), float(g["b"]))
-            for g in _PAIR.finditer(m.group("args"))}
-    try:
-        if kind == "cos_lag":
-            return psi_cos_lag(args["h"])
-        if kind == "iso_contrast":
-            return psi_isotropy_contrast(args["h1"], args["h2"])
-        if kind == "spectral_cdf":
-            return psi_spectral_cdf(args["t"])
-    except KeyError as exc:
-        raise ConfigError(f"psi descriptor {spec!r} missing argument {exc}") from exc
-    raise ConfigError(f"unknown psi kind {kind!r}")
+    if kind not in _PSI_KINDS:
+        raise ConfigError(f"unknown psi kind {kind!r}")
+    args = {}
+    for part in _ARG_SPLIT.split(m.group("args")):
+        pair = _PAIR.fullmatch(part)
+        if pair is None:
+            raise ConfigError(f"psi descriptor {spec!r}: cannot parse {part!r}")
+        key = pair["key"]
+        if key in args:
+            raise ConfigError(f"psi descriptor {spec!r} repeats argument {key!r}")
+        try:
+            value = (float(pair["a"]), float(pair["b"]))
+        except ValueError:
+            raise ConfigError(
+                f"psi descriptor {spec!r}: {key} is not a pair of numbers") from None
+        if key != "t" and not all(x.is_integer() for x in value):
+            raise ConfigError(f"psi descriptor {spec!r}: lag {key} must be integers")
+        args[key] = value
+    build, expected = _PSI_KINDS[kind]
+    if set(args) != set(expected):
+        raise ConfigError(f"psi descriptor {spec!r} needs exactly the arguments "
+                          f"{', '.join(expected)}")
+    return build(*(args[k] for k in expected))
 
 
 # ---------------------------------------------------------------------------

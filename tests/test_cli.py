@@ -1,6 +1,7 @@
 """Configuration parsing, experiment drivers, report emission, CLI."""
 
 import json
+import re
 
 import pytest
 
@@ -63,6 +64,37 @@ class TestConfigParsing:
                        "block.b1": "5", "block.b2": "5"})
         with pytest.raises(ConfigError, match="tau_r"):
             experiment_config(st, "isotropy", 0, 1)
+
+    @pytest.mark.parametrize("kind", ["white_noise", "matern", "separable",
+                                      "matern_quartic", "exp_cholesky"])
+    @pytest.mark.parametrize("key", ["process.tau_r_list", "process.tau_r"])
+    def test_tau_needs_spherical_process(self, kind, key):
+        # tau only deforms SphericalAniso; on any other model a tau != 1
+        # row would be an isotropic field under an anisotropic label
+        value = "1.0,1.5" if key.endswith("_list") else "1.5"
+        st = Settings({"process.kind": kind, key: value,
+                       "block.b1": "5", "block.b2": "5"})
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            experiment_config(st, "isotropy", 0, 1)
+        ok = Settings({"process.kind": kind, key: "1.0",
+                       "block.b1": "5", "block.b2": "5"})
+        assert experiment_config(ok, "isotropy", 0, 1).tau_r_list == (1.0,)
+
+    def test_tau_list_on_spherical_process(self):
+        st = Settings({"process.kind": "spherical",
+                       "process.tau_r_list": "1.0,1.5",
+                       "block.b1": "5", "block.b2": "5"})
+        assert experiment_config(st, "isotropy", 0, 1).tau_r_list == (1.0, 1.5)
+
+    def test_tau_on_isotropic_process_exits_2(self, tmp_path, capsys):
+        code = main(["--set", "process.kind=matern",
+                     "--set", "process.tau_r_list=1.0,1.5",
+                     "--set", "block.b1=5", "--set", "block.b2=5",
+                     "--set", "replicates=1", "--out", str(tmp_path / "r"),
+                     "isotropy-experiment"])
+        assert code == 2
+        assert "process.tau_r_list" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_truth_sources(self, tmp_path):
         st = Settings({"truth.value": "0.25", "block.b1": "4", "block.b2": "4",

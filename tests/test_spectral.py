@@ -1,5 +1,7 @@
 """Psi catalog, spectral mean statistic, and variance oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -60,6 +62,26 @@ class TestPsiCatalog:
             psi_from_name("nope{h=(1,0)}")
         with pytest.raises(ConfigError):
             psi_from_name("cos_lag")
+
+    @pytest.mark.parametrize("spec", [
+        "cos_lag{h=(1.7,0)}",                      # non-integer lag
+        "cos_lag{h=(0,-2.5)}",
+        "iso_contrast{h1=(1.5,0),h2=(0,1)}",
+        "iso_contrast{h1=(1,0),h2=(0,0.5)}",
+        "cos_lag{h=(1,0),zzz}",                    # trailing junk
+        "cos_lag{h=(1,0),}",
+        "iso_contrast{h1=(1,0),h2=(0,1)junk}",
+        "cos_lag{h=(1,0),h=(2,0)}",                # duplicate key
+        "iso_contrast{h1=(1,0),h2=(0,1),h1=(2,0)}",
+        "spectral_cdf{t=(0,0),t=(1,1)}",
+    ])
+    def test_name_parsing_is_strict(self, spec):
+        with pytest.raises(ConfigError, match=re.escape(repr(spec))):
+            psi_from_name(spec)
+
+    def test_spectral_cdf_corner_may_be_real(self):
+        assert psi_from_name("spectral_cdf{t=(0.5,-1.25)}").name == \
+            "spectral_cdf{t=(0.5,-1.25)}"
 
 
 class TestSpectralMean:
