@@ -547,7 +547,7 @@ def run_isotropy_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _csv_cell(v) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))   # np.float64 reprs as "np.float64(...)" on numpy 2
     return str(v)
 
 

@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
@@ -187,6 +188,19 @@ class TestReports:
         text = (tmp_path / "r_replicates.csv").read_text()
         assert text.count("\n") == 1 and text.startswith("replicate,")
         assert len(paths) == 2
+
+    def test_coverage_replicate_cells_are_numbers(self, tmp_path):
+        report = run_coverage_experiment(
+            _cfg(methods=("fdwb", "hfdb_bias", "subsample"), replicates=2))
+        emit_report(report, str(tmp_path / "r"), "csv")
+        header, *rows = (tmp_path / "r_replicates.csv").read_text().splitlines()
+        columns = header.split(",")
+        assert len(rows) == len(report.replicates)
+        for row in rows:
+            cells = dict(zip(columns, row.split(","), strict=True))
+            assert cells.pop("method") in ("fdwb", "hfdb_bias", "subsample")
+            for name, cell in cells.items():
+                assert np.isfinite(float(cell)), (name, cell)
 
     def test_json_round_trip(self):
         report = run_coverage_experiment(_cfg(replicates=3))
