@@ -252,6 +252,7 @@ def _fixtures():
 def test_criterion_6_var_star_and_clt():
     details = []
     ok = True
+    measured = []
     for tag, fhat, psi in _fixtures():
         var_star = fdwb_variance(fhat, psi)
         draws = fdwb_draws(fhat, psi, 100000, master_seed=99)
@@ -259,10 +260,9 @@ def test_criterion_6_var_star_and_clt():
         _, pval = st.kstest(draws / np.sqrt(var_star), "norm")
         details.append(f"{tag}: var rel err {rel:.4f}, KS p {pval:.3f}")
         ok = ok and rel <= 0.02 and pval > 0.01
+        measured.append((tag, var_star, draws))
     _verdict("6/var-star-clt", ok, "; ".join(details))
-    for tag, fhat, psi in _fixtures():
-        var_star = fdwb_variance(fhat, psi)
-        draws = fdwb_draws(fhat, psi, 100000, master_seed=99)
+    for tag, var_star, draws in measured:
         assert abs(draws.var() - var_star) / var_star <= 0.02, tag
         assert st.kstest(draws / np.sqrt(var_star), "norm").pvalue > 0.01, tag
 
