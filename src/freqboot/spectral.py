@@ -114,7 +114,8 @@ def psi_isotropy_contrast(h1, h2) -> PsiFunction:
 
 _PSI_SPEC = re.compile(r"^(?P<kind>[a-z_]+)\{(?P<args>.*)\}$")
 _ARG_SPLIT = re.compile(r",(?=[a-z0-9]+=\()")    # commas between arguments
-_PAIR = re.compile(r"(?P<key>[a-z0-9]+)=\((?P<a>-?[0-9.]+),(?P<b>-?[0-9.]+)\)")
+_NUM = r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)"
+_PAIR = re.compile(rf"(?P<key>[a-z0-9]+)=\((?P<a>{_NUM}),(?P<b>{_NUM})\)")
 _PSI_KINDS = {"cos_lag": (psi_cos_lag, ("h",)),
               "iso_contrast": (psi_isotropy_contrast, ("h1", "h2")),
               "spectral_cdf": (psi_spectral_cdf, ("t",))}
@@ -141,11 +142,7 @@ def psi_from_name(spec: str) -> PsiFunction:
         key = pair["key"]
         if key in args:
             raise ConfigError(f"psi descriptor {spec!r} repeats argument {key!r}")
-        try:
-            value = (float(pair["a"]), float(pair["b"]))
-        except ValueError:
-            raise ConfigError(
-                f"psi descriptor {spec!r}: {key} is not a pair of numbers") from None
+        value = (float(pair["a"]), float(pair["b"]))
         if key != "t" and not all(x.is_integer() for x in value):
             raise ConfigError(f"psi descriptor {spec!r}: lag {key} must be integers")
         args[key] = value

@@ -68,6 +68,7 @@ class TestPsiCatalog:
         "cos_lag{h=(0,-2.5)}",
         "iso_contrast{h1=(1.5,0),h2=(0,1)}",
         "iso_contrast{h1=(1,0),h2=(0,0.5)}",
+        "cos_lag{h=(1.2.3,0)}",                    # not a number
         "cos_lag{h=(1,0),zzz}",                    # trailing junk
         "cos_lag{h=(1,0),}",
         "iso_contrast{h1=(1,0),h2=(0,1)junk}",
