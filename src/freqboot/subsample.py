@@ -7,6 +7,11 @@ estimates the limit variance of the full-sample statistic, and the
 per-frequency spread isolates the component driven by periodogram
 marginal variances; their difference captures the fourth-order cumulant
 part that the wild bootstrap misses.
+
+Blocks are real, so their periodograms are mirror symmetric and only the
+half grid k2 = 0..b2//2 is transformed: one real FFT per row window of
+the field, shared by every block that contains the row, then one
+length-b1 FFT down each block's rows.
 """
 
 from __future__ import annotations
@@ -22,8 +27,10 @@ from .spectral import PsiFunction, SpectralMeanValue
 
 _TWO_PI = 2.0 * np.pi
 
-# cap the batched-FFT workspace at roughly this many complex values
-_CHUNK_BUDGET = 2_000_000
+# cap the batched-FFT workspace at roughly this many complex half-grid
+# values (4 MiB); with 9 x 9 blocks on a 512 x 512 field this ran about a
+# third faster than 2,000,000 values (2-vCPU Xeon, numpy 2.4)
+_CHUNK_BUDGET = 262_144
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,40 @@ def _welford_merge(count_a, mean_a, m2_a, count_b, mean_b, m2_b):
     return count, mean, m2
 
 
+def _half_grid_weights(psi_block: np.ndarray,
+                       psi_block_neg: np.ndarray) -> np.ndarray:
+    """psi folded onto the columns k2 = 0..b2//2 of the block grid.
+
+    A paired column k2 (0 < k2 < b2/2) stands for itself and for its
+    mirror -k2, whose intensity at (k1, -k2) is I(-k1, k2); so it carries
+    psi(k) + psi(-k).  Column 0 and, for even b2, column b2/2 are their
+    own mirrors and carry psi(k).  The origin carries 0.
+    """
+    b2 = psi_block.shape[1]
+    w = psi_block[:, :b2 // 2 + 1].copy()
+    paired = slice(1, (b2 + 1) // 2)
+    w[:, paired] += psi_block_neg[:, paired]
+    w[0, 0] = 0.0
+    return w
+
+
+def _mirror_to_full(half: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """Expand per-frequency values on columns 0..b2//2 to the full FFT
+    layout using a(-k) = a(k).
+
+    Each mirror pair is read from one side only (the paired columns, and
+    the rows k1 <= b1//2 of the self-mirrored columns), so the result is
+    exactly mirror symmetric.
+    """
+    b1, b2 = grid.n1, grid.n2
+    k1 = np.arange(b1)[:, None]
+    k2 = np.arange(b2)[None, :]
+    paired = (k2 > 0) & (2 * k2 < b2)
+    own = (k2 <= b2 // 2) & (paired | (k1 <= b1 // 2))
+    return half[np.where(own, k1, grid.neg1[:, None]),
+                np.where(own, k2, grid.neg2[None, :])]
+
+
 def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
                        psi: PsiFunction) -> SubsampleEnsemble:
     """Compute all block periodogram statistics for one field.
@@ -115,44 +156,52 @@ def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
     Each block's periodogram lives on the block's own b1 x b2 Fourier
     grid; the block spectral mean is (2 pi)^2 b^-1 sum_j psi(omega_j,b)
     I_block(omega_j,b).  Blocks are processed in row-major origin order
-    in batches of rows, each batch FFT'd in one vectorized call.
+    in batches of origin rows.  Each batch takes one real FFT of every
+    length-b2 row window of the field rows it covers, then one length-b1
+    FFT down each b1-row window of those transforms, giving the half grid
+    k2 = 0..b2//2 of every block.  Block means use psi folded onto the
+    half grid; the per-frequency moments are accumulated there and
+    mirrored to the full layout at the end.
     """
     n1, n2 = fieldz.n1, fieldz.n2
-    if spec.b1 > n1 or spec.b2 > n2:
+    b1, b2 = spec.b1, spec.b2
+    if b1 > n1 or b2 > n2:
         raise ConfigError(
-            f"block ({spec.b1}, {spec.b2}) does not fit in grid ({n1}, {n2})")
-    grid = build_frequency_grid(spec.b1, spec.b2)
+            f"block ({b1}, {b2}) does not fit in grid ({n1}, {n2})")
+    grid = build_frequency_grid(b1, b2)
     psi_block = psi.on_grid(grid)
     psi_block_neg = grid.negate_array(psi_block)
-    psi_masked = psi_block.copy()
-    psi_masked[0, 0] = 0.0
+    # transforms come out as (origin, k2, k1); keep that order throughout
+    weights = _half_grid_weights(psi_block, psi_block_neg).T
 
-    windows = sliding_window_view(fieldz.values, (spec.b1, spec.b2))
-    rows, cols = windows.shape[0], windows.shape[1]
+    rows, cols = n1 - b1 + 1, n2 - b2 + 1
+    half = b2 // 2 + 1
     L = rows * cols
     norm = 1.0 / ((_TWO_PI ** 2) * spec.b)
 
-    rows_per_chunk = max(1, _CHUNK_BUDGET // (cols * spec.b))
+    rows_per_chunk = max(1, _CHUNK_BUDGET // (cols * b1 * half))
     block_means = np.empty(L)
     count = 0
-    mean = np.zeros((spec.b1, spec.b2))
-    m2 = np.zeros((spec.b1, spec.b2))
+    mean = np.zeros((half, b1))
+    m2 = np.zeros((half, b1))
     for r0 in range(0, rows, rows_per_chunk):
-        chunk = windows[r0:r0 + rows_per_chunk]
-        f = np.fft.fft2(chunk, axes=(-2, -1))
-        intens = (f.real ** 2 + f.imag ** 2) * norm
-        intens = intens.reshape(-1, spec.b1, spec.b2)
-        block_means[r0 * cols:r0 * cols + intens.shape[0]] = (
-            (_TWO_PI ** 2) / spec.b * np.tensordot(intens, psi_masked, axes=2))
+        r1 = min(r0 + rows_per_chunk, rows)
+        row_f = np.fft.rfft(
+            sliding_window_view(fieldz.values[r0:r1 + b1 - 1], b2, axis=1), axis=-1)
+        f = np.fft.fft(sliding_window_view(row_f, b1, axis=0), axis=-1)
+        intens = ((f.real ** 2 + f.imag ** 2) * norm).reshape(-1, half, b1)
+        block_means[r0 * cols:r1 * cols] = (
+            (_TWO_PI ** 2) / spec.b * np.tensordot(intens, weights, axes=2))
         cnt_b = intens.shape[0]
         mean_b = intens.mean(axis=0)
         m2_b = np.sum((intens - mean_b) ** 2, axis=0)
         count, mean, m2 = _welford_merge(count, mean, m2, cnt_b, mean_b, m2_b)
 
     return SubsampleEnsemble(psi=psi, spec=spec, grid=grid, L=L,
-                             block_means=block_means, per_freq_mean=mean,
-                             per_freq_m2=m2, psi_block=psi_block,
-                             psi_block_neg=psi_block_neg)
+                             block_means=block_means,
+                             per_freq_mean=_mirror_to_full(mean.T, grid),
+                             per_freq_m2=_mirror_to_full(m2.T, grid),
+                             psi_block=psi_block, psi_block_neg=psi_block_neg)
 
 
 def variance_estimates(ens: SubsampleEnsemble) -> VarianceEstimates:
