@@ -181,9 +181,21 @@ def build_model(st: Settings):
 
 
 def build_bandwidth(st: Settings):
+    """Explicit (bandwidth1, bandwidth2), or None for the default rate.
+
+    ``density.auto`` is optional; when given it must agree with the
+    bandwidth keys: true with neither set, false with both set.
+    """
     b1 = st.raw("density.bandwidth1")
     b2 = st.raw("density.bandwidth2")
-    st.get_bool("density.auto", True)
+    if st.raw("density.auto") is not None:
+        auto = st.get_bool("density.auto")
+        if auto and (b1 is not None or b2 is not None):
+            raise ConfigError("density.auto=true conflicts with an explicit "
+                              "density.bandwidth1/density.bandwidth2")
+        if not auto and (b1 is None or b2 is None):
+            raise ConfigError("density.auto=false needs both "
+                              "density.bandwidth1 and density.bandwidth2")
     if b1 is None and b2 is None:
         return None
     if b1 is None or b2 is None:
@@ -202,6 +214,15 @@ def build_blocks(st: Settings) -> tuple[tuple[int, int], ...]:
     if b1 is None or b2 is None:
         raise ConfigError("set both block.b1 and block.b2 (or block.sizes)")
     return ((int(b1), int(b2)),)
+
+
+def _check_tau(model, tau_r_list, name: str) -> None:
+    """tau only deforms SphericalAniso; on any other model a tau != 1 row
+    would be an isotropic field under an anisotropic label."""
+    if not isinstance(model, SphericalAniso) and any(t != 1.0 for t in tau_r_list):
+        raise ConfigError(
+            f"{name}: tau_r != 1 needs process.kind=spherical, the "
+            f"{type(model).__name__} model here is isotropic")
 
 
 @dataclass(frozen=True)
@@ -250,6 +271,7 @@ class ExperimentConfig:
             for (b1, b2) in self.blocks:
                 if b1 > n1 or b2 > n2:
                     raise ConfigError(f"block {b1}x{b2} does not fit grid {n1}x{n2}")
+        _check_tau(self.model, self.tau_r_list, "tau_r_list")
 
 
 def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfig:
@@ -257,13 +279,10 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
     methods = tuple(m.strip() for m in
                     st.get_str("methods", "fdwb,hfdb,subsample").split(",") if m.strip())
     tau_raw = st.raw("process.tau_r_list")
-    tau_key = "process.tau_r" if tau_raw is None else "process.tau_r_list"
     tau_list = (tuple(float(x) for x in tau_raw.split(",") if x.strip())
                 if tau_raw is not None else (st.get_float("process.tau_r", 1.0),))
-    if not isinstance(model, SphericalAniso) and any(t != 1.0 for t in tau_list):
-        raise ConfigError(
-            f"{tau_key}: tau_r != 1 needs process.kind=spherical, the "
-            f"{type(model).__name__} model here is isotropic")
+    _check_tau(model, tau_list,
+               "process.tau_r" if tau_raw is None else "process.tau_r_list")
     truth_raw = st.raw("truth.value")
     truth = float(truth_raw) if truth_raw is not None else None
     fixture = st.raw("truth.fixture")
