@@ -12,7 +12,8 @@ from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
                           run_coverage_experiment, run_isotropy_experiment,
                           true_spectral_mean)
 from freqboot.errors import ConfigError
-from freqboot.simulate import SeparableARMA, SphericalAniso, WhiteNoise
+from freqboot.simulate import (SeparableARMA, SphericalAniso, WhiteNoise,
+                               matern_model)
 
 
 def _cfg(**over):
@@ -96,6 +97,14 @@ class TestConfigParsing:
         assert code == 2
         assert "process.tau_r_list" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_tau_on_directly_built_config(self):
+        # the library path builds ExperimentConfig without experiment_config
+        with pytest.raises(ConfigError, match="tau_r"):
+            _cfg(kind="isotropy", model=matern_model(1.0 / 3.0, 1.0),
+                 tau_r_list=(1.0, 1.5))
+        assert _cfg(kind="isotropy", model=matern_model(1.0 / 3.0, 1.0),
+                    tau_r_list=(1.0,)).tau_r_list == (1.0,)
 
     def test_truth_sources(self, tmp_path):
         st = Settings({"truth.value": "0.25", "block.b1": "4", "block.b2": "4",
@@ -271,6 +280,24 @@ class TestCommandLine:
     def test_exit_code_2_on_config_error(self, capsys):
         assert main(["--set", "bogus.key=1", "coverage"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings, names", [
+        (["density.auto=false"], ["density.auto"]),
+        (["density.auto=false", "density.bandwidth1=0.5"], ["density.auto"]),
+        (["density.auto=true", "density.bandwidth1=0.5",
+          "density.bandwidth2=0.5"], ["density.auto", "density.bandwidth1"]),
+        (["density.auto=true", "density.bandwidth2=0.5"],
+         ["density.auto", "density.bandwidth2"]),
+    ])
+    def test_density_auto_is_honoured(self, tmp_path, capsys, settings, names):
+        args = []
+        for kv in settings + ["process.kind=white_noise", "grid.sizes=12x12",
+                              "block.b1=4", "block.b2=4", "replicates=1"]:
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"), "coverage"]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+        assert not list(tmp_path.iterdir())
 
     def test_exit_code_2_on_bad_value(self, capsys):
         assert main(["--set", "boot.B=lots", "coverage"]) == 2

@@ -4,6 +4,8 @@ variograms, and minimum-volatility selection."""
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from freqboot import (BlockSpec, ConfigError, LatticeField, WhiteNoise,
                       bias_estimate, block_variogram, block_variogram_contrast,
@@ -11,10 +13,16 @@ from freqboot import (BlockSpec, ConfigError, LatticeField, WhiteNoise,
                       sample_variogram, select_block_size_min_volatility,
                       simulate_gaussian, spectral_mean, subsample_edf,
                       subsample_ensemble, variance_estimates)
-from freqboot import psi_cos_lag, psi_isotropy_contrast
+from freqboot import psi_cos_lag, psi_isotropy_contrast, psi_spectral_cdf
 from freqboot import rng as rngmod
+from freqboot import subsample as subsample_module
 from freqboot.simulate import matern_model
 from freqboot.spectral import SpectralMeanValue
+
+# an off-axis lag, an even contrast, and a non-even psi whose paired
+# half-grid columns carry psi(k) + psi(-k) with psi(k) != psi(-k)
+_PSIS = [psi_cos_lag((1, 2)), psi_isotropy_contrast((1, 0), (0, 1)),
+         psi_spectral_cdf((0.5, -1.0))]
 
 
 class TestEnumerateBlocks:
@@ -62,19 +70,36 @@ class TestEnsemble:
         assert ens.block_means[k] == pytest.approx(
             spectral_mean(periodogram(sub), psi).value, rel=1e-10)
 
-    def test_per_frequency_mean_matches_stored_blocks(self, rng):
-        f = LatticeField(rng.standard_normal((7, 6)))
-        spec = BlockSpec(3, 3)
-        ens = subsample_ensemble(f, spec, psi_cos_lag((1, 0)))
-        stack = []
-        for o1, o2 in enumerate_blocks(7, 6, spec):
-            sub = LatticeField(f.values[o1:o1 + 3, o2:o2 + 3])
-            stack.append(periodogram(sub).values)
-        stack = np.array(stack)
-        assert np.allclose(ens.per_freq_mean, stack.mean(axis=0), rtol=1e-10)
-        assert np.allclose(ens.per_freq_m2,
-                           np.sum((stack - stack.mean(axis=0)) ** 2, axis=0),
-                           rtol=1e-8, atol=1e-14)
+    @settings(max_examples=80, deadline=None)
+    @given(b1=hst.integers(2, 9), b2=hst.integers(2, 9),
+           extra1=hst.integers(0, 3), extra2=hst.integers(0, 3),
+           psi=hst.sampled_from(_PSIS), seed=hst.integers(0, 2 ** 32 - 1))
+    def test_per_frequency_mean_matches_stored_blocks(self, b1, b2, extra1,
+                                                      extra2, psi, seed):
+        # extra = 0 on both axes is the single-block case L = 1
+        n1, n2 = b1 + extra1, b2 + extra2
+        f = LatticeField(np.random.default_rng(seed).standard_normal((n1, n2)))
+        spec = BlockSpec(b1, b2)
+        ens = subsample_ensemble(f, spec, psi)
+        blocks = [periodogram(LatticeField(f.values[o1:o1 + b1, o2:o2 + b2]))
+                  for o1, o2 in enumerate_blocks(n1, n2, spec)]
+        direct = [spectral_mean(pg, psi).value for pg in blocks]
+        np.testing.assert_allclose(ens.block_means, direct, rtol=1e-10, atol=1e-12)
+        stack = np.array([pg.values for pg in blocks])
+        np.testing.assert_allclose(ens.per_freq_mean, stack.mean(axis=0), rtol=1e-10)
+        np.testing.assert_allclose(
+            ens.per_freq_m2, np.sum((stack - stack.mean(axis=0)) ** 2, axis=0),
+            rtol=1e-8, atol=1e-14)
+        # I(-omega) = I(omega) holds bit for bit on the mirrored layout
+        assert np.array_equal(ens.per_freq_mean, ens.grid.negate_array(ens.per_freq_mean))
+        assert np.array_equal(ens.per_freq_m2, ens.grid.negate_array(ens.per_freq_m2))
+        # one origin row per batch: the Welford merges agree with one batch
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsample_module, "_CHUNK_BUDGET", 1)
+            rowwise = subsample_ensemble(f, spec, psi)
+        for name in ("block_means", "per_freq_mean", "per_freq_m2"):
+            one, many = getattr(ens, name), getattr(rowwise, name)
+            assert np.max(np.abs(many - one)) <= 1e-12 * np.max(np.abs(one)), name
 
 
 class TestVarianceEstimates:
