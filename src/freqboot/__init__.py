@@ -6,19 +6,19 @@ variance-corrected hybrid, field simulators, and a Monte Carlo
 experiment runner.
 """
 
-from .bootstrap import (BootstrapDraws, bootstrap_distribution,
-                        draw_exponential_weights, fdwb_statistic,
-                        fdwb_variance, hfdb_statistic)
+from .bootstrap import (BootstrapDraws, FieldResampler,
+                        bootstrap_distribution, fdwb_variance)
 from .density import (SpectralDensityEstimate, default_bandwidth,
                       kernel_density_estimate)
 from .errors import ConfigError, FreqbootError, NumericalError
 from .infer import (ConfidenceInterval, IsotropyTestResult,
-                    confidence_interval, isotropy_test, sample_variogram,
+                    calibrate_isotropy, confidence_interval, isotropy_test,
+                    resampled_interval, sample_variogram,
                     subsample_confidence_interval)
 from .lattice import (FrequencyGrid, LatticeField, Periodogram,
                       build_frequency_grid, load_field_binary,
-                      load_field_csv, periodogram, periodogram_at,
-                      save_field_binary, save_field_csv)
+                      load_field_csv, periodogram, save_field_binary,
+                      save_field_csv)
 from .spectral import (AnalyticLimits, PsiFunction, SpectralMeanValue,
                        analytic_limits, analytic_sigma1_sq,
                        centered_statistic, psi_cos_lag, psi_from_name,
@@ -27,7 +27,7 @@ from .spectral import (AnalyticLimits, PsiFunction, SpectralMeanValue,
 from .subsample import (BlockSpec, SubsampleEnsemble, VarianceEstimates,
                         bias_estimate, block_variogram,
                         block_variogram_contrast, default_block_candidates,
-                        enumerate_blocks, select_block_size_min_volatility,
+                        select_block_size_min_volatility,
                         subsample_edf, subsample_ensemble,
                         variance_estimates)
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,

@@ -15,21 +15,26 @@ and the hybrid statistic rescales Q* so its spread also covers the
 subsampling-estimated fourth-cumulant component:
 
     H* = sqrt(Var* + sigma2_hat) * Q* / sqrt(Var*).
+
+``FieldResampler`` holds one field's pipeline and is the only place the
+rescale and the hfdb_bias shift are applied; ``bootstrap_distribution``
+asks a fresh one for a single kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import rng as rngmod
 from .density import SpectralDensityEstimate, kernel_density_estimate
 from .errors import ConfigError, NumericalError
-from .lattice import FrequencyGrid, LatticeField, periodogram
-from .spectral import PsiFunction
-from .subsample import (BlockSpec, bias_estimate, subsample_ensemble,
-                        variance_estimates)
+from .lattice import LatticeField, Periodogram, periodogram
+from .spectral import PsiFunction, SpectralMeanValue, spectral_mean
+from .subsample import (BlockSpec, SubsampleEnsemble, VarianceEstimates,
+                        bias_estimate, subsample_ensemble, variance_estimates)
 
 _TWO_PI = 2.0 * np.pi
 _SQRT2 = np.sqrt(2.0)
@@ -63,23 +68,6 @@ class BootstrapDraws:
         return self.var_star + self.sigma2_floored
 
 
-def draw_exponential_weights(grid: FrequencyGrid,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Exponential weight map on the frequency grid, FFT layout.
-
-    Weights are drawn i.i.d. Exp(1) on the half-plane (self-conjugate
-    Nyquist indices drawn once) and mirrored to the rest, so
-    weight[-j mod n] == weight[j] exactly.  The origin entry is unused
-    and set to 1.
-    """
-    w = np.ones((grid.n1, grid.n2))
-    hp = grid.half_plane_mask
-    w[hp] = rng.standard_exponential(int(hp.sum()))
-    mirrored = grid.negate_array(w)
-    w = np.where(hp | grid.origin_mask, w, mirrored)
-    return w
-
-
 def _effective_coefficients(fhat: SpectralDensityEstimate,
                             psi: PsiFunction) -> np.ndarray:
     """psi * fhat with the self-conjugate convention applied.
@@ -95,19 +83,6 @@ def _effective_coefficients(fhat: SpectralDensityEstimate,
     return coef
 
 
-def _fdwb_value(coef: np.ndarray, grid: FrequencyGrid,
-                weights: np.ndarray) -> float:
-    scale = (_TWO_PI ** 2) / np.sqrt(grid.n)
-    return float(scale * np.sum(coef * (weights - 1.0)))
-
-
-def fdwb_statistic(fhat: SpectralDensityEstimate, psi: PsiFunction,
-                   rng: np.random.Generator) -> float:
-    """One FDWB replicate."""
-    weights = draw_exponential_weights(fhat.grid, rng)
-    return _fdwb_value(_effective_coefficients(fhat, psi), fhat.grid, weights)
-
-
 def fdwb_variance(fhat: SpectralDensityEstimate, psi: PsiFunction) -> float:
     """Closed-form bootstrap variance of the FDWB statistic."""
     grid = fhat.grid
@@ -115,16 +90,6 @@ def fdwb_variance(fhat: SpectralDensityEstimate, psi: PsiFunction) -> float:
     terms = pvals * (pvals + grid.negate_array(pvals)) * fhat.values ** 2
     terms[0, 0] = 0.0
     return float((_TWO_PI ** 2) ** 2 / grid.n * np.sum(terms))
-
-
-def hfdb_statistic(q_star: float, var_star: float, sigma2_hat: float) -> float:
-    """Rescale one FDWB replicate to the hybrid spread
-    sqrt(var_star + sigma2_hat).  sigma2_hat must already be floored at 0."""
-    if not var_star > 0.0:
-        raise NumericalError(
-            "degenerate bootstrap: Var* <= 0 (psi is numerically orthogonal "
-            "to the density estimate)")
-    return float(np.sqrt((var_star + sigma2_hat) / var_star) * q_star)
 
 
 def _half_plane_reduction(fhat: SpectralDensityEstimate, psi: PsiFunction):
@@ -155,63 +120,116 @@ def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
     return out
 
 
+def _hybrid_rescale(values: np.ndarray, var_star: float,
+                    sigma2_floored: float) -> np.ndarray:
+    """Q* -> H*: scale FDWB draws from spread sqrt(Var*) to
+    sqrt(Var* + sigma2_hat); sigma2_hat must already be floored at 0."""
+    if not var_star > 0.0:
+        raise NumericalError(
+            "degenerate bootstrap: Var* <= 0 (psi is numerically orthogonal "
+            "to the density estimate), hybrid rescaling undefined")
+    return np.sqrt((var_star + sigma2_floored) / var_star) * values
+
+
+class FieldResampler:
+    """Every resampling distribution of one field's spectral mean.
+
+    Each stage is computed on first use and at most once: the
+    periodogram, Mhat, the density estimate fhat, Var* and the B base
+    FDWB draws are shared by every kind and block size asked of the
+    field; the block ensemble, its variance estimates and each kind's
+    draws are cached per ``BlockSpec``.  Bootstrap replicate r reads the
+    weight stream (master_seed, BOOT, replicate_id, r) whatever the kind,
+    so fdwb and hybrid draws of one field agree replicate by replicate.
+    """
+
+    def __init__(self, fieldz: LatticeField, psi: PsiFunction, B: int,
+                 master_seed: int, replicate_id: int = 0, bandwidth=None):
+        self.field = fieldz
+        self.psi = psi
+        self.B = B
+        self.master_seed = master_seed
+        self.replicate_id = replicate_id
+        self.bandwidth = bandwidth
+        self._ensembles: dict[BlockSpec, SubsampleEnsemble] = {}
+        self._variances: dict[BlockSpec, VarianceEstimates] = {}
+        self._draws: dict[tuple, BootstrapDraws] = {}
+
+    @cached_property
+    def pgram(self) -> Periodogram:
+        return periodogram(self.field)
+
+    @cached_property
+    def mhat(self) -> SpectralMeanValue:
+        return spectral_mean(self.pgram, self.psi)
+
+    @cached_property
+    def fhat(self) -> SpectralDensityEstimate:
+        return kernel_density_estimate(self.pgram, bandwidth=self.bandwidth)
+
+    @cached_property
+    def var_star(self) -> float:
+        return fdwb_variance(self.fhat, self.psi)
+
+    @cached_property
+    def base_draws(self) -> np.ndarray:
+        return fdwb_draws(self.fhat, self.psi, self.B, self.master_seed,
+                          self.replicate_id)
+
+    def ensemble(self, spec: BlockSpec) -> SubsampleEnsemble:
+        if spec not in self._ensembles:
+            self._ensembles[spec] = subsample_ensemble(self.field, spec, self.psi)
+        return self._ensembles[spec]
+
+    def variance(self, spec: BlockSpec) -> VarianceEstimates:
+        if spec not in self._variances:
+            self._variances[spec] = variance_estimates(self.ensemble(spec))
+        return self._variances[spec]
+
+    def draws(self, kind: str, spec: BlockSpec | None = None) -> BootstrapDraws:
+        """B replicates of ``kind``: the base FDWB draws, for hybrid kinds
+        rescaled by sqrt((Var* + sigma2_hat) / Var*) with sigma2_hat from
+        the ``spec`` block ensemble (floored at 0), and for hfdb_bias
+        shifted by the subsampling bias estimate.  fdwb ignores ``spec``.
+        """
+        if kind not in KINDS:
+            raise ConfigError(f"unknown bootstrap kind {kind!r}, expected one of {KINDS}")
+        if self.B < 100:
+            raise ConfigError(
+                f"need B >= 100 bootstrap replicates for quantile use, got {self.B}")
+        key = (kind, None if kind == "fdwb" else spec)
+        if key in self._draws:
+            return self._draws[key]
+        values = self.base_draws
+        sigma2_raw = sigma2_floored = bias = 0.0
+        if kind != "fdwb":
+            if spec is None:
+                raise ConfigError("hybrid kinds need a block spec")
+            est = self.variance(spec)
+            sigma2_raw = est.sigma2_sq_hat
+            sigma2_floored = est.floored_sigma2
+            values = _hybrid_rescale(values, self.var_star, sigma2_floored)
+            if kind == "hfdb_bias":
+                bias = bias_estimate(self.ensemble(spec), self.mhat)
+                values = values + bias
+        values.flags.writeable = False   # cached and handed to every caller
+        out = BootstrapDraws(values=values, var_star=self.var_star, kind=kind,
+                             seed_info=(self.master_seed, self.replicate_id),
+                             sigma2_floored=sigma2_floored,
+                             sigma2_raw=sigma2_raw, bias_sub=bias)
+        self._draws[key] = out
+        return out
+
+
 def bootstrap_distribution(fieldz: LatticeField, psi: PsiFunction,
                            spec: BlockSpec | None, B: int, kind: str,
                            master_seed: int, replicate_id: int = 0,
-                           bandwidth=None, fhat=None, sigma2_sq=None,
-                           bias_sub=None) -> BootstrapDraws:
-    """Full pipeline: periodogram -> density estimate -> (variance /
-    bias corrections via subsampling for hybrid kinds) -> B replicates.
-
-    ``sigma2_sq`` and ``bias_sub`` may be supplied to reuse precomputed
-    subsampling output (or to force values in diagnostics); otherwise
-    they are computed from ``spec``.  The weight streams depend only on
-    (master_seed, replicate_id), never on ``kind``, so fdwb and hfdb
-    draws for the same seed are comparable replicate by replicate.
+                           bandwidth=None) -> BootstrapDraws:
+    """B replicates of one kind for one field: periodogram -> density
+    estimate -> (variance / bias corrections via subsampling for hybrid
+    kinds) -> draws.  A one-shot ``FieldResampler(...).draws(kind, spec)``;
+    build the resampler directly to share its stages across kinds or
+    block sizes.
     """
-    if kind not in KINDS:
-        raise ConfigError(f"unknown bootstrap kind {kind!r}, expected one of {KINDS}")
-    if B < 100:
-        raise ConfigError(f"need B >= 100 bootstrap replicates for quantile use, got {B}")
-
-    if fhat is None:
-        fhat = kernel_density_estimate(periodogram(fieldz), bandwidth=bandwidth)
-    var_star = fdwb_variance(fhat, psi)
-    values = fdwb_draws(fhat, psi, B, master_seed, replicate_id)
-
-    sigma2_raw = 0.0
-    sigma2_floored = 0.0
-    bias = 0.0
-    if kind in ("hfdb", "hfdb_bias"):
-        ens = None
-        need_ens = sigma2_sq is None or (kind == "hfdb_bias" and bias_sub is None)
-        if need_ens:
-            if spec is None:
-                raise ConfigError(
-                    "hybrid kinds need a block spec unless sigma2_sq/bias_sub are given")
-            ens = subsample_ensemble(fieldz, spec, psi)
-        if sigma2_sq is None:
-            est = variance_estimates(ens)
-            sigma2_raw = est.sigma2_sq_hat
-            sigma2_floored = est.floored_sigma2
-        else:
-            sigma2_raw = float(sigma2_sq)
-            sigma2_floored = max(sigma2_raw, 0.0)
-        if not var_star > 0.0:
-            raise NumericalError(
-                "degenerate bootstrap: Var* <= 0, hybrid rescaling undefined")
-        factor = np.sqrt((var_star + sigma2_floored) / var_star)
-        values = factor * values
-        if kind == "hfdb_bias":
-            if bias_sub is None:
-                from .spectral import spectral_mean
-                mhat = spectral_mean(periodogram(fieldz), psi)
-                bias = bias_estimate(ens, mhat)
-            else:
-                bias = float(bias_sub)
-            values = values + bias
-
-    return BootstrapDraws(values=values, var_star=var_star, kind=kind,
-                          seed_info=(master_seed, replicate_id),
-                          sigma2_floored=sigma2_floored, sigma2_raw=sigma2_raw,
-                          bias_sub=bias)
+    return FieldResampler(fieldz, psi, B, master_seed, replicate_id,
+                          bandwidth).draws(kind, spec)

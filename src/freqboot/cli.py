@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import os
-import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,21 +22,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .bootstrap import fdwb_draws, fdwb_variance
+from .bootstrap import FieldResampler, fdwb_variance
 from .density import kernel_density_estimate
 from .errors import ConfigError, FreqbootError, NumericalError
-from .infer import (CI_METHODS, TEST_METHODS, p_value_from_replicates,
-                    sample_variogram)
+from .infer import (CI_METHODS, calibrate_isotropy, check_level,
+                    resampled_interval)
 from .lattice import (LatticeField, load_field_binary, load_field_csv,
                       periodogram, save_field_binary, save_field_csv)
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
                        TransformedGaussian, WhiteNoise, matern_model,
                        model_autocovariance, simulate_process)
-from .spectral import psi_from_name, quadrature, spectral_mean
-from .subsample import (BlockSpec, bias_estimate, block_variogram_contrast,
-                        default_block_candidates,
-                        select_block_size_min_volatility, subsample_edf,
-                        subsample_ensemble, variance_estimates)
+from .spectral import (psi_from_name, psi_isotropy_contrast, quadrature,
+                       spectral_mean)
+from .subsample import (BlockSpec, default_block_candidates,
+                        select_block_size_min_volatility, subsample_ensemble,
+                        variance_estimates)
 
 SCHEMA_VERSION = 1
 
@@ -216,13 +215,21 @@ def build_blocks(st: Settings) -> tuple[tuple[int, int], ...]:
     return ((int(b1), int(b2)),)
 
 
-def _check_tau(model, tau_r_list, name: str) -> None:
+def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
     """tau only deforms SphericalAniso; on any other model a tau != 1 row
-    would be an isotropic field under an anisotropic label."""
-    if not isinstance(model, SphericalAniso) and any(t != 1.0 for t in tau_r_list):
+    would be an isotropic field under an anisotropic label.  Coverage
+    runs simulate the model as built, so their list must be exactly the
+    model's own tau (1 for every non-spherical model)."""
+    spherical = isinstance(model, SphericalAniso)
+    if not spherical and any(t != 1.0 for t in tau_r_list):
         raise ConfigError(
             f"{name}: tau_r != 1 needs process.kind=spherical, the "
             f"{type(model).__name__} model here is isotropic")
+    own = model.tau_r if spherical else 1.0
+    if kind == "coverage" and tuple(tau_r_list) != (own,):
+        raise ConfigError(
+            f"{name}: coverage runs simulate only the model's own "
+            f"tau_r={own}, got {list(tau_r_list)}")
 
 
 @dataclass(frozen=True)
@@ -252,8 +259,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigError(f"ci.level must be in (0, 1), got {self.level}")
+        check_level(self.level, "ci.level", 0.5)
+        check_level(self.test_level, "test.level")
         boot = [m for m in self.methods if m != "subsample"]
         if boot and self.B < 100:
             raise ConfigError("boot.B must be >= 100 for bootstrap methods")
@@ -271,7 +278,7 @@ class ExperimentConfig:
             for (b1, b2) in self.blocks:
                 if b1 > n1 or b2 > n2:
                     raise ConfigError(f"block {b1}x{b2} does not fit grid {n1}x{n2}")
-        _check_tau(self.model, self.tau_r_list, "tau_r_list")
+        _check_tau(self.kind, self.model, self.tau_r_list, "tau_r_list")
 
 
 def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfig:
@@ -281,7 +288,7 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
     tau_raw = st.raw("process.tau_r_list")
     tau_list = (tuple(float(x) for x in tau_raw.split(",") if x.strip())
                 if tau_raw is not None else (st.get_float("process.tau_r", 1.0),))
-    _check_tau(model, tau_list,
+    _check_tau(kind, model, tau_list,
                "process.tau_r" if tau_raw is None else "process.tau_r_list")
     truth_raw = st.raw("truth.value")
     truth = float(truth_raw) if truth_raw is not None else None
@@ -318,16 +325,11 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
 # truth values
 
 def true_spectral_mean(model, psi_name: str) -> float:
-    """Analytic spectral mean for the configured psi, where available."""
+    """Analytic spectral mean for the configured psi: the model's
+    autocovariances for a cosine sum, quadrature otherwise."""
     psi = psi_from_name(psi_name)
-    name = psi.name
-    if name.startswith("cos_lag"):
-        h = tuple(int(float(x)) for x in re.findall(r"-?[0-9.]+", name))
-        return model_autocovariance(model, h)
-    if name.startswith("iso_contrast"):
-        nums = [int(float(x)) for x in re.findall(r"-?[0-9.]+", name)]
-        return (2.0 * model_autocovariance(model, (nums[0], nums[1]))
-                - 2.0 * model_autocovariance(model, (nums[2], nums[3])))
+    if psi.cos_terms:
+        return sum(c * model_autocovariance(model, h) for c, h in psi.cos_terms)
     from .simulate import model_spectral_density
 
     def integrand(w1, w2):
@@ -339,6 +341,17 @@ def true_spectral_mean(model, psi_name: str) -> float:
 # ---------------------------------------------------------------------------
 # replicate workers (module level so the pool can pickle them)
 
+def _draw_cells(res: FieldResampler, method: str, spec, need_boot: bool,
+                names: tuple[str, ...]) -> dict:
+    """One record's ``var_star`` cell and the ``BootstrapDraws`` fields
+    ``names`` (0.0 on subsample rows).  var_star is written on every row
+    of a run that has a bootstrap method, subsample rows included."""
+    d = None if method == "subsample" else res.draws(method, spec)
+    cells = {name: 0.0 if d is None else getattr(d, name) for name in names}
+    cells["var_star"] = res.var_star if need_boot else 0.0
+    return cells
+
+
 def _coverage_replicate(cfg: ExperimentConfig, i: int, truth: float) -> list[dict]:
     psi = psi_from_name(cfg.psi_name)
     need_boot = any(m != "subsample" for m in cfg.methods)
@@ -348,51 +361,23 @@ def _coverage_replicate(cfg: ExperimentConfig, i: int, truth: float) -> list[dic
             cfg.model, n1, n2,
             rngmod.stream(cfg.master_seed, rngmod.TAG_FIELD, i, size_idx),
             generator=cfg.generator)
-        pg = periodogram(field)
-        mhat = spectral_mean(pg, psi)
-        root_n = np.sqrt(mhat.n)
-        draws = var_star = None
-        if need_boot:
-            fhat = kernel_density_estimate(pg, bandwidth=cfg.bandwidth)
-            var_star = fdwb_variance(fhat, psi)
-            draws = fdwb_draws(fhat, psi, cfg.B, cfg.master_seed, i)
-        alpha = 1.0 - cfg.level
+        res = FieldResampler(field, psi, cfg.B, cfg.master_seed, i, cfg.bandwidth)
         for (b1, b2) in cfg.blocks or ((0, 0),):
-            ens = est = None
-            if (b1, b2) != (0, 0) and any(m != "fdwb" for m in cfg.methods):
-                ens = subsample_ensemble(field, BlockSpec(b1, b2), psi)
-                est = variance_estimates(ens)
+            spec = BlockSpec(b1, b2) if cfg.blocks else None
             for method in cfg.methods:
-                sigma2_raw = sigma2 = bias = 0.0
-                if method == "subsample":
-                    vals = subsample_edf(ens).values
-                else:
-                    vals = draws
-                    if method in ("hfdb", "hfdb_bias"):
-                        sigma2_raw = est.sigma2_sq_hat
-                        sigma2 = est.floored_sigma2
-                        if not var_star > 0.0:
-                            raise NumericalError("degenerate bootstrap: Var* <= 0")
-                        vals = np.sqrt((var_star + sigma2) / var_star) * vals
-                        if method == "hfdb_bias":
-                            bias = bias_estimate(ens, mhat)
-                            vals = vals + bias
-                lower = mhat.value - float(np.quantile(vals, 1.0 - alpha / 2.0)) / root_n
-                upper = mhat.value - float(np.quantile(vals, alpha / 2.0)) / root_n
+                ci = resampled_interval(res, method, spec, cfg.level)
                 records.append({
                     "replicate": i, "method": method, "n1": n1, "n2": n2,
-                    "b1": b1, "b2": b2, "mhat": mhat.value,
-                    "lower": lower, "upper": upper,
-                    "covered": int(lower <= truth <= upper),
-                    "var_star": 0.0 if var_star is None else var_star,
-                    "sigma2_raw": sigma2_raw, "sigma2_floored": sigma2,
-                    "bias_sub": bias,
+                    "b1": b1, "b2": b2, "mhat": res.mhat.value,
+                    "lower": ci.lower, "upper": ci.upper,
+                    "covered": int(ci.covers(truth)),
+                    **_draw_cells(res, method, spec, need_boot,
+                                  ("sigma2_raw", "sigma2_floored", "bias_sub")),
                 })
     return records
 
 
 def _isotropy_replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
-    from .spectral import psi_isotropy_contrast
     psi = psi_isotropy_contrast(cfg.h1, cfg.h2)
     need_boot = any(m != "subsample" for m in cfg.methods)
     records = []
@@ -406,49 +391,20 @@ def _isotropy_replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
                 model, n1, n2,
                 rngmod.stream(cfg.master_seed, rngmod.TAG_FIELD, i, stream_id),
                 generator=cfg.generator)
-            pg = periodogram(field)
-            mhat = spectral_mean(pg, psi)
-            ts = float(mhat.n * mhat.value ** 2)
-            contrast = (sample_variogram(field, cfg.h1)
-                        - sample_variogram(field, cfg.h2))
-            ts_vario = float(mhat.n * contrast ** 2)
-            draws_sq = var_star = None
-            if need_boot:
-                fhat = kernel_density_estimate(pg, bandwidth=cfg.bandwidth)
-                var_star = fdwb_variance(fhat, psi)
-                draws_sq = fdwb_draws(fhat, psi, cfg.B, cfg.master_seed,
-                                      i * len(cfg.tau_r_list) + t_idx) ** 2
+            res = FieldResampler(field, psi, cfg.B, cfg.master_seed,
+                                 i * len(cfg.tau_r_list) + t_idx, cfg.bandwidth)
             for (b1, b2) in cfg.blocks:
                 spec = BlockSpec(b1, b2)
-                est = None
-                if any(m == "hfdb" for m in cfg.methods):
-                    est = variance_estimates(subsample_ensemble(field, spec, psi))
                 for method in cfg.methods:
-                    sigma2_raw = sigma2 = 0.0
-                    if method == "subsample":
-                        copies = block_variogram_contrast(field, spec, cfg.h1, cfg.h2)
-                        stats = spec.b * (copies - copies.mean()) ** 2
-                        p = p_value_from_replicates(stats, ts_vario, cfg.plus_one)
-                    elif method == "fdwb":
-                        p = p_value_from_replicates(draws_sq, ts, cfg.plus_one)
-                    elif method == "hfdb":
-                        sigma2_raw = est.sigma2_sq_hat
-                        sigma2 = est.floored_sigma2
-                        if not var_star > 0.0:
-                            raise NumericalError("degenerate bootstrap: Var* <= 0")
-                        scaled = (var_star + sigma2) / var_star * draws_sq
-                        p = p_value_from_replicates(scaled, ts, cfg.plus_one)
-                    else:
-                        raise ConfigError(
-                            f"isotropy experiments support methods {TEST_METHODS}, "
-                            f"got {method!r}")
+                    test = calibrate_isotropy(res, method, spec, cfg.h1, cfg.h2,
+                                              cfg.plus_one)
                     records.append({
                         "replicate": i, "method": method, "tau_r": tau,
                         "n1": n1, "n2": n2, "b1": b1, "b2": b2,
-                        "ts": ts, "p_value": p,
-                        "reject": int(p < cfg.test_level),
-                        "var_star": 0.0 if var_star is None else var_star,
-                        "sigma2_raw": sigma2_raw, "sigma2_floored": sigma2,
+                        "ts": test.ts, "p_value": test.p_value,
+                        "reject": int(test.p_value < cfg.test_level),
+                        **_draw_cells(res, method, spec, need_boot,
+                                      ("sigma2_raw", "sigma2_floored")),
                     })
     return records
 
@@ -751,27 +707,17 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "ci":
-        from .bootstrap import bootstrap_distribution
-        from .infer import confidence_interval, subsample_confidence_interval
         fieldz = _load_field(st, args.infile, seed)
         psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
         method = st.get_str("boot.kind", "hfdb")
-        level = st.get_float("ci.level", 0.9)
-        mhat = spectral_mean(periodogram(fieldz), psi)
-        if method == "subsample":
+        spec = None
+        if method in ("hfdb", "hfdb_bias", "subsample"):
             spec = _single_block(st, fieldz, psi)
-            ci = subsample_confidence_interval(
-                mhat, subsample_ensemble(fieldz, spec, psi), level)
-        else:
-            spec = None
-            if method in ("hfdb", "hfdb_bias"):
-                spec = _single_block(st, fieldz, psi)
-            draws = bootstrap_distribution(fieldz, psi, spec,
-                                           st.get_int("boot.B", 500), method,
-                                           seed, bandwidth=build_bandwidth(st))
-            ci = confidence_interval(mhat, draws, level)
-        _print_json({"method": ci.method, "level": ci.level, "mhat": mhat.value,
-                     "lower": ci.lower, "upper": ci.upper})
+        res = FieldResampler(fieldz, psi, st.get_int("boot.B", 500), seed,
+                             bandwidth=build_bandwidth(st))
+        ci = resampled_interval(res, method, spec, st.get_float("ci.level", 0.9))
+        _print_json({"method": ci.method, "level": ci.level,
+                     "mhat": res.mhat.value, "lower": ci.lower, "upper": ci.upper})
         return 0
 
     if args.command == "isotropy":
@@ -782,7 +728,6 @@ def _dispatch(args) -> int:
         h2 = st.get_pair("test.h2", (0, 1))
         spec = None
         if method in ("hfdb", "subsample"):
-            from .spectral import psi_isotropy_contrast
             spec = _single_block(st, fieldz, psi_isotropy_contrast(h1, h2))
         res = isotropy_test(fieldz, h1, h2, method=method, spec=spec,
                             B=st.get_int("boot.B", 500), master_seed=seed,

@@ -30,9 +30,6 @@ class SpectralDensityEstimate:
     values: np.ndarray = field(repr=False)
     bandwidth: tuple[float, float]
 
-    def value_at(self, j) -> float:
-        return float(self.values[self.grid.position(j)])
-
 
 #: default bandwidth scale; calibrated so the wild-bootstrap variance tracks
 #: the first variance component for peaked spectra at the experiment sizes

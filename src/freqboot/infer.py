@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapDraws, bootstrap_distribution
+from .bootstrap import BootstrapDraws, FieldResampler
 from .errors import ConfigError
-from .lattice import LatticeField, periodogram
-from .spectral import PsiFunction, SpectralMeanValue, psi_isotropy_contrast, spectral_mean
-from .subsample import BlockSpec, SubsampleEnsemble, subsample_edf
+from .lattice import LatticeField
+from .spectral import PsiFunction, SpectralMeanValue, psi_isotropy_contrast
+from .subsample import (BlockSpec, SubsampleEnsemble, block_variogram_contrast,
+                        subsample_edf)
 
 CI_METHODS = ("fdwb", "hfdb", "hfdb_bias", "subsample")
 TEST_METHODS = ("fdwb", "hfdb", "subsample")
@@ -56,10 +57,15 @@ def _quantile(values: np.ndarray, q: float) -> float:
     return float(np.quantile(values, q))  # numpy default = type 7
 
 
+def check_level(level: float, name: str, lower: float = 0.0) -> None:
+    """Refuse a level outside (lower, 1), naming it ``name``."""
+    if not lower < level < 1.0:
+        raise ConfigError(f"{name} must be in ({lower:g}, 1), got {level}")
+
+
 def _centered_interval(mhat: SpectralMeanValue, values: np.ndarray,
                        level: float, method: str) -> ConfidenceInterval:
-    if not 0.5 < level < 1.0:
-        raise ConfigError(f"confidence level must be in (0.5, 1), got {level}")
+    check_level(level, "confidence level", 0.5)
     alpha = 1.0 - level
     root_n = np.sqrt(mhat.n)
     upper = mhat.value - _quantile(values, alpha / 2.0) / root_n
@@ -79,6 +85,19 @@ def subsample_confidence_interval(mhat: SpectralMeanValue,
                                   level: float) -> ConfidenceInterval:
     edf = subsample_edf(ens)  # rejects L < 2
     return _centered_interval(mhat, edf.values, level, "subsample")
+
+
+def resampled_interval(res: FieldResampler, method: str,
+                       spec: BlockSpec | None,
+                       level: float) -> ConfidenceInterval:
+    """Interval for the spectral mean of ``res``'s field and psi by one of
+    ``CI_METHODS``: the centered subsample EDF of the ``spec`` blocks, or
+    the resampler's bootstrap draws of that kind."""
+    if method == "subsample":
+        if spec is None:
+            raise ConfigError("subsample intervals need a block spec")
+        return subsample_confidence_interval(res.mhat, res.ensemble(spec), level)
+    return confidence_interval(res.mhat, res.draws(method, spec), level)
 
 
 def sample_variogram(fieldz: LatticeField, h) -> float:
@@ -118,21 +137,11 @@ def isotropy_test(fieldz: LatticeField, h1, h2, method: str = "hfdb",
                   psi: PsiFunction | None = None) -> IsotropyTestResult:
     """Test equality of the variogram at lags h1 and h2.
 
-    TS = n Mhat(psi)^2 for psi(w) = 2 cos(h1.w) - 2 cos(h2.w).  The
-    bootstrap backends (fdwb / hfdb) report the proportion of squared
-    mean-zero replicates at or above TS.  The subsampling backend
-    calibrates the variogram rendition of the same contrast instead,
-    comparing n (2k_hat(h1) - 2k_hat(h2))^2 against its centered
-    small-scale block copies: the spectral block copies carry a
-    wrap-around variance inflation at practical block sizes that the
-    direct variogram copies do not, and the variogram scale is the
-    standard subsampling calibration for this test.  Unequal-norm lags
-    are allowed but warned about: the isotropy null is only meaningful
-    when ||h1|| = ||h2||.
+    TS = n Mhat(psi)^2 for psi(w) = 2 cos(h1.w) - 2 cos(h2.w), calibrated
+    as :func:`calibrate_isotropy` describes.  Unequal-norm lags are
+    allowed but warned about: the isotropy null is only meaningful when
+    ||h1|| = ||h2||.
     """
-    if method not in TEST_METHODS:
-        raise ConfigError(
-            f"isotropy test method must be one of {TEST_METHODS}, got {method!r}")
     ha = (int(h1[0]), int(h1[1]))
     hb = (int(h2[0]), int(h2[1]))
     if ha[0] ** 2 + ha[1] ** 2 != hb[0] ** 2 + hb[1] ** 2:
@@ -140,21 +149,40 @@ def isotropy_test(fieldz: LatticeField, h1, h2, method: str = "hfdb",
                       "null does not apply", stacklevel=2)
     if psi is None:
         psi = psi_isotropy_contrast(ha, hb)
-    mhat = spectral_mean(periodogram(fieldz), psi)
-    ts = float(mhat.n * mhat.value ** 2)
+    res = FieldResampler(fieldz, psi, B, master_seed, replicate_id, bandwidth)
+    return calibrate_isotropy(res, method, spec, ha, hb, plus_one)
 
+
+def calibrate_isotropy(res: FieldResampler, method: str,
+                       spec: BlockSpec | None, h1: tuple[int, int],
+                       h2: tuple[int, int],
+                       plus_one: bool = False) -> IsotropyTestResult:
+    """p-value of TS = n Mhat^2, Mhat the spectral mean of ``res``'s psi
+    (the contrast of lags h1 and h2), under one calibration.
+
+    The bootstrap backends (fdwb / hfdb) report the proportion of squared
+    mean-zero replicates at or above TS.  The subsampling backend
+    calibrates the variogram rendition of the same contrast instead,
+    comparing n (2k_hat(h1) - 2k_hat(h2))^2 against its centered
+    small-scale block copies: the spectral block copies carry a
+    wrap-around variance inflation at practical block sizes that the
+    direct variogram copies do not, and the variogram scale is the
+    standard subsampling calibration for this test.
+    """
+    if method not in TEST_METHODS:
+        raise ConfigError(
+            f"isotropy test method must be one of {TEST_METHODS}, got {method!r}")
+    mhat = res.mhat
+    ts = float(mhat.n * mhat.value ** 2)
     if method == "subsample":
-        from .subsample import block_variogram_contrast
         if spec is None:
             raise ConfigError("subsample calibration needs a block spec")
-        contrast = sample_variogram(fieldz, ha) - sample_variogram(fieldz, hb)
+        contrast = sample_variogram(res.field, h1) - sample_variogram(res.field, h2)
         ts_vario = float(mhat.n * contrast ** 2)
-        copies = block_variogram_contrast(fieldz, spec, ha, hb)
+        copies = block_variogram_contrast(res.field, spec, h1, h2)
         stats = spec.b * (copies - copies.mean()) ** 2
         p = p_value_from_replicates(stats, ts_vario, plus_one)
     else:
-        draws = bootstrap_distribution(fieldz, psi, spec, B, method,
-                                       master_seed, replicate_id,
-                                       bandwidth=bandwidth)
-        p = p_value_from_replicates(draws.values ** 2, ts, plus_one)
-    return IsotropyTestResult(ts=ts, p_value=p, method=method, h1=ha, h2=hb)
+        p = p_value_from_replicates(res.draws(method, spec).values ** 2, ts,
+                                    plus_one)
+    return IsotropyTestResult(ts=ts, p_value=p, method=method, h1=h1, h2=h2)

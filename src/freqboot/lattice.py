@@ -67,9 +67,9 @@ def _signed_indices(n: int) -> np.ndarray:
 class FrequencyGrid:
     """Nonzero discrete Fourier frequency grid for an n1 x n2 lattice.
 
-    Exposes the ordered index list, frequency values, the half-plane
-    subset used to seed symmetric bootstrap weights, and the modular
-    negation tables used throughout the spectral code.
+    Exposes the frequency values, the half-plane mask used to seed
+    symmetric bootstrap weights, and the modular negation tables used
+    throughout the spectral code, all as FFT-layout arrays.
 
     The half-plane contains j with j1 > 0, or j1 = 0 and j2 > 0, extended
     to even extents by treating the Nyquist value n_k/2 like 0 (it is its
@@ -88,8 +88,6 @@ class FrequencyGrid:
 
         j1f = _signed_indices(self.n1)            # FFT-layout signed indices
         j2f = _signed_indices(self.n2)
-        self.j1f = j1f
-        self.j2f = j2f
         self.omega1 = _TWO_PI * j1f / self.n1     # per-axis frequencies, FFT layout
         self.omega2 = _TWO_PI * j2f / self.n2
 
@@ -104,10 +102,9 @@ class FrequencyGrid:
         self_conj[0, 0] = False                   # origin excluded from the grid
         self.self_conjugate_mask = self_conj
 
-        origin = np.zeros((self.n1, self.n2), dtype=bool)
-        origin[0, 0] = True
-        self.origin_mask = origin
-        self.nonzero_mask = ~origin
+        nonzero = np.ones((self.n1, self.n2), dtype=bool)
+        nonzero[0, 0] = False
+        self.nonzero_mask = nonzero
 
         # half-plane: decide on j1 unless it is self-negating (0 or Nyquist),
         # then decide on j2; fully self-conjugate positions are included
@@ -118,29 +115,6 @@ class FrequencyGrid:
         hp = np.where(axis1_free, J1 > 0, np.where(axis2_free, J2 > 0, True))
         hp &= self.nonzero_mask
         self.half_plane_mask = hp
-
-        # ordered index list, row-major by j1 then j2
-        order1 = np.argsort(j1f, kind="stable")
-        order2 = np.argsort(j2f, kind="stable")
-        idx = [(int(j1f[p1]), int(j2f[p2]))
-               for p1 in order1 for p2 in order2
-               if not (j1f[p1] == 0 and j2f[p2] == 0)]
-        self.indices = idx
-        self.half_plane = [j for j in idx if hp[j[0] % self.n1, j[1] % self.n2]]
-
-    def position(self, j) -> tuple[int, int]:
-        """FFT-layout position of (possibly out-of-range) integer index j."""
-        return (int(j[0]) % self.n1, int(j[1]) % self.n2)
-
-    def frequency(self, j) -> tuple[float, float]:
-        p1, p2 = self.position(j)
-        return (float(self.omega1[p1]), float(self.omega2[p2]))
-
-    def negate(self, j) -> tuple[int, int]:
-        """Modular negation of index j, reduced to the grid's signed range."""
-        p1, p2 = self.position(j)
-        q1, q2 = self.neg1[p1], self.neg2[p2]
-        return (int(self.j1f[q1]), int(self.j2f[q2]))
 
     def negate_array(self, a: np.ndarray) -> np.ndarray:
         """Array indexed by FFT position, re-indexed at negated positions."""
@@ -167,13 +141,6 @@ class Periodogram:
     grid: FrequencyGrid
     values: np.ndarray = field(repr=False)
 
-    def value_at(self, j) -> float:
-        """Intensity at integer index j (modular lookup, origin rejected)."""
-        p = self.grid.position(j)
-        if p == (0, 0):
-            raise ConfigError("origin frequency is not part of the grid")
-        return float(self.values[p])
-
 
 def periodogram(fieldz: LatticeField) -> Periodogram:
     """2D periodogram on the full Fourier grid via FFT.
@@ -189,24 +156,6 @@ def periodogram(fieldz: LatticeField) -> Periodogram:
     f = np.fft.fft2(fieldz.values)
     vals = (f.real ** 2 + f.imag ** 2) / ((_TWO_PI ** 2) * fieldz.n)
     return Periodogram(grid=grid, values=vals)
-
-
-def periodogram_at(fieldz: LatticeField, omega) -> float:
-    """Periodogram at an arbitrary frequency pair by direct O(n) summation.
-
-    Agrees with :func:`periodogram` at Fourier frequencies to floating
-    tolerance; needed for subsample periodograms evaluated off their own
-    grid.
-    """
-    w1, w2 = float(omega[0]), float(omega[1])
-    if not (-np.pi <= w1 <= np.pi and -np.pi <= w2 <= np.pi):
-        raise ConfigError(f"frequency {omega} outside [-pi, pi]^2")
-    s1 = np.arange(1, fieldz.n1 + 1)
-    s2 = np.arange(1, fieldz.n2 + 1)
-    e1 = np.exp(-1j * w1 * s1)
-    e2 = np.exp(-1j * w2 * s2)
-    total = e1 @ fieldz.values @ e2
-    return float((total.real ** 2 + total.imag ** 2) / ((_TWO_PI ** 2) * fieldz.n))
 
 
 # ---------------------------------------------------------------------------

@@ -52,15 +52,6 @@ class BlockSpec:
         return (n1 - self.b1 + 1) * (n2 - self.b2 + 1)
 
 
-def enumerate_blocks(n1: int, n2: int, spec: BlockSpec) -> list[tuple[int, int]]:
-    """Row-major origins (zero-based offsets) of all in-grid translates."""
-    if spec.b1 > n1 or spec.b2 > n2:
-        raise ConfigError(
-            f"block ({spec.b1}, {spec.b2}) does not fit in grid ({n1}, {n2})")
-    return [(o1, o2) for o1 in range(n1 - spec.b1 + 1)
-            for o2 in range(n2 - spec.b2 + 1)]
-
-
 @dataclass(frozen=True)
 class SubsampleEnsemble:
     """All L block statistics, reduced on the fly.

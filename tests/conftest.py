@@ -53,3 +53,57 @@ def brute_negation_table(n1: int, n2: int):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)
+
+
+# ---------------------------------------------------------------------------
+# index-level views of FFT-layout arrays, for tests that reason about
+# single frequencies; the package itself works on whole arrays
+
+def grid_indices(grid) -> list[tuple[int, int]]:
+    """Nonzero signed indices of a FrequencyGrid, row-major by j1 then j2."""
+    n1, n2 = grid.n1, grid.n2
+    return [(j1, j2) for j1 in range(-((n1 - 1) // 2), n1 // 2 + 1)
+            for j2 in range(-((n2 - 1) // 2), n2 // 2 + 1) if (j1, j2) != (0, 0)]
+
+
+def position(grid, j) -> tuple[int, int]:
+    """FFT-layout position of (possibly out-of-range) integer index j."""
+    return (int(j[0]) % grid.n1, int(j[1]) % grid.n2)
+
+
+def half_plane(grid) -> list[tuple[int, int]]:
+    """The indices the grid's half-plane mask selects."""
+    return [j for j in grid_indices(grid) if grid.half_plane_mask[position(grid, j)]]
+
+
+def negate(grid, j) -> tuple[int, int]:
+    """Modular negation of index j, reduced to the grid's signed range."""
+    return brute_negation_table(grid.n1, grid.n2)[tuple(j)]
+
+
+def frequency(grid, j) -> tuple[float, float]:
+    return (TWO_PI * j[0] / grid.n1, TWO_PI * j[1] / grid.n2)
+
+
+def value_at(spectrum, j) -> float:
+    """Value of a Periodogram or SpectralDensityEstimate at index j."""
+    p = position(spectrum.grid, j)
+    assert p != (0, 0), "origin frequency is not part of the grid"
+    return float(spectrum.values[p])
+
+
+def periodogram_at(values: np.ndarray, omega) -> float:
+    """Periodogram at an arbitrary frequency pair by direct O(n)
+    summation, in matrix form."""
+    w1, w2 = float(omega[0]), float(omega[1])
+    n1, n2 = values.shape
+    e1 = np.exp(-1j * w1 * np.arange(1, n1 + 1))
+    e2 = np.exp(-1j * w2 * np.arange(1, n2 + 1))
+    total = e1 @ values @ e2
+    return float((total.real ** 2 + total.imag ** 2) / (TWO_PI ** 2 * n1 * n2))
+
+
+def enumerate_blocks(n1: int, n2: int, spec) -> list[tuple[int, int]]:
+    """Row-major origins (zero-based offsets) of all in-grid translates."""
+    return [(o1, o2) for o1 in range(n1 - spec.b1 + 1)
+            for o2 in range(n2 - spec.b2 + 1)]

@@ -17,7 +17,8 @@ import scipy.stats as st
 
 import freqboot as fb
 from freqboot import rng as rngmod
-from freqboot.bootstrap import bootstrap_distribution, fdwb_draws, fdwb_variance
+from freqboot.bootstrap import (_hybrid_rescale, bootstrap_distribution,
+                                fdwb_draws, fdwb_variance)
 from freqboot.cli import (ExperimentConfig, emit_report,
                           run_coverage_experiment, run_isotropy_experiment)
 from freqboot.density import kernel_density_estimate
@@ -302,11 +303,14 @@ def test_criterion_7_exact_identities(rng):
                            - est.sigma_sq_hat)
                    <= 1e-12 * abs(est.sigma_sq_hat)))
 
-    # hybrid degenerates to the wild bootstrap bit-exactly at zero
+    # hybrid degenerates to the wild bootstrap bit-exactly at zero: the
+    # one rescale hfdb draws go through returns the fdwb draws unchanged
     d_f = bootstrap_distribution(field, psi, None, 200, "fdwb", 73)
-    d_h = bootstrap_distribution(field, psi, None, 200, "hfdb", 73,
-                                 sigma2_sq=0.0)
-    checks.append(("hfdb-degenerate", np.array_equal(d_f.values, d_h.values)))
+    d_h = bootstrap_distribution(field, psi, spec, 200, "hfdb", 73)
+    checks.append(("hfdb-degenerate", np.array_equal(
+        _hybrid_rescale(d_f.values, d_f.var_star, 0.0), d_f.values)
+        and np.array_equal(d_h.values, _hybrid_rescale(
+            d_f.values, d_f.var_star, d_h.sigma2_floored))))
 
     # bias correction is a bit-exact constant shift
     d_p = bootstrap_distribution(field, psi, spec, 200, "hfdb", 74)

@@ -6,19 +6,19 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from freqboot import (BlockSpec, ConfigError, NumericalError,
+from freqboot import (BlockSpec, ConfigError, FieldResampler, NumericalError,
                       SpectralDensityEstimate, WhiteNoise,
                       bootstrap_distribution, build_frequency_grid,
-                      draw_exponential_weights, fdwb_statistic, fdwb_variance,
-                      hfdb_statistic, periodogram, psi_cos_lag,
-                      simulate_gaussian, subsample_ensemble,
-                      variance_estimates)
+                      fdwb_variance, periodogram, psi_cos_lag,
+                      simulate_gaussian)
+from freqboot import bootstrap as bootstrap_module
 from freqboot import rng as rngmod
-from freqboot.bootstrap import _half_plane_reduction, fdwb_draws
+from freqboot.bootstrap import (_effective_coefficients, _half_plane_reduction,
+                                _hybrid_rescale, fdwb_draws)
 from freqboot.simulate import TransformedGaussian, matern_model
 from freqboot.spectral import PsiFunction
 
-from conftest import TWO_PI
+from conftest import TWO_PI, frequency, grid_indices, negate, position
 
 
 def _flat_density(n1, n2, c):
@@ -27,27 +27,61 @@ def _flat_density(n1, n2, c):
                                    bandwidth=(1.0, 1.0))
 
 
+def _mirrored_weights(grid, u):
+    """Full-grid weight map implied by half-plane draws u: each draw sits
+    at its half-plane position and at the mirror of that position."""
+    w = np.ones((grid.n1, grid.n2))
+    w[grid.half_plane_mask] = u
+    return np.where(grid.half_plane_mask | ~grid.nonzero_mask, w,
+                    grid.negate_array(w))
+
+
+def _boot_uniforms(grid, master_seed, r):
+    """The Exp(1) draws bootstrap replicate r reads, in half-plane order."""
+    gen = rngmod.stream(master_seed, rngmod.TAG_BOOT, 0, r)
+    return gen.standard_exponential(int(grid.half_plane_mask.sum()))
+
+
+def _one_ordinate_density(n1, n2, j, c=0.5):
+    """Density c at index j, 0 elsewhere: the draw of replicate r is then
+    scale * c * (U_j - 1), exposing one weight's marginal."""
+    grid = build_frequency_grid(n1, n2)
+    values = np.zeros((n1, n2))
+    values[position(grid, j)] = c
+    return SpectralDensityEstimate(grid=grid, values=values, bandwidth=(1.0, 1.0))
+
+
+def _recovered_weights(n1, n2, j, seed, B):
+    de = _one_ordinate_density(n1, n2, j)
+    scale = TWO_PI ** 2 / np.sqrt(n1 * n2)
+    return 1.0 + fdwb_draws(de, psi_cos_lag((0, 0)), B, seed) / (scale * 0.5)
+
+
 class TestWeights:
     def test_symmetry_exact(self):
+        # each half-plane draw multiplies the coefficients of j and -j:
+        # replicate r equals the full-grid sum over the mirrored weight map
         grid = build_frequency_grid(6, 5)
-        w = draw_exponential_weights(grid, rngmod.stream(71))
-        for j in grid.indices:
-            assert w[grid.position(j)] == w[grid.position(grid.negate(j))]
+        de = SpectralDensityEstimate(
+            grid=grid, bandwidth=(1.0, 1.0),
+            values=np.random.default_rng(71).uniform(0.1, 2.0, (6, 5)))
+        psi = PsiFunction("uneven", lambda w1, w2: np.cos(w1) + 0.3 * np.sin(w2),
+                          False)
+        coef = _effective_coefficients(de, psi)
+        draws = fdwb_draws(de, psi, 5, master_seed=71)
+        for r in range(5):
+            w = _mirrored_weights(grid, _boot_uniforms(grid, 71, r))
+            for j in grid_indices(grid):
+                assert w[position(grid, j)] == w[position(grid, negate(grid, j))]
+            direct = TWO_PI ** 2 / np.sqrt(grid.n) * np.sum(coef * (w - 1.0))
+            assert draws[r] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
     def test_mean_one(self):
-        grid = build_frequency_grid(5, 5)
-        pos = grid.position((1, 1))
-        vals = np.array([
-            draw_exponential_weights(grid, rngmod.stream(72, 1, i))[pos]
-            for i in range(10000)])
+        vals = _recovered_weights(5, 5, (1, 1), 72, 10000)
         assert abs(vals.mean() - 1.0) <= 0.03
 
     def test_exponential_distribution(self):
-        grid = build_frequency_grid(5, 5)
-        pos = grid.position((2, -1))
-        vals = np.array([
-            draw_exponential_weights(grid, rngmod.stream(73, 1, i))[pos]
-            for i in range(10000)])
+        vals = _recovered_weights(5, 5, (2, -1), 73, 10000)
         _, pval = st.kstest(vals, "expon")
         assert pval > 0.01
 
@@ -55,10 +89,7 @@ class TestWeights:
 class TestFdwbStatistic:
     def test_zero_density_gives_zero(self):
         de = _flat_density(4, 4, 0.0)
-        for r in range(5):
-            val = fdwb_statistic(de, psi_cos_lag((1, 0)),
-                                 rngmod.stream(74, 1, r))
-            assert val == 0.0
+        assert np.all(fdwb_draws(de, psi_cos_lag((1, 0)), 5, 74) == 0.0)
 
     def test_mean_within_monte_carlo_band(self):
         de = _flat_density(8, 8, 0.5)
@@ -73,17 +104,17 @@ class TestFdwbStatistic:
         de = _flat_density(3, 3, 0.5)
         psi_odd = PsiFunction("odd", lambda w1, w2: np.sin(w1), False)
         grid = de.grid
+        assert _half_plane_reduction(de, psi_odd) == pytest.approx(0.0, abs=1e-15)
+        draws = fdwb_draws(de, psi_odd, 10, master_seed=76)
         for r in range(10):
-            w = draw_exponential_weights(grid, rngmod.stream(76, 1, r))
+            w = _mirrored_weights(grid, _boot_uniforms(grid, 76, r))
             direct = 0.0
-            for j in grid.indices:
-                p = grid.position(j)
-                wj = grid.frequency(j)
-                direct += np.sin(wj[0]) * 0.5 * (w[p] - 1.0)
+            for j in grid_indices(grid):
+                direct += np.sin(frequency(grid, j)[0]) * 0.5 * (
+                    w[position(grid, j)] - 1.0)
             direct *= TWO_PI ** 2 / np.sqrt(grid.n)
             assert direct == pytest.approx(0.0, abs=1e-12)
-            assert fdwb_statistic(de, psi_odd, rngmod.stream(76, 1, r)) \
-                == pytest.approx(0.0, abs=1e-12)
+            assert draws[r] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestStreamAddressing:
@@ -136,15 +167,25 @@ class TestFdwbVariance:
 
 
 class TestHfdbStatistic:
-    def test_zero_correction_is_identity(self):
-        assert hfdb_statistic(1.37, 2.0, 0.0) == 1.37
+    # _hybrid_rescale is the one Q* -> H* rescale FieldResampler applies
+    def test_zero_correction_is_identity(self, rng):
+        q = np.append(rng.standard_normal(99), 1.37)
+        assert np.array_equal(_hybrid_rescale(q, 2.0, 0.0), q)
 
     def test_arithmetic(self):
-        assert hfdb_statistic(2.0, 1.0, 3.0) == pytest.approx(4.0)
+        assert _hybrid_rescale(np.array([2.0]), 1.0, 3.0) == pytest.approx([4.0])
 
     def test_rejects_degenerate(self):
         with pytest.raises(NumericalError):
-            hfdb_statistic(1.0, 0.0, 1.0)
+            _hybrid_rescale(np.array([1.0]), 0.0, 1.0)
+        # psi orthogonal to the density: Var* = 0 stops the hybrid kinds
+        f = simulate_gaussian(WhiteNoise(1.0), 12, 12,
+                              rngmod.stream(79, rngmod.TAG_FIELD, 0))
+        zero = PsiFunction("zero", lambda w1, w2: 0.0 * w1, True)
+        res = FieldResampler(f, zero, 100, 79)
+        assert np.all(res.draws("fdwb").values == 0.0)
+        with pytest.raises(NumericalError):
+            res.draws("hfdb", BlockSpec(4, 4))
 
     def test_scaling_audit(self, rng):
         de = _flat_density(8, 8, 0.3)
@@ -152,7 +193,7 @@ class TestHfdbStatistic:
         var_star = fdwb_variance(de, psi)
         sigma2 = 0.7
         draws = fdwb_draws(de, psi, 10000, master_seed=78)
-        scaled = np.sqrt((var_star + sigma2) / var_star) * draws
+        scaled = _hybrid_rescale(draws, var_star, sigma2)
         assert scaled.var() == pytest.approx(var_star + sigma2, rel=0.05)
 
 
@@ -162,12 +203,16 @@ class TestBootstrapDistribution:
                                  rngmod.stream(seed, rngmod.TAG_FIELD, 0))
 
     def test_fdwb_equals_hfdb_with_forced_zero(self):
+        # hfdb draws are the fdwb draws through the one rescale, so a zero
+        # correction returns the fdwb draws bit for bit
         f = self._white_field()
         psi = psi_cos_lag((1, 0))
         d1 = bootstrap_distribution(f, psi, None, 200, "fdwb", 81)
-        d2 = bootstrap_distribution(f, psi, None, 200, "hfdb", 81,
-                                    sigma2_sq=0.0)
-        assert np.array_equal(d1.values, d2.values)
+        d2 = bootstrap_distribution(f, psi, BlockSpec(4, 4), 200, "hfdb", 81)
+        assert np.array_equal(d2.values, _hybrid_rescale(
+            d1.values, d1.var_star, d2.sigma2_floored))
+        assert np.array_equal(_hybrid_rescale(d1.values, d1.var_star, 0.0),
+                              d1.values)
 
     def test_bias_shift_is_exact(self):
         f = self._white_field()
@@ -201,7 +246,7 @@ class TestBootstrapDistribution:
         with pytest.raises(ConfigError):
             bootstrap_distribution(f, psi_cos_lag((1, 0)), None, 200, "wild", 0)
 
-    def test_hfdb_needs_block_or_override(self):
+    def test_hfdb_needs_block(self):
         f = self._white_field()
         with pytest.raises(ConfigError):
             bootstrap_distribution(f, psi_cos_lag((1, 0)), None, 200, "hfdb", 0)
@@ -214,6 +259,42 @@ class TestBootstrapDistribution:
         d = bootstrap_distribution(f, psi, BlockSpec(8, 8), 2000, "hfdb", 61)
         _, pval = st.kstest(d.values / np.sqrt(d.recorded_total_var), "norm")
         assert pval > 0.01
+
+
+class TestFieldResampler:
+    def _field(self):
+        return simulate_gaussian(WhiteNoise(1.0), 16, 16,
+                                 rngmod.stream(85, rngmod.TAG_FIELD, 0))
+
+    def test_matches_one_shot_wrapper(self):
+        f = self._field()
+        psi = psi_cos_lag((1, 0))
+        res = FieldResampler(f, psi, 150, 86, replicate_id=3)
+        for spec in (BlockSpec(4, 4), BlockSpec(5, 3)):
+            for kind in ("fdwb", "hfdb", "hfdb_bias"):
+                one = bootstrap_distribution(f, psi, spec, 150, kind, 86, 3)
+                shared = res.draws(kind, spec)
+                assert np.array_equal(shared.values, one.values)
+                assert (shared.var_star, shared.sigma2_raw, shared.bias_sub) == \
+                    (one.var_star, one.sigma2_raw, one.bias_sub)
+
+    def test_each_stage_runs_once(self, monkeypatch):
+        calls = {}
+        for name in ("periodogram", "kernel_density_estimate", "fdwb_draws",
+                     "subsample_ensemble", "variance_estimates"):
+            def counted(*args, _fn=getattr(bootstrap_module, name), _name=name,
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(bootstrap_module, name, counted)
+        res = FieldResampler(self._field(), psi_cos_lag((1, 0)), 120, 87)
+        for spec in (BlockSpec(4, 4), BlockSpec(5, 5)):
+            for kind in ("fdwb", "hfdb", "hfdb_bias", "hfdb"):
+                res.draws(kind, spec)
+            res.ensemble(spec)
+        assert calls == {"periodogram": 1, "kernel_density_estimate": 1,
+                         "fdwb_draws": 1, "subsample_ensemble": 2,
+                         "variance_estimates": 2}
 
 
 class TestDistributionalConsistency:

@@ -5,15 +5,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
-                          emit_report, experiment_config, main,
-                          parse_config_file, report_from_json, report_to_json,
+                          _coverage_chunk, _isotropy_chunk, emit_report,
+                          experiment_config, main, parse_config_file,
+                          report_from_json, report_to_json,
                           run_coverage_experiment, run_isotropy_experiment,
                           true_spectral_mean)
 from freqboot.errors import ConfigError
 from freqboot.simulate import (SeparableARMA, SphericalAniso, WhiteNoise,
-                               matern_model)
+                               matern_model, model_autocovariance)
 
 
 def _cfg(**over):
@@ -106,6 +109,58 @@ class TestConfigParsing:
         assert _cfg(kind="isotropy", model=matern_model(1.0 / 3.0, 1.0),
                     tau_r_list=(1.0,)).tau_r_list == (1.0,)
 
+    @pytest.mark.parametrize("kind, tau_r, tau_r_list", [
+        ("spherical", None, "1.5"),
+        ("spherical", "1.2", "1.0"),
+        ("spherical", None, "1.0,1.0"),
+        ("white_noise", None, "1.0,1.0"),
+    ])
+    def test_coverage_runs_only_the_model_tau(self, tmp_path, capsys, kind,
+                                              tau_r, tau_r_list):
+        # coverage simulates the model as built; a list naming any other
+        # tau would label fields it never simulates
+        args = ["--set", f"process.kind={kind}",
+                "--set", f"process.tau_r_list={tau_r_list}",
+                "--set", "grid.sizes=12x12", "--set", "block.b1=4",
+                "--set", "block.b2=4", "--set", "replicates=1",
+                "--out", str(tmp_path / "r")]
+        if tau_r is not None:
+            args += ["--set", f"process.tau_r={tau_r}"]
+        assert main(args + ["coverage"]) == 2
+        assert "process.tau_r_list" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_coverage_tau_on_directly_built_config(self):
+        with pytest.raises(ConfigError, match="tau_r_list"):
+            _cfg(model=SphericalAniso(sigma2=1.0, range_=3.0), tau_r_list=(1.5,))
+        with pytest.raises(ConfigError, match="tau_r_list"):
+            _cfg(tau_r_list=(1.0, 1.0))
+        model = SphericalAniso(sigma2=1.0, range_=3.0, tau_r=1.5)
+        assert _cfg(model=model, tau_r_list=(1.5,)).tau_r_list == (1.5,)
+        st = Settings({"process.kind": "spherical", "process.tau_r": "1.5",
+                       "block.b1": "4", "block.b2": "4"})
+        assert experiment_config(st, "coverage", 0, 1).tau_r_list == (1.5,)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("coverage", "ci.level", "0.4"),
+        ("isotropy-experiment", "test.level", "1.5"),
+        ("isotropy-experiment", "test.level", "0"),
+    ])
+    def test_levels_checked_at_config_time(self, tmp_path, capsys, command,
+                                           key, value):
+        # the runner refuses what the interval and the test would refuse
+        args = []
+        for kv in (f"{key}={value}", "process.kind=spherical",
+                   "grid.sizes=12x12", "block.b1=4", "block.b2=4",
+                   "replicates=1", "boot.B=100"):
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"), command]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        field = {"ci.level": "level", "test.level": "test_level"}[key]
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            _cfg(**{field: float(value)})
+
     def test_truth_sources(self, tmp_path):
         st = Settings({"truth.value": "0.25", "block.b1": "4", "block.b2": "4",
                        "grid.sizes": "12x12"})
@@ -136,6 +191,15 @@ class TestTruthValues:
         m = SphericalAniso(sigma2=1.0, range_=5.0, tau_r=1.5)
         val = true_spectral_mean(m, "iso_contrast{h1=(1,0),h2=(0,1)}")
         assert val > 0.0  # gamma(1,0) > gamma(0,1) once direction 2 shrinks
+        assert val == (2.0 * model_autocovariance(m, (1, 0))
+                       - 2.0 * model_autocovariance(m, (0, 1)))
+
+    def test_iso_contrast_isotropic_is_zero(self):
+        m = matern_model(1.0 / 3.0, 1.0)
+        val = true_spectral_mean(m, "iso_contrast{h1=(1,0),h2=(0,1)}")
+        assert abs(val) <= 1e-12
+        assert true_spectral_mean(m, "iso_contrast{h1=(1,1),h2=(1,-1)}") == \
+            pytest.approx(0.0, abs=1e-12)
 
 
 class TestCoverageExperiment:
@@ -187,6 +251,43 @@ class TestIsotropyExperiment:
         cfg = _cfg(kind="isotropy", model=SeparableARMA(0.2, -0.7))
         with pytest.raises(ConfigError):
             run_isotropy_experiment(cfg)
+
+
+def _sort_key(rec):
+    return tuple(rec.get(k, 0) for k in ("replicate", "tau_r", "n1", "n2",
+                                          "b1", "b2", "method"))
+
+
+class TestChunking:
+    # workers split replicates into chunks; no partition of range(R), in
+    # any chunk or index order, may change a record
+    _COVERAGE = _cfg(sizes=((8, 8), (10, 8)), blocks=((3, 3), (4, 4)),
+                     methods=("fdwb", "hfdb", "hfdb_bias", "subsample"), B=100)
+    _ISOTROPY = _cfg(kind="isotropy", model=SphericalAniso(sigma2=1.0, range_=3.0),
+                     sizes=((8, 8),), blocks=((4, 4),),
+                     methods=("fdwb", "hfdb", "subsample"), B=100,
+                     tau_r_list=(1.0, 1.3))
+
+    @staticmethod
+    def _run(worker, payload, chunks):
+        out = []
+        for chunk in chunks:
+            out.extend(worker(payload(chunk)))
+        return sorted(out, key=_sort_key)
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=hst.data(), R=hst.integers(1, 6))
+    def test_any_partition_gives_the_same_records(self, data, R):
+        labels = data.draw(hst.lists(hst.integers(0, R - 1), min_size=R, max_size=R))
+        chunks = [data.draw(hst.permutations([i for i in range(R) if labels[i] == k]))
+                  for k in data.draw(hst.permutations(sorted(set(labels))))]
+        cov = self._COVERAGE
+        truth = 0.0
+        single = self._run(_coverage_chunk, lambda c: (cov, c, truth), [list(range(R))])
+        assert self._run(_coverage_chunk, lambda c: (cov, c, truth), chunks) == single
+        iso = self._ISOTROPY
+        single = self._run(_isotropy_chunk, lambda c: (iso, c), [list(range(R))])
+        assert self._run(_isotropy_chunk, lambda c: (iso, c), chunks) == single
 
 
 class TestReports:

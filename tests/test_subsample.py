@@ -9,7 +9,7 @@ from hypothesis import strategies as hst
 
 from freqboot import (BlockSpec, ConfigError, LatticeField, WhiteNoise,
                       bias_estimate, block_variogram, block_variogram_contrast,
-                      default_block_candidates, enumerate_blocks, periodogram,
+                      default_block_candidates, periodogram,
                       sample_variogram, select_block_size_min_volatility,
                       simulate_gaussian, spectral_mean, subsample_edf,
                       subsample_ensemble, variance_estimates)
@@ -19,6 +19,8 @@ from freqboot import subsample as subsample_module
 from freqboot.simulate import matern_model
 from freqboot.spectral import SpectralMeanValue
 
+from conftest import enumerate_blocks
+
 # an off-axis lag, an even contrast, and a non-even psi whose paired
 # half-grid columns carry psi(k) + psi(-k) with psi(k) != psi(-k)
 _PSIS = [psi_cos_lag((1, 2)), psi_isotropy_contrast((1, 0), (0, 1)),
@@ -27,8 +29,15 @@ _PSIS = [psi_cos_lag((1, 2)), psi_isotropy_contrast((1, 0), (0, 1)),
 
 class TestEnumerateBlocks:
     def test_counts(self):
-        assert len(enumerate_blocks(5, 5, BlockSpec(3, 3))) == 9
-        assert len(enumerate_blocks(4, 6, BlockSpec(2, 3))) == 12
+        # enumerate_blocks is the conftest oracle; BlockSpec.count and the
+        # ensemble's L are the package's own counts
+        for (n1, n2), spec, L in [((5, 5), BlockSpec(3, 3), 9),
+                                  ((4, 6), BlockSpec(2, 3), 12),
+                                  ((3, 3), BlockSpec(3, 3), 1)]:
+            assert len(enumerate_blocks(n1, n2, spec)) == spec.count(n1, n2) == L
+            ens = subsample_ensemble(LatticeField(np.zeros((n1, n2))), spec,
+                                     psi_cos_lag((1, 0)))
+            assert ens.L == L == ens.block_means.size
         assert enumerate_blocks(3, 3, BlockSpec(3, 3)) == [(0, 0)]
 
     def test_row_major_order(self):
@@ -36,8 +45,11 @@ class TestEnumerateBlocks:
         assert origins == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_rejects_oversized(self):
+        f = LatticeField(np.zeros((4, 4)))
         with pytest.raises(ConfigError):
-            enumerate_blocks(4, 4, BlockSpec(5, 3))
+            subsample_ensemble(f, BlockSpec(5, 3), psi_cos_lag((1, 0)))
+        with pytest.raises(ConfigError):
+            block_variogram(f, BlockSpec(5, 3), (1, 0))
         with pytest.raises(ConfigError):
             BlockSpec(1, 3)
 
