@@ -53,10 +53,6 @@ class IsotropyTestResult:
     h2: tuple[int, int]
 
 
-def _quantile(values: np.ndarray, q: float) -> float:
-    return float(np.quantile(values, q))  # numpy default = type 7
-
-
 def check_level(level: float, name: str, lower: float = 0.0) -> None:
     """Refuse a level outside (lower, 1), naming it ``name``."""
     if not lower < level < 1.0:
@@ -68,8 +64,10 @@ def _centered_interval(mhat: SpectralMeanValue, values: np.ndarray,
     check_level(level, "confidence level", 0.5)
     alpha = 1.0 - level
     root_n = np.sqrt(mhat.n)
-    upper = mhat.value - _quantile(values, alpha / 2.0) / root_n
-    lower = mhat.value - _quantile(values, 1.0 - alpha / 2.0) / root_n
+    # both tails from one type-7 (numpy default) call, bit-identical to two
+    q_lo, q_hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
+    upper = mhat.value - float(q_lo) / root_n
+    lower = mhat.value - float(q_hi) / root_n
     return ConfidenceInterval(lower=lower, upper=upper, level=level, method=method)
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from freqboot import (BlockSpec, ConfigError, LatticeField, WhiteNoise,
                       confidence_interval, isotropy_test, periodogram,
@@ -45,6 +47,17 @@ class TestConfidenceInterval:
         ci = confidence_interval(mhat, _draws(vals), 0.9)
         assert ci.lower == pytest.approx(0.3 - 1.7 / 10.0, abs=1e-9)
         assert ci.upper == pytest.approx(0.3 + 1.6 / 10.0, abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(B=hst.integers(100, 700), level=hst.floats(0.51, 0.99),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_tails_match_two_scalar_quantiles(self, B, level, seed):
+        vals = np.random.default_rng(seed).standard_normal(B)
+        mhat = SpectralMeanValue(0.3, PSI, 2500)
+        ci = confidence_interval(mhat, _draws(vals), level)
+        a = 1.0 - level
+        assert ci.upper == 0.3 - float(np.quantile(vals, a / 2.0)) / np.sqrt(2500)
+        assert ci.lower == 0.3 - float(np.quantile(vals, 1.0 - a / 2.0)) / np.sqrt(2500)
 
     def test_rejects_few_draws_and_bad_level(self):
         mhat = SpectralMeanValue(0.0, PSI, 100)
