@@ -16,6 +16,10 @@ subsampling-estimated fourth-cumulant component:
 
     H* = sqrt(Var* + sigma2_hat) * Q* / sqrt(Var*).
 
+Replicate r reads its m half-plane weights from its own stream and is
+reduced without BLAS, so the draws do not depend on the BLAS thread
+count.
+
 ``FieldResampler`` holds one field's pipeline and is the only place the
 rescale and the hfdb_bias shift are applied; ``bootstrap_distribution``
 asks a fresh one for a single kind.
@@ -40,6 +44,9 @@ _TWO_PI = 2.0 * np.pi
 _SQRT2 = np.sqrt(2.0)
 
 KINDS = ("fdwb", "hfdb", "hfdb_bias")
+
+# weights drawn per block of bootstrap rows in ``fdwb_draws``
+_DRAW_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -106,17 +113,23 @@ def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
                master_seed: int, replicate_id: int = 0) -> np.ndarray:
     """B FDWB replicates; bootstrap replicate r draws its weights from the
     dedicated stream (master_seed, replicate_id, r), so serial and
-    parallel generation agree and reruns are bit-identical."""
+    parallel generation agree and reruns are bit-identical.
+
+    Weights are drawn into a block of rows, and each row is reduced by
+    ``np.einsum``, numpy's own loop rather than a BLAS call, so the bits
+    depend neither on the block size nor on the BLAS thread count."""
     cvec = _half_plane_reduction(fhat, psi)
-    scale = (_TWO_PI ** 2) / np.sqrt(fhat.grid.n)
     m = cvec.size
-    out = np.empty(B)
-    buf = np.empty(m)
     gens = rngmod.streams(master_seed, rngmod.TAG_BOOT, replicate_id, B)
-    for r, gen in enumerate(gens):
-        gen.standard_exponential(out=buf)
-        buf -= 1.0
-        out[r] = scale * (cvec @ buf)
+    out = np.empty(B)
+    buf = np.empty((max(1, min(B, _DRAW_BUDGET // max(m, 1))), m))
+    for start in range(0, B, buf.shape[0]):
+        w = buf[:min(buf.shape[0], B - start)]
+        for row, gen in zip(w, gens):
+            gen.standard_exponential(out=row)
+        np.einsum("ij,j->i", w, cvec, out=out[start:start + w.shape[0]])
+    out -= cvec.sum()    # sum_j c_j (U_j - 1), centred once per field
+    out *= (_TWO_PI ** 2) / np.sqrt(fhat.grid.n)
     return out
 
 

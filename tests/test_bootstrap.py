@@ -1,5 +1,10 @@
 """Wild bootstrap draws, closed-form variance, hybrid rescaling."""
 
+import os
+import subprocess
+import sys
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -36,9 +41,9 @@ def _mirrored_weights(grid, u):
                     grid.negate_array(w))
 
 
-def _boot_uniforms(grid, master_seed, r):
+def _boot_uniforms(grid, master_seed, r, replicate_id=0):
     """The Exp(1) draws bootstrap replicate r reads, in half-plane order."""
-    gen = rngmod.stream(master_seed, rngmod.TAG_BOOT, 0, r)
+    gen = rngmod.stream(master_seed, rngmod.TAG_BOOT, replicate_id, r)
     return gen.standard_exponential(int(grid.half_plane_mask.sum()))
 
 
@@ -57,6 +62,16 @@ def _recovered_weights(n1, n2, j, seed, B):
     return 1.0 + fdwb_draws(de, psi_cos_lag((0, 0)), B, seed) / (scale * 0.5)
 
 
+_UNEVEN = PsiFunction("uneven", lambda w1, w2: np.cos(w1) + 0.3 * np.sin(w2),
+                      False)
+
+
+def _random_density(n1, n2, density_seed):
+    values = np.random.default_rng(density_seed).uniform(0.1, 2.0, (n1, n2))
+    return SpectralDensityEstimate(grid=build_frequency_grid(n1, n2),
+                                   values=values, bandwidth=(1.0, 1.0))
+
+
 class TestWeights:
     def test_symmetry_exact(self):
         # each half-plane draw multiplies the coefficients of j and -j:
@@ -65,10 +80,8 @@ class TestWeights:
         de = SpectralDensityEstimate(
             grid=grid, bandwidth=(1.0, 1.0),
             values=np.random.default_rng(71).uniform(0.1, 2.0, (6, 5)))
-        psi = PsiFunction("uneven", lambda w1, w2: np.cos(w1) + 0.3 * np.sin(w2),
-                          False)
-        coef = _effective_coefficients(de, psi)
-        draws = fdwb_draws(de, psi, 5, master_seed=71)
+        coef = _effective_coefficients(de, _UNEVEN)
+        draws = fdwb_draws(de, _UNEVEN, 5, master_seed=71)
         for r in range(5):
             w = _mirrored_weights(grid, _boot_uniforms(grid, 71, r))
             for j in grid_indices(grid):
@@ -117,30 +130,79 @@ class TestFdwbStatistic:
             assert draws[r] == pytest.approx(0.0, abs=1e-12)
 
 
+# both grid parities; replicate ids past 2^63 and 2^64 wrap by masking;
+# an even cosine psi or a psi that is not even
+_DRAW_CASE = dict(
+    n1=hst.integers(2, 9), n2=hst.integers(2, 9),
+    psi=hst.one_of(hst.builds(psi_cos_lag, hst.tuples(hst.integers(-3, 3),
+                                                      hst.integers(-3, 3))),
+                   hst.just(_UNEVEN)),
+    master_seed=hst.integers(0, (1 << 64) - 1),
+    replicate_id=hst.integers(-(1 << 64), 1 << 66),
+    B=hst.integers(1, 24), density_seed=hst.integers(0, 2 ** 32 - 1))
+
+
 class TestStreamAddressing:
     @settings(max_examples=60, deadline=None)
-    @given(n1=hst.integers(2, 9), n2=hst.integers(2, 9),
-           lag=hst.tuples(hst.integers(-3, 3), hst.integers(-3, 3)),
-           master_seed=hst.integers(0, (1 << 64) - 1),
-           replicate_id=hst.integers(-(1 << 64), 1 << 66),
-           B=hst.integers(1, 24), density_seed=hst.integers(0, 2 ** 32 - 1))
-    def test_replicate_r_reads_stream_r(self, n1, n2, lag, master_seed,
+    @given(**_DRAW_CASE)
+    def test_replicate_r_reads_stream_r(self, n1, n2, psi, master_seed,
                                         replicate_id, B, density_seed):
-        # both grid parities; replicate ids past 2^63 and 2^64 wrap by
-        # masking, exactly as in rng.stream
-        grid = build_frequency_grid(n1, n2)
-        values = np.random.default_rng(density_seed).uniform(0.1, 2.0, (n1, n2))
-        de = SpectralDensityEstimate(grid=grid, values=values,
-                                     bandwidth=(1.0, 1.0))
-        psi = psi_cos_lag(lag)
+        # row r of U holds the weights of stream (master_seed, replicate_id, r)
+        de = _random_density(n1, n2, density_seed)
         draws = fdwb_draws(de, psi, B, master_seed, replicate_id)
         cvec = _half_plane_reduction(de, psi)
-        scale = TWO_PI ** 2 / np.sqrt(grid.n)
+        scale = TWO_PI ** 2 / np.sqrt(de.grid.n)
+        U = np.array([_boot_uniforms(de.grid, master_seed, r, replicate_id)
+                      for r in range(B)])
         assert draws.shape == (B,)
-        for r in range(B):
-            gen = rngmod.stream(master_seed, rngmod.TAG_BOOT, replicate_id, r)
-            expected = scale * (cvec @ (gen.standard_exponential(cvec.size) - 1.0))
-            assert draws[r] == expected
+        assert np.array_equal(
+            draws, (np.einsum("ij,j->i", U, cvec) - cvec.sum()) * scale)
+        # the per-replicate form sum_j c_j (U_j - 1), to rounding
+        np.testing.assert_allclose(
+            draws, scale * ((U - 1.0) @ cvec), rtol=0,
+            atol=1e-13 * scale * (np.abs(cvec) * (U + 1.0)).sum(axis=1).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=hst.data(), **_DRAW_CASE)
+    def test_bits_do_not_depend_on_budget_or_b(self, data, n1, n2, psi,
+                                               master_seed, replicate_id, B,
+                                               density_seed):
+        de = _random_density(n1, n2, density_seed)
+        m = int(de.grid.half_plane_mask.sum())
+        budget = data.draw(hst.one_of(
+            hst.sampled_from([1, max(m - 1, 1), m, m + 1]),
+            hst.integers(1, 30 * m)))
+        prefix = data.draw(hst.integers(1, B))
+        full = fdwb_draws(de, psi, B, master_seed, replicate_id)
+        with patch.object(bootstrap_module, "_DRAW_BUDGET", budget):
+            assert np.array_equal(
+                fdwb_draws(de, psi, B, master_seed, replicate_id), full)
+        assert np.array_equal(
+            fdwb_draws(de, psi, prefix, master_seed, replicate_id), full[:prefix])
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # at m = 12,800 ordinates a BLAS dot product splits across threads
+        code = ("import hashlib, numpy as np\n"
+                "from freqboot import SpectralDensityEstimate, psi_cos_lag\n"
+                "from freqboot import build_frequency_grid\n"
+                "from freqboot.bootstrap import fdwb_draws\n"
+                "grid = build_frequency_grid(160, 160)\n"
+                "values = np.random.default_rng(5).uniform(0.1, 2.0, (160, 160))\n"
+                "de = SpectralDensityEstimate(grid=grid, values=values,\n"
+                "                             bandwidth=(1.0, 1.0))\n"
+                "d = fdwb_draws(de, psi_cos_lag((1, 0)), 50, 7, 3)\n"
+                "print(hashlib.sha256(d.tobytes()).hexdigest())\n")
+        src = os.path.dirname(os.path.dirname(bootstrap_module.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+            run = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(run.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestFdwbVariance:
