@@ -25,8 +25,8 @@ from . import rng as rngmod
 from .bootstrap import FieldResampler, fdwb_variance
 from .density import kernel_density_estimate
 from .errors import ConfigError, FreqbootError, NumericalError
-from .infer import (CI_METHODS, calibrate_isotropy, check_level,
-                    resampled_interval)
+from .infer import (CI_METHODS, TEST_METHODS, calibrate_isotropy,
+                    check_level, resampled_interval)
 from .lattice import (LatticeField, load_field_binary, load_field_csv,
                       periodogram, save_field_binary, save_field_csv)
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
@@ -264,9 +264,11 @@ class ExperimentConfig:
         boot = [m for m in self.methods if m != "subsample"]
         if boot and self.B < 100:
             raise ConfigError("boot.B must be >= 100 for bootstrap methods")
+        allowed = TEST_METHODS if self.kind == "isotropy" else CI_METHODS
         for m in self.methods:
-            if m not in CI_METHODS:
-                raise ConfigError(f"unknown method {m!r}, expected subset of {CI_METHODS}")
+            if m not in allowed:
+                raise ConfigError(f"methods: unknown {self.kind} method {m!r}, "
+                                  f"expected a subset of {allowed}")
         if not self.methods:
             raise ConfigError("no methods configured")
         if not self.sizes:
@@ -281,6 +283,29 @@ class ExperimentConfig:
         _check_tau(self.kind, self.model, self.tau_r_list, "tau_r_list")
 
 
+def _fixture_truth(path: str, model, generator: str, psi_name: str,
+                   sizes) -> float:
+    """The value of an ``oracle`` fixture, refused unless the fixture was
+    made for this run's model, generator, psi and single grid size."""
+    try:
+        with open(path) as fh:
+            fx = json.load(fh)
+        made_for = (fx["kind"], fx["model"], fx["generator"], fx["psi"],
+                    ((fx["n1"], fx["n2"]),))
+        value = float(fx["value"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"truth.fixture: cannot read an oracle fixture "
+                          f"from {path!r}: {exc!r}") from exc
+    run = ("spectral_mean_oracle", repr(model), generator,
+           psi_from_name(psi_name).name, tuple(sizes))
+    for name, want, got in zip(("kind", "model", "generator", "psi",
+                                "grid size"), run, made_for):
+        if got != want:
+            raise ConfigError(f"truth.fixture {path!r} has {name} {got!r}, "
+                              f"this run needs {want!r}")
+    return value
+
+
 def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfig:
     model, generator = build_model(st)
     methods = tuple(m.strip() for m in
@@ -290,18 +315,19 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
                 if tau_raw is not None else (st.get_float("process.tau_r", 1.0),))
     _check_tau(kind, model, tau_list,
                "process.tau_r" if tau_raw is None else "process.tau_r_list")
+    sizes = st.get_sizes("grid.sizes", ((50, 50),))
+    psi_name = st.get_str("psi", "cos_lag{h=(1,0)}")
     truth_raw = st.raw("truth.value")
     truth = float(truth_raw) if truth_raw is not None else None
     fixture = st.raw("truth.fixture")
     if fixture is not None:
         if truth is not None:
             raise ConfigError("give truth.value or truth.fixture, not both")
-        with open(fixture) as fh:
-            truth = float(json.load(fh)["value"])
+        truth = _fixture_truth(fixture, model, generator, psi_name, sizes)
     cfg = ExperimentConfig(
         kind=kind, model=model, generator=generator,
-        sizes=st.get_sizes("grid.sizes", ((50, 50),)),
-        psi_name=st.get_str("psi", "cos_lag{h=(1,0)}"),
+        sizes=sizes,
+        psi_name=psi_name,
         blocks=build_blocks(st),
         methods=methods,
         level=st.get_float("ci.level", 0.9),
@@ -393,8 +419,8 @@ def _isotropy_replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
                 generator=cfg.generator)
             res = FieldResampler(field, psi, cfg.B, cfg.master_seed,
                                  i * len(cfg.tau_r_list) + t_idx, cfg.bandwidth)
-            for (b1, b2) in cfg.blocks:
-                spec = BlockSpec(b1, b2)
+            for (b1, b2) in cfg.blocks or ((0, 0),):
+                spec = BlockSpec(b1, b2) if cfg.blocks else None
                 for method in cfg.methods:
                     test = calibrate_isotropy(res, method, spec, cfg.h1, cfg.h2,
                                               cfg.plus_one)

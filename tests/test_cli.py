@@ -30,6 +30,16 @@ def _cfg(**over):
     return ExperimentConfig(**base)
 
 
+def _oracle_fixture(tmp_path, edit):
+    """A white-noise 12x12 cos_lag (1,0) fixture written by the oracle
+    command, with the fields of ``edit`` overwritten."""
+    path = tmp_path / "oracle.json"
+    assert main(["--set", "process.kind=white_noise", "--set", "grid.sizes=12x12",
+                 "--set", "replicates=5", "--out", str(path), "oracle"]) == 0
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    return path
+
+
 class TestConfigParsing:
     def test_file_grammar(self, tmp_path):
         p = tmp_path / "a.cfg"
@@ -166,8 +176,7 @@ class TestConfigParsing:
                        "grid.sizes": "12x12"})
         cfg = experiment_config(st, "coverage", 0, 1)
         assert cfg.truth == 0.25
-        fixture = tmp_path / "o.json"
-        fixture.write_text(json.dumps({"value": 0.5}))
+        fixture = _oracle_fixture(tmp_path, {"value": 0.5})
         st2 = Settings({"truth.fixture": str(fixture), "block.b1": "4",
                         "block.b2": "4", "grid.sizes": "12x12"})
         assert experiment_config(st2, "coverage", 0, 1).truth == 0.5
@@ -175,6 +184,55 @@ class TestConfigParsing:
                         "block.b1": "4", "block.b2": "4"})
         with pytest.raises(ConfigError):
             experiment_config(st3, "coverage", 0, 1)
+
+    @pytest.mark.parametrize("edit, settings", [
+        ({"kind": "something_else"}, {}),
+        ({"model": "WhiteNoise(variance=2.0)"}, {}),
+        ({"generator": "exp_cholesky"}, {}),
+        ({"psi": "cos_lag{h=(0,1)}"}, {}),
+        ({"n1": 14}, {}),
+        ({"n2": 10}, {}),
+        ({}, {"grid.sizes": "12x12,14x14"}),
+        ({}, {"process.variance": "2"}),
+        ({}, {"psi": "cos_lag{h=(2,0)}"}),
+    ])
+    def test_truth_fixture_must_match_the_run(self, tmp_path, capsys, edit,
+                                              settings):
+        fixture = _oracle_fixture(tmp_path, edit)
+        kv = {"process.kind": "white_noise", "grid.sizes": "12x12",
+              "block.b1": "4", "block.b2": "4", "replicates": "1",
+              "truth.fixture": str(fixture), **settings}
+        with pytest.raises(ConfigError, match="truth.fixture"):
+            experiment_config(Settings(kv), "coverage", 0, 1)
+        args = [a for k, v in kv.items() for a in ("--set", f"{k}={v}")]
+        assert main(args + ["--out", str(tmp_path / "r"), "coverage"]) == 2
+        assert "truth.fixture" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r*"))
+
+    def test_unreadable_truth_fixture_is_named(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"value": 0.5}))
+        for path in (bad, tmp_path / "missing.json"):
+            st = Settings({"truth.fixture": str(path), "block.b1": "4",
+                           "block.b2": "4", "grid.sizes": "12x12"})
+            with pytest.raises(ConfigError, match="truth.fixture"):
+                experiment_config(st, "coverage", 0, 1)
+
+    def test_isotropy_methods_checked_at_config_time(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="methods"):
+            _cfg(kind="isotropy", model=SphericalAniso(sigma2=1.0, range_=3.0),
+                 methods=("fdwb", "hfdb_bias"))
+        args = []
+        for kv in ("process.kind=spherical", "grid.sizes=12x12", "block.b1=4",
+                   "block.b2=4", "replicates=1", "boot.B=100",
+                   "methods=fdwb,hfdb_bias"):
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"),
+                            "isotropy-experiment"]) == 2
+        assert "methods" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+        # coverage keeps the interval methods
+        assert _cfg(methods=("hfdb_bias",)).methods == ("hfdb_bias",)
 
 
 class TestTruthValues:
@@ -246,6 +304,19 @@ class TestIsotropyExperiment:
         report = run_isotropy_experiment(cfg)
         assert len(report.summary) == 3 * 2
         assert all(0.0 <= row["proportion"] <= 1.0 for row in report.summary)
+
+    def test_fdwb_without_blocks_runs(self, tmp_path):
+        # as coverage does: no block needed for fdwb, rows carry b1 = b2 = 0
+        cfg = _cfg(kind="isotropy", model=SphericalAniso(sigma2=1.0, range_=3.0),
+                   sizes=((12, 12),), blocks=(), methods=("fdwb",),
+                   replicates=2, B=100, tau_r_list=(1.0, 1.3))
+        report = run_isotropy_experiment(cfg)
+        assert len(report.replicates) == 2 * 2
+        assert all((r["b1"], r["b2"]) == (0, 0) for r in report.replicates)
+        assert [r["replicates"] for r in report.summary] == [2, 2]
+        emit_report(report, str(tmp_path / "r"), "csv")
+        rows = (tmp_path / "r_replicates.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2 * 2
 
     def test_rejects_wrong_process(self):
         cfg = _cfg(kind="isotropy", model=SeparableARMA(0.2, -0.7))
