@@ -122,7 +122,7 @@ def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
     m = cvec.size
     gens = rngmod.streams(master_seed, rngmod.TAG_BOOT, replicate_id, B)
     out = np.empty(B)
-    buf = np.empty((max(1, min(B, _DRAW_BUDGET // max(m, 1))), m))
+    buf = np.empty((max(1, min(B, _DRAW_BUDGET // m)), m))
     for start in range(0, B, buf.shape[0]):
         w = buf[:min(buf.shape[0], B - start)]
         for row, gen in zip(w, gens):
