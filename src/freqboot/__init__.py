@@ -19,11 +19,9 @@ from .lattice import (FrequencyGrid, LatticeField, Periodogram,
                       build_frequency_grid, load_field_binary,
                       load_field_csv, periodogram, save_field_binary,
                       save_field_csv)
-from .spectral import (AnalyticLimits, PsiFunction, SpectralMeanValue,
-                       analytic_limits, analytic_sigma1_sq,
-                       centered_statistic, psi_cos_lag, psi_from_name,
-                       psi_isotropy_contrast, psi_spectral_cdf,
-                       spectral_mean)
+from .spectral import (PsiFunction, SpectralMeanValue, analytic_sigma1_sq,
+                       psi_cos_lag, psi_from_name, psi_isotropy_contrast,
+                       psi_spectral_cdf, spectral_mean)
 from .subsample import (BlockSpec, SubsampleEnsemble, VarianceEstimates,
                         bias_estimate, block_variogram,
                         block_variogram_contrast, default_block_candidates,

@@ -18,7 +18,8 @@ subsampling-estimated fourth-cumulant component:
 
 Replicate r reads its m half-plane weights from its own stream and is
 reduced without BLAS, so the draws do not depend on the BLAS thread
-count.
+count; on large fields the replicates are filled on threads, and the
+draws do not depend on their number either.
 
 ``FieldResampler`` holds one field's pipeline and is the only place the
 rescale and the hfdb_bias shift are applied; ``bootstrap_distribution``
@@ -27,8 +28,11 @@ asks a fresh one for a single kind.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -47,6 +51,12 @@ KINDS = ("fdwb", "hfdb", "hfdb_bias")
 
 # weights drawn per block of bootstrap rows in ``fdwb_draws``
 _DRAW_BUDGET = 1 << 16
+
+# replicates of at least this many weights are filled on threads; with
+# B = 500 a call took 54 ms on one thread and 35 ms on two at m = 8,193,
+# 36 and 32 ms at m = 5,001, and 15.0 and 15.9 ms at m = 2,049 (2-vCPU
+# Xeon, numpy 2.4)
+_THREAD_ROW = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -109,25 +119,51 @@ def _half_plane_reduction(fhat: SpectralDensityEstimate, psi: PsiFunction):
     return paired[grid.half_plane_mask]
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
                master_seed: int, replicate_id: int = 0) -> np.ndarray:
     """B FDWB replicates; bootstrap replicate r draws its weights from the
     dedicated stream (master_seed, replicate_id, r), so serial and
     parallel generation agree and reruns are bit-identical.
 
-    Weights are drawn into a block of rows, and each row is reduced by
+    Weights are drawn into blocks of rows, and each row is reduced by
     ``np.einsum``, numpy's own loop rather than a BLAS call, so the bits
-    depend neither on the block size nor on the BLAS thread count."""
+    depend neither on the block size nor on the BLAS thread count.  When
+    a replicate has at least ``_THREAD_ROW`` weights the blocks are
+    shared out among up to one thread per available CPU, each with its
+    own buffer and Philox; every row still reads its own address, so the
+    bits do not depend on the thread count either."""
     cvec = _half_plane_reduction(fhat, psi)
     m = cvec.size
-    gens = rngmod.streams(master_seed, rngmod.TAG_BOOT, replicate_id, B)
+    rows = max(1, min(B, _DRAW_BUDGET // m))
+    starts = range(0, B, rows)
     out = np.empty(B)
-    buf = np.empty((max(1, min(B, _DRAW_BUDGET // m)), m))
-    for start in range(0, B, buf.shape[0]):
-        w = buf[:min(buf.shape[0], B - start)]
-        for row, gen in zip(w, gens):
-            gen.standard_exponential(out=row)
-        np.einsum("ij,j->i", w, cvec, out=out[start:start + w.shape[0]])
+
+    def fill(block_starts: range) -> None:
+        buf = np.empty((rows, m))
+        gens = rngmod.streams(master_seed, rngmod.TAG_BOOT, replicate_id,
+                              chain.from_iterable(range(s, min(s + rows, B))
+                                                  for s in block_starts))
+        for start in block_starts:
+            w = buf[:min(rows, B - start)]
+            for row, gen in zip(w, gens):
+                gen.standard_exponential(out=row)
+            np.einsum("ij,j->i", w, cvec, out=out[start:start + w.shape[0]])
+
+    k = min(_available_cpus(), len(starts)) if m >= _THREAD_ROW else 1
+    if k > 1:
+        # a pool per call: a pool object inherited by a forked worker
+        # process has no threads behind it
+        with ThreadPoolExecutor(k) as pool:
+            list(pool.map(fill, [starts[i::k] for i in range(k)]))
+    else:
+        fill(starts)
     out -= cvec.sum()    # sum_j c_j (U_j - 1), centred once per field
     out *= (_TWO_PI ** 2) / np.sqrt(fhat.grid.n)
     return out

@@ -467,7 +467,8 @@ def _run_chunks(worker, payloads, workers: int) -> list[dict]:
     if workers <= 1 or len(payloads) <= 1:
         results = [worker(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker up front: start no idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             results = list(pool.map(worker, payloads))
     records = []
     for chunk in results:
@@ -694,6 +695,8 @@ def _dispatch(args) -> int:
     else:
         seed = st.get_int("boot.seed", st.get_int("seed", 0))
     workers = args.workers if args.workers is not None else st.get_int("workers", 1)
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     out = args.out if args.out is not None else st.get_str("out", "freqboot_out")
     fmt = args.fmt if args.fmt is not None else st.get_str("format", "csv")
 

@@ -10,12 +10,14 @@ or worker count.
 Bootstrap weights need one stream per bootstrap replicate.  Rather than
 build a generator for each, ``streams`` keys one Philox per call and
 moves its counter to each draw's address in turn; the address layout is
-the one ``stream`` uses, so every random bit is unchanged.
+the one ``stream`` uses, so every random bit is unchanged.  Because each
+draw has its own address, draws can be split among callers in any order
+and any grouping without changing a bit.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -38,13 +40,14 @@ def stream(master_seed: int, tag: int = TAG_GENERIC, replicate: int = 0,
 
 
 def streams(master_seed: int, tag: int, replicate: int,
-            count: int) -> Iterator[np.random.Generator]:
-    """Yield the generators for draws 0..count-1 of (master_seed, tag,
-    replicate); the r-th gives the same bits as
+            draws: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Yield a generator for each draw index in ``draws``, in that order;
+    the one yielded for draw r gives the same bits as
     ``stream(master_seed, tag, replicate, r)``.
 
     One Philox is re-addressed for every draw, so each yielded generator
-    is valid only until the next one is yielded.
+    is valid only until the next one is yielded.  Each call owns its
+    Philox, so separate calls may run on separate threads.
     """
     key = [master_seed & _MASK64, tag & _MASK64]
     bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
@@ -54,8 +57,8 @@ def streams(master_seed: int, tag: int, replicate: int,
     counter = [0, 0, replicate & _MASK64, 0]
     state["state"] = {"counter": counter, "key": key}
     state["buffer"] = state["buffer"].tolist()
-    for r in range(count):
-        counter[1] = r
+    for r in draws:
+        counter[1] = r & _MASK64
         bitgen.state = state
         yield gen
 

@@ -1,5 +1,5 @@
-"""Psi-function catalog, the spectral mean statistic, and analytic
-variance oracles.
+"""Psi-function catalog, the spectral mean statistic, and the analytic
+first variance component.
 
 The target parameter is the spectral mean M(psi) = integral of
 psi(omega) f(omega) over [-pi, pi]^2; its estimator is the Riemann sum
@@ -53,20 +53,6 @@ class SpectralMeanValue:
     value: float
     psi: PsiFunction
     n: int
-
-
-@dataclass(frozen=True)
-class AnalyticLimits:
-    """Limit variance components of sqrt(n)(Mhat - M).
-
-    sigma2_sq collects the fourth-order cumulant contribution; it is 0
-    for Gaussian models and must come from a Monte Carlo oracle
-    otherwise (no general estimator of the cumulant spectrum is built).
-    """
-
-    sigma1_sq: float
-    sigma2_sq: float
-    model: object
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +156,6 @@ def spectral_mean(pgram: Periodogram, psi: PsiFunction) -> SpectralMeanValue:
     return SpectralMeanValue(value=(_TWO_PI ** 2) / grid.n * total, psi=psi, n=grid.n)
 
 
-def centered_statistic(mhat: SpectralMeanValue, m_true: float) -> float:
-    """sqrt(n) (Mhat - M), the quantity whose distribution is resampled."""
-    return float(np.sqrt(mhat.n) * (mhat.value - m_true))
-
-
 # ---------------------------------------------------------------------------
 # quadrature oracle for the first variance component
 
@@ -221,18 +202,3 @@ def analytic_sigma1_sq(model, psi: PsiFunction, rel_tol: float = 1e-6) -> float:
 
     return (_TWO_PI ** 2) * quadrature(integrand, rel_tol=rel_tol)
 
-
-def analytic_limits(model, psi: PsiFunction) -> AnalyticLimits:
-    """Variance components for Gaussian test models (sigma2^2 = 0).
-
-    Non-Gaussian models have no closed-form second component here; use a
-    long-run Monte Carlo oracle instead.
-    """
-    from .simulate import is_gaussian_model
-
-    if not is_gaussian_model(model):
-        raise NumericalError(
-            "sigma2^2 has no analytic value for non-Gaussian models; "
-            "estimate it by Monte Carlo")
-    return AnalyticLimits(sigma1_sq=analytic_sigma1_sq(model, psi),
-                          sigma2_sq=0.0, model=model)

@@ -5,8 +5,13 @@ defining sums, never through the package's FFT paths, so tests compare
 two genuinely independent routes.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+
+from freqboot import NumericalError, analytic_sigma1_sq
+from freqboot.simulate import is_gaussian_model
 
 TWO_PI = 2.0 * np.pi
 
@@ -107,3 +112,36 @@ def enumerate_blocks(n1: int, n2: int, spec) -> list[tuple[int, int]]:
     """Row-major origins (zero-based offsets) of all in-grid translates."""
     return [(o1, o2) for o1 in range(n1 - spec.b1 + 1)
             for o2 in range(n2 - spec.b2 + 1)]
+
+
+# ---------------------------------------------------------------------------
+# limit theory of sqrt(n)(Mhat - M)
+
+def centered_statistic(mhat, m_true: float) -> float:
+    """sqrt(n) (Mhat - M), the quantity whose distribution is resampled."""
+    return float(np.sqrt(mhat.n) * (mhat.value - m_true))
+
+
+@dataclass(frozen=True)
+class AnalyticLimits:
+    """Limit variance components of sqrt(n)(Mhat - M).
+
+    sigma2_sq collects the fourth-order cumulant contribution; it is 0
+    for Gaussian models and must come from a Monte Carlo oracle
+    otherwise (no general estimator of the cumulant spectrum is built).
+    """
+
+    sigma1_sq: float
+    sigma2_sq: float
+    model: object
+
+
+def analytic_limits(model, psi) -> AnalyticLimits:
+    """Variance components for Gaussian test models (sigma2^2 = 0);
+    non-Gaussian models have no closed-form second component."""
+    if not is_gaussian_model(model):
+        raise NumericalError(
+            "sigma2^2 has no analytic value for non-Gaussian models; "
+            "estimate it by Monte Carlo")
+    return AnalyticLimits(sigma1_sq=analytic_sigma1_sq(model, psi),
+                          sigma2_sq=0.0, model=model)

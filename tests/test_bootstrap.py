@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest.mock import patch
 
 import numpy as np
@@ -23,7 +24,8 @@ from freqboot.bootstrap import (_effective_coefficients, _half_plane_reduction,
 from freqboot.simulate import TransformedGaussian, matern_model
 from freqboot.spectral import PsiFunction
 
-from conftest import TWO_PI, frequency, grid_indices, negate, position
+from conftest import (TWO_PI, frequency, grid_indices, half_plane, negate,
+                      position)
 
 
 def _flat_density(n1, n2, c):
@@ -180,6 +182,58 @@ class TestStreamAddressing:
         assert np.array_equal(
             fdwb_draws(de, psi, prefix, master_seed, replicate_id), full[:prefix])
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=hst.data(), **_DRAW_CASE)
+    def test_bits_do_not_depend_on_threads(self, data, n1, n2, psi,
+                                           master_seed, replicate_id, B,
+                                           density_seed):
+        # every row length is filled on threads; row r still reads the
+        # stream (master_seed, replicate_id, r)
+        de = _random_density(n1, n2, density_seed)
+        m = int(de.grid.half_plane_mask.sum())
+        budget = data.draw(hst.one_of(
+            hst.sampled_from([1, max(m - 1, 1), m]), hst.integers(1, 30 * m)))
+        cpus = data.draw(hst.integers(1, 4))
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        with patch.object(bootstrap_module, "_DRAW_BUDGET", budget):
+            with patch.object(bootstrap_module, "_available_cpus", lambda: 1):
+                single = fdwb_draws(de, psi, B, master_seed, replicate_id)
+            with patch.object(bootstrap_module, "_THREAD_ROW", 1), \
+                    patch.object(bootstrap_module, "_available_cpus",
+                                 lambda: cpus), \
+                    patch.object(bootstrap_module, "ThreadPoolExecutor",
+                                 RecordingPool):
+                threaded = fdwb_draws(de, psi, B, master_seed, replicate_id)
+        blocks = -(-B // max(1, min(B, budget // m)))
+        threads = min(cpus, blocks)
+        assert pools == ([threads] if threads > 1 else [])
+        assert np.array_equal(threaded, single)
+        cvec = _half_plane_reduction(de, psi)
+        U = np.array([_boot_uniforms(de.grid, master_seed, r, replicate_id)
+                      for r in range(B)])
+        scale = TWO_PI ** 2 / np.sqrt(de.grid.n)
+        assert np.array_equal(
+            threaded, (np.einsum("ij,j->i", U, cvec) - cvec.sum()) * scale)
+
+    def test_bits_do_not_depend_on_threads_at_full_size(self):
+        # 128 x 128: m = 8,193 weights per replicate, so the default
+        # constants share the blocks out among threads
+        de = _random_density(128, 128, 9)
+        assert int(de.grid.half_plane_mask.sum()) >= bootstrap_module._THREAD_ROW
+        with patch.object(bootstrap_module, "_available_cpus", lambda: 1):
+            single = fdwb_draws(de, _UNEVEN, 500, 11, 5)
+        for cpus in (2, 3):
+            with patch.object(bootstrap_module, "_available_cpus",
+                              lambda c=cpus: c):
+                assert np.array_equal(fdwb_draws(de, _UNEVEN, 500, 11, 5), single)
+        assert np.array_equal(fdwb_draws(de, _UNEVEN, 500, 11, 5), single)
+
     def test_bits_do_not_depend_on_blas_threads(self):
         # at m = 12,800 ordinates a BLAS dot product splits across threads
         code = ("import hashlib, numpy as np\n"
@@ -215,6 +269,46 @@ class TestFdwbVariance:
         assert var_star == pytest.approx(1.5, rel=1e-12)
         draws = fdwb_draws(de, psi, 100000, master_seed=77)
         assert draws.var() == pytest.approx(var_star, rel=0.03)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n1=hst.integers(2, 7), n2=hst.integers(2, 7),
+           coefs=hst.tuples(*[hst.floats(-2.0, 2.0)] * 3),
+           density_seed=hst.integers(0, 2 ** 32 - 1))
+    def test_closed_form_equals_enumerated_variance(self, n1, n2, coefs,
+                                                    density_seed):
+        # Q* = scale * sum over the full grid of a_j (W_j - 1), where W is
+        # the mirrored weight map and a_j = psi_j f_j, times sqrt(2) on
+        # self-conjugate j; the half-plane weight u multiplies every a_j
+        # whose W_j is U_u, so with Var U = 1, Var Q* = scale^2 sum_u
+        # (sum of those a_j)^2
+        c1, c2, c3 = coefs
+        psi = PsiFunction("mixed", lambda w1, w2: (
+            c1 * np.cos(w1) + c2 * np.sin(w1 + w2) + c3 * np.sin(2.0 * w2)),
+            False)
+        grid = build_frequency_grid(n1, n2)
+        raw = np.random.default_rng(density_seed).uniform(0.1, 2.0, (n1, n2))
+        values = raw.copy()   # mirror symmetric, as every estimate is
+        for j in grid_indices(grid):
+            values[position(grid, j)] = 0.5 * (
+                raw[position(grid, j)] + raw[position(grid, negate(grid, j))])
+        de = SpectralDensityEstimate(grid=grid, values=values,
+                                     bandwidth=(1.0, 1.0))
+        halves = half_plane(grid)
+        sums, abs_sums = dict.fromkeys(halves, 0.0), dict.fromkeys(halves, 0.0)
+        for j in grid_indices(grid):
+            a = psi(frequency(grid, j)) * values[position(grid, j)]
+            if negate(grid, j) == j:
+                a *= np.sqrt(2.0)
+            u = j if j in sums else negate(grid, j)
+            sums[u] += a
+            abs_sums[u] += abs(a)
+        assert len(sums) == len(halves)
+        var = (TWO_PI ** 2) ** 2 / grid.n
+        # an odd psi cancels a_j against a_-j, so rounding is relative to
+        # the sizes of the terms, not to their sum
+        np.testing.assert_allclose(
+            fdwb_variance(de, psi), var * sum(s * s for s in sums.values()),
+            rtol=1e-12, atol=1e-12 * var * sum(s * s for s in abs_sums.values()))
 
     def test_zero_psi(self):
         de = _flat_density(4, 4, 1.0)

@@ -1,13 +1,18 @@
 """Configuration parsing, experiment drivers, report emission, CLI."""
 
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from freqboot import cli as cli_module
 from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
                           _coverage_chunk, _isotropy_chunk, emit_report,
                           experiment_config, main, parse_config_file,
@@ -280,6 +285,64 @@ class TestCoverageExperiment:
             assert (tmp_path / ("a" + suffix)).read_bytes() == \
                 (tmp_path / ("b" + suffix)).read_bytes()
 
+    @pytest.mark.parametrize("workers, replicates, started", [
+        (64, 2, 2), (3, 20, 3)])
+    def test_pool_starts_no_idle_workers(self, monkeypatch, workers,
+                                         replicates, started):
+        sizes = []
+
+        class RecordingPool:   # runs the chunks here; starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_coverage_experiment(_cfg(replicates=replicates,
+                                              workers=workers, B=100))
+        assert sizes == [started]
+        assert pooled == run_coverage_experiment(_cfg(replicates=replicates,
+                                                      workers=1, B=100))
+
+    def test_forked_workers_fill_draws_on_threads(self, tmp_path):
+        # a 128 x 128 field has 8,193 weights per bootstrap replicate, so
+        # draws are filled on threads; the process runs one worker first,
+        # so the pool forks a process that has already run draw threads
+        code = ("import sys\n"
+                "from freqboot.cli import main\n"
+                "for w in ('1', '2'):\n"
+                "    rc = main(['--seed', '5', '--workers', w, '--out',\n"
+                "               sys.argv[1] + '/w' + w, '--format', 'both',\n"
+                "               '--set', 'process.kind=white_noise',\n"
+                "               '--set', 'grid.sizes=128x128',\n"
+                "               '--set', 'methods=fdwb', '--set', 'boot.B=100',\n"
+                "               '--set', 'replicates=2', 'coverage'])\n"
+                "    assert rc == 0, rc\n")
+        src = os.path.dirname(os.path.dirname(cli_module.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        # its own session, so a hung run is killed with its workers
+        proc = subprocess.Popen([sys.executable, "-c", code, str(tmp_path)],
+                                env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            _, err = proc.communicate(timeout=300)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("coverage with forked workers did not finish")
+        assert proc.returncode == 0, err.decode()
+        for suffix in ("_summary.csv", "_replicates.csv", ".json"):
+            assert (tmp_path / ("w1" + suffix)).read_bytes() == \
+                (tmp_path / ("w2" + suffix)).read_bytes()
+
     def test_summary_matches_recomputation_from_replicates(self):
         report = run_coverage_experiment(_cfg(replicates=5))
         for row in report.summary:
@@ -469,6 +532,16 @@ class TestCommandLine:
         assert main(args + ["--out", str(tmp_path / "r"), "coverage"]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [["--workers", "0"], ["--workers", "-3"],
+                                      ["--set", "workers=0"]])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, args):
+        for kv in ("process.kind=white_noise", "grid.sizes=12x12",
+                   "methods=fdwb", "replicates=2"):
+            args = args + ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"), "coverage"]) == 2
+        assert "workers" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_exit_code_2_on_bad_value(self, capsys):

@@ -39,12 +39,13 @@ ADDRESS = st.integers(min_value=-(1 << 65), max_value=1 << 66)
 
 class TestReaddressedStreams:
     @settings(max_examples=60, deadline=None)
-    @given(seed=ADDRESS, tag=st.sampled_from([rngmod.TAG_FIELD, rngmod.TAG_BOOT,
-                                              rngmod.TAG_ORACLE]),
+    @given(data=st.data(), seed=ADDRESS,
+           tag=st.sampled_from([rngmod.TAG_FIELD, rngmod.TAG_BOOT,
+                                rngmod.TAG_ORACLE]),
            replicate=ADDRESS, count=st.integers(min_value=0, max_value=12),
            size=st.integers(min_value=1, max_value=9))
-    def test_rth_generator_equals_stream_r(self, seed, tag, replicate, count,
-                                            size):
+    def test_rth_generator_equals_stream_r(self, data, seed, tag, replicate,
+                                            count, size):
         # the sizes leave part of Philox's 4-word output buffer unused and
         # three 32-bit draws leave half a word cached, so state carried
         # over from the previous draw would show
@@ -52,9 +53,14 @@ class TestReaddressedStreams:
             return np.concatenate([gen.standard_exponential(size),
                                    gen.integers(0, 1 << 30, 3, dtype=np.int32)])
 
-        got = [draw(gen) for gen in rngmod.streams(seed, tag, replicate, count)]
-        assert len(got) == count
-        for r, values in enumerate(got):
+        # a shuffled range, or any indices: gaps, repeats, wrapping values
+        indices = data.draw(st.one_of(
+            st.permutations(range(count)),
+            st.lists(st.one_of(st.integers(0, 40), ADDRESS), max_size=count)))
+        got = [draw(gen) for gen in rngmod.streams(seed, tag, replicate,
+                                                   iter(indices))]
+        assert len(got) == len(indices)
+        for r, values in zip(indices, got):
             assert np.array_equal(values,
                                   draw(rngmod.stream(seed, tag, replicate, r)))
 

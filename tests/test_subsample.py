@@ -114,6 +114,29 @@ class TestEnsemble:
             assert np.max(np.abs(many - one)) <= 1e-12 * np.max(np.abs(one)), name
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=hst.data(), b1=hst.integers(2, 6), b2=hst.integers(2, 6),
+           extra1=hst.integers(0, 10), extra2=hst.integers(0, 4),
+           psi=hst.sampled_from(_PSIS), seed=hst.integers(0, 2 ** 32 - 1))
+    def test_welford_merge_under_any_batch_size(self, data, b1, b2, extra1,
+                                                extra2, psi, seed):
+        # the budget sets how many origin rows a batch holds, from one row
+        # to all of them; every split must merge to the one-batch result
+        n1, n2 = b1 + extra1, b2 + extra2
+        f = LatticeField(np.random.default_rng(seed).standard_normal((n1, n2)))
+        spec = BlockSpec(b1, b2)
+        row_cost = (n2 - b2 + 1) * b1 * (b2 // 2 + 1)
+        budget = data.draw(hst.integers(1, (n1 - b1 + 1) * row_cost))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsample_module, "_CHUNK_BUDGET", 1 << 62)
+            one = subsample_ensemble(f, spec, psi)
+            mp.setattr(subsample_module, "_CHUNK_BUDGET", budget)
+            split = subsample_ensemble(f, spec, psi)
+        for name in ("block_means", "per_freq_mean", "per_freq_m2"):
+            a, b = getattr(one, name), getattr(split, name)
+            assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a)), name
+
+
 class TestVarianceEstimates:
     def test_equal_block_means_zero_sigma(self):
         ens = subsample_ensemble(LatticeField(np.full((5, 5), 1.0)),
