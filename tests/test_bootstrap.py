@@ -223,16 +223,23 @@ class TestStreamAddressing:
 
     def test_bits_do_not_depend_on_threads_at_full_size(self):
         # 128 x 128: m = 8,193 weights per replicate, so the default
-        # constants share the blocks out among threads
+        # constants share the blocks out among threads; up to more
+        # threads than cores, switching as often as the interpreter can
         de = _random_density(128, 128, 9)
         assert int(de.grid.half_plane_mask.sum()) >= bootstrap_module._THREAD_ROW
         with patch.object(bootstrap_module, "_available_cpus", lambda: 1):
             single = fdwb_draws(de, _UNEVEN, 500, 11, 5)
-        for cpus in (2, 3):
-            with patch.object(bootstrap_module, "_available_cpus",
-                              lambda c=cpus: c):
-                assert np.array_equal(fdwb_draws(de, _UNEVEN, 500, 11, 5), single)
         assert np.array_equal(fdwb_draws(de, _UNEVEN, 500, 11, 5), single)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (2, 3, 8):
+                with patch.object(bootstrap_module, "_available_cpus",
+                                  lambda c=cpus: c):
+                    assert np.array_equal(
+                        fdwb_draws(de, _UNEVEN, 500, 11, 5), single)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_bits_do_not_depend_on_blas_threads(self):
         # at m = 12,800 ordinates a BLAS dot product splits across threads
