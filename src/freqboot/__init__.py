@@ -19,9 +19,9 @@ from .lattice import (FrequencyGrid, LatticeField, Periodogram,
                       build_frequency_grid, load_field_binary,
                       load_field_csv, periodogram, save_field_binary,
                       save_field_csv)
-from .spectral import (PsiFunction, SpectralMeanValue, analytic_sigma1_sq,
-                       psi_cos_lag, psi_from_name, psi_isotropy_contrast,
-                       psi_spectral_cdf, spectral_mean)
+from .spectral import (PsiFunction, SpectralMeanValue, psi_cos_lag,
+                       psi_from_name, psi_isotropy_contrast, psi_spectral_cdf,
+                       spectral_mean)
 from .subsample import (BlockSpec, SubsampleEnsemble, VarianceEstimates,
                         bias_estimate, block_variogram,
                         block_variogram_contrast, default_block_candidates,
@@ -30,10 +30,10 @@ from .subsample import (BlockSpec, SubsampleEnsemble, VarianceEstimates,
                         variance_estimates)
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
                        TransformedGaussian, WhiteNoise, anisotropy_matrix,
-                       matern_model, matern_spectral_density,
-                       model_autocovariance, model_spectral_density,
-                       simulate_exp_cholesky, simulate_gaussian,
-                       simulate_process, simulate_separable,
-                       simulate_transformed, spherical_covariance)
+                       matern_model, model_autocovariance,
+                       model_spectral_density, simulate_exp_cholesky,
+                       simulate_gaussian, simulate_process,
+                       simulate_separable, simulate_transformed,
+                       spherical_covariance)
 
 __version__ = "0.1.0"

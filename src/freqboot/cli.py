@@ -1,10 +1,17 @@
 """Batch experiment runner.
 
 Configuration is a flat key=value file (``#`` comments, dotted keys)
-plus ``--set key=value`` overrides.  Experiments fan replicates out over
-a process pool; every replicate draws from counter-based streams
-addressed by its index, so reports are byte-identical for a given seed
-regardless of worker count.
+plus ``--set key=value`` overrides.
+
+The coverage and isotropy experiments share one replicate loop, chunk
+worker and runner, and differ only in their row of ``_KINDS``.
+Replicate i simulates one field per tau_r index t and grid size index s
+from stream (seed, FIELD, i, t * len(sizes) + s), and bootstrap
+replicate r of that field reads stream (seed, BOOT,
+i * len(tau_r_list) + t, r); coverage runs only the model's own tau_r,
+so there t = 0.  Replicates fan out over a process pool in chunks; as
+every draw is addressed by these indices, reports are byte-identical for
+a given seed regardless of worker count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -18,25 +25,25 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import rng as rngmod
-from .bootstrap import FieldResampler, fdwb_variance
-from .density import kernel_density_estimate
+from .bootstrap import FieldResampler
 from .errors import ConfigError, FreqbootError, NumericalError
 from .infer import (CI_METHODS, TEST_METHODS, calibrate_isotropy,
-                    check_level, resampled_interval)
+                    check_level, isotropy_test, resampled_interval)
 from .lattice import (LatticeField, load_field_binary, load_field_csv,
                       periodogram, save_field_binary, save_field_csv)
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
                        TransformedGaussian, WhiteNoise, matern_model,
-                       model_autocovariance, simulate_process)
+                       model_autocovariance, model_spectral_density,
+                       simulate_process)
 from .spectral import (psi_from_name, psi_isotropy_contrast, quadrature,
                        spectral_mean)
 from .subsample import (BlockSpec, default_block_candidates,
-                        select_block_size_min_volatility, subsample_ensemble,
-                        variance_estimates)
+                        select_block_size_min_volatility)
 
 SCHEMA_VERSION = 1
 
@@ -77,7 +84,8 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 class Settings:
-    """Typed access to the flat key-value map with key diagnostics."""
+    """Typed access to the flat key-value map with key diagnostics; a
+    getter returns ``default`` for an unset key."""
 
     def __init__(self, values: dict[str, str]):
         self.values = dict(values)
@@ -88,8 +96,6 @@ class Settings:
     def _parse(self, key, caster, default, kind):
         raw = self.raw(key)
         if raw is None:
-            if default is None:
-                raise ConfigError(f"missing required config key {key!r}")
             return default
         try:
             return caster(raw)
@@ -122,24 +128,23 @@ class Settings:
             return (int(a), int(b))
         return self._parse(key, cast, default, "a pair like (1,0)")
 
-    def get_floats(self, key, default=None) -> tuple[float, ...]:
+    def _list(self, key, item, default, kind) -> tuple:
+        """A non-empty comma list; empty items are skipped."""
         def cast(s):
-            return tuple(float(x) for x in s.split(",") if x.strip())
-        return self._parse(key, cast, default, "a comma list of numbers")
-
-    def get_sizes(self, key, default=None) -> tuple[tuple[int, int], ...]:
-        def cast(s):
-            out = []
-            for part in s.split(","):
-                part = part.strip()
-                if not part:
-                    continue
-                a, _, b = part.partition("x")
-                out.append((int(a), int(b if b else a)))
+            out = tuple(item(part.strip()) for part in s.split(",") if part.strip())
             if not out:
                 raise ValueError(s)
-            return tuple(out)
-        return self._parse(key, cast, default, "sizes like 50x50,30x30")
+            return out
+        return self._parse(key, cast, default, kind)
+
+    def get_floats(self, key, default=None) -> tuple[float, ...]:
+        return self._list(key, float, default, "a comma list of numbers")
+
+    def get_sizes(self, key, default=None) -> tuple[tuple[int, int], ...]:
+        def size(part):
+            a, _, b = part.partition("x")
+            return (int(a), int(b if b else a))
+        return self._list(key, size, default, "sizes like 50x50,30x30")
 
 
 def build_model(st: Settings):
@@ -149,11 +154,6 @@ def build_model(st: Settings):
         raise ConfigError(f"process.kind must be one of {PROCESS_KINDS}, got {kind!r}")
     if kind == "white_noise":
         return WhiteNoise(st.get_float("process.variance", 1.0)), "default"
-    if kind == "matern":
-        phi = st.raw("process.phi")
-        return matern_model(st.get_float("process.alpha", 1.0 / 3.0),
-                            st.get_float("process.nu", 1.0),
-                            None if phi is None else float(phi)), "default"
     if kind == "spherical":
         return SphericalAniso(sigma2=st.get_float("process.sigma2", 1.0),
                               range_=st.get_float("process.range", 5.0),
@@ -165,18 +165,13 @@ def build_model(st: Settings):
                              ma=st.get_float("process.ma", -0.7),
                              innov1=st.get_str("process.innov1", "gaussian"),
                              innov2=st.get_str("process.innov2", "gaussian")), "default"
-    if kind == "matern_quartic":
-        phi = st.raw("process.phi")
-        base = matern_model(st.get_float("process.alpha", 1.0 / 3.0),
-                            st.get_float("process.nu", 1.0),
-                            None if phi is None else float(phi))
-        return TransformedGaussian(base=base, transform="quartic"), "default"
-    # exp_cholesky: Matern-as-covariance driven by centered exponentials
-    phi = st.raw("process.phi")
     base = matern_model(st.get_float("process.alpha", 1.0 / 3.0),
                         st.get_float("process.nu", 1.0),
-                        None if phi is None else float(phi))
-    return base, "exp_cholesky"
+                        st.get_float("process.phi"))
+    if kind == "matern_quartic":
+        return TransformedGaussian(base=base, transform="quartic"), "default"
+    # exp_cholesky: Matern-as-covariance driven by centered exponentials
+    return base, "exp_cholesky" if kind == "exp_cholesky" else "default"
 
 
 def build_bandwidth(st: Settings):
@@ -185,8 +180,8 @@ def build_bandwidth(st: Settings):
     ``density.auto`` is optional; when given it must agree with the
     bandwidth keys: true with neither set, false with both set.
     """
-    b1 = st.raw("density.bandwidth1")
-    b2 = st.raw("density.bandwidth2")
+    b1 = st.get_float("density.bandwidth1")
+    b2 = st.get_float("density.bandwidth2")
     if st.raw("density.auto") is not None:
         auto = st.get_bool("density.auto")
         if auto and (b1 is not None or b2 is not None):
@@ -199,20 +194,20 @@ def build_bandwidth(st: Settings):
         return None
     if b1 is None or b2 is None:
         raise ConfigError("set both density.bandwidth1 and density.bandwidth2")
-    return (float(b1), float(b2))
+    return (b1, b2)
 
 
 def build_blocks(st: Settings) -> tuple[tuple[int, int], ...]:
     sizes = st.raw("block.sizes")
     if sizes is not None:
         return st.get_sizes("block.sizes")
-    b1 = st.raw("block.b1")
-    b2 = st.raw("block.b2")
+    b1 = st.get_int("block.b1")
+    b2 = st.get_int("block.b2")
     if b1 is None and b2 is None:
         return ()
     if b1 is None or b2 is None:
         raise ConfigError("set both block.b1 and block.b2 (or block.sizes)")
-    return ((int(b1), int(b2)),)
+    return ((b1, b2),)
 
 
 def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
@@ -259,6 +254,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         check_level(self.level, "ci.level", 0.5)
         check_level(self.test_level, "test.level")
         boot = [m for m in self.methods if m != "subsample"]
@@ -273,6 +270,8 @@ class ExperimentConfig:
             raise ConfigError("no methods configured")
         if not self.sizes:
             raise ConfigError("no grid sizes configured")
+        if not self.tau_r_list:
+            raise ConfigError("no tau_r_list values configured")
         if not self.blocks and any(m != "fdwb" for m in self.methods):
             raise ConfigError(
                 "subsample-based methods need block.b1/block.b2 or block.sizes")
@@ -310,15 +309,13 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
     model, generator = build_model(st)
     methods = tuple(m.strip() for m in
                     st.get_str("methods", "fdwb,hfdb,subsample").split(",") if m.strip())
-    tau_raw = st.raw("process.tau_r_list")
-    tau_list = (tuple(float(x) for x in tau_raw.split(",") if x.strip())
-                if tau_raw is not None else (st.get_float("process.tau_r", 1.0),))
+    listed = st.get_floats("process.tau_r_list")
+    tau_list = listed or (st.get_float("process.tau_r", 1.0),)
     _check_tau(kind, model, tau_list,
-               "process.tau_r" if tau_raw is None else "process.tau_r_list")
+               "process.tau_r" if listed is None else "process.tau_r_list")
     sizes = st.get_sizes("grid.sizes", ((50, 50),))
     psi_name = st.get_str("psi", "cos_lag{h=(1,0)}")
-    truth_raw = st.raw("truth.value")
-    truth = float(truth_raw) if truth_raw is not None else None
+    truth = st.get_float("truth.value")
     fixture = st.raw("truth.fixture")
     if fixture is not None:
         if truth is not None:
@@ -356,7 +353,6 @@ def true_spectral_mean(model, psi_name: str) -> float:
     psi = psi_from_name(psi_name)
     if psi.cos_terms:
         return sum(c * model_autocovariance(model, h) for c, h in psi.cos_terms)
-    from .simulate import model_spectral_density
 
     def integrand(w1, w2):
         return psi.fn(w1, w2) * model_spectral_density(model, w1, w2)
@@ -365,46 +361,52 @@ def true_spectral_mean(model, psi_name: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# replicate workers (module level so the pool can pickle them)
+# the replicate loop (module level so the pool can pickle its worker)
 
-def _draw_cells(res: FieldResampler, method: str, spec, need_boot: bool,
-                names: tuple[str, ...]) -> dict:
-    """One record's ``var_star`` cell and the ``BootstrapDraws`` fields
-    ``names`` (0.0 on subsample rows).  var_star is written on every row
-    of a run that has a bootstrap method, subsample rows included."""
-    d = None if method == "subsample" else res.draws(method, spec)
-    cells = {name: 0.0 if d is None else getattr(d, name) for name in names}
-    cells["var_star"] = res.var_star if need_boot else 0.0
-    return cells
+def _coverage_cells(cfg, res: FieldResampler, method: str, spec) -> dict:
+    ci = resampled_interval(res, method, spec, cfg.level)
+    return {"mhat": res.mhat.value, "lower": ci.lower, "upper": ci.upper,
+            "covered": int(ci.covers(cfg.truth))}
 
 
-def _coverage_replicate(cfg: ExperimentConfig, i: int, truth: float) -> list[dict]:
-    psi = psi_from_name(cfg.psi_name)
-    need_boot = any(m != "subsample" for m in cfg.methods)
-    records = []
-    for size_idx, (n1, n2) in enumerate(cfg.sizes):
-        field = simulate_process(
-            cfg.model, n1, n2,
-            rngmod.stream(cfg.master_seed, rngmod.TAG_FIELD, i, size_idx),
-            generator=cfg.generator)
-        res = FieldResampler(field, psi, cfg.B, cfg.master_seed, i, cfg.bandwidth)
-        for (b1, b2) in cfg.blocks or ((0, 0),):
-            spec = BlockSpec(b1, b2) if cfg.blocks else None
-            for method in cfg.methods:
-                ci = resampled_interval(res, method, spec, cfg.level)
-                records.append({
-                    "replicate": i, "method": method, "n1": n1, "n2": n2,
-                    "b1": b1, "b2": b2, "mhat": res.mhat.value,
-                    "lower": ci.lower, "upper": ci.upper,
-                    "covered": int(ci.covers(truth)),
-                    **_draw_cells(res, method, spec, need_boot,
-                                  ("sigma2_raw", "sigma2_floored", "bias_sub")),
-                })
-    return records
+def _isotropy_cells(cfg, res: FieldResampler, method: str, spec) -> dict:
+    test = calibrate_isotropy(res, method, spec, cfg.h1, cfg.h2, cfg.plus_one)
+    return {"ts": test.ts, "p_value": test.p_value,
+            "reject": int(test.p_value < cfg.test_level)}
 
 
-def _isotropy_replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
-    psi = psi_isotropy_contrast(cfg.h1, cfg.h2)
+class _Kind(NamedTuple):
+    """What one experiment kind puts into the shared replicate loop."""
+
+    keys: tuple[str, ...]     # summary cell keys, "method" first
+    flag: str                 # the 0/1 cell a summary row averages
+    # replicate columns after the keys: the row function's cells, then
+    # var_star and the BootstrapDraws fields the kind records
+    columns: tuple[str, ...]
+    psi: Callable             # cfg -> the psi each field is resampled for
+    row: Callable             # (cfg, res, method, spec) -> the kind's cells
+
+
+_KINDS = {
+    "coverage": _Kind(("method", "n1", "n2", "b1", "b2"), "covered",
+                      ("mhat", "lower", "upper", "covered", "var_star",
+                       "sigma2_raw", "sigma2_floored", "bias_sub"),
+                      lambda cfg: psi_from_name(cfg.psi_name), _coverage_cells),
+    "isotropy": _Kind(("method", "tau_r", "n1", "n2", "b1", "b2"), "reject",
+                      ("ts", "p_value", "reject", "var_star", "sigma2_raw",
+                       "sigma2_floored"),
+                      lambda cfg: psi_isotropy_contrast(cfg.h1, cfg.h2),
+                      _isotropy_cells),
+}
+
+
+def _replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
+    """Replicate i's records: one per tau, grid size, block and method."""
+    kind = _KINDS[cfg.kind]
+    psi = kind.psi(cfg)
+    drawn = kind.columns[kind.columns.index("var_star") + 1:]
+    # var_star is written on every row of a run that has a bootstrap
+    # method, subsample rows included
     need_boot = any(m != "subsample" for m in cfg.methods)
     records = []
     for t_idx, tau in enumerate(cfg.tau_r_list):
@@ -422,32 +424,23 @@ def _isotropy_replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
             for (b1, b2) in cfg.blocks or ((0, 0),):
                 spec = BlockSpec(b1, b2) if cfg.blocks else None
                 for method in cfg.methods:
-                    test = calibrate_isotropy(res, method, spec, cfg.h1, cfg.h2,
-                                              cfg.plus_one)
+                    at = {"method": method, "tau_r": tau, "n1": n1, "n2": n2,
+                          "b1": b1, "b2": b2}
+                    d = None if method == "subsample" else res.draws(method, spec)
                     records.append({
-                        "replicate": i, "method": method, "tau_r": tau,
-                        "n1": n1, "n2": n2, "b1": b1, "b2": b2,
-                        "ts": test.ts, "p_value": test.p_value,
-                        "reject": int(test.p_value < cfg.test_level),
-                        **_draw_cells(res, method, spec, need_boot,
-                                      ("sigma2_raw", "sigma2_floored")),
-                    })
+                        "replicate": i, **{k: at[k] for k in kind.keys},
+                        **kind.row(cfg, res, method, spec),
+                        "var_star": res.var_star if need_boot else 0.0,
+                        **{name: 0.0 if d is None else getattr(d, name)
+                           for name in drawn}})
     return records
 
 
-def _coverage_chunk(args) -> list[dict]:
-    cfg, indices, truth = args
-    out = []
-    for i in indices:
-        out.extend(_coverage_replicate(cfg, i, truth))
-    return out
-
-
-def _isotropy_chunk(args) -> list[dict]:
+def _chunk(args) -> list[dict]:
     cfg, indices = args
     out = []
     for i in indices:
-        out.extend(_isotropy_replicate(cfg, i))
+        out.extend(_replicate(cfg, i))
     return out
 
 
@@ -461,35 +454,6 @@ class ExperimentReport:
     summary: list[dict]
     replicates: list[dict]
     schema_version: int = SCHEMA_VERSION
-
-
-def _run_chunks(worker, payloads, workers: int) -> list[dict]:
-    if workers <= 1 or len(payloads) <= 1:
-        results = [worker(p) for p in payloads]
-    else:
-        # a fork pool starts every worker up front: start no idle ones
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            results = list(pool.map(worker, payloads))
-    records = []
-    for chunk in results:
-        records.extend(chunk)
-    return records
-
-
-def _chunk_indices(R: int, workers: int) -> list[list[int]]:
-    if workers <= 1:
-        return [list(range(R))]
-    n_chunks = min(R, workers * 4)
-    return [list(range(R))[k::n_chunks] for k in range(n_chunks)]
-
-
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    echo["model"] = repr(cfg.model)
-    # execution detail, not part of the experiment: reports must be
-    # byte-identical across worker counts
-    del echo["workers"]
-    return echo
 
 
 def _summarize(records: list[dict], keys: tuple[str, ...], flag: str) -> list[dict]:
@@ -508,40 +472,52 @@ def _summarize(records: list[dict], keys: tuple[str, ...], flag: str) -> list[di
     return out
 
 
-def run_coverage_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Coverage of the true spectral mean by each method's interval.
-
-    Replicate i simulates its field from stream (seed, FIELD, i, size)
-    and draws bootstrap weights from streams (seed, BOOT, i, r), so the
-    report is identical for any worker count.
-    """
-    truth = cfg.truth
-    if truth is None:
-        truth = true_spectral_mean(cfg.model, cfg.psi_name)
-    payloads = [(cfg, idx, truth) for idx in _chunk_indices(cfg.replicates, cfg.workers)]
-    records = _run_chunks(_coverage_chunk, payloads, cfg.workers)
-    records.sort(key=lambda r: (r["replicate"], r["n1"], r["n2"],
-                                r["b1"], r["b2"], r["method"]))
-    summary = _summarize(records, ("method", "n1", "n2", "b1", "b2"), "covered")
-    echo = _config_echo(cfg)
-    echo["truth"] = truth
-    return ExperimentReport(kind="coverage", config=echo, summary=summary,
+def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
+    """The one Monte Carlo runner: every replicate of ``cfg``, in chunks
+    on a fork pool when ``cfg.workers`` > 1, sorted and summarised per
+    cell of the kind's keys."""
+    if cfg.kind != kind:
+        raise ConfigError(f"a {cfg.kind} config cannot run a {kind} experiment")
+    table = _KINDS[kind]
+    R = cfg.replicates
+    n_chunks = 1 if cfg.workers == 1 else min(R, cfg.workers * 4)
+    payloads = [(cfg, list(range(R))[k::n_chunks]) for k in range(n_chunks)]
+    if n_chunks == 1:
+        chunks = [_chunk(p) for p in payloads]
+    else:
+        # a fork pool starts every worker up front: start no idle ones
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, n_chunks)) as pool:
+            chunks = list(pool.map(_chunk, payloads))
+    records = [rec for chunk in chunks for rec in chunk]
+    order = ("replicate", *table.keys[1:], "method")
+    records.sort(key=lambda r: tuple(r[k] for k in order))
+    echo = dataclasses.asdict(cfg)
+    echo["model"] = repr(cfg.model)
+    # execution detail, not part of the experiment: reports must be
+    # byte-identical across worker counts
+    del echo["workers"]
+    return ExperimentReport(kind=kind, config=echo,
+                            summary=_summarize(records, table.keys, table.flag),
                             replicates=records)
 
 
+def run_coverage_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Coverage of the true spectral mean by each method's interval per
+    (method, grid size, block) cell; unless ``cfg.truth`` is given, the
+    truth is the analytic spectral mean, resolved once here and echoed."""
+    if cfg.truth is None:
+        cfg = dataclasses.replace(
+            cfg, truth=true_spectral_mean(cfg.model, cfg.psi_name))
+    return _run(cfg, "coverage")
+
+
 def run_isotropy_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Rejection rate of the isotropy test per (tau_r, method) cell."""
+    """Rejection rate of the isotropy test per (method, tau_r, grid size,
+    block) cell."""
     if not isinstance(cfg.model, (SphericalAniso, MaternSpectral)):
         raise ConfigError(
             "isotropy experiments need a spherical or exp-Cholesky (Matern) process")
-    payloads = [(cfg, idx) for idx in _chunk_indices(cfg.replicates, cfg.workers)]
-    records = _run_chunks(_isotropy_chunk, payloads, cfg.workers)
-    records.sort(key=lambda r: (r["replicate"], r["tau_r"], r["n1"], r["n2"],
-                                r["b1"], r["b2"], r["method"]))
-    summary = _summarize(records, ("method", "tau_r", "n1", "n2", "b1", "b2"),
-                         "reject")
-    return ExperimentReport(kind="isotropy", config=_config_echo(cfg),
-                            summary=summary, replicates=records)
+    return _run(cfg, "isotropy")
 
 
 # ---------------------------------------------------------------------------
@@ -585,18 +561,9 @@ def emit_report(report: ExperimentReport, out_prefix: str,
         os.makedirs(parent, exist_ok=True)
     written = []
     if fmt in ("csv", "both"):
-        if report.kind == "coverage":
-            sum_cols = ["method", "n1", "n2", "b1", "b2",
-                        "proportion", "mc_se", "replicates"]
-            rep_cols = ["replicate", "method", "n1", "n2", "b1", "b2", "mhat",
-                        "lower", "upper", "covered", "var_star", "sigma2_raw",
-                        "sigma2_floored", "bias_sub"]
-        else:
-            sum_cols = ["method", "tau_r", "n1", "n2", "b1", "b2",
-                        "proportion", "mc_se", "replicates"]
-            rep_cols = ["replicate", "method", "tau_r", "n1", "n2", "b1", "b2",
-                        "ts", "p_value", "reject", "var_star", "sigma2_raw",
-                        "sigma2_floored"]
+        table = _KINDS[report.kind]
+        sum_cols = [*table.keys, "proportion", "mc_se", "replicates"]
+        rep_cols = ["replicate", *table.keys, *table.columns]
         try:
             _write_csv(report.summary, sum_cols, out_prefix + "_summary.csv")
             _write_csv(report.replicates, rep_cols, out_prefix + "_replicates.csv")
@@ -690,22 +657,13 @@ def _settings_from_args(args) -> Settings:
 
 def _dispatch(args) -> int:
     st = _settings_from_args(args)
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = st.get_int("boot.seed", st.get_int("seed", 0))
-    workers = args.workers if args.workers is not None else st.get_int("workers", 1)
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    seed = (args.seed if args.seed is not None
+            else st.get_int("boot.seed", st.get_int("seed", 0)))
     out = args.out if args.out is not None else st.get_str("out", "freqboot_out")
     fmt = args.fmt if args.fmt is not None else st.get_str("format", "csv")
 
     if args.command == "simulate":
-        model, generator = build_model(st)
-        (n1, n2) = st.get_sizes("grid.sizes", ((50, 50),))[0]
-        fieldz = simulate_process(model, n1, n2,
-                                  rngmod.stream(seed, rngmod.TAG_GENERIC, 0, 0),
-                                  generator=generator)
+        fieldz = _load_field(st, None, seed)
         if fmt in ("bin", "binary"):
             save_field_binary(fieldz, out)
         else:
@@ -716,22 +674,20 @@ def _dispatch(args) -> int:
     if args.command == "estimate":
         fieldz = _load_field(st, args.infile, seed)
         psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
-        pg = periodogram(fieldz)
-        mhat = spectral_mean(pg, psi)
+        # B = 0: estimate draws no bootstrap replicates
+        res = FieldResampler(fieldz, psi, 0, seed, bandwidth=build_bandwidth(st))
         result = {"n1": fieldz.n1, "n2": fieldz.n2, "psi": psi.name,
-                  "mhat": mhat.value}
-        blocks = build_blocks(st)
-        if blocks or st.raw("block.auto"):
+                  "mhat": res.mhat.value}
+        if build_blocks(st) or st.raw("block.auto"):
             spec = _single_block(st, fieldz, psi)
-            est = variance_estimates(subsample_ensemble(fieldz, spec, psi))
+            est = res.variance(spec)
             result.update({"b1": spec.b1, "b2": spec.b2,
                            "sigma_sq": est.sigma_sq_hat,
                            "sigma1_sq": est.sigma1_sq_hat,
                            "sigma2_sq": est.sigma2_sq_hat,
                            "sigma2_floored": est.floored_sigma2})
-        fhat = kernel_density_estimate(pg, bandwidth=build_bandwidth(st))
-        result["var_star"] = fdwb_variance(fhat, psi)
-        result["bandwidth"] = list(fhat.bandwidth)
+        result["var_star"] = res.var_star
+        result["bandwidth"] = list(res.fhat.bandwidth)
         _print_json(result)
         return 0
 
@@ -750,7 +706,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "isotropy":
-        from .infer import isotropy_test
         fieldz = _load_field(st, args.infile, seed)
         method = st.get_str("test.method", "hfdb")
         h1 = st.get_pair("test.h1", (1, 0))
@@ -801,6 +756,7 @@ def _dispatch(args) -> int:
         print(out)
         return 0
 
+    workers = args.workers if args.workers is not None else st.get_int("workers", 1)
     if args.command == "coverage":
         cfg = experiment_config(st, "coverage", seed, workers)
         report = run_coverage_experiment(cfg)

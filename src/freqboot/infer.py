@@ -39,10 +39,6 @@ class ConfidenceInterval:
     def covers(self, value: float) -> bool:
         return self.lower <= value <= self.upper
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class IsotropyTestResult:

@@ -61,10 +61,3 @@ def streams(master_seed: int, tag: int, replicate: int,
         counter[1] = r & _MASK64
         bitgen.state = state
         yield gen
-
-
-def as_generator(seed_or_rng) -> np.random.Generator:
-    """Accept either a Generator or an integer master seed."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return stream(int(seed_or_rng))

@@ -122,11 +122,6 @@ def anisotropy_matrix(tau_a: float, tau_r: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # densities and covariances
 
-def matern_spectral_density(model: MaternSpectral, omega) -> float:
-    w1, w2 = omega
-    return float(model.phi * (model.alpha ** 2 + w1 ** 2 + w2 ** 2) ** (-model.nu - 1))
-
-
 def spherical_covariance(model: SphericalAniso, h) -> float:
     return float(_spherical_cov_arrays(
         model, np.asarray(h[0], dtype=float), np.asarray(h[1], dtype=float)))

@@ -1,5 +1,5 @@
-"""Psi-function catalog, the spectral mean statistic, and the analytic
-first variance component.
+"""Psi-function catalog, the spectral mean statistic, and midpoint
+quadrature over the frequency square.
 
 The target parameter is the spectral mean M(psi) = integral of
 psi(omega) f(omega) over [-pi, pi]^2; its estimator is the Riemann sum
@@ -157,7 +157,7 @@ def spectral_mean(pgram: Periodogram, psi: PsiFunction) -> SpectralMeanValue:
 
 
 # ---------------------------------------------------------------------------
-# quadrature oracle for the first variance component
+# quadrature for analytic spectral integrals
 
 def _midpoint_grid(m: int) -> np.ndarray:
     return -np.pi + (np.arange(m) + 0.5) * (_TWO_PI / m)
@@ -186,19 +186,3 @@ def quadrature(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         m *= 2
     raise NumericalError(
         f"quadrature did not stabilize to rel. {rel_tol} within {m_max}^2 points")
-
-
-def analytic_sigma1_sq(model, psi: PsiFunction, rel_tol: float = 1e-6) -> float:
-    """First limit-variance component
-
-        sigma1^2 = (2 pi)^2 int psi(w) [psi(w) + psi(-w)] f(w)^2 dw
-
-    by quadrature against the model's spectral density."""
-    from .simulate import model_spectral_density  # deferred: avoid cycle
-
-    def integrand(w1, w2):
-        f = model_spectral_density(model, w1, w2)
-        return psi.fn(w1, w2) * (psi.fn(w1, w2) + psi.fn(-w1, -w2)) * f * f
-
-    return (_TWO_PI ** 2) * quadrature(integrand, rel_tol=rel_tol)
-

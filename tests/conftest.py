@@ -10,8 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from freqboot import NumericalError, analytic_sigma1_sq
-from freqboot.simulate import is_gaussian_model
+from freqboot import NumericalError
+from freqboot.simulate import is_gaussian_model, model_spectral_density
+from freqboot.spectral import quadrature
 
 TWO_PI = 2.0 * np.pi
 
@@ -134,6 +135,19 @@ class AnalyticLimits:
     sigma1_sq: float
     sigma2_sq: float
     model: object
+
+
+def analytic_sigma1_sq(model, psi, rel_tol: float = 1e-6) -> float:
+    """First limit-variance component
+
+        sigma1^2 = (2 pi)^2 int psi(w) [psi(w) + psi(-w)] f(w)^2 dw
+
+    by quadrature against the model's spectral density."""
+    def integrand(w1, w2):
+        f = model_spectral_density(model, w1, w2)
+        return psi.fn(w1, w2) * (psi.fn(w1, w2) + psi.fn(-w1, -w2)) * f * f
+
+    return (TWO_PI ** 2) * quadrature(integrand, rel_tol=rel_tol)
 
 
 def analytic_limits(model, psi) -> AnalyticLimits:

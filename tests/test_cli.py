@@ -1,5 +1,6 @@
 """Configuration parsing, experiment drivers, report emission, CLI."""
 
+import dataclasses
 import json
 import os
 import re
@@ -14,9 +15,8 @@ from hypothesis import strategies as hst
 
 from freqboot import cli as cli_module
 from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
-                          _coverage_chunk, _isotropy_chunk, emit_report,
-                          experiment_config, main, parse_config_file,
-                          report_from_json, report_to_json,
+                          _chunk, emit_report, experiment_config, main,
+                          parse_config_file, report_from_json, report_to_json,
                           run_coverage_experiment, run_isotropy_experiment,
                           true_spectral_mean)
 from freqboot.errors import ConfigError
@@ -75,8 +75,16 @@ class TestConfigParsing:
             _cfg(B=50)  # bootstrap methods need B >= 100
         with pytest.raises(ConfigError):
             _cfg(blocks=((20, 20),))  # does not fit 16x16
+        with pytest.raises(ConfigError, match="tau_r_list"):
+            _cfg(kind="isotropy", model=SphericalAniso(sigma2=1.0, range_=3.0),
+                 tau_r_list=())
         cfg = _cfg(methods=("subsample",), B=10)  # B unused without bootstrap
         assert cfg.B == 10
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_checked_on_directly_built_config(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            _cfg(workers=workers)
 
     def test_exp_cholesky_rejects_anisotropy(self):
         st = Settings({"process.kind": "exp_cholesky",
@@ -386,6 +394,14 @@ class TestIsotropyExperiment:
         with pytest.raises(ConfigError):
             run_isotropy_experiment(cfg)
 
+    def test_runners_refuse_the_other_kind(self):
+        spherical = SphericalAniso(sigma2=1.0, range_=3.0)
+        with pytest.raises(ConfigError, match="coverage config"):
+            run_isotropy_experiment(_cfg(model=spherical, replicates=1))
+        with pytest.raises(ConfigError, match="isotropy config"):
+            run_coverage_experiment(_cfg(kind="isotropy", model=spherical,
+                                         methods=("fdwb",), replicates=1))
+
 
 def _sort_key(rec):
     return tuple(rec.get(k, 0) for k in ("replicate", "tau_r", "n1", "n2",
@@ -396,17 +412,18 @@ class TestChunking:
     # workers split replicates into chunks; no partition of range(R), in
     # any chunk or index order, may change a record
     _COVERAGE = _cfg(sizes=((8, 8), (10, 8)), blocks=((3, 3), (4, 4)),
-                     methods=("fdwb", "hfdb", "hfdb_bias", "subsample"), B=100)
+                     methods=("fdwb", "hfdb", "hfdb_bias", "subsample"), B=100,
+                     truth=0.0)
     _ISOTROPY = _cfg(kind="isotropy", model=SphericalAniso(sigma2=1.0, range_=3.0),
                      sizes=((8, 8),), blocks=((4, 4),),
                      methods=("fdwb", "hfdb", "subsample"), B=100,
                      tau_r_list=(1.0, 1.3))
 
     @staticmethod
-    def _run(worker, payload, chunks):
+    def _run(cfg, chunks):
         out = []
         for chunk in chunks:
-            out.extend(worker(payload(chunk)))
+            out.extend(_chunk((cfg, chunk)))
         return sorted(out, key=_sort_key)
 
     @settings(max_examples=8, deadline=None)
@@ -415,13 +432,8 @@ class TestChunking:
         labels = data.draw(hst.lists(hst.integers(0, R - 1), min_size=R, max_size=R))
         chunks = [data.draw(hst.permutations([i for i in range(R) if labels[i] == k]))
                   for k in data.draw(hst.permutations(sorted(set(labels))))]
-        cov = self._COVERAGE
-        truth = 0.0
-        single = self._run(_coverage_chunk, lambda c: (cov, c, truth), [list(range(R))])
-        assert self._run(_coverage_chunk, lambda c: (cov, c, truth), chunks) == single
-        iso = self._ISOTROPY
-        single = self._run(_isotropy_chunk, lambda c: (iso, c), [list(range(R))])
-        assert self._run(_isotropy_chunk, lambda c: (iso, c), chunks) == single
+        for cfg in (self._COVERAGE, self._ISOTROPY):
+            assert self._run(cfg, chunks) == self._run(cfg, [list(range(R))])
 
 
 class TestReports:
@@ -445,6 +457,18 @@ class TestReports:
             assert cells.pop("method") in ("fdwb", "hfdb_bias", "subsample")
             for name, cell in cells.items():
                 assert np.isfinite(float(cell)), (name, cell)
+
+    @pytest.mark.parametrize("run, cfg", [
+        (run_coverage_experiment, TestChunking._COVERAGE),
+        (run_isotropy_experiment, TestChunking._ISOTROPY)])
+    def test_records_carry_exactly_the_csv_columns(self, tmp_path, run, cfg):
+        # a cell missing from the CSV columns would be dropped without a word
+        report = run(dataclasses.replace(cfg, replicates=1))
+        emit_report(report, str(tmp_path / "r"), "csv")
+        header = (tmp_path / "r_replicates.csv").read_text().splitlines()[0]
+        assert report.replicates
+        for rec in report.replicates:
+            assert list(rec) == header.split(",")
 
     def test_json_round_trip(self):
         report = run_coverage_experiment(_cfg(replicates=3))
@@ -547,6 +571,26 @@ class TestCommandLine:
     def test_exit_code_2_on_bad_value(self, capsys):
         assert main(["--set", "boot.B=lots", "coverage"]) == 2
         assert "boot.B" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, settings, key", [
+        ("isotropy-experiment", ["process.tau_r_list=1.0,abc"], "process.tau_r_list"),
+        ("isotropy-experiment", ["process.tau_r_list=,"], "process.tau_r_list"),
+        ("coverage", ["truth.value=x"], "truth.value"),
+        ("coverage", ["density.bandwidth1=a", "density.bandwidth2=0.5"],
+         "density.bandwidth1"),
+        ("coverage", ["block.b1=q", "block.b2=4"], "block.b1"),
+        ("isotropy-experiment", ["process.kind=matern", "process.phi=z"],
+         "process.phi"),
+    ])
+    def test_unparsable_value_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                     command, settings, key):
+        args = []
+        for kv in ["process.kind=spherical", "grid.sizes=12x12", "methods=fdwb",
+                   "boot.B=100", "replicates=1"] + settings:
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"), command]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_coverage_command_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -27,11 +27,6 @@ class TestStreams:
         gen = rngmod.stream((1 << 64) - 1, rngmod.TAG_ORACLE, 0, 0)
         assert np.isfinite(gen.standard_normal())
 
-    def test_as_generator_passthrough(self):
-        gen = rngmod.stream(5)
-        assert rngmod.as_generator(gen) is gen
-        assert isinstance(rngmod.as_generator(11), np.random.Generator)
-
 
 # addresses past 2^64 and below 0 must wrap exactly as ``stream`` masks them
 ADDRESS = st.integers(min_value=-(1 << 65), max_value=1 << 66)

@@ -7,9 +7,9 @@ import scipy.stats as st
 from freqboot import (ConfigError, MaternSpectral,
                       SeparableARMA, SphericalAniso, TransformedGaussian,
                       WhiteNoise, anisotropy_matrix, matern_model,
-                      matern_spectral_density, model_autocovariance,
-                      model_spectral_density, simulate_exp_cholesky,
-                      simulate_gaussian, simulate_process, simulate_separable,
+                      model_autocovariance, model_spectral_density,
+                      simulate_exp_cholesky, simulate_gaussian,
+                      simulate_process, simulate_separable,
                       simulate_transformed, spherical_covariance)
 from freqboot import rng as rngmod
 from freqboot.simulate import covariance_matrix, exp_cholesky_field, gamma0, quartic_transform
@@ -18,10 +18,10 @@ from freqboot.simulate import covariance_matrix, exp_cholesky_field, gamma0, qua
 class TestModelDescriptors:
     def test_matern_density_values(self):
         m = MaternSpectral(phi=1.0, alpha=1.0, nu=1.0)
-        assert matern_spectral_density(m, (0.0, 0.0)) == pytest.approx(1.0)
-        assert matern_spectral_density(m, (1.0, 0.0)) == pytest.approx(0.25)
+        assert model_spectral_density(m, 0.0, 0.0) == pytest.approx(1.0)
+        assert model_spectral_density(m, 1.0, 0.0) == pytest.approx(0.25)
         m2 = MaternSpectral(phi=2.0, alpha=0.5, nu=1.0)
-        assert matern_spectral_density(m2, (0.0, 0.0)) == pytest.approx(32.0)
+        assert model_spectral_density(m2, 0.0, 0.0) == pytest.approx(32.0)
 
     def test_matern_validation(self):
         with pytest.raises(ConfigError):

@@ -7,14 +7,14 @@ import pytest
 import scipy.stats as st
 
 from freqboot import (ConfigError, LatticeField, NumericalError, WhiteNoise,
-                      analytic_sigma1_sq, periodogram, psi_cos_lag,
-                      psi_from_name, psi_isotropy_contrast, psi_spectral_cdf,
-                      spectral_mean)
+                      periodogram, psi_cos_lag, psi_from_name,
+                      psi_isotropy_contrast, psi_spectral_cdf, spectral_mean)
 from freqboot import rng as rngmod
 from freqboot.simulate import SeparableARMA, simulate_gaussian
 from freqboot.spectral import SpectralMeanValue
 
-from conftest import analytic_limits, brute_spectral_mean, centered_statistic
+from conftest import (analytic_limits, analytic_sigma1_sq, brute_spectral_mean,
+                      centered_statistic)
 
 
 class TestPsiCatalog:
