@@ -71,7 +71,6 @@ class BootstrapDraws:
     values: np.ndarray = field(repr=False)
     var_star: float
     kind: str
-    seed_info: tuple
     sigma2_floored: float = 0.0
     sigma2_raw: float = 0.0
     bias_sub: float = 0.0
@@ -263,7 +262,6 @@ class FieldResampler:
                 values = values + bias
         values.flags.writeable = False   # cached and handed to every caller
         out = BootstrapDraws(values=values, var_star=self.var_star, kind=kind,
-                             seed_info=(self.master_seed, self.replicate_id),
                              sigma2_floored=sigma2_floored,
                              sigma2_raw=sigma2_raw, bias_sub=bias)
         self._draws[key] = out

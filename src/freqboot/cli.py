@@ -57,10 +57,10 @@ KNOWN_KEYS = frozenset({
     "process.ma", "process.innov1", "process.innov2",
     "grid.sizes", "psi",
     "block.b1", "block.b2", "block.sizes", "block.auto", "block.window",
-    "methods", "boot.B", "boot.kind", "boot.seed",
+    "methods", "boot.B", "boot.kind",
     "ci.level", "test.h1", "test.h2", "test.method", "test.level",
     "pvalue.plus_one",
-    "density.bandwidth1", "density.bandwidth2", "density.auto",
+    "density.bandwidth1", "density.bandwidth2",
     "replicates", "seed", "workers", "out", "format",
     "truth.value", "truth.fixture",
 })
@@ -175,21 +175,10 @@ def build_model(st: Settings):
 
 
 def build_bandwidth(st: Settings):
-    """Explicit (bandwidth1, bandwidth2), or None for the default rate.
-
-    ``density.auto`` is optional; when given it must agree with the
-    bandwidth keys: true with neither set, false with both set.
-    """
+    """Explicit (bandwidth1, bandwidth2), or None for the default rate
+    when neither key is set."""
     b1 = st.get_float("density.bandwidth1")
     b2 = st.get_float("density.bandwidth2")
-    if st.raw("density.auto") is not None:
-        auto = st.get_bool("density.auto")
-        if auto and (b1 is not None or b2 is not None):
-            raise ConfigError("density.auto=true conflicts with an explicit "
-                              "density.bandwidth1/density.bandwidth2")
-        if not auto and (b1 is None or b2 is None):
-            raise ConfigError("density.auto=false needs both "
-                              "density.bandwidth1 and density.bandwidth2")
     if b1 is None and b2 is None:
         return None
     if b1 is None or b2 is None:
@@ -225,6 +214,15 @@ def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
         raise ConfigError(
             f"{name}: coverage runs simulate only the model's own "
             f"tau_r={own}, got {list(tau_r_list)}")
+
+
+def _contrast_name(h1, h2) -> str:
+    """Name of the psi an isotropy experiment resamples: the contrast of
+    its lags test.h1 and test.h2."""
+    if tuple(h1) == tuple(h2):
+        raise ConfigError(f"test.h1 and test.h2 must be two distinct lags, "
+                          f"both are {tuple(h1)}")
+    return psi_isotropy_contrast(h1, h2).name
 
 
 @dataclass(frozen=True)
@@ -280,6 +278,13 @@ class ExperimentConfig:
                 if b1 > n1 or b2 > n2:
                     raise ConfigError(f"block {b1}x{b2} does not fit grid {n1}x{n2}")
         _check_tau(self.kind, self.model, self.tau_r_list, "tau_r_list")
+        psi = psi_from_name(self.psi_name)
+        if self.kind == "isotropy":
+            contrast = _contrast_name(self.h1, self.h2)
+            if psi.name != contrast:
+                raise ConfigError(
+                    f"psi: an isotropy experiment resamples the contrast of "
+                    f"test.h1 and test.h2, {contrast}, got {self.psi_name!r}")
 
 
 def _fixture_truth(path: str, model, generator: str, psi_name: str,
@@ -314,14 +319,17 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
     _check_tau(kind, model, tau_list,
                "process.tau_r" if listed is None else "process.tau_r_list")
     sizes = st.get_sizes("grid.sizes", ((50, 50),))
-    psi_name = st.get_str("psi", "cos_lag{h=(1,0)}")
+    h1 = st.get_pair("test.h1", (1, 0))
+    h2 = st.get_pair("test.h2", (0, 1))
+    psi_name = st.get_str("psi", _contrast_name(h1, h2) if kind == "isotropy"
+                          else "cos_lag{h=(1,0)}")
     truth = st.get_float("truth.value")
     fixture = st.raw("truth.fixture")
     if fixture is not None:
         if truth is not None:
             raise ConfigError("give truth.value or truth.fixture, not both")
         truth = _fixture_truth(fixture, model, generator, psi_name, sizes)
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         kind=kind, model=model, generator=generator,
         sizes=sizes,
         psi_name=psi_name,
@@ -335,13 +343,11 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
         workers=int(workers),
         bandwidth=build_bandwidth(st),
         tau_r_list=tau_list,
-        h1=st.get_pair("test.h1", (1, 0)),
-        h2=st.get_pair("test.h2", (0, 1)),
+        h1=h1,
+        h2=h2,
         plus_one=st.get_bool("pvalue.plus_one", False),
         truth=truth,
     )
-    psi_from_name(cfg.psi_name)  # validate early
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +389,6 @@ class _Kind(NamedTuple):
     # replicate columns after the keys: the row function's cells, then
     # var_star and the BootstrapDraws fields the kind records
     columns: tuple[str, ...]
-    psi: Callable             # cfg -> the psi each field is resampled for
     row: Callable             # (cfg, res, method, spec) -> the kind's cells
 
 
@@ -391,11 +396,10 @@ _KINDS = {
     "coverage": _Kind(("method", "n1", "n2", "b1", "b2"), "covered",
                       ("mhat", "lower", "upper", "covered", "var_star",
                        "sigma2_raw", "sigma2_floored", "bias_sub"),
-                      lambda cfg: psi_from_name(cfg.psi_name), _coverage_cells),
+                      _coverage_cells),
     "isotropy": _Kind(("method", "tau_r", "n1", "n2", "b1", "b2"), "reject",
                       ("ts", "p_value", "reject", "var_star", "sigma2_raw",
                        "sigma2_floored"),
-                      lambda cfg: psi_isotropy_contrast(cfg.h1, cfg.h2),
                       _isotropy_cells),
 }
 
@@ -403,7 +407,7 @@ _KINDS = {
 def _replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
     """Replicate i's records: one per tau, grid size, block and method."""
     kind = _KINDS[cfg.kind]
-    psi = kind.psi(cfg)
+    psi = psi_from_name(cfg.psi_name)
     drawn = kind.columns[kind.columns.index("var_star") + 1:]
     # var_star is written on every row of a run that has a bootstrap
     # method, subsample rows included
@@ -453,7 +457,6 @@ class ExperimentReport:
     config: dict
     summary: list[dict]
     replicates: list[dict]
-    schema_version: int = SCHEMA_VERSION
 
 
 def _summarize(records: list[dict], keys: tuple[str, ...], flag: str) -> list[dict]:
@@ -537,18 +540,10 @@ def _write_csv(rows: list[dict], columns: list[str], path) -> None:
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    payload = {"schema_version": report.schema_version, "kind": report.kind,
+    payload = {"schema_version": SCHEMA_VERSION, "kind": report.kind,
                "config": report.config, "summary": report.summary,
                "replicates": report.replicates}
     return json.dumps(payload, sort_keys=True, indent=1, default=repr)
-
-
-def report_from_json(text: str) -> ExperimentReport:
-    payload = json.loads(text)
-    return ExperimentReport(kind=payload["kind"], config=payload["config"],
-                            summary=payload["summary"],
-                            replicates=payload["replicates"],
-                            schema_version=payload["schema_version"])
 
 
 def emit_report(report: ExperimentReport, out_prefix: str,
@@ -585,13 +580,20 @@ def emit_report(report: ExperimentReport, out_prefix: str,
 # ---------------------------------------------------------------------------
 # single-shot helpers
 
+def _single(sizes: tuple, key: str) -> tuple[int, int]:
+    """The one size that a single-field command reads from ``key``."""
+    if len(sizes) > 1:
+        raise ConfigError(f"{key}: this command takes one size, got {len(sizes)}")
+    return sizes[0]
+
+
 def _load_field(st: Settings, path: str | None, seed: int) -> LatticeField:
     if path is not None:
         if path.endswith(".bin"):
             return load_field_binary(path)
         return load_field_csv(path)
     model, generator = build_model(st)
-    (n1, n2) = st.get_sizes("grid.sizes", ((50, 50),))[0]
+    (n1, n2) = _single(st.get_sizes("grid.sizes", ((50, 50),)), "grid.sizes")
     gen = rngmod.stream(seed, rngmod.TAG_GENERIC, 0, 0)
     return simulate_process(model, n1, n2, gen, generator=generator)
 
@@ -607,7 +609,7 @@ def _single_block(st: Settings, fieldz: LatticeField, psi) -> BlockSpec:
     blocks = build_blocks(st)
     if not blocks:
         raise ConfigError("set block.b1/block.b2, block.sizes, or block.auto=minvol")
-    return BlockSpec(*blocks[0])
+    return BlockSpec(*_single(blocks, "block.sizes"))
 
 
 def _print_json(obj) -> None:
@@ -657,12 +659,14 @@ def _settings_from_args(args) -> Settings:
 
 def _dispatch(args) -> int:
     st = _settings_from_args(args)
-    seed = (args.seed if args.seed is not None
-            else st.get_int("boot.seed", st.get_int("seed", 0)))
+    seed = args.seed if args.seed is not None else st.get_int("seed", 0)
     out = args.out if args.out is not None else st.get_str("out", "freqboot_out")
     fmt = args.fmt if args.fmt is not None else st.get_str("format", "csv")
 
     if args.command == "simulate":
+        if fmt not in ("csv", "bin", "binary"):
+            raise ConfigError(f"format must be csv, bin or binary for simulate, "
+                              f"got {fmt!r}")
         fieldz = _load_field(st, None, seed)
         if fmt in ("bin", "binary"):
             save_field_binary(fieldz, out)
@@ -735,7 +739,7 @@ def _dispatch(args) -> int:
     if args.command == "oracle":
         model, generator = build_model(st)
         psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
-        (n1, n2) = st.get_sizes("grid.sizes", ((50, 50),))[0]
+        (n1, n2) = _single(st.get_sizes("grid.sizes", ((50, 50),)), "grid.sizes")
         R = st.get_int("replicates", 2000)
         vals = np.empty(R)
         for i in range(R):

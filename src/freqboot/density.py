@@ -10,6 +10,7 @@ output symmetrized and floored away from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,8 +19,6 @@ from .lattice import FrequencyGrid, Periodogram
 
 _TWO_PI = 2.0 * np.pi
 _FLOOR_REL = 1e-6
-
-KERNELS = ("epanechnikov", "uniform")
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,9 @@ class SpectralDensityEstimate:
 DEFAULT_BANDWIDTH_SCALE = 0.35
 
 
-def default_bandwidth(n1: int, n2: int,
-                      c: float = DEFAULT_BANDWIDTH_SCALE) -> tuple[float, float]:
-    """Rate heuristic c * pi * n_k^(-1/6) per dimension."""
-    return (c * np.pi * n1 ** (-1.0 / 6.0), c * np.pi * n2 ** (-1.0 / 6.0))
+def default_bandwidth(n1: int, n2: int) -> tuple[float, float]:
+    """Rate heuristic c * pi * n_k^(-1/6) per dimension, c the scale above."""
+    return tuple(DEFAULT_BANDWIDTH_SCALE * np.pi * n ** (-1.0 / 6.0) for n in (n1, n2))
 
 
 def _wrap_distance(n: int) -> np.ndarray:
@@ -48,51 +46,36 @@ def _wrap_distance(n: int) -> np.ndarray:
     return _TWO_PI * np.minimum(p, n - p) / n
 
 
-def _kernel_profile(u: np.ndarray, kernel: str) -> np.ndarray:
-    inside = np.abs(u) <= 1.0
-    if kernel == "epanechnikov":
-        return np.where(inside, 0.75 * (1.0 - u * u), 0.0)
-    if kernel == "uniform":
-        return np.where(inside, 1.0, 0.0)
-    raise ConfigError(f"unknown kernel {kernel!r}, expected one of {KERNELS}")
+def _epanechnikov(u: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
-# circular-convolution pieces keyed by (n1, n2, bandwidth, kernel); the
-# denominator never changes for a given grid so it is cached alongside
-_conv_cache: dict = {}
-
-
-def _smoother_pieces(n1: int, n2: int, bw: tuple[float, float], kernel: str):
-    key = (n1, n2, float(bw[0]), float(bw[1]), kernel)
-    hit = _conv_cache.get(key)
-    if hit is not None:
-        return hit
-    k1 = _kernel_profile(_wrap_distance(n1) / bw[0], kernel)
-    k2 = _kernel_profile(_wrap_distance(n2) / bw[1], kernel)
-    kern = np.outer(k1, k2)
+@lru_cache(maxsize=64)
+def _smoother_pieces(n1: int, n2: int, b1: float, b2: float):
+    """Circular-convolution pieces for one grid and bandwidth: the
+    kernel's transform and the denominator, which never changes for a
+    given grid and bandwidth."""
+    kern = np.outer(_epanechnikov(_wrap_distance(n1) / b1),
+                    _epanechnikov(_wrap_distance(n2) / b2))
     kern_f = np.fft.rfft2(kern)
     mask = np.ones((n1, n2))
     mask[0, 0] = 0.0
     denom = np.fft.irfft2(np.fft.rfft2(mask) * kern_f, s=(n1, n2))
-    out = (kern_f, denom)
-    if len(_conv_cache) > 64:
-        _conv_cache.clear()
-    _conv_cache[key] = out
-    return out
+    return kern_f, denom
 
 
-def kernel_density_estimate(pgram: Periodogram, bandwidth=None,
-                            kernel: str = "epanechnikov") -> SpectralDensityEstimate:
+def kernel_density_estimate(pgram: Periodogram,
+                            bandwidth=None) -> SpectralDensityEstimate:
     """Smooth the periodogram into a spectral density estimate.
 
     fhat(omega_j) = sum_k W(omega_j - omega_k) I(omega_k)
                   / sum_k W(omega_j - omega_k)
 
-    with k running over the nonzero frequencies, W a product kernel of
-    the given bandwidths (radians), and distances wrapped on [-pi, pi]^2.
-    The result is symmetrized under modular negation and floored at
-    1e-6 of its maximum so downstream variance formulas never divide or
-    square a zero.
+    with k running over the nonzero frequencies, W a product Epanechnikov
+    kernel of the given bandwidths (radians), and distances wrapped on
+    [-pi, pi]^2.  The result is symmetrized under modular negation and
+    floored at 1e-6 of its maximum so downstream variance formulas never
+    divide or square a zero.
     """
     grid = pgram.grid
     if bandwidth is None:
@@ -101,7 +84,7 @@ def kernel_density_estimate(pgram: Periodogram, bandwidth=None,
     if not (0.0 < b1 <= np.pi) or not (0.0 < b2 <= np.pi):
         raise ConfigError(f"bandwidth components must lie in (0, pi], got {bandwidth}")
 
-    kern_f, denom = _smoother_pieces(grid.n1, grid.n2, (b1, b2), kernel)
+    kern_f, denom = _smoother_pieces(grid.n1, grid.n2, b1, b2)
     masked = pgram.values.copy()
     masked[0, 0] = 0.0
     numer = np.fft.irfft2(np.fft.rfft2(masked) * kern_f, s=(grid.n1, grid.n2))

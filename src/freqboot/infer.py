@@ -78,7 +78,7 @@ def subsample_confidence_interval(mhat: SpectralMeanValue,
                                   ens: SubsampleEnsemble,
                                   level: float) -> ConfidenceInterval:
     edf = subsample_edf(ens)  # rejects L < 2
-    return _centered_interval(mhat, edf.values, level, "subsample")
+    return _centered_interval(mhat, edf, level, "subsample")
 
 
 def resampled_interval(res: FieldResampler, method: str,

@@ -120,9 +120,6 @@ class FrequencyGrid:
         """Array indexed by FFT position, re-indexed at negated positions."""
         return a[np.ix_(self.neg1, self.neg2)]
 
-    def __len__(self) -> int:
-        return self.n - 1
-
 
 @lru_cache(maxsize=128)
 def build_frequency_grid(n1: int, n2: int) -> FrequencyGrid:
@@ -149,10 +146,7 @@ def periodogram(fieldz: LatticeField) -> Periodogram:
     sites s start at 1, which only rotates the transform's phase, so the
     squared modulus of the plain FFT is used directly.
     """
-    n1, n2 = fieldz.n1, fieldz.n2
-    if n1 < 2 or n2 < 2:
-        raise ConfigError("periodogram needs at least a 2 x 2 field")
-    grid = build_frequency_grid(n1, n2)
+    grid = build_frequency_grid(fieldz.n1, fieldz.n2)
     f = np.fft.fft2(fieldz.values)
     vals = (f.real ** 2 + f.imag ** 2) / ((_TWO_PI ** 2) * fieldz.n)
     return Periodogram(grid=grid, values=vals)

@@ -22,6 +22,7 @@ _TWO_PI = 2.0 * np.pi
 
 REFINE = 4              # torus refinement for spectral-model synthesis
 DENSE_LIMIT = 4096      # largest n1*n2 for dense Cholesky paths
+_BURN_IN = 500          # AR(1) steps discarded before the separable field
 _JITTER = 1e-10
 _EIG_TOL = 1e-9
 
@@ -103,12 +104,8 @@ class TransformedGaussian:
     def __post_init__(self):
         if self.transform != "quartic":
             raise ConfigError(f"unknown transform {self.transform!r}")
-        if not is_gaussian_model(self.base):
+        if not isinstance(self.base, (WhiteNoise, MaternSpectral, SphericalAniso)):
             raise ConfigError("transform base must be a Gaussian-compatible model")
-
-
-def is_gaussian_model(model) -> bool:
-    return isinstance(model, (WhiteNoise, MaternSpectral, SphericalAniso))
 
 
 def anisotropy_matrix(tau_a: float, tau_r: float) -> np.ndarray:
@@ -252,13 +249,12 @@ def _torus_draw(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return x.real
 
 
-def simulate_gaussian(model, n1: int, n2: int, rng: np.random.Generator,
-                      refine: int = REFINE,
-                      dense_limit: int = DENSE_LIMIT) -> LatticeField:
+def simulate_gaussian(model, n1: int, n2: int,
+                      rng: np.random.Generator) -> LatticeField:
     """Mean-zero Gaussian field with the model's covariance.
 
     White noise draws directly; spectral (Matern) models synthesize on a
-    refine-times-finer frequency torus and crop; covariance (spherical)
+    REFINE-times-finer frequency torus and crop; covariance (spherical)
     models use circulant embedding on a doubled torus, falling back to
     dense Cholesky when the embedding has negative eigenvalues and the
     grid is within the dense limit.
@@ -268,7 +264,7 @@ def simulate_gaussian(model, n1: int, n2: int, rng: np.random.Generator,
     if isinstance(model, WhiteNoise):
         return LatticeField(np.sqrt(model.variance) * rng.standard_normal((n1, n2)))
     if isinstance(model, MaternSpectral):
-        lam = _matern_torus_spectrum(model, refine * n1, refine * n2)
+        lam = _matern_torus_spectrum(model, REFINE * n1, REFINE * n2)
         return LatticeField(_torus_draw(lam, rng)[:n1, :n2])
     if isinstance(model, SphericalAniso):
         m1 = 2 * max(n1, int(np.ceil(model.range_)) + 1)
@@ -276,10 +272,10 @@ def simulate_gaussian(model, n1: int, n2: int, rng: np.random.Generator,
         lam = _spherical_torus_spectrum(model, m1, m2)
         if lam is not None:
             return LatticeField(_torus_draw(lam, rng)[:n1, :n2])
-        if n1 * n2 > dense_limit:
+        if n1 * n2 > DENSE_LIMIT:
             raise NumericalError(
                 f"circulant embedding failed and {n1}x{n2} exceeds the dense "
-                f"Cholesky limit of {dense_limit} sites")
+                f"Cholesky limit of {DENSE_LIMIT} sites")
         chol = _dense_cholesky(model, n1, n2)
         return LatticeField((chol @ rng.standard_normal(n1 * n2)).reshape(n1, n2))
     raise ConfigError(
@@ -307,12 +303,10 @@ def covariance_matrix(model, n1: int, n2: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _matern_cov_table(model: MaternSpectral, n1: int, n2: int,
-                      refine: int = REFINE) -> np.ndarray:
+def _matern_cov_table(model: MaternSpectral, n1: int, n2: int) -> np.ndarray:
     """gamma(h) for 0 <= h_k < n_k by inverse DFT of the density on a
     refined torus (controls aliasing; gamma is even per component)."""
-    m1, m2 = refine * n1, refine * n2
-    lam = _matern_torus_spectrum(model, m1, m2)
+    lam = _matern_torus_spectrum(model, REFINE * n1, REFINE * n2)
     cov = np.fft.ifft2(lam).real
     return cov[:n1, :n2]
 
@@ -335,68 +329,51 @@ def _dense_cholesky(model, n1: int, n2: int) -> np.ndarray:
 def _draw_innovations(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "gaussian":
         return rng.standard_normal(size)
-    if kind == "exponential_centered":
-        return rng.standard_exponential(size) - 1.0
-    raise ConfigError(f"unknown innovation kind {kind!r}")
+    return rng.standard_exponential(size) - 1.0   # SeparableARMA checked the kind
 
 
-def simulate_separable(ar: float, ma: float, innov1: str, innov2: str,
-                       n1: int, n2: int, rng: np.random.Generator,
-                       burn_in: int = 500) -> LatticeField:
+def simulate_separable(model: SeparableARMA, n1: int, n2: int,
+                       rng: np.random.Generator) -> LatticeField:
     """Outer product Z(i, j) = X_i Y_j of an AR(1) and an MA(1) process.
 
-    X starts from a variance-matched draw and discards ``burn_in`` steps
+    X starts from a variance-matched draw and discards ``_BURN_IN`` steps
     (the start's distributional shape is forgotten geometrically); Y uses
     one pre-sample innovation.
     """
-    model = SeparableARMA(ar=ar, ma=ma, innov1=innov1, innov2=innov2)
-    lam = _draw_innovations(model.innov1, burn_in + n1, rng)
-    x = np.empty(burn_in + n1)
-    x[0] = lam[0] / np.sqrt(1.0 - ar * ar)
-    for t in range(1, burn_in + n1):
-        x[t] = ar * x[t - 1] + lam[t]
+    lam = _draw_innovations(model.innov1, _BURN_IN + n1, rng)
+    x = np.empty(_BURN_IN + n1)
+    x[0] = lam[0] / np.sqrt(1.0 - model.ar * model.ar)
+    for t in range(1, _BURN_IN + n1):
+        x[t] = model.ar * x[t - 1] + lam[t]
     ups = _draw_innovations(model.innov2, n2 + 1, rng)
-    y = ups[1:] + ma * ups[:-1]
-    return LatticeField(np.outer(x[burn_in:], y))
+    y = ups[1:] + model.ma * ups[:-1]
+    return LatticeField(np.outer(x[_BURN_IN:], y))
 
 
-def quartic_transform(values: np.ndarray, base_gamma0: float) -> np.ndarray:
-    """G -> G^4 minus its model mean 3 gamma(0)^2."""
-    return values ** 4 - 3.0 * base_gamma0 ** 2
-
-
-def simulate_transformed(base, transform: str, n1: int, n2: int,
+def simulate_transformed(model: TransformedGaussian, n1: int, n2: int,
                          rng: np.random.Generator) -> LatticeField:
-    """Pointwise-transformed Gaussian field, centered from the model."""
-    model = TransformedGaussian(base=base, transform=transform)
+    """Pointwise-transformed Gaussian field, centered from the model:
+    G -> G^4 minus its model mean 3 gamma(0)^2."""
     g = simulate_gaussian(model.base, n1, n2, rng)
-    return LatticeField(quartic_transform(g.values, gamma0(model.base)))
+    return LatticeField(g.values ** 4 - 3.0 * gamma0(model.base) ** 2)
 
 
-def exp_cholesky_field(chol: np.ndarray, innovations: np.ndarray,
-                       n1: int, n2: int) -> LatticeField:
-    """Z = C (E - 1) for given Exp(1) innovations (separate entry point so
-    degenerate innovations can be exercised directly)."""
-    return LatticeField((chol @ (innovations - 1.0)).reshape(n1, n2))
-
-
-def simulate_exp_cholesky(model, n1: int, n2: int, rng: np.random.Generator,
-                          dense_limit: int = DENSE_LIMIT) -> LatticeField:
+def simulate_exp_cholesky(model, n1: int, n2: int,
+                          rng: np.random.Generator) -> LatticeField:
     """Non-Gaussian field with the model's covariance: the dense Cholesky
-    factor applied to centered standard exponential variables."""
-    if n1 * n2 > dense_limit:
+    factor applied to centered standard exponential variables,
+    Z = C (E - 1)."""
+    if n1 * n2 > DENSE_LIMIT:
         raise ConfigError(
             f"exp-Cholesky generator is dense-only; {n1}x{n2} exceeds the "
-            f"limit of {dense_limit} sites")
+            f"limit of {DENSE_LIMIT} sites")
     chol = _dense_cholesky(model, n1, n2)
-    return exp_cholesky_field(chol, rng.standard_exponential(n1 * n2), n1, n2)
+    innovations = rng.standard_exponential(n1 * n2)
+    return LatticeField((chol @ (innovations - 1.0)).reshape(n1, n2))
 
 
 # ---------------------------------------------------------------------------
 # uniform dispatch used by the CLI
-
-GENERATORS = ("default", "exp_cholesky")
-
 
 def simulate_process(model, n1: int, n2: int, rng: np.random.Generator,
                      generator: str = "default") -> LatticeField:
@@ -405,8 +382,7 @@ def simulate_process(model, n1: int, n2: int, rng: np.random.Generator,
     if generator != "default":
         raise ConfigError(f"unknown generator {generator!r}")
     if isinstance(model, SeparableARMA):
-        return simulate_separable(model.ar, model.ma, model.innov1,
-                                  model.innov2, n1, n2, rng)
+        return simulate_separable(model, n1, n2, rng)
     if isinstance(model, TransformedGaussian):
-        return simulate_transformed(model.base, model.transform, n1, n2, rng)
+        return simulate_transformed(model, n1, n2, rng)
     return simulate_gaussian(model, n1, n2, rng)

@@ -51,7 +51,6 @@ class PsiFunction:
 @dataclass(frozen=True)
 class SpectralMeanValue:
     value: float
-    psi: PsiFunction
     n: int
 
 
@@ -153,7 +152,7 @@ def spectral_mean(pgram: Periodogram, psi: PsiFunction) -> SpectralMeanValue:
     grid = pgram.grid
     pvals = psi.on_grid(grid)
     total = float(np.sum(pvals * pgram.values)) - float(pvals[0, 0] * pgram.values[0, 0])
-    return SpectralMeanValue(value=(_TWO_PI ** 2) / grid.n * total, psi=psi, n=grid.n)
+    return SpectralMeanValue(value=(_TWO_PI ** 2) / grid.n * total, n=grid.n)
 
 
 # ---------------------------------------------------------------------------

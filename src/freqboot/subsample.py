@@ -48,9 +48,6 @@ class BlockSpec:
     def b(self) -> int:
         return self.b1 * self.b2
 
-    def count(self, n1: int, n2: int) -> int:
-        return (n1 - self.b1 + 1) * (n2 - self.b2 + 1)
-
 
 @dataclass(frozen=True)
 class SubsampleEnsemble:
@@ -62,7 +59,6 @@ class SubsampleEnsemble:
     stream through, so results are bit-reproducible for a given field.
     """
 
-    psi: PsiFunction
     spec: BlockSpec
     grid: FrequencyGrid                                  # block Fourier grid
     L: int
@@ -188,7 +184,7 @@ def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
         m2_b = np.sum((intens - mean_b) ** 2, axis=0)
         count, mean, m2 = _welford_merge(count, mean, m2, cnt_b, mean_b, m2_b)
 
-    return SubsampleEnsemble(psi=psi, spec=spec, grid=grid, L=L,
+    return SubsampleEnsemble(spec=spec, grid=grid, L=L,
                              block_means=block_means,
                              per_freq_mean=_mirror_to_full(mean.T, grid),
                              per_freq_m2=_mirror_to_full(m2.T, grid),
@@ -227,23 +223,12 @@ def bias_estimate(ens: SubsampleEnsemble, mhat: SpectralMeanValue) -> float:
     return float(np.sqrt(ens.b) * (ens.subsample_grand_mean - mhat.value))
 
 
-@dataclass(frozen=True)
-class SubsampleEDF:
-    """Sorted centered block statistics b^(1/2)(Mhat_l - Mtilde) with
-    type-7 (linear interpolation) quantile access."""
-
-    values: np.ndarray = field(repr=False)
-
-    def quantile(self, q) -> float | np.ndarray:
-        out = np.quantile(self.values, q)  # numpy default = type 7
-        return float(out) if np.ndim(out) == 0 else out
-
-
-def subsample_edf(ens: SubsampleEnsemble) -> SubsampleEDF:
+def subsample_edf(ens: SubsampleEnsemble) -> np.ndarray:
+    """Sorted centered block statistics b^(1/2)(Mhat_l - Mtilde)."""
     if ens.L < 2:
         raise ConfigError("subsample EDF needs at least 2 blocks")
     vals = np.sqrt(ens.b) * (ens.block_means - ens.subsample_grand_mean)
-    return SubsampleEDF(values=np.sort(vals))
+    return np.sort(vals)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from freqboot import NumericalError
-from freqboot.simulate import is_gaussian_model, model_spectral_density
+from freqboot.simulate import (MaternSpectral, SphericalAniso, WhiteNoise,
+                               model_spectral_density)
 from freqboot.spectral import quadrature
 
 TWO_PI = 2.0 * np.pi
@@ -153,7 +154,7 @@ def analytic_sigma1_sq(model, psi, rel_tol: float = 1e-6) -> float:
 def analytic_limits(model, psi) -> AnalyticLimits:
     """Variance components for Gaussian test models (sigma2^2 = 0);
     non-Gaussian models have no closed-form second component."""
-    if not is_gaussian_model(model):
+    if not isinstance(model, (WhiteNoise, MaternSpectral, SphericalAniso)):
         raise NumericalError(
             "sigma2^2 has no analytic value for non-Gaussian models; "
             "estimate it by Monte Carlo")

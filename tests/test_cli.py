@@ -16,7 +16,7 @@ from hypothesis import strategies as hst
 from freqboot import cli as cli_module
 from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
                           _chunk, emit_report, experiment_config, main,
-                          parse_config_file, report_from_json, report_to_json,
+                          parse_config_file, report_to_json,
                           run_coverage_experiment, run_isotropy_experiment,
                           true_spectral_mean)
 from freqboot.errors import ConfigError
@@ -25,6 +25,9 @@ from freqboot.simulate import (SeparableARMA, SphericalAniso, WhiteNoise,
 
 
 def _cfg(**over):
+    """A small config; an isotropy one names the contrast of its lags."""
+    if over.get("kind") == "isotropy":
+        over.setdefault("psi_name", "iso_contrast{h1=(1,0),h2=(0,1)}")
     base = dict(kind="coverage", model=WhiteNoise(1.0), generator="default",
                 sizes=((16, 16),), psi_name="cos_lag{h=(1,0)}",
                 blocks=((4, 4),), methods=("fdwb", "subsample"), level=0.9,
@@ -246,6 +249,37 @@ class TestConfigParsing:
         assert not list(tmp_path.iterdir())
         # coverage keeps the interval methods
         assert _cfg(methods=("hfdb_bias",)).methods == ("hfdb_bias",)
+
+    def test_isotropy_psi_is_the_contrast_of_its_lags(self):
+        # the experiment resamples the contrast of test.h1 and test.h2, so
+        # its config names that psi and no other
+        st = Settings({"process.kind": "spherical", "block.b1": "4",
+                       "block.b2": "4", "test.h1": "(2,0)", "test.h2": "(0,2)"})
+        cfg = experiment_config(st, "isotropy", 0, 1)
+        assert cfg.psi_name == "iso_contrast{h1=(2,0),h2=(0,2)}"
+        spherical = SphericalAniso(sigma2=1.0, range_=3.0)
+        for psi_name in ("cos_lag{h=(1,0)}", "iso_contrast{h1=(0,1),h2=(1,0)}"):
+            with pytest.raises(ConfigError, match="psi"):
+                _cfg(kind="isotropy", model=spherical, psi_name=psi_name)
+        with pytest.raises(ConfigError, match="test.h1"):
+            _cfg(kind="isotropy", model=spherical, h2=(1, 0))
+
+    @pytest.mark.parametrize("settings, key", [
+        (["psi=spectral_cdf{t=(0,0)}"], "psi"),
+        (["psi=cos_lag{h=(1,0)}"], "psi"),
+        (["test.h1=(0,1)"], "test.h1"),
+        (["test.h1=(0,1)", "psi=iso_contrast{h1=(0,1),h2=(0,1)}"], "test.h1"),
+    ])
+    def test_isotropy_psi_mismatch_exits_2(self, tmp_path, capsys, settings,
+                                           key):
+        args = []
+        for kv in ["process.kind=spherical", "grid.sizes=12x12", "block.b1=4",
+                   "block.b2=4", "replicates=1", "boot.B=100"] + settings:
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"),
+                            "isotropy-experiment"]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestTruthValues:
@@ -472,10 +506,11 @@ class TestReports:
 
     def test_json_round_trip(self):
         report = run_coverage_experiment(_cfg(replicates=3))
-        back = report_from_json(report_to_json(report))
-        assert report_to_json(back) == report_to_json(report)
-        assert back.summary == report.summary
-        assert back.replicates == report.replicates
+        back = json.loads(report_to_json(report))
+        assert back["schema_version"] == cli_module.SCHEMA_VERSION
+        assert back["kind"] == report.kind
+        assert back["summary"] == report.summary
+        assert back["replicates"] == report.replicates
 
     def test_rejects_unknown_format(self, tmp_path):
         report = ExperimentReport(kind="coverage", config={}, summary=[],
@@ -540,15 +575,50 @@ class TestCommandLine:
         assert main(["--set", "bogus.key=1", "coverage"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kv", ["density.auto=true", "boot.seed=3"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, kv):
+        args = ["--set", kv, "--set", "grid.sizes=8x8",
+                "--out", str(tmp_path / "f.csv"), "simulate"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and kv.split("=")[0] in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fmt", ["json", "parquet", "both"])
+    def test_simulate_refuses_other_formats(self, tmp_path, capsys, fmt):
+        assert main(["--set", "grid.sizes=8x8", "--format", fmt,
+                     "--out", str(tmp_path / "f"), "simulate"]) == 2
+        assert "format" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, settings, key", [
+        ("simulate", ["grid.sizes=8x8,10x10"], "grid.sizes"),
+        ("oracle", ["grid.sizes=8x8,10x10", "replicates=2"], "grid.sizes"),
+        ("estimate", ["grid.sizes=8x8,10x10"], "grid.sizes"),
+        ("ci", ["grid.sizes=12x12", "block.sizes=4x4,6x6"], "block.sizes"),
+        ("estimate", ["grid.sizes=12x12", "block.sizes=4x4,6x6"], "block.sizes"),
+        ("isotropy", ["grid.sizes=12x12,14x14", "block.sizes=4x4"],
+         "grid.sizes"),
+        ("blocksize", ["grid.sizes=12x12,14x14"], "grid.sizes"),
+    ])
+    def test_single_field_commands_refuse_lists(self, tmp_path, capsys,
+                                                command, settings, key):
+        # these commands make or read one field with one block; a longer
+        # list would be cut to its first item without a word
+        args = []
+        for kv in settings:
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "f"), command]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("settings, names", [
-        (["density.auto=false"], ["density.auto"]),
-        (["density.auto=false", "density.bandwidth1=0.5"], ["density.auto"]),
-        (["density.auto=true", "density.bandwidth1=0.5",
-          "density.bandwidth2=0.5"], ["density.auto", "density.bandwidth1"]),
-        (["density.auto=true", "density.bandwidth2=0.5"],
-         ["density.auto", "density.bandwidth2"]),
+        (["density.bandwidth1=0.5"], ["density.bandwidth1"]),
+        (["density.bandwidth2=0.5"], ["density.bandwidth2"]),
     ])
     def test_density_auto_is_honoured(self, tmp_path, capsys, settings, names):
+        # the automatic bandwidth is used only with neither bandwidth key
+        # set; one key alone exits 2 naming it
         args = []
         for kv in settings + ["process.kind=white_noise", "grid.sizes=12x12",
                               "block.b1=4", "block.b2=4", "replicates=1"]:

@@ -12,7 +12,7 @@ from freqboot import (ConfigError, MaternSpectral,
                       simulate_process, simulate_separable,
                       simulate_transformed, spherical_covariance)
 from freqboot import rng as rngmod
-from freqboot.simulate import covariance_matrix, exp_cholesky_field, gamma0, quartic_transform
+from freqboot.simulate import covariance_matrix, gamma0
 
 
 class TestModelDescriptors:
@@ -151,7 +151,7 @@ class TestSeparable:
     def test_independent_product_moments(self):
         means, var = [], []
         for i in range(300):
-            f = simulate_separable(0.0, 0.0, "gaussian", "gaussian", 20, 20,
+            f = simulate_separable(SeparableARMA(0.0, 0.0), 20, 20,
                                    rngmod.stream(97, rngmod.TAG_ORACLE, i))
             means.append(f.values.mean())
             var.append(np.mean(f.values ** 2))
@@ -180,21 +180,17 @@ class TestTransformed:
         base = matern_model(alpha=1.0 / 3.0, nu=1.0)
         means = []
         for i in range(200):
-            f = simulate_transformed(base, "quartic", 24, 24,
+            f = simulate_transformed(TransformedGaussian(base), 24, 24,
                                      rngmod.stream(101, rngmod.TAG_ORACLE, i))
             means.append(f.values.mean())
         se = np.std(means, ddof=1) / np.sqrt(len(means))
         assert abs(np.mean(means)) <= 3 * se
 
-    def test_zero_field_hook(self):
-        out = quartic_transform(np.zeros((4, 4)), 1.0)
-        assert np.all(out == -3.0)
-
     def test_positive_skewness(self):
         base = matern_model(alpha=1.0 / 3.0, nu=1.0)
         skew_pos = 0
         for i in range(200):
-            f = simulate_transformed(base, "quartic", 48, 48,
+            f = simulate_transformed(TransformedGaussian(base), 48, 48,
                                      rngmod.stream(102, rngmod.TAG_ORACLE, i))
             centered = f.values - f.values.mean()
             skew_pos += np.mean(centered ** 3) > 0
@@ -215,13 +211,6 @@ class TestExpCholesky:
                      / len(zs))
         assert np.all(np.abs(sample - sigma) <= 3.0 * se)
 
-    def test_degenerate_innovations_hook(self):
-        m = matern_model(alpha=1.0 / 3.0, nu=1.0)
-        from freqboot.simulate import _dense_cholesky
-        chol = _dense_cholesky(m, 6, 6)
-        f = exp_cholesky_field(chol, np.ones(36), 6, 6)
-        assert np.all(f.values == 0.0)
-
     def test_positive_skewness_witness(self):
         # measured 0.94-0.98 across pre-run seeds at 50x50, so the frozen
         # bound is 0.90; skewness of 8x8 fields is far too noisy to
@@ -238,5 +227,4 @@ class TestExpCholesky:
     def test_rejects_over_dense_limit(self):
         m = matern_model(alpha=1.0 / 3.0, nu=1.0)
         with pytest.raises(ConfigError):
-            simulate_exp_cholesky(m, 80, 80, rngmod.stream(105),
-                                  dense_limit=4096)
+            simulate_exp_cholesky(m, 80, 80, rngmod.stream(105))
