@@ -33,7 +33,7 @@ from . import rng as rngmod
 from .bootstrap import FieldResampler
 from .errors import ConfigError, FreqbootError, NumericalError
 from .infer import (CI_METHODS, TEST_METHODS, calibrate_isotropy,
-                    check_level, isotropy_test, resampled_interval)
+                    check_level, resampled_interval)
 from .lattice import (LatticeField, load_field_binary, load_field_csv,
                       periodogram, save_field_binary, save_field_csv)
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
@@ -56,9 +56,8 @@ KNOWN_KEYS = frozenset({
     "process.tau_a", "process.tau_r", "process.tau_r_list", "process.ar",
     "process.ma", "process.innov1", "process.innov2",
     "grid.sizes", "psi",
-    "block.b1", "block.b2", "block.sizes", "block.auto", "block.window",
-    "methods", "boot.B", "boot.kind",
-    "ci.level", "test.h1", "test.h2", "test.method", "test.level",
+    "block.sizes", "block.window", "methods", "boot.B",
+    "ci.level", "test.h1", "test.h2", "test.level",
     "pvalue.plus_one",
     "density.bandwidth1", "density.bandwidth2",
     "replicates", "seed", "workers", "out", "format",
@@ -140,6 +139,9 @@ class Settings:
     def get_floats(self, key, default=None) -> tuple[float, ...]:
         return self._list(key, float, default, "a comma list of numbers")
 
+    def get_names(self, key, default=None) -> tuple[str, ...]:
+        return self._list(key, str, default, "a comma list of names")
+
     def get_sizes(self, key, default=None) -> tuple[tuple[int, int], ...]:
         def size(part):
             a, _, b = part.partition("x")
@@ -186,17 +188,15 @@ def build_bandwidth(st: Settings):
     return (b1, b2)
 
 
-def build_blocks(st: Settings) -> tuple[tuple[int, int], ...]:
-    sizes = st.raw("block.sizes")
-    if sizes is not None:
-        return st.get_sizes("block.sizes")
-    b1 = st.get_int("block.b1")
-    b2 = st.get_int("block.b2")
-    if b1 is None and b2 is None:
-        return ()
-    if b1 is None or b2 is None:
-        raise ConfigError("set both block.b1 and block.b2 (or block.sizes)")
-    return ((b1, b2),)
+def _check_methods(methods, allowed, B: int) -> None:
+    """Refuse a method outside ``allowed`` naming ``methods``, and a
+    bootstrap method with B < 100 naming ``boot.B``."""
+    for m in methods:
+        if m not in allowed:
+            raise ConfigError(f"methods: unknown method {m!r}, expected "
+                              f"one or more of {allowed}")
+    if B < 100 and any(m != "subsample" for m in methods):
+        raise ConfigError(f"boot.B must be >= 100 for bootstrap methods, got {B}")
 
 
 def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
@@ -256,14 +256,8 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         check_level(self.level, "ci.level", 0.5)
         check_level(self.test_level, "test.level")
-        boot = [m for m in self.methods if m != "subsample"]
-        if boot and self.B < 100:
-            raise ConfigError("boot.B must be >= 100 for bootstrap methods")
-        allowed = TEST_METHODS if self.kind == "isotropy" else CI_METHODS
-        for m in self.methods:
-            if m not in allowed:
-                raise ConfigError(f"methods: unknown {self.kind} method {m!r}, "
-                                  f"expected a subset of {allowed}")
+        _check_methods(self.methods, TEST_METHODS if self.kind == "isotropy"
+                       else CI_METHODS, self.B)
         if not self.methods:
             raise ConfigError("no methods configured")
         if not self.sizes:
@@ -271,8 +265,7 @@ class ExperimentConfig:
         if not self.tau_r_list:
             raise ConfigError("no tau_r_list values configured")
         if not self.blocks and any(m != "fdwb" for m in self.methods):
-            raise ConfigError(
-                "subsample-based methods need block.b1/block.b2 or block.sizes")
+            raise ConfigError("subsample-based methods need block.sizes")
         for (n1, n2) in self.sizes:
             for (b1, b2) in self.blocks:
                 if b1 > n1 or b2 > n2:
@@ -312,8 +305,7 @@ def _fixture_truth(path: str, model, generator: str, psi_name: str,
 
 def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfig:
     model, generator = build_model(st)
-    methods = tuple(m.strip() for m in
-                    st.get_str("methods", "fdwb,hfdb,subsample").split(",") if m.strip())
+    methods = st.get_names("methods", ("fdwb", "hfdb", "subsample"))
     listed = st.get_floats("process.tau_r_list")
     tau_list = listed or (st.get_float("process.tau_r", 1.0),)
     _check_tau(kind, model, tau_list,
@@ -333,7 +325,7 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
         kind=kind, model=model, generator=generator,
         sizes=sizes,
         psi_name=psi_name,
-        blocks=build_blocks(st),
+        blocks=st.get_sizes("block.sizes", ()),
         methods=methods,
         level=st.get_float("ci.level", 0.9),
         test_level=st.get_float("test.level", 0.1),
@@ -580,11 +572,11 @@ def emit_report(report: ExperimentReport, out_prefix: str,
 # ---------------------------------------------------------------------------
 # single-shot helpers
 
-def _single(sizes: tuple, key: str) -> tuple[int, int]:
-    """The one size that a single-field command reads from ``key``."""
-    if len(sizes) > 1:
-        raise ConfigError(f"{key}: this command takes one size, got {len(sizes)}")
-    return sizes[0]
+def _single(items: tuple, key: str):
+    """The one entry that a single-field command reads from ``key``."""
+    if len(items) > 1:
+        raise ConfigError(f"{key}: this command takes one entry, got {len(items)}")
+    return items[0]
 
 
 def _load_field(st: Settings, path: str | None, seed: int) -> LatticeField:
@@ -598,18 +590,23 @@ def _load_field(st: Settings, path: str | None, seed: int) -> LatticeField:
     return simulate_process(model, n1, n2, gen, generator=generator)
 
 
-def _single_block(st: Settings, fieldz: LatticeField, psi) -> BlockSpec:
-    auto = st.get_str("block.auto", "")
-    if auto == "minvol":
-        window = st.get_int("block.window", 3)
-        cands = default_block_candidates(fieldz.n1, fieldz.n2)
-        return select_block_size_min_volatility(fieldz, psi, cands, window)
-    if auto:
-        raise ConfigError(f"block.auto supports only 'minvol', got {auto!r}")
-    blocks = build_blocks(st)
-    if not blocks:
-        raise ConfigError("set block.b1/block.b2, block.sizes, or block.auto=minvol")
-    return BlockSpec(*_single(blocks, "block.sizes"))
+def _minvol(st: Settings, fieldz: LatticeField, psi):
+    """The minimum-volatility block of ``fieldz`` among the default
+    candidates, with the window ``block.window``: (block, candidates,
+    window)."""
+    window = st.get_int("block.window", 3)
+    cands = default_block_candidates(fieldz.n1, fieldz.n2)
+    return (select_block_size_min_volatility(fieldz, psi, cands, window),
+            cands, window)
+
+
+def _single_block(st: Settings, fieldz: LatticeField, psi) -> BlockSpec | None:
+    """The block that ``block.sizes`` names for a single field: one size,
+    or ``minvol`` for the minimum-volatility selection; None when unset."""
+    if st.raw("block.sizes") == "minvol":
+        return _minvol(st, fieldz, psi)[0]
+    sizes = st.get_sizes("block.sizes")
+    return None if sizes is None else BlockSpec(*_single(sizes, "block.sizes"))
 
 
 def _print_json(obj) -> None:
@@ -675,67 +672,6 @@ def _dispatch(args) -> int:
         print(out)
         return 0
 
-    if args.command == "estimate":
-        fieldz = _load_field(st, args.infile, seed)
-        psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
-        # B = 0: estimate draws no bootstrap replicates
-        res = FieldResampler(fieldz, psi, 0, seed, bandwidth=build_bandwidth(st))
-        result = {"n1": fieldz.n1, "n2": fieldz.n2, "psi": psi.name,
-                  "mhat": res.mhat.value}
-        if build_blocks(st) or st.raw("block.auto"):
-            spec = _single_block(st, fieldz, psi)
-            est = res.variance(spec)
-            result.update({"b1": spec.b1, "b2": spec.b2,
-                           "sigma_sq": est.sigma_sq_hat,
-                           "sigma1_sq": est.sigma1_sq_hat,
-                           "sigma2_sq": est.sigma2_sq_hat,
-                           "sigma2_floored": est.floored_sigma2})
-        result["var_star"] = res.var_star
-        result["bandwidth"] = list(res.fhat.bandwidth)
-        _print_json(result)
-        return 0
-
-    if args.command == "ci":
-        fieldz = _load_field(st, args.infile, seed)
-        psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
-        method = st.get_str("boot.kind", "hfdb")
-        spec = None
-        if method in ("hfdb", "hfdb_bias", "subsample"):
-            spec = _single_block(st, fieldz, psi)
-        res = FieldResampler(fieldz, psi, st.get_int("boot.B", 500), seed,
-                             bandwidth=build_bandwidth(st))
-        ci = resampled_interval(res, method, spec, st.get_float("ci.level", 0.9))
-        _print_json({"method": ci.method, "level": ci.level,
-                     "mhat": res.mhat.value, "lower": ci.lower, "upper": ci.upper})
-        return 0
-
-    if args.command == "isotropy":
-        fieldz = _load_field(st, args.infile, seed)
-        method = st.get_str("test.method", "hfdb")
-        h1 = st.get_pair("test.h1", (1, 0))
-        h2 = st.get_pair("test.h2", (0, 1))
-        spec = None
-        if method in ("hfdb", "subsample"):
-            spec = _single_block(st, fieldz, psi_isotropy_contrast(h1, h2))
-        res = isotropy_test(fieldz, h1, h2, method=method, spec=spec,
-                            B=st.get_int("boot.B", 500), master_seed=seed,
-                            bandwidth=build_bandwidth(st),
-                            plus_one=st.get_bool("pvalue.plus_one", False))
-        _print_json({"ts": res.ts, "p_value": res.p_value, "method": res.method,
-                     "h1": list(res.h1), "h2": list(res.h2)})
-        return 0
-
-    if args.command == "blocksize":
-        fieldz = _load_field(st, args.infile, seed)
-        psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
-        window = st.get_int("block.window", 3)
-        cands = default_block_candidates(fieldz.n1, fieldz.n2)
-        spec = select_block_size_min_volatility(fieldz, psi, cands, window)
-        _print_json({"b1": spec.b1, "b2": spec.b2,
-                     "candidates": [[c.b1, c.b2] for c in cands],
-                     "window": window})
-        return 0
-
     if args.command == "oracle":
         model, generator = build_model(st)
         psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
@@ -760,18 +696,76 @@ def _dispatch(args) -> int:
         print(out)
         return 0
 
-    workers = args.workers if args.workers is not None else st.get_int("workers", 1)
-    if args.command == "coverage":
-        cfg = experiment_config(st, "coverage", seed, workers)
-        report = run_coverage_experiment(cfg)
-    else:  # isotropy-experiment
-        cfg = experiment_config(st, "isotropy", seed, workers)
-        report = run_isotropy_experiment(cfg)
-    paths = emit_report(report, out, fmt)
-    for row in report.summary:
-        print(" ".join(f"{k}={_csv_cell(v)}" for k, v in row.items()))
-    for p in paths:
-        print("wrote", p, file=sys.stderr)
+    if args.command in ("coverage", "isotropy-experiment"):
+        workers = args.workers if args.workers is not None else st.get_int("workers", 1)
+        if args.command == "coverage":
+            cfg = experiment_config(st, "coverage", seed, workers)
+            report = run_coverage_experiment(cfg)
+        else:
+            cfg = experiment_config(st, "isotropy", seed, workers)
+            report = run_isotropy_experiment(cfg)
+        paths = emit_report(report, out, fmt)
+        for row in report.summary:
+            print(" ".join(f"{k}={_csv_cell(v)}" for k, v in row.items()))
+        for p in paths:
+            print("wrote", p, file=sys.stderr)
+        return 0
+
+    # estimate, ci, isotropy, blocksize: one field, one psi, one bandwidth
+    fieldz = _load_field(st, args.infile, seed)
+    if args.command == "isotropy":
+        h1 = st.get_pair("test.h1", (1, 0))
+        h2 = st.get_pair("test.h2", (0, 1))
+        psi = psi_isotropy_contrast(h1, h2)
+    else:
+        psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
+    if args.command == "blocksize":
+        spec, cands, window = _minvol(st, fieldz, psi)
+        _print_json({"b1": spec.b1, "b2": spec.b2,
+                     "candidates": [[c.b1, c.b2] for c in cands],
+                     "window": window})
+        return 0
+    bandwidth = build_bandwidth(st)
+
+    if args.command == "estimate":
+        spec = _single_block(st, fieldz, psi)
+        # B = 0: estimate draws no bootstrap replicates
+        res = FieldResampler(fieldz, psi, 0, seed, bandwidth=bandwidth)
+        result = {"n1": fieldz.n1, "n2": fieldz.n2, "psi": psi.name,
+                  "mhat": res.mhat.value}
+        if spec is not None:
+            est = res.variance(spec)
+            result.update({"b1": spec.b1, "b2": spec.b2,
+                           "sigma_sq": est.sigma_sq_hat,
+                           "sigma1_sq": est.sigma1_sq_hat,
+                           "sigma2_sq": est.sigma2_sq_hat,
+                           "sigma2_floored": est.floored_sigma2})
+        result["var_star"] = res.var_star
+        result["bandwidth"] = list(res.fhat.bandwidth)
+        _print_json(result)
+        return 0
+
+    # ci and isotropy: one method of methods, and its block
+    method = _single(st.get_names("methods", ("hfdb",)), "methods")
+    B = st.get_int("boot.B", 500)
+    _check_methods((method,), CI_METHODS if args.command == "ci"
+                   else TEST_METHODS, B)
+    spec = None
+    if method != "fdwb":
+        spec = _single_block(st, fieldz, psi)
+        if spec is None:
+            raise ConfigError(f"block.sizes: methods={method} needs one block "
+                              f"size or minvol")
+    res = FieldResampler(fieldz, psi, B, seed, bandwidth=bandwidth)
+    if args.command == "ci":
+        ci = resampled_interval(res, method, spec, st.get_float("ci.level", 0.9))
+        _print_json({"method": ci.method, "level": ci.level,
+                     "mhat": res.mhat.value, "lower": ci.lower, "upper": ci.upper})
+        return 0
+    test = calibrate_isotropy(res, method, spec, h1, h2,
+                              st.get_bool("pvalue.plus_one", False))
+    _print_json({"ts": test.ts, "p_value": test.p_value, "method": test.method,
+                 "h1": list(test.h1), "h2": list(test.h2)})
     return 0
 
 

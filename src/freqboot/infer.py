@@ -132,15 +132,10 @@ def isotropy_test(fieldz: LatticeField, h1, h2, method: str = "hfdb",
     """Test equality of the variogram at lags h1 and h2.
 
     TS = n Mhat(psi)^2 for psi(w) = 2 cos(h1.w) - 2 cos(h2.w), calibrated
-    as :func:`calibrate_isotropy` describes.  Unequal-norm lags are
-    allowed but warned about: the isotropy null is only meaningful when
-    ||h1|| = ||h2||.
+    as :func:`calibrate_isotropy` describes.
     """
     ha = (int(h1[0]), int(h1[1]))
     hb = (int(h2[0]), int(h2[1]))
-    if ha[0] ** 2 + ha[1] ** 2 != hb[0] ** 2 + hb[1] ** 2:
-        warnings.warn(f"lags {ha} and {hb} have unequal norms; the isotropy "
-                      "null does not apply", stacklevel=2)
     if psi is None:
         psi = psi_isotropy_contrast(ha, hb)
     res = FieldResampler(fieldz, psi, B, master_seed, replicate_id, bandwidth)
@@ -161,11 +156,16 @@ def calibrate_isotropy(res: FieldResampler, method: str,
     small-scale block copies: the spectral block copies carry a
     wrap-around variance inflation at practical block sizes that the
     direct variogram copies do not, and the variogram scale is the
-    standard subsampling calibration for this test.
+    standard subsampling calibration for this test.  Unequal-norm lags
+    are allowed but warned about: the isotropy null is only meaningful
+    when ||h1|| = ||h2||.
     """
     if method not in TEST_METHODS:
         raise ConfigError(
             f"isotropy test method must be one of {TEST_METHODS}, got {method!r}")
+    if h1[0] ** 2 + h1[1] ** 2 != h2[0] ** 2 + h2[1] ** 2:
+        warnings.warn(f"lags {h1} and {h2} have unequal norms; the isotropy "
+                      "null does not apply", stacklevel=2)
     mhat = res.mhat
     ts = float(mhat.n * mhat.value ** 2)
     if method == "subsample":

@@ -92,7 +92,7 @@ class TestConfigParsing:
     def test_exp_cholesky_rejects_anisotropy(self):
         st = Settings({"process.kind": "exp_cholesky",
                        "process.tau_r_list": "1.0,1.5",
-                       "block.b1": "5", "block.b2": "5"})
+                       "block.sizes": "5x5"})
         with pytest.raises(ConfigError, match="tau_r"):
             experiment_config(st, "isotropy", 0, 1)
 
@@ -104,23 +104,23 @@ class TestConfigParsing:
         # row would be an isotropic field under an anisotropic label
         value = "1.0,1.5" if key.endswith("_list") else "1.5"
         st = Settings({"process.kind": kind, key: value,
-                       "block.b1": "5", "block.b2": "5"})
+                       "block.sizes": "5x5"})
         with pytest.raises(ConfigError, match=re.escape(key)):
             experiment_config(st, "isotropy", 0, 1)
         ok = Settings({"process.kind": kind, key: "1.0",
-                       "block.b1": "5", "block.b2": "5"})
+                       "block.sizes": "5x5"})
         assert experiment_config(ok, "isotropy", 0, 1).tau_r_list == (1.0,)
 
     def test_tau_list_on_spherical_process(self):
         st = Settings({"process.kind": "spherical",
                        "process.tau_r_list": "1.0,1.5",
-                       "block.b1": "5", "block.b2": "5"})
+                       "block.sizes": "5x5"})
         assert experiment_config(st, "isotropy", 0, 1).tau_r_list == (1.0, 1.5)
 
     def test_tau_on_isotropic_process_exits_2(self, tmp_path, capsys):
         code = main(["--set", "process.kind=matern",
                      "--set", "process.tau_r_list=1.0,1.5",
-                     "--set", "block.b1=5", "--set", "block.b2=5",
+                     "--set", "block.sizes=5x5",
                      "--set", "replicates=1", "--out", str(tmp_path / "r"),
                      "isotropy-experiment"])
         assert code == 2
@@ -147,8 +147,8 @@ class TestConfigParsing:
         # tau would label fields it never simulates
         args = ["--set", f"process.kind={kind}",
                 "--set", f"process.tau_r_list={tau_r_list}",
-                "--set", "grid.sizes=12x12", "--set", "block.b1=4",
-                "--set", "block.b2=4", "--set", "replicates=1",
+                "--set", "grid.sizes=12x12", "--set", "block.sizes=4x4",
+                "--set", "replicates=1",
                 "--out", str(tmp_path / "r")]
         if tau_r is not None:
             args += ["--set", f"process.tau_r={tau_r}"]
@@ -164,7 +164,7 @@ class TestConfigParsing:
         model = SphericalAniso(sigma2=1.0, range_=3.0, tau_r=1.5)
         assert _cfg(model=model, tau_r_list=(1.5,)).tau_r_list == (1.5,)
         st = Settings({"process.kind": "spherical", "process.tau_r": "1.5",
-                       "block.b1": "4", "block.b2": "4"})
+                       "block.sizes": "4x4"})
         assert experiment_config(st, "coverage", 0, 1).tau_r_list == (1.5,)
 
     @pytest.mark.parametrize("command, key, value", [
@@ -177,7 +177,7 @@ class TestConfigParsing:
         # the runner refuses what the interval and the test would refuse
         args = []
         for kv in (f"{key}={value}", "process.kind=spherical",
-                   "grid.sizes=12x12", "block.b1=4", "block.b2=4",
+                   "grid.sizes=12x12", "block.sizes=4x4",
                    "replicates=1", "boot.B=100"):
             args += ["--set", kv]
         assert main(args + ["--out", str(tmp_path / "r"), command]) == 2
@@ -188,16 +188,16 @@ class TestConfigParsing:
             _cfg(**{field: float(value)})
 
     def test_truth_sources(self, tmp_path):
-        st = Settings({"truth.value": "0.25", "block.b1": "4", "block.b2": "4",
+        st = Settings({"truth.value": "0.25", "block.sizes": "4x4",
                        "grid.sizes": "12x12"})
         cfg = experiment_config(st, "coverage", 0, 1)
         assert cfg.truth == 0.25
         fixture = _oracle_fixture(tmp_path, {"value": 0.5})
-        st2 = Settings({"truth.fixture": str(fixture), "block.b1": "4",
-                        "block.b2": "4", "grid.sizes": "12x12"})
+        st2 = Settings({"truth.fixture": str(fixture), "block.sizes": "4x4",
+                        "grid.sizes": "12x12"})
         assert experiment_config(st2, "coverage", 0, 1).truth == 0.5
         st3 = Settings({"truth.value": "1", "truth.fixture": str(fixture),
-                        "block.b1": "4", "block.b2": "4"})
+                        "block.sizes": "4x4"})
         with pytest.raises(ConfigError):
             experiment_config(st3, "coverage", 0, 1)
 
@@ -216,7 +216,7 @@ class TestConfigParsing:
                                               settings):
         fixture = _oracle_fixture(tmp_path, edit)
         kv = {"process.kind": "white_noise", "grid.sizes": "12x12",
-              "block.b1": "4", "block.b2": "4", "replicates": "1",
+              "block.sizes": "4x4", "replicates": "1",
               "truth.fixture": str(fixture), **settings}
         with pytest.raises(ConfigError, match="truth.fixture"):
             experiment_config(Settings(kv), "coverage", 0, 1)
@@ -229,8 +229,8 @@ class TestConfigParsing:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"value": 0.5}))
         for path in (bad, tmp_path / "missing.json"):
-            st = Settings({"truth.fixture": str(path), "block.b1": "4",
-                           "block.b2": "4", "grid.sizes": "12x12"})
+            st = Settings({"truth.fixture": str(path), "block.sizes": "4x4",
+                           "grid.sizes": "12x12"})
             with pytest.raises(ConfigError, match="truth.fixture"):
                 experiment_config(st, "coverage", 0, 1)
 
@@ -239,8 +239,8 @@ class TestConfigParsing:
             _cfg(kind="isotropy", model=SphericalAniso(sigma2=1.0, range_=3.0),
                  methods=("fdwb", "hfdb_bias"))
         args = []
-        for kv in ("process.kind=spherical", "grid.sizes=12x12", "block.b1=4",
-                   "block.b2=4", "replicates=1", "boot.B=100",
+        for kv in ("process.kind=spherical", "grid.sizes=12x12",
+                   "block.sizes=4x4", "replicates=1", "boot.B=100",
                    "methods=fdwb,hfdb_bias"):
             args += ["--set", kv]
         assert main(args + ["--out", str(tmp_path / "r"),
@@ -253,8 +253,8 @@ class TestConfigParsing:
     def test_isotropy_psi_is_the_contrast_of_its_lags(self):
         # the experiment resamples the contrast of test.h1 and test.h2, so
         # its config names that psi and no other
-        st = Settings({"process.kind": "spherical", "block.b1": "4",
-                       "block.b2": "4", "test.h1": "(2,0)", "test.h2": "(0,2)"})
+        st = Settings({"process.kind": "spherical", "block.sizes": "4x4",
+                       "test.h1": "(2,0)", "test.h2": "(0,2)"})
         cfg = experiment_config(st, "isotropy", 0, 1)
         assert cfg.psi_name == "iso_contrast{h1=(2,0),h2=(0,2)}"
         spherical = SphericalAniso(sigma2=1.0, range_=3.0)
@@ -273,8 +273,8 @@ class TestConfigParsing:
     def test_isotropy_psi_mismatch_exits_2(self, tmp_path, capsys, settings,
                                            key):
         args = []
-        for kv in ["process.kind=spherical", "grid.sizes=12x12", "block.b1=4",
-                   "block.b2=4", "replicates=1", "boot.B=100"] + settings:
+        for kv in ["process.kind=spherical", "grid.sizes=12x12",
+                   "block.sizes=4x4", "replicates=1", "boot.B=100"] + settings:
             args += ["--set", kv]
         assert main(args + ["--out", str(tmp_path / "r"),
                             "isotropy-experiment"]) == 2
@@ -525,12 +525,12 @@ class TestCommandLine:
         assert main(["--set", "grid.sizes=16x16", "--seed", "5",
                      "--out", str(field), "simulate"]) == 0
         capsys.readouterr()
-        assert main(["--set", "block.b1=4", "--set", "block.b2=4",
+        assert main(["--set", "block.sizes=4x4",
                      "estimate", "--in", str(field)]) == 0
         est = json.loads(capsys.readouterr().out)
         assert {"mhat", "sigma_sq", "var_star"} <= set(est)
-        assert main(["--set", "block.b1=4", "--set", "block.b2=4",
-                     "--set", "boot.kind=hfdb", "--set", "boot.B=120",
+        assert main(["--set", "block.sizes=4x4",
+                     "--set", "methods=hfdb", "--set", "boot.B=120",
                      "ci", "--in", str(field)]) == 0
         ci = json.loads(capsys.readouterr().out)
         assert ci["lower"] <= ci["upper"]
@@ -540,8 +540,8 @@ class TestCommandLine:
         assert main(["--set", "grid.sizes=20x20", "--seed", "6",
                      "--format", "bin", "--out", str(field), "simulate"]) == 0
         capsys.readouterr()
-        assert main(["--set", "test.method=subsample", "--set", "block.b1=5",
-                     "--set", "block.b2=5", "isotropy", "--in", str(field)]) == 0
+        assert main(["--set", "methods=subsample", "--set", "block.sizes=5x5",
+                     "isotropy", "--in", str(field)]) == 0
         res = json.loads(capsys.readouterr().out)
         assert 0.0 <= res["p_value"] <= 1.0
         assert main(["blocksize", "--in", str(field)]) == 0
@@ -553,12 +553,12 @@ class TestCommandLine:
         assert main(["--set", "grid.sizes=24x24", "--seed", "9",
                      "--out", str(field), "simulate"]) == 0
         capsys.readouterr()
-        assert main(["--set", "block.auto=minvol", "--set", "block.window=3",
+        assert main(["--set", "block.sizes=minvol", "--set", "block.window=3",
                      "estimate", "--in", str(field)]) == 0
         est = json.loads(capsys.readouterr().out)
         assert est["b1"] >= 2 and "sigma2_sq" in est
-        assert main(["--set", "boot.kind=subsample", "--set", "block.b1=5",
-                     "--set", "block.b2=5", "ci", "--in", str(field)]) == 0
+        assert main(["--set", "methods=subsample", "--set", "block.sizes=5x5",
+                     "ci", "--in", str(field)]) == 0
         ci = json.loads(capsys.readouterr().out)
         assert ci["method"] == "subsample" and ci["lower"] <= ci["upper"]
 
@@ -621,7 +621,7 @@ class TestCommandLine:
         # set; one key alone exits 2 naming it
         args = []
         for kv in settings + ["process.kind=white_noise", "grid.sizes=12x12",
-                              "block.b1=4", "block.b2=4", "replicates=1"]:
+                              "block.sizes=4x4", "replicates=1"]:
             args += ["--set", kv]
         assert main(args + ["--out", str(tmp_path / "r"), "coverage"]) == 2
         err = capsys.readouterr().err
@@ -648,7 +648,7 @@ class TestCommandLine:
         ("coverage", ["truth.value=x"], "truth.value"),
         ("coverage", ["density.bandwidth1=a", "density.bandwidth2=0.5"],
          "density.bandwidth1"),
-        ("coverage", ["block.b1=q", "block.b2=4"], "block.b1"),
+        ("coverage", ["block.sizes=qx4"], "block.sizes"),
         ("isotropy-experiment", ["process.kind=matern", "process.phi=z"],
          "process.phi"),
     ])
@@ -665,8 +665,8 @@ class TestCommandLine:
     def test_coverage_command_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["--set", "process.kind=white_noise",
-                   "--set", "grid.sizes=12x12", "--set", "block.b1=4",
-                   "--set", "block.b2=4", "--set", "methods=subsample",
+                   "--set", "grid.sizes=12x12", "--set", "block.sizes=4x4",
+                   "--set", "methods=subsample",
                    "--set", "replicates=5", "--seed", "11",
                    "--out", str(out), "coverage"])
         assert rc == 0

@@ -95,7 +95,7 @@ PROCESSES = {
 FIELD = _sets("process.kind=spherical", "grid.sizes=30x30") + [
     "--seed", "5", "--out", "f.csv", "simulate"]
 READ = ["--in", "f.csv"]
-BLOCK = _sets("block.b1=5", "block.b2=5")
+BLOCK = _sets("block.sizes=5x5")
 
 
 def _cases() -> dict[str, list[list[str]]]:
@@ -112,7 +112,7 @@ def _cases() -> dict[str, list[list[str]]]:
     cases["simulate_binary"] = [_sets("process.kind=matern", "grid.sizes=16x18") + [
         "--seed", "3", "--format", "bin", "--out", "f.bin", "simulate"]]
     cases["estimate_blocks"] = [FIELD, BLOCK + ["estimate", *READ]]
-    cases["estimate_minvol"] = [FIELD, _sets("block.auto=minvol") + [
+    cases["estimate_minvol"] = [FIELD, _sets("block.sizes=minvol") + [
         "estimate", *READ]]
     cases["estimate_cdf_bandwidths"] = [FIELD, _sets(
         "psi=spectral_cdf{t=(0.5,-1.0)}", "density.bandwidth1=0.6",
@@ -120,12 +120,15 @@ def _cases() -> dict[str, list[list[str]]]:
     cases["estimate_simulated"] = [_sets(
         "process.kind=matern", "grid.sizes=24x24") + BLOCK + [
         "--seed", "2", "estimate"]]
+    # fdwb reads no block, so its cases set none
     for method in ("fdwb", "hfdb", "hfdb_bias", "subsample"):
-        cases[f"ci_{method}"] = [FIELD, BLOCK + _sets(
-            f"boot.kind={method}", "boot.B=200") + ["--seed", "4", "ci", *READ]]
+        block = [] if method == "fdwb" else BLOCK
+        cases[f"ci_{method}"] = [FIELD, block + _sets(
+            f"methods={method}", "boot.B=200") + ["--seed", "4", "ci", *READ]]
     for method in ("fdwb", "hfdb", "subsample"):
-        cases[f"isotropy_{method}"] = [FIELD, BLOCK + _sets(
-            f"test.method={method}", "boot.B=200") + [
+        block = [] if method == "fdwb" else BLOCK
+        cases[f"isotropy_{method}"] = [FIELD, block + _sets(
+            f"methods={method}", "boot.B=200") + [
             "--seed", "4", "isotropy", *READ]]
     cases["blocksize"] = [FIELD, ["blocksize", *READ]]
     cases["oracle"] = [_sets("process.kind=white_noise", "grid.sizes=12x12",
