@@ -13,8 +13,7 @@ from .density import (SpectralDensityEstimate, default_bandwidth,
 from .errors import ConfigError, FreqbootError, NumericalError
 from .infer import (ConfidenceInterval, IsotropyTestResult,
                     calibrate_isotropy, confidence_interval, isotropy_test,
-                    resampled_interval, sample_variogram,
-                    subsample_confidence_interval)
+                    resampled_interval, sample_variogram)
 from .lattice import (FrequencyGrid, LatticeField, Periodogram,
                       build_frequency_grid, load_field_binary,
                       load_field_csv, periodogram, save_field_binary,

@@ -38,10 +38,8 @@ from .lattice import (LatticeField, load_field_binary, load_field_csv,
                       periodogram, save_field_binary, save_field_csv)
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
                        TransformedGaussian, WhiteNoise, matern_model,
-                       model_autocovariance, model_spectral_density,
-                       simulate_process)
-from .spectral import (psi_from_name, psi_isotropy_contrast, quadrature,
-                       spectral_mean)
+                       model_autocovariance, simulate_process)
+from .spectral import psi_from_name, psi_isotropy_contrast, spectral_mean
 from .subsample import (BlockSpec, default_block_candidates,
                         select_block_size_min_volatility)
 
@@ -84,16 +82,25 @@ def parse_config_file(path) -> dict[str, str]:
 
 class Settings:
     """Typed access to the flat key-value map with key diagnostics; a
-    getter returns ``default`` for an unset key."""
+    getter returns ``default`` for an unset key.  Every key a getter
+    asks for is recorded, so a command can refuse the keys it never
+    read."""
 
     def __init__(self, values: dict[str, str]):
         self.values = dict(values)
+        self.read: set[str] = set()
 
-    def raw(self, key: str, default=None):
-        return self.values.get(key, default)
+    def refuse_unread(self, command: str) -> None:
+        """Refuse the keys that are set but that ``command`` never read:
+        a setting it ignores would run something other than it names."""
+        unread = sorted(set(self.values) - self.read)
+        if unread:
+            raise ConfigError(f"{command} does not read these keys, which "
+                              f"are set: " + ", ".join(unread))
 
     def _parse(self, key, caster, default, kind):
-        raw = self.raw(key)
+        self.read.add(key)
+        raw = self.values.get(key)
         if raw is None:
             return default
         try:
@@ -272,6 +279,10 @@ class ExperimentConfig:
                     raise ConfigError(f"block {b1}x{b2} does not fit grid {n1}x{n2}")
         _check_tau(self.kind, self.model, self.tau_r_list, "tau_r_list")
         psi = psi_from_name(self.psi_name)
+        if self.kind == "coverage" and self.truth is None and not psi.cos_terms:
+            raise ConfigError(
+                f"truth.value: {psi.name} has no closed-form spectral mean; "
+                f"give truth.value or truth.fixture")
         if self.kind == "isotropy":
             contrast = _contrast_name(self.h1, self.h2)
             if psi.name != contrast:
@@ -303,6 +314,14 @@ def _fixture_truth(path: str, model, generator: str, psi_name: str,
     return value
 
 
+def true_spectral_mean(model, psi_name: str) -> float:
+    """Analytic spectral mean of a cosine-sum psi, sum_k c_k gamma(h_k)
+    from the model's autocovariances; ExperimentConfig asks any other
+    psi for its truth."""
+    return sum(c * model_autocovariance(model, h)
+               for c, h in psi_from_name(psi_name).cos_terms)
+
+
 def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfig:
     model, generator = build_model(st)
     methods = st.get_names("methods", ("fdwb", "hfdb", "subsample"))
@@ -311,24 +330,33 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
     _check_tau(kind, model, tau_list,
                "process.tau_r" if listed is None else "process.tau_r_list")
     sizes = st.get_sizes("grid.sizes", ((50, 50),))
-    h1 = st.get_pair("test.h1", (1, 0))
-    h2 = st.get_pair("test.h2", (0, 1))
-    psi_name = st.get_str("psi", _contrast_name(h1, h2) if kind == "isotropy"
-                          else "cos_lag{h=(1,0)}")
-    truth = st.get_float("truth.value")
-    fixture = st.raw("truth.fixture")
-    if fixture is not None:
-        if truth is not None:
-            raise ConfigError("give truth.value or truth.fixture, not both")
-        truth = _fixture_truth(fixture, model, generator, psi_name, sizes)
+    # each kind reads only its own keys; the other kind's fields keep
+    # these defaults, so its keys stay unread and are refused
+    level, truth, test_level, plus_one = 0.9, None, 0.1, False
+    h1, h2 = (1, 0), (0, 1)
+    if kind == "isotropy":
+        h1 = st.get_pair("test.h1", h1)
+        h2 = st.get_pair("test.h2", h2)
+        test_level = st.get_float("test.level", test_level)
+        plus_one = st.get_bool("pvalue.plus_one", plus_one)
+        psi_name = st.get_str("psi", _contrast_name(h1, h2))
+    else:
+        psi_name = st.get_str("psi", "cos_lag{h=(1,0)}")
+        level = st.get_float("ci.level", level)
+        truth = st.get_float("truth.value")
+        fixture = st.get_str("truth.fixture")
+        if fixture is not None:
+            if truth is not None:
+                raise ConfigError("give truth.value or truth.fixture, not both")
+            truth = _fixture_truth(fixture, model, generator, psi_name, sizes)
     return ExperimentConfig(
         kind=kind, model=model, generator=generator,
         sizes=sizes,
         psi_name=psi_name,
         blocks=st.get_sizes("block.sizes", ()),
         methods=methods,
-        level=st.get_float("ci.level", 0.9),
-        test_level=st.get_float("test.level", 0.1),
+        level=level,
+        test_level=test_level,
         replicates=st.get_int("replicates", 500),
         B=st.get_int("boot.B", 500),
         master_seed=int(seed),
@@ -337,25 +365,9 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
         tau_r_list=tau_list,
         h1=h1,
         h2=h2,
-        plus_one=st.get_bool("pvalue.plus_one", False),
+        plus_one=plus_one,
         truth=truth,
     )
-
-
-# ---------------------------------------------------------------------------
-# truth values
-
-def true_spectral_mean(model, psi_name: str) -> float:
-    """Analytic spectral mean for the configured psi: the model's
-    autocovariances for a cosine sum, quadrature otherwise."""
-    psi = psi_from_name(psi_name)
-    if psi.cos_terms:
-        return sum(c * model_autocovariance(model, h) for c, h in psi.cos_terms)
-
-    def integrand(w1, w2):
-        return psi.fn(w1, w2) * model_spectral_density(model, w1, w2)
-
-    return quadrature(integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +615,7 @@ def _minvol(st: Settings, fieldz: LatticeField, psi):
 def _single_block(st: Settings, fieldz: LatticeField, psi) -> BlockSpec | None:
     """The block that ``block.sizes`` names for a single field: one size,
     or ``minvol`` for the minimum-volatility selection; None when unset."""
-    if st.raw("block.sizes") == "minvol":
+    if st.get_str("block.sizes") == "minvol":
         return _minvol(st, fieldz, psi)[0]
     sizes = st.get_sizes("block.sizes")
     return None if sizes is None else BlockSpec(*_single(sizes, "block.sizes"))
@@ -648,6 +660,10 @@ def _settings_from_args(args) -> Settings:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, val = item.split("=", 1)
         values[key.strip()] = val.strip()
+    for key, val in (("seed", args.seed), ("workers", args.workers),
+                     ("out", args.out), ("format", args.fmt)):
+        if val is not None:
+            values[key] = str(val)
     unknown = sorted(set(values) - KNOWN_KEYS)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))
@@ -656,15 +672,17 @@ def _settings_from_args(args) -> Settings:
 
 def _dispatch(args) -> int:
     st = _settings_from_args(args)
-    seed = args.seed if args.seed is not None else st.get_int("seed", 0)
-    out = args.out if args.out is not None else st.get_str("out", "freqboot_out")
-    fmt = args.fmt if args.fmt is not None else st.get_str("format", "csv")
+    cmd = args.command
+    seed = st.get_int("seed", 0)
 
-    if args.command == "simulate":
+    if cmd == "simulate":
+        out = st.get_str("out", "freqboot_out")
+        fmt = st.get_str("format", "csv")
         if fmt not in ("csv", "bin", "binary"):
             raise ConfigError(f"format must be csv, bin or binary for simulate, "
                               f"got {fmt!r}")
         fieldz = _load_field(st, None, seed)
+        st.refuse_unread(cmd)
         if fmt in ("bin", "binary"):
             save_field_binary(fieldz, out)
         else:
@@ -672,11 +690,13 @@ def _dispatch(args) -> int:
         print(out)
         return 0
 
-    if args.command == "oracle":
+    if cmd == "oracle":
         model, generator = build_model(st)
         psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
         (n1, n2) = _single(st.get_sizes("grid.sizes", ((50, 50),)), "grid.sizes")
         R = st.get_int("replicates", 2000)
+        out = st.get_str("out", "freqboot_out")
+        st.refuse_unread(cmd)
         vals = np.empty(R)
         for i in range(R):
             f = simulate_process(model, n1, n2,
@@ -696,14 +716,14 @@ def _dispatch(args) -> int:
         print(out)
         return 0
 
-    if args.command in ("coverage", "isotropy-experiment"):
-        workers = args.workers if args.workers is not None else st.get_int("workers", 1)
-        if args.command == "coverage":
-            cfg = experiment_config(st, "coverage", seed, workers)
-            report = run_coverage_experiment(cfg)
-        else:
-            cfg = experiment_config(st, "isotropy", seed, workers)
-            report = run_isotropy_experiment(cfg)
+    if cmd in ("coverage", "isotropy-experiment"):
+        kind = "coverage" if cmd == "coverage" else "isotropy"
+        cfg = experiment_config(st, kind, seed, st.get_int("workers", 1))
+        out = st.get_str("out", "freqboot_out")
+        fmt = st.get_str("format", "csv")
+        st.refuse_unread(cmd)
+        report = (run_coverage_experiment if kind == "coverage"
+                  else run_isotropy_experiment)(cfg)
         paths = emit_report(report, out, fmt)
         for row in report.summary:
             print(" ".join(f"{k}={_csv_cell(v)}" for k, v in row.items()))
@@ -713,26 +733,45 @@ def _dispatch(args) -> int:
 
     # estimate, ci, isotropy, blocksize: one field, one psi, one bandwidth
     fieldz = _load_field(st, args.infile, seed)
-    if args.command == "isotropy":
+    if cmd == "isotropy":
         h1 = st.get_pair("test.h1", (1, 0))
         h2 = st.get_pair("test.h2", (0, 1))
         psi = psi_isotropy_contrast(h1, h2)
     else:
         psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
-    if args.command == "blocksize":
+    if cmd == "blocksize":
         spec, cands, window = _minvol(st, fieldz, psi)
+        st.refuse_unread(cmd)
         _print_json({"b1": spec.b1, "b2": spec.b2,
                      "candidates": [[c.b1, c.b2] for c in cands],
                      "window": window})
         return 0
     bandwidth = build_bandwidth(st)
-
-    if args.command == "estimate":
-        spec = _single_block(st, fieldz, psi)
+    if cmd == "estimate":
         # B = 0: estimate draws no bootstrap replicates
-        res = FieldResampler(fieldz, psi, 0, seed, bandwidth=bandwidth)
+        B, spec = 0, _single_block(st, fieldz, psi)
+    else:
+        # ci and isotropy: the one method of methods, and its block
+        method = _single(st.get_names("methods", ("hfdb",)), "methods")
+        B = st.get_int("boot.B", 500)
+        _check_methods((method,), CI_METHODS if cmd == "ci" else TEST_METHODS, B)
+        spec = None
+        if method != "fdwb":
+            spec = _single_block(st, fieldz, psi)
+            if spec is None:
+                raise ConfigError(f"block.sizes: methods={method} needs one "
+                                  f"block size or minvol")
+        if cmd == "ci":
+            level = st.get_float("ci.level", 0.9)
+            check_level(level, "ci.level", 0.5)
+        else:
+            plus_one = st.get_bool("pvalue.plus_one", False)
+    st.refuse_unread(cmd)
+    res = FieldResampler(fieldz, psi, B, seed, bandwidth=bandwidth)
+    if cmd == "estimate":
         result = {"n1": fieldz.n1, "n2": fieldz.n2, "psi": psi.name,
-                  "mhat": res.mhat.value}
+                  "mhat": res.mhat.value, "var_star": res.var_star,
+                  "bandwidth": list(res.fhat.bandwidth)}
         if spec is not None:
             est = res.variance(spec)
             result.update({"b1": spec.b1, "b2": spec.b2,
@@ -740,32 +779,15 @@ def _dispatch(args) -> int:
                            "sigma1_sq": est.sigma1_sq_hat,
                            "sigma2_sq": est.sigma2_sq_hat,
                            "sigma2_floored": est.floored_sigma2})
-        result["var_star"] = res.var_star
-        result["bandwidth"] = list(res.fhat.bandwidth)
-        _print_json(result)
-        return 0
-
-    # ci and isotropy: one method of methods, and its block
-    method = _single(st.get_names("methods", ("hfdb",)), "methods")
-    B = st.get_int("boot.B", 500)
-    _check_methods((method,), CI_METHODS if args.command == "ci"
-                   else TEST_METHODS, B)
-    spec = None
-    if method != "fdwb":
-        spec = _single_block(st, fieldz, psi)
-        if spec is None:
-            raise ConfigError(f"block.sizes: methods={method} needs one block "
-                              f"size or minvol")
-    res = FieldResampler(fieldz, psi, B, seed, bandwidth=bandwidth)
-    if args.command == "ci":
-        ci = resampled_interval(res, method, spec, st.get_float("ci.level", 0.9))
-        _print_json({"method": ci.method, "level": ci.level,
-                     "mhat": res.mhat.value, "lower": ci.lower, "upper": ci.upper})
-        return 0
-    test = calibrate_isotropy(res, method, spec, h1, h2,
-                              st.get_bool("pvalue.plus_one", False))
-    _print_json({"ts": test.ts, "p_value": test.p_value, "method": test.method,
-                 "h1": list(test.h1), "h2": list(test.h2)})
+    elif cmd == "ci":
+        ci = resampled_interval(res, method, spec, level)
+        result = {"method": ci.method, "level": ci.level,
+                  "mhat": res.mhat.value, "lower": ci.lower, "upper": ci.upper}
+    else:
+        test = calibrate_isotropy(res, method, spec, h1, h2, plus_one)
+        result = {"ts": test.ts, "p_value": test.p_value, "method": test.method,
+                  "h1": list(test.h1), "h2": list(test.h2)}
+    _print_json(result)
     return 0
 
 

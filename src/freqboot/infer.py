@@ -21,9 +21,8 @@ import numpy as np
 from .bootstrap import BootstrapDraws, FieldResampler
 from .errors import ConfigError
 from .lattice import LatticeField
-from .spectral import PsiFunction, SpectralMeanValue, psi_isotropy_contrast
-from .subsample import (BlockSpec, SubsampleEnsemble, block_variogram_contrast,
-                        subsample_edf)
+from .spectral import SpectralMeanValue, psi_isotropy_contrast
+from .subsample import BlockSpec, block_variogram_contrast, subsample_edf
 
 CI_METHODS = ("fdwb", "hfdb", "hfdb_bias", "subsample")
 TEST_METHODS = ("fdwb", "hfdb", "subsample")
@@ -74,13 +73,6 @@ def confidence_interval(mhat: SpectralMeanValue, draws: BootstrapDraws,
     return _centered_interval(mhat, draws.values, level, draws.kind)
 
 
-def subsample_confidence_interval(mhat: SpectralMeanValue,
-                                  ens: SubsampleEnsemble,
-                                  level: float) -> ConfidenceInterval:
-    edf = subsample_edf(ens)  # rejects L < 2
-    return _centered_interval(mhat, edf, level, "subsample")
-
-
 def resampled_interval(res: FieldResampler, method: str,
                        spec: BlockSpec | None,
                        level: float) -> ConfidenceInterval:
@@ -90,7 +82,9 @@ def resampled_interval(res: FieldResampler, method: str,
     if method == "subsample":
         if spec is None:
             raise ConfigError("subsample intervals need a block spec")
-        return subsample_confidence_interval(res.mhat, res.ensemble(spec), level)
+        # subsample_edf rejects L < 2
+        return _centered_interval(res.mhat, subsample_edf(res.ensemble(spec)),
+                                  level, "subsample")
     return confidence_interval(res.mhat, res.draws(method, spec), level)
 
 
@@ -127,8 +121,7 @@ def p_value_from_replicates(replicate_sq: np.ndarray, ts: float,
 def isotropy_test(fieldz: LatticeField, h1, h2, method: str = "hfdb",
                   spec: BlockSpec | None = None, B: int = 500,
                   master_seed: int = 0, replicate_id: int = 0,
-                  bandwidth=None, plus_one: bool = False,
-                  psi: PsiFunction | None = None) -> IsotropyTestResult:
+                  bandwidth=None, plus_one: bool = False) -> IsotropyTestResult:
     """Test equality of the variogram at lags h1 and h2.
 
     TS = n Mhat(psi)^2 for psi(w) = 2 cos(h1.w) - 2 cos(h2.w), calibrated
@@ -136,9 +129,8 @@ def isotropy_test(fieldz: LatticeField, h1, h2, method: str = "hfdb",
     """
     ha = (int(h1[0]), int(h1[1]))
     hb = (int(h2[0]), int(h2[1]))
-    if psi is None:
-        psi = psi_isotropy_contrast(ha, hb)
-    res = FieldResampler(fieldz, psi, B, master_seed, replicate_id, bandwidth)
+    res = FieldResampler(fieldz, psi_isotropy_contrast(ha, hb), B, master_seed,
+                         replicate_id, bandwidth)
     return calibrate_isotropy(res, method, spec, ha, hb, plus_one)
 
 

@@ -225,12 +225,8 @@ def _matern_torus_spectrum(model: MaternSpectral, m1: int, m2: int) -> np.ndarra
 def _spherical_torus_spectrum(model: SphericalAniso, m1: int, m2: int) -> np.ndarray | None:
     """Circulant eigenvalues of the torus-wrapped covariance, or None when
     the embedding is not nonnegative."""
-    d1 = np.minimum(np.arange(m1), m1 - np.arange(m1)).astype(float)
-    sign1 = np.where(np.arange(m1) <= m1 // 2, 1.0, -1.0)
-    d2 = np.minimum(np.arange(m2), m2 - np.arange(m2)).astype(float)
-    sign2 = np.where(np.arange(m2) <= m2 // 2, 1.0, -1.0)
-    h1 = (sign1 * d1)[:, None]
-    h2 = (sign2 * d2)[None, :]
+    h1 = _signed_indices(m1)[:, None]
+    h2 = _signed_indices(m2)[None, :]
     cov = _spherical_cov_arrays(model, h1, h2)
     lam = np.fft.fft2(cov).real
     if lam.min() < -_EIG_TOL * max(lam.max(), 1.0):

@@ -27,15 +27,13 @@ class PsiFunction:
     ``fn(w1, w2)`` must accept broadcastable arrays and be free of
     internal state, so evaluation is safe from concurrent callers.
     ``name`` encodes the function and its parameters (it doubles as the
-    CLI spelling), ``is_even`` flags psi(-omega) = psi(omega).  A psi
-    that is a cosine sum, sum_k c_k cos(h_k . omega), lists its
-    (c_k, h_k) in ``cos_terms``; its spectral mean is then
-    sum_k c_k gamma(h_k).
+    CLI spelling).  A psi that is a cosine sum,
+    sum_k c_k cos(h_k . omega), lists its (c_k, h_k) in ``cos_terms``;
+    its spectral mean is then sum_k c_k gamma(h_k).
     """
 
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    is_even: bool
     cos_terms: tuple[tuple[float, tuple[int, int]], ...] = ()
 
     def __call__(self, omega) -> float:
@@ -65,7 +63,7 @@ def psi_cos_lag(h) -> PsiFunction:
     def fn(w1, w2):
         return np.cos(h1 * w1 + h2 * w2)
 
-    return PsiFunction(name=f"cos_lag{{h=({h1},{h2})}}", fn=fn, is_even=True,
+    return PsiFunction(name=f"cos_lag{{h=({h1},{h2})}}", fn=fn,
                        cos_terms=((1.0, (h1, h2)),))
 
 
@@ -79,7 +77,7 @@ def psi_spectral_cdf(t) -> PsiFunction:
     def fn(w1, w2):
         return ((w1 <= t1) & (w2 <= t2)).astype(np.float64)
 
-    return PsiFunction(name=f"spectral_cdf{{t=({t1},{t2})}}", fn=fn, is_even=False)
+    return PsiFunction(name=f"spectral_cdf{{t=({t1},{t2})}}", fn=fn)
 
 
 def psi_isotropy_contrast(h1, h2) -> PsiFunction:
@@ -99,7 +97,7 @@ def psi_isotropy_contrast(h1, h2) -> PsiFunction:
 
     return PsiFunction(
         name=f"iso_contrast{{h1=({a[0]},{a[1]}),h2=({b[0]},{b[1]})}}",
-        fn=fn, is_even=True, cos_terms=((2.0, a), (-2.0, b)))
+        fn=fn, cos_terms=((2.0, a), (-2.0, b)))
 
 
 _PSI_SPEC = re.compile(r"^(?P<kind>[a-z_]+)\{(?P<args>.*)\}$")

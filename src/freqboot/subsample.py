@@ -63,7 +63,6 @@ class SubsampleEnsemble:
     grid: FrequencyGrid                                  # block Fourier grid
     L: int
     block_means: np.ndarray = field(repr=False)          # per-block spectral means
-    per_freq_mean: np.ndarray = field(repr=False)        # Itilde, FFT layout
     per_freq_m2: np.ndarray = field(repr=False)          # sum (I - Itilde)^2
     psi_block: np.ndarray = field(repr=False)
     psi_block_neg: np.ndarray = field(repr=False)
@@ -186,7 +185,6 @@ def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
 
     return SubsampleEnsemble(spec=spec, grid=grid, L=L,
                              block_means=block_means,
-                             per_freq_mean=_mirror_to_full(mean.T, grid),
                              per_freq_m2=_mirror_to_full(m2.T, grid),
                              psi_block=psi_block, psi_block_neg=psi_block_neg)
 

@@ -7,12 +7,14 @@ import re
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from freqboot import FieldResampler, LatticeField, load_field_csv
 from freqboot import cli as cli_module
 from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
                           _chunk, emit_report, experiment_config, main,
@@ -20,6 +22,8 @@ from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
                           run_coverage_experiment, run_isotropy_experiment,
                           true_spectral_mean)
 from freqboot.errors import ConfigError
+from freqboot.infer import resampled_interval
+from freqboot.spectral import psi_cos_lag
 from freqboot.simulate import (SeparableARMA, SphericalAniso, WhiteNoise,
                                matern_model, model_autocovariance)
 
@@ -36,6 +40,14 @@ def _cfg(**over):
                 plus_one=False, truth=None)
     base.update(over)
     return ExperimentConfig(**base)
+
+
+def _field(tmp_path) -> str:
+    """A 20x20 spherical field written by the simulate command."""
+    path = tmp_path / "f.csv"
+    assert main(["--set", "process.kind=spherical", "--set", "grid.sizes=20x20",
+                 "--seed", "5", "--out", str(path), "simulate"]) == 0
+    return str(path)
 
 
 def _oracle_fixture(tmp_path, edit):
@@ -233,6 +245,24 @@ class TestConfigParsing:
                            "grid.sizes": "12x12"})
             with pytest.raises(ConfigError, match="truth.fixture"):
                 experiment_config(st, "coverage", 0, 1)
+
+    def test_coverage_without_closed_form_truth_exits_2(self, tmp_path, capsys):
+        # a spectral_cdf psi has no cosine-sum truth; the run asks for one
+        # at once instead of integrating the indicator numerically
+        start = time.monotonic()
+        assert main(["--set", "process.kind=spherical", "--set", "grid.sizes=12x12",
+                     "--set", "psi=spectral_cdf{t=(0.5,-1.0)}",
+                     "--set", "methods=fdwb", "--set", "boot.B=100",
+                     "--set", "replicates=1",
+                     "--out", str(tmp_path / "r"), "coverage"]) == 2
+        assert time.monotonic() - start < 5.0
+        err = capsys.readouterr().err
+        assert "truth.value" in err and "truth.fixture" in err
+        assert not list(tmp_path.iterdir())
+        psi = "spectral_cdf{t=(1.0,1.0)}"
+        with pytest.raises(ConfigError, match="truth.value"):
+            _cfg(psi_name=psi)
+        assert _cfg(psi_name=psi, truth=0.3).truth == 0.3
 
     def test_isotropy_methods_checked_at_config_time(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="methods"):
@@ -575,7 +605,10 @@ class TestCommandLine:
         assert main(["--set", "bogus.key=1", "coverage"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kv", ["density.auto=true", "boot.seed=3"])
+    @pytest.mark.parametrize("kv", ["density.auto=true", "boot.seed=3",
+                                    "block.b1=4", "block.b2=4",
+                                    "block.auto=minvol", "boot.kind=fdwb",
+                                    "test.method=fdwb"])
     def test_removed_keys_are_unknown(self, tmp_path, capsys, kv):
         args = ["--set", kv, "--set", "grid.sizes=8x8",
                 "--out", str(tmp_path / "f.csv"), "simulate"]
@@ -661,6 +694,110 @@ class TestCommandLine:
         assert main(args + ["--out", str(tmp_path / "r"), command]) == 2
         assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_ci_method_comes_from_methods(self, tmp_path, capsys):
+        field = _field(tmp_path)
+        capsys.readouterr()
+        assert main(["--set", "methods=fdwb", "--set", "boot.B=150", "--seed", "4",
+                     "ci", "--in", field]) == 0
+        ci = json.loads(capsys.readouterr().out)
+        res = FieldResampler(load_field_csv(field), psi_cos_lag((1, 0)), 150, 4)
+        want = resampled_interval(res, "fdwb", None, 0.9)
+        assert ci["method"] == "fdwb"
+        assert (ci["lower"], ci["upper"]) == (want.lower, want.upper)
+
+    def test_minvol_is_a_block_size_of_single_field_commands(self, tmp_path,
+                                                             capsys):
+        field = _field(tmp_path)
+        capsys.readouterr()
+        assert main(["blocksize", "--in", field]) == 0
+        chosen = json.loads(capsys.readouterr().out)
+        assert main(["--set", "block.sizes=minvol", "estimate", "--in", field]) == 0
+        est = json.loads(capsys.readouterr().out)
+        assert (est["b1"], est["b2"]) == (chosen["b1"], chosen["b2"])
+        # an experiment runs fixed block sizes only
+        assert main(["--set", "block.sizes=minvol", "--set", "grid.sizes=12x12",
+                     "--set", "replicates=1", "--out", str(tmp_path / "r"),
+                     "coverage"]) == 2
+        assert "block.sizes" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r*"))
+
+    @pytest.mark.parametrize("command, args, key", [
+        ("ci", ["--set", "methods=fdwb", "--set", "replicates=5"], "replicates"),
+        ("ci", ["--set", "methods=fdwb", "--set", "truth.value=0.1"],
+         "truth.value"),
+        ("ci", ["--set", "methods=fdwb", "--workers", "2"], "workers"),
+        ("ci", ["--set", "methods=fdwb", "--set", "block.sizes=4x4"],
+         "block.sizes"),
+        ("estimate", ["--set", "process.kind=matern"], "process.kind"),
+        ("estimate", ["--set", "block.sizes=4x4", "--set", "block.window=5"],
+         "block.window"),
+        ("isotropy", ["--set", "methods=fdwb",
+                      "--set", "psi=iso_contrast{h1=(1,0),h2=(0,1)}"], "psi"),
+        ("blocksize", ["--out", "x.json"], "out"),
+    ])
+    def test_single_field_commands_refuse_unread_keys(self, tmp_path, capsys,
+                                                      command, args, key):
+        # a key the command never reads would be ignored without a word
+        field = _field(tmp_path)
+        capsys.readouterr()
+        assert main(args + [command, "--in", field]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and key in err and "does not read" in err
+        assert os.listdir(tmp_path) == ["f.csv"]
+
+    @pytest.mark.parametrize("command, args, key", [
+        ("simulate", ["--set", "process.kind=spherical",
+                      "--set", "process.alpha=0.5"], "process.alpha"),
+        ("oracle", ["--set", "replicates=2", "--format", "json"], "format"),
+        ("coverage", ["--set", "test.h1=(1,0)"], "test.h1"),
+        ("coverage", ["--set", "pvalue.plus_one=true"], "pvalue.plus_one"),
+        ("isotropy-experiment", ["--set", "truth.value=0"], "truth.value"),
+        ("isotropy-experiment", ["--set", "ci.level=0.8"], "ci.level"),
+        ("isotropy-experiment", ["--set", "block.window=3"], "block.window"),
+    ])
+    def test_writing_commands_refuse_unread_keys(self, tmp_path, capsys,
+                                                 command, args, key):
+        # refused before a replicate runs or a file is written
+        if command.endswith("experiment") or command == "coverage":
+            args = args + ["--set", "process.kind=spherical", "--set",
+                           "block.sizes=4x4", "--set", "replicates=2"]
+        assert main(args + ["--set", "grid.sizes=12x12",
+                            "--out", str(tmp_path / "r"), command]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and key in err and "does not read" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, settings, key", [
+        ("ci", ["ci.level=0.4"], "ci.level"),
+        ("ci", ["boot.B=50"], "boot.B"),
+        ("ci", ["methods=wild"], "methods"),
+        ("ci", ["methods=fdwb,hfdb"], "methods"),
+        ("isotropy", ["methods=hfdb_bias"], "methods"),
+        ("isotropy", ["boot.B=50"], "boot.B"),
+    ])
+    def test_single_field_bad_values_name_the_key(self, tmp_path, capsys,
+                                                  command, settings, key):
+        field = _field(tmp_path)
+        capsys.readouterr()
+        args = []
+        for kv in settings + ["block.sizes=5x5"]:
+            args += ["--set", kv]
+        assert main(args + [command, "--in", field]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and key in err
+
+    def test_isotropy_command_warns_on_unequal_norms(self, tmp_path):
+        field = _field(tmp_path)
+        with pytest.warns(UserWarning, match="unequal norms"):
+            assert main(["--set", "methods=fdwb", "--set", "test.h1=(2,0)",
+                         "isotropy", "--in", field]) == 0
+
+    def test_subsample_ci_needs_no_bootstrap_B(self, tmp_path, capsys):
+        # as in the experiments, B is checked only for bootstrap methods
+        field = _field(tmp_path)
+        assert main(["--set", "methods=subsample", "--set", "block.sizes=5x5",
+                     "--set", "boot.B=10", "ci", "--in", field]) == 0
 
     def test_coverage_command_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from freqboot import (BlockSpec, ConfigError, LatticeField, WhiteNoise,
-                      confidence_interval, isotropy_test, periodogram,
-                      psi_cos_lag, psi_isotropy_contrast, sample_variogram,
-                      simulate_gaussian, spectral_mean,
-                      subsample_confidence_interval, subsample_ensemble)
+from freqboot import (BlockSpec, ConfigError, FieldResampler, LatticeField,
+                      WhiteNoise, confidence_interval, isotropy_test,
+                      periodogram, psi_cos_lag, psi_isotropy_contrast,
+                      resampled_interval, sample_variogram, simulate_gaussian,
+                      spectral_mean)
 from freqboot import rng as rngmod
 from freqboot.bootstrap import BootstrapDraws
 from freqboot.infer import p_value_from_replicates
@@ -69,10 +69,9 @@ class TestConfidenceInterval:
 
 class TestSubsampleCI:
     def test_degenerate_blocks(self):
-        ens = subsample_ensemble(LatticeField(np.full((6, 6), 1.0)),
-                                 BlockSpec(3, 3), PSI)
-        mhat = SpectralMeanValue(0.2, 36)
-        ci = subsample_confidence_interval(mhat, ens, 0.9)
+        res = FieldResampler(LatticeField(np.full((6, 6), 1.0)), PSI, 0, 0)
+        res.mhat = SpectralMeanValue(0.2, 36)
+        ci = resampled_interval(res, "subsample", BlockSpec(3, 3), 0.9)
         assert (ci.lower, ci.upper) == (0.2, 0.2)
 
     def test_three_point_edf_quantiles(self, monkeypatch):
@@ -80,10 +79,9 @@ class TestSubsampleCI:
 
         monkeypatch.setattr(inf, "subsample_edf",
                             lambda ens: np.array([-1.0, 0.0, 1.0]))
-        ens = subsample_ensemble(LatticeField(np.zeros((4, 4))),
-                                 BlockSpec(3, 3), PSI)
-        mhat = SpectralMeanValue(0.5, 100)
-        ci = inf.subsample_confidence_interval(mhat, ens, 0.9)
+        res = FieldResampler(LatticeField(np.zeros((4, 4))), PSI, 0, 0)
+        res.mhat = SpectralMeanValue(0.5, 100)
+        ci = inf.resampled_interval(res, "subsample", BlockSpec(3, 3), 0.9)
         # type-7 quantiles of {-1, 0, 1}: q05 = -0.9, q95 = 0.9
         assert ci.lower == pytest.approx(0.5 - 0.09)
         assert ci.upper == pytest.approx(0.5 + 0.09)
@@ -93,9 +91,9 @@ class TestSubsampleCI:
         for i in range(500):
             f = simulate_gaussian(WhiteNoise(1.0), 48, 48,
                                   rngmod.stream(111, rngmod.TAG_ORACLE, i))
-            mhat = spectral_mean(periodogram(f), PSI)
-            ens = subsample_ensemble(f, BlockSpec(8, 8), PSI)
-            hits += subsample_confidence_interval(mhat, ens, 0.9).covers(0.0)
+            res = FieldResampler(f, PSI, 0, 0)
+            ci = resampled_interval(res, "subsample", BlockSpec(8, 8), 0.9)
+            hits += ci.covers(0.0)
         assert 0.84 <= hits / 500 <= 0.95
 
 

@@ -23,13 +23,11 @@ class TestPsiCatalog:
         assert psi((np.pi, 0.3)) == pytest.approx(-1.0)
         assert psi((np.pi / 3, 5.0)) == pytest.approx(0.5)
         assert psi_cos_lag((0, 0))((0.4, -2.2)) == 1.0
-        assert psi.is_even
 
     def test_spectral_cdf_values(self):
         assert psi_spectral_cdf((np.pi, np.pi))((1.0, -2.0)) == 1.0
         assert psi_spectral_cdf((0, 0))((-1.0, -1.0)) == 1.0
         assert psi_spectral_cdf((0, 0))((0.5, -1.0)) == 0.0
-        assert not psi_spectral_cdf((0, 0)).is_even
 
     def test_iso_contrast_values(self):
         psi = psi_isotropy_contrast((1, 0), (0, 1))
@@ -49,9 +47,8 @@ class TestPsiCatalog:
         for psi in (psi_cos_lag((2, 1)), psi_isotropy_contrast((1, 0), (0, 1))):
             vals = psi.fn(w[:, None], w[None, :])
             assert np.max(np.abs(vals)) < 1e6
-            if psi.is_even:
-                assert np.allclose(vals, psi.fn(-w[:, None], -w[None, :]),
-                                   atol=1e-12)
+            assert np.allclose(vals, psi.fn(-w[:, None], -w[None, :]),
+                               atol=1e-12)
 
     def test_name_parsing(self):
         for spec in ["cos_lag{h=(1,0)}", "iso_contrast{h1=(1,0),h2=(0,1)}",
