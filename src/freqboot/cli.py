@@ -223,13 +223,13 @@ def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
             f"tau_r={own}, got {list(tau_r_list)}")
 
 
-def _contrast_name(h1, h2) -> str:
-    """Name of the psi an isotropy experiment resamples: the contrast of
-    its lags test.h1 and test.h2."""
+def _contrast(h1, h2):
+    """The psi an isotropy command or experiment resamples: the contrast
+    of its lags test.h1 and test.h2."""
     if tuple(h1) == tuple(h2):
         raise ConfigError(f"test.h1 and test.h2 must be two distinct lags, "
                           f"both are {tuple(h1)}")
-    return psi_isotropy_contrast(h1, h2).name
+    return psi_isotropy_contrast(h1, h2)
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,7 @@ class ExperimentConfig:
                 f"truth.value: {psi.name} has no closed-form spectral mean; "
                 f"give truth.value or truth.fixture")
         if self.kind == "isotropy":
-            contrast = _contrast_name(self.h1, self.h2)
+            contrast = _contrast(self.h1, self.h2).name
             if psi.name != contrast:
                 raise ConfigError(
                     f"psi: an isotropy experiment resamples the contrast of "
@@ -339,7 +339,7 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
         h2 = st.get_pair("test.h2", h2)
         test_level = st.get_float("test.level", test_level)
         plus_one = st.get_bool("pvalue.plus_one", plus_one)
-        psi_name = st.get_str("psi", _contrast_name(h1, h2))
+        psi_name = st.get_str("psi", _contrast(h1, h2).name)
     else:
         psi_name = st.get_str("psi", "cos_lag{h=(1,0)}")
         level = st.get_float("ci.level", level)
@@ -736,7 +736,7 @@ def _dispatch(args) -> int:
     if cmd == "isotropy":
         h1 = st.get_pair("test.h1", (1, 0))
         h2 = st.get_pair("test.h2", (0, 1))
-        psi = psi_isotropy_contrast(h1, h2)
+        psi = _contrast(h1, h2)
     else:
         psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
     if cmd == "blocksize":

@@ -775,6 +775,7 @@ class TestCommandLine:
         ("ci", ["methods=fdwb,hfdb"], "methods"),
         ("isotropy", ["methods=hfdb_bias"], "methods"),
         ("isotropy", ["boot.B=50"], "boot.B"),
+        ("isotropy", ["test.h1=(0,1)"], "test.h1"),
     ])
     def test_single_field_bad_values_name_the_key(self, tmp_path, capsys,
                                                   command, settings, key):
