@@ -28,14 +28,13 @@ asks a fresh one for a single kind.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
 import numpy as np
 
+from . import _pool
 from . import rng as rngmod
 from .density import SpectralDensityEstimate, kernel_density_estimate
 from .errors import ConfigError, NumericalError
@@ -118,13 +117,6 @@ def _half_plane_reduction(fhat: SpectralDensityEstimate, psi: PsiFunction):
     return paired[grid.half_plane_mask]
 
 
-def _available_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
                master_seed: int, replicate_id: int = 0) -> np.ndarray:
     """B FDWB replicates; bootstrap replicate r draws its weights from the
@@ -155,14 +147,8 @@ def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
                 gen.standard_exponential(out=row)
             np.einsum("ij,j->i", w, cvec, out=out[start:start + w.shape[0]])
 
-    k = min(_available_cpus(), len(starts)) if m >= _THREAD_ROW else 1
-    if k > 1:
-        # a pool per call: a pool object inherited by a forked worker
-        # process has no threads behind it
-        with ThreadPoolExecutor(k) as pool:
-            list(pool.map(fill, [starts[i::k] for i in range(k)]))
-    else:
-        fill(starts)
+    k = min(_pool.cpus(), len(starts)) if m >= _THREAD_ROW else 1
+    _pool.map_ordered(fill, [starts[i::k] for i in range(k)])
     out -= cvec.sum()    # sum_j c_j (U_j - 1), centred once per field
     out *= (_TWO_PI ** 2) / np.sqrt(fhat.grid.n)
     return out

@@ -223,6 +223,23 @@ def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
             f"tau_r={own}, got {list(tau_r_list)}")
 
 
+def _block_spec(size, grid, subsample: bool) -> BlockSpec:
+    """The block a ``block.sizes`` entry names on an n1 x n2 grid, refused
+    naming the key when it is too small, does not fit, or leaves a
+    subsample method fewer than two block translates."""
+    (b1, b2), (n1, n2) = size, grid
+    try:
+        spec = BlockSpec(b1, b2)
+    except ConfigError as exc:
+        raise ConfigError(f"block.sizes: {exc}") from None
+    if b1 > n1 or b2 > n2:
+        raise ConfigError(f"block.sizes: block {b1}x{b2} does not fit grid {n1}x{n2}")
+    if subsample and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
+        raise ConfigError(f"block.sizes: block {b1}x{b2} has one translate in "
+                          f"grid {n1}x{n2}, subsample needs at least 2")
+    return spec
+
+
 def _contrast(h1, h2):
     """The psi an isotropy command or experiment resamples: the contrast
     of its lags test.h1 and test.h2."""
@@ -273,10 +290,9 @@ class ExperimentConfig:
             raise ConfigError("no tau_r_list values configured")
         if not self.blocks and any(m != "fdwb" for m in self.methods):
             raise ConfigError("subsample-based methods need block.sizes")
-        for (n1, n2) in self.sizes:
-            for (b1, b2) in self.blocks:
-                if b1 > n1 or b2 > n2:
-                    raise ConfigError(f"block {b1}x{b2} does not fit grid {n1}x{n2}")
+        for grid in self.sizes:
+            for size in self.blocks:
+                _block_spec(size, grid, "subsample" in self.methods)
         _check_tau(self.kind, self.model, self.tau_r_list, "tau_r_list")
         psi = psi_from_name(self.psi_name)
         if self.kind == "coverage" and self.truth is None and not psi.cos_terms:
@@ -550,11 +566,15 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=1, default=repr)
 
 
+def _check_report_format(fmt: str) -> None:
+    if fmt not in ("csv", "json", "both"):
+        raise ConfigError(f"format must be csv, json or both, got {fmt!r}")
+
+
 def emit_report(report: ExperimentReport, out_prefix: str,
                 fmt: str = "csv") -> list[str]:
     """Write the summary and per-replicate files; returns written paths."""
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"format must be csv, json or both, got {fmt!r}")
+    _check_report_format(fmt)
     parent = os.path.dirname(out_prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -608,17 +628,25 @@ def _minvol(st: Settings, fieldz: LatticeField, psi):
     window)."""
     window = st.get_int("block.window", 3)
     cands = default_block_candidates(fieldz.n1, fieldz.n2)
-    return (select_block_size_min_volatility(fieldz, psi, cands, window),
-            cands, window)
+    try:
+        # the default candidates are sorted, so only the window is refused
+        spec = select_block_size_min_volatility(fieldz, psi, cands, window)
+    except ConfigError as exc:
+        raise ConfigError(f"block.window: {exc}") from None
+    return spec, cands, window
 
 
-def _single_block(st: Settings, fieldz: LatticeField, psi) -> BlockSpec | None:
+def _single_block(st: Settings, fieldz: LatticeField, psi,
+                  subsample: bool = False) -> BlockSpec | None:
     """The block that ``block.sizes`` names for a single field: one size,
     or ``minvol`` for the minimum-volatility selection; None when unset."""
     if st.get_str("block.sizes") == "minvol":
         return _minvol(st, fieldz, psi)[0]
     sizes = st.get_sizes("block.sizes")
-    return None if sizes is None else BlockSpec(*_single(sizes, "block.sizes"))
+    if sizes is None:
+        return None
+    return _block_spec(_single(sizes, "block.sizes"), (fieldz.n1, fieldz.n2),
+                       subsample)
 
 
 def _print_json(obj) -> None:
@@ -721,6 +749,7 @@ def _dispatch(args) -> int:
         cfg = experiment_config(st, kind, seed, st.get_int("workers", 1))
         out = st.get_str("out", "freqboot_out")
         fmt = st.get_str("format", "csv")
+        _check_report_format(fmt)
         st.refuse_unread(cmd)
         report = (run_coverage_experiment if kind == "coverage"
                   else run_isotropy_experiment)(cfg)
@@ -757,7 +786,7 @@ def _dispatch(args) -> int:
         _check_methods((method,), CI_METHODS if cmd == "ci" else TEST_METHODS, B)
         spec = None
         if method != "fdwb":
-            spec = _single_block(st, fieldz, psi)
+            spec = _single_block(st, fieldz, psi, method == "subsample")
             if spec is None:
                 raise ConfigError(f"block.sizes: methods={method} needs one "
                                   f"block size or minvol")

@@ -9,7 +9,7 @@ of psi times the periodogram over the nonzero Fourier frequencies.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -35,15 +35,31 @@ class PsiFunction:
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cos_terms: tuple[tuple[float, tuple[int, int]], ...] = ()
+    # on_grid's values per grid shape; not part of equality, repr or pickles
+    _on_grid: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __call__(self, omega) -> float:
         return float(self.fn(np.asarray(omega[0], dtype=float),
                              np.asarray(omega[1], dtype=float)))
 
+    def __getstate__(self):
+        return {**self.__dict__, "_on_grid": {}}
+
     def on_grid(self, grid) -> np.ndarray:
-        """Evaluate on a FrequencyGrid in FFT layout, shape (n1, n2)."""
-        return np.asarray(self.fn(grid.omega1[:, None], grid.omega2[None, :]),
-                          dtype=np.float64) + np.zeros((grid.n1, grid.n2))
+        """Evaluate on a FrequencyGrid in FFT layout, shape (n1, n2).
+
+        The values depend only on the grid's shape, so they are computed
+        once per shape and returned read-only.
+        """
+        key = (grid.n1, grid.n2)
+        vals = self._on_grid.get(key)
+        if vals is None:
+            vals = np.asarray(self.fn(grid.omega1[:, None], grid.omega2[None, :]),
+                              dtype=np.float64) + np.zeros(key)
+            vals.flags.writeable = False
+            self._on_grid[key] = vals
+        return vals
 
 
 @dataclass(frozen=True)

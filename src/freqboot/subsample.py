@@ -12,6 +12,12 @@ Blocks are real, so their periodograms are mirror symmetric and only the
 half grid k2 = 0..b2//2 is transformed: one real FFT per row window of
 the field, shared by every block that contains the row, then one
 length-b1 FFT down each block's rows.
+
+Blocks are transformed in batches of origin rows.  A field of two or
+more batches has them computed on up to one thread per CPU, and their
+per-frequency moments are merged in batch order on the calling thread;
+the batches, and so every bit of the result, do not depend on the
+thread count.
 """
 
 from __future__ import annotations
@@ -21,15 +27,19 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _pool
 from .errors import ConfigError
 from .lattice import FrequencyGrid, LatticeField, build_frequency_grid
 from .spectral import PsiFunction, SpectralMeanValue
 
 _TWO_PI = 2.0 * np.pi
 
-# cap the batched-FFT workspace at roughly this many complex half-grid
-# values (4 MiB); with 9 x 9 blocks on a 512 x 512 field this ran about a
-# third faster than 2,000,000 values (2-vCPU Xeon, numpy 2.4)
+# cap each batch's FFT workspace at roughly this many complex half-grid
+# values (4 MiB, plus one real array of half the size for |f|^2); every
+# batch in flight on a thread holds its own.  With 9 x 9 blocks on a
+# 512 x 512 field this ran about a third faster than 2,000,000 values
+# (2-vCPU Xeon, numpy 2.4).  It also sets the batches, and so the order
+# of the moment merges: changing it moves the moments at rounding level
 _CHUNK_BUDGET = 262_144
 
 
@@ -135,6 +145,34 @@ def _mirror_to_full(half: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
                 np.where(own, k2, grid.neg2[None, :])]
 
 
+def _ensemble_batch(values: np.ndarray, r0: int, r1: int, b1: int, b2: int,
+                    norm: float, weights: np.ndarray, scale: float,
+                    out: np.ndarray):
+    """Write the means of the blocks with origin rows r0..r1-1 to ``out``
+    and return their (count, mean, m2) per half-grid frequency.
+
+    |f|^2 norm is formed in place with the operations, and the order, of
+    (f.real ** 2 + f.imag ** 2) * norm, and the transform is dropped
+    before the deviations, so a batch holds its complex transform and
+    one real array at most.
+    """
+    row_f = np.fft.rfft(sliding_window_view(values[r0:r1 + b1 - 1], b2, axis=1),
+                        axis=-1)
+    f = np.fft.fft(sliding_window_view(row_f, b1, axis=0), axis=-1)
+    del row_f
+    intens = f.real * f.real
+    np.square(f.imag, out=f.imag)
+    intens += f.imag
+    del f
+    intens *= norm
+    intens = intens.reshape(-1, *weights.shape)
+    out[:] = scale * np.tensordot(intens, weights, axes=2)
+    mean = intens.mean(axis=0)
+    intens -= mean
+    np.square(intens, out=intens)
+    return intens.shape[0], mean, intens.sum(axis=0)
+
+
 def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
                        psi: PsiFunction) -> SubsampleEnsemble:
     """Compute all block periodogram statistics for one field.
@@ -148,6 +186,10 @@ def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
     k2 = 0..b2//2 of every block.  Block means use psi folded onto the
     half grid; the per-frequency moments are accumulated there and
     mirrored to the full layout at the end.
+
+    A field of two or more batches has them computed on up to one thread
+    per CPU; their moments are merged in batch order on this thread, so
+    the result does not depend on the thread count.
     """
     n1, n2 = fieldz.n1, fieldz.n2
     b1, b2 = spec.b1, spec.b2
@@ -164,24 +206,21 @@ def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
     half = b2 // 2 + 1
     L = rows * cols
     norm = 1.0 / ((_TWO_PI ** 2) * spec.b)
+    scale = (_TWO_PI ** 2) / spec.b
 
     rows_per_chunk = max(1, _CHUNK_BUDGET // (cols * b1 * half))
     block_means = np.empty(L)
+
+    def batch(r0: int):
+        r1 = min(r0 + rows_per_chunk, rows)
+        return _ensemble_batch(fieldz.values, r0, r1, b1, b2, norm, weights,
+                               scale, block_means[r0 * cols:r1 * cols])
+
     count = 0
     mean = np.zeros((half, b1))
     m2 = np.zeros((half, b1))
-    for r0 in range(0, rows, rows_per_chunk):
-        r1 = min(r0 + rows_per_chunk, rows)
-        row_f = np.fft.rfft(
-            sliding_window_view(fieldz.values[r0:r1 + b1 - 1], b2, axis=1), axis=-1)
-        f = np.fft.fft(sliding_window_view(row_f, b1, axis=0), axis=-1)
-        intens = ((f.real ** 2 + f.imag ** 2) * norm).reshape(-1, half, b1)
-        block_means[r0 * cols:r1 * cols] = (
-            (_TWO_PI ** 2) / spec.b * np.tensordot(intens, weights, axes=2))
-        cnt_b = intens.shape[0]
-        mean_b = intens.mean(axis=0)
-        m2_b = np.sum((intens - mean_b) ** 2, axis=0)
-        count, mean, m2 = _welford_merge(count, mean, m2, cnt_b, mean_b, m2_b)
+    for stats in _pool.map_ordered(batch, range(0, rows, rows_per_chunk)):
+        count, mean, m2 = _welford_merge(count, mean, m2, *stats)
 
     return SubsampleEnsemble(spec=spec, grid=grid, L=L,
                              block_means=block_means,

@@ -17,6 +17,7 @@ from freqboot import (BlockSpec, ConfigError, FieldResampler, NumericalError,
                       bootstrap_distribution, build_frequency_grid,
                       fdwb_variance, periodogram, psi_cos_lag,
                       simulate_gaussian)
+from freqboot import _pool
 from freqboot import bootstrap as bootstrap_module
 from freqboot import rng as rngmod
 from freqboot.bootstrap import (_effective_coefficients, _half_plane_reduction,
@@ -202,17 +203,16 @@ class TestStreamAddressing:
                 super().__init__(max_workers)
 
         with patch.object(bootstrap_module, "_DRAW_BUDGET", budget):
-            with patch.object(bootstrap_module, "_available_cpus", lambda: 1):
+            with patch.object(_pool, "cpus", lambda: 1):
                 single = fdwb_draws(de, psi, B, master_seed, replicate_id)
             with patch.object(bootstrap_module, "_THREAD_ROW", 1), \
-                    patch.object(bootstrap_module, "_available_cpus",
-                                 lambda: cpus), \
-                    patch.object(bootstrap_module, "ThreadPoolExecutor",
-                                 RecordingPool):
+                    patch.object(_pool, "cpus", lambda: cpus), \
+                    patch.object(_pool, "ThreadPoolExecutor", RecordingPool):
                 threaded = fdwb_draws(de, psi, B, master_seed, replicate_id)
         blocks = -(-B // max(1, min(B, budget // m)))
         threads = min(cpus, blocks)
-        assert pools == ([threads] if threads > 1 else [])
+        # the calling thread is one of them
+        assert pools == ([threads - 1] if threads > 1 else [])
         assert np.array_equal(threaded, single)
         cvec = _half_plane_reduction(de, psi)
         U = np.array([_boot_uniforms(de.grid, master_seed, r, replicate_id)
@@ -227,15 +227,14 @@ class TestStreamAddressing:
         # threads than cores, switching as often as the interpreter can
         de = _random_density(128, 128, 9)
         assert int(de.grid.half_plane_mask.sum()) >= bootstrap_module._THREAD_ROW
-        with patch.object(bootstrap_module, "_available_cpus", lambda: 1):
+        with patch.object(_pool, "cpus", lambda: 1):
             single = fdwb_draws(de, _UNEVEN, 500, 11, 5)
         assert np.array_equal(fdwb_draws(de, _UNEVEN, 500, 11, 5), single)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for cpus in (2, 3, 8):
-                with patch.object(bootstrap_module, "_available_cpus",
-                                  lambda c=cpus: c):
+                with patch.object(_pool, "cpus", lambda c=cpus: c):
                     assert np.array_equal(
                         fdwb_draws(de, _UNEVEN, 500, 11, 5), single)
         finally:

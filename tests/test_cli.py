@@ -96,6 +96,50 @@ class TestConfigParsing:
         cfg = _cfg(methods=("subsample",), B=10)  # B unused without bootstrap
         assert cfg.B == 10
 
+    @pytest.mark.parametrize("over", [
+        dict(blocks=((1, 1),), methods=("fdwb", "hfdb")),
+        dict(blocks=((4, 4), (16, 16)), methods=("fdwb", "subsample")),
+        dict(blocks=((16, 16),), methods=("subsample",), kind="isotropy"),
+        dict(blocks=((17, 4),), methods=("hfdb",)),
+    ])
+    def test_unusable_blocks_name_the_key(self, over):
+        # a 1x1 block, or one translate for a subsample method, would be
+        # refused only inside the first replicate
+        with pytest.raises(ConfigError, match="block.sizes"):
+            _cfg(**over)
+
+    def test_hybrid_methods_take_a_single_translate(self):
+        assert _cfg(blocks=((16, 16),), methods=("hfdb",)).blocks == ((16, 16),)
+
+    @pytest.mark.parametrize("settings", [
+        ["block.sizes=1x1", "methods=fdwb,hfdb"],
+        ["block.sizes=12x12", "methods=subsample"],
+        ["block.sizes=10x10", "methods=fdwb", "grid.sizes=12x12,8x8"],
+    ])
+    def test_unusable_blocks_exit_2_before_a_replicate(self, tmp_path, capsys,
+                                                       monkeypatch, settings):
+        def no_field(*args, **kwargs):
+            pytest.fail("a replicate ran")
+        monkeypatch.setattr(cli_module, "simulate_process", no_field)
+        args = ["--set", "grid.sizes=12x12", "--set", "replicates=2"]
+        for kv in settings:
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"), "coverage"]) == 2
+        assert "block.sizes" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["coverage", "isotropy-experiment"])
+    def test_report_format_checked_before_a_replicate(self, tmp_path, capsys,
+                                                      monkeypatch, command):
+        def no_field(*args, **kwargs):
+            pytest.fail("a replicate ran")
+        monkeypatch.setattr(cli_module, "simulate_process", no_field)
+        assert main(["--set", "grid.sizes=12x12", "--set", "block.sizes=4x4",
+                     "--set", "replicates=2", "--format", "parquet",
+                     "--out", str(tmp_path / "r"), command]) == 2
+        assert "format" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_checked_on_directly_built_config(self, workers):
         with pytest.raises(ConfigError, match="workers"):
@@ -783,6 +827,28 @@ class TestCommandLine:
         capsys.readouterr()
         args = []
         for kv in settings + ["block.sizes=5x5"]:
+            args += ["--set", kv]
+        assert main(args + [command, "--in", field]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and key in err
+
+    @pytest.mark.parametrize("command, settings, key", [
+        ("estimate", ["block.sizes=1x1"], "block.sizes"),
+        ("estimate", ["block.sizes=25x25"], "block.sizes"),
+        ("estimate", ["block.sizes=minvol", "block.window=4"], "block.window"),
+        ("estimate", ["block.sizes=minvol", "block.window=9"], "block.window"),
+        ("blocksize", ["block.window=1"], "block.window"),
+        ("ci", ["block.sizes=20x20", "methods=subsample"], "block.sizes"),
+        ("isotropy", ["block.sizes=20x20", "methods=subsample"], "block.sizes"),
+        ("ci", ["block.sizes=21x4", "methods=hfdb"], "block.sizes"),
+    ])
+    def test_single_field_blocks_name_the_key(self, tmp_path, capsys, command,
+                                              settings, key):
+        # the 20x20 field has 7 minvol candidates, 3x3 to 9x9
+        field = _field(tmp_path)
+        capsys.readouterr()
+        args = []
+        for kv in settings:
             args += ["--set", kv]
         assert main(args + [command, "--in", field]) == 2
         out, err = capsys.readouterr()

@@ -1,17 +1,19 @@
 """Psi catalog, spectral mean statistic, and variance oracles."""
 
+import pickle
 import re
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
-from freqboot import (ConfigError, LatticeField, NumericalError, WhiteNoise,
+from freqboot import (ConfigError, FieldResampler, LatticeField,
+                      NumericalError, WhiteNoise, build_frequency_grid,
                       periodogram, psi_cos_lag, psi_from_name,
                       psi_isotropy_contrast, psi_spectral_cdf, spectral_mean)
 from freqboot import rng as rngmod
 from freqboot.simulate import SeparableARMA, simulate_gaussian
-from freqboot.spectral import SpectralMeanValue
+from freqboot.spectral import PsiFunction, SpectralMeanValue
 
 from conftest import (analytic_limits, analytic_sigma1_sq, brute_spectral_mean,
                       centered_statistic)
@@ -80,6 +82,43 @@ class TestPsiCatalog:
     def test_spectral_cdf_corner_may_be_real(self):
         assert psi_from_name("spectral_cdf{t=(0.5,-1.25)}").name == \
             "spectral_cdf{t=(0.5,-1.25)}"
+
+
+def _cos_first(w1, w2):
+    return np.cos(w1) + 0.5 * np.cos(w2)
+
+
+class TestOnGrid:
+    def test_one_evaluation_per_grid_for_a_field(self, rng):
+        shapes = []
+
+        def fn(w1, w2):
+            shapes.append(np.broadcast_shapes(np.shape(w1), np.shape(w2)))
+            return _cos_first(w1, w2)
+
+        res = FieldResampler(LatticeField(rng.standard_normal((12, 10))),
+                             PsiFunction("counted", fn), 120, 1)
+        res.mhat, res.var_star, res.base_draws
+        assert shapes == [(12, 10)]
+        vals = res.psi.on_grid(build_frequency_grid(12, 10))
+        assert not vals.flags.writeable
+        with pytest.raises(ValueError):
+            vals[0, 1] = 0.0
+
+    def test_values_are_those_of_fn(self):
+        grid = build_frequency_grid(6, 7)
+        vals = PsiFunction("c", _cos_first).on_grid(grid)
+        assert np.array_equal(vals, _cos_first(grid.omega1[:, None],
+                                               grid.omega2[None, :]))
+
+    def test_cache_is_not_part_of_the_value(self):
+        used, fresh = PsiFunction("c", _cos_first), PsiFunction("c", _cos_first)
+        used.on_grid(build_frequency_grid(8, 8))
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == used and back._on_grid == {}
 
 
 class TestSpectralMean:

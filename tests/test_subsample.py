@@ -1,6 +1,10 @@
 """Block enumeration, subsample statistics, variance estimators, block
 variograms, and minimum-volatility selection."""
 
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -14,6 +18,7 @@ from freqboot import (BlockSpec, ConfigError, LatticeField, WhiteNoise,
                       simulate_gaussian, spectral_mean, subsample_edf,
                       subsample_ensemble, variance_estimates)
 from freqboot import psi_cos_lag, psi_isotropy_contrast, psi_spectral_cdf
+from freqboot import _pool as pool_module
 from freqboot import rng as rngmod
 from freqboot import subsample as subsample_module
 from freqboot.simulate import matern_model
@@ -133,6 +138,73 @@ class TestEnsemble:
         for name in ("block_means", "per_freq_m2"):
             a, b = getattr(one, name), getattr(split, name)
             assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a)), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=hst.data(), b1=hst.integers(2, 7), b2=hst.integers(2, 7),
+           extra1=hst.integers(1, 14), extra2=hst.integers(0, 9),
+           psi=hst.sampled_from(_PSIS), seed=hst.integers(0, 2 ** 32 - 1))
+    def test_bits_do_not_depend_on_threads(self, data, b1, b2, extra1, extra2,
+                                           psi, seed):
+        # a small budget splits the origin rows into many batches; the
+        # threads compute them and this thread merges them in batch order
+        n1, n2 = b1 + extra1, b2 + extra2
+        f = LatticeField(np.random.default_rng(seed).standard_normal((n1, n2)))
+        spec = BlockSpec(b1, b2)
+        row_cost = (n2 - b2 + 1) * b1 * (b2 // 2 + 1)
+        budget = data.draw(hst.integers(1, 3 * row_cost))
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsample_module, "_CHUNK_BUDGET", budget)
+            for threads in (1, 2, 3):
+                mp.setattr(pool_module, "cpus", lambda t=threads: t)
+                runs.append(subsample_ensemble(f, spec, psi))
+        for ens in runs[1:]:
+            assert np.array_equal(ens.block_means, runs[0].block_means)
+            assert np.array_equal(ens.per_freq_m2, runs[0].per_freq_m2)
+
+    def test_bits_do_not_depend_on_threads_at_full_size(self, monkeypatch):
+        # 128 x 128 with 9 x 9 blocks: the default budget gives 3 batches;
+        # up to more threads than cores, switching as often as possible
+        f = LatticeField(np.random.default_rng(8).standard_normal((128, 128)))
+        spec, psi = BlockSpec(9, 9), psi_spectral_cdf((0.5, -1.0))
+        monkeypatch.setattr(pool_module, "cpus", lambda: 1)
+        single = subsample_ensemble(f, spec, psi)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cpus in (2, 3, 8):
+                monkeypatch.setattr(pool_module, "cpus", lambda c=cpus: c)
+                ens = subsample_ensemble(f, spec, psi)
+                assert np.array_equal(ens.block_means, single.block_means)
+                assert np.array_equal(ens.per_freq_m2, single.per_freq_m2)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_batches_run_on_several_threads(self, monkeypatch):
+        # the first two batches must be in their transforms at once: run
+        # one after the other, the first waits at the barrier and fails
+        barrier = threading.Barrier(2, timeout=10)
+        calls, threads = itertools.count(), set()
+        rfft = np.fft.rfft
+
+        def meeting_rfft(*args, **kwargs):   # one call per batch
+            threads.add(threading.get_ident())
+            if next(calls) < 2:
+                barrier.wait()
+            return rfft(*args, **kwargs)
+
+        f = LatticeField(np.random.default_rng(4).standard_normal((40, 40)))
+        spec = BlockSpec(5, 5)
+        # 4 of the 36 origin rows per batch: 9 batches
+        monkeypatch.setattr(subsample_module, "_CHUNK_BUDGET", 36 * 5 * 3 * 4)
+        monkeypatch.setattr(pool_module, "cpus", lambda: 1)
+        want = subsample_ensemble(f, spec, psi_cos_lag((1, 2)))
+        monkeypatch.setattr(pool_module, "cpus", lambda: 2)
+        monkeypatch.setattr(np.fft, "rfft", meeting_rfft)
+        got = subsample_ensemble(f, spec, psi_cos_lag((1, 2)))
+        assert len(threads) == 2
+        assert np.array_equal(got.block_means, want.block_means)
+        assert np.array_equal(got.per_freq_m2, want.per_freq_m2)
 
 
 class TestVarianceEstimates:

@@ -16,6 +16,8 @@ a command failed in either tree, 2 on bad arguments.
 The cases cover both Monte Carlo experiments at one and two workers, the
 single-shot commands and ``simulate`` for every process kind.  Isotropy
 experiments name their psi, the contrast of ``test.h1`` and ``test.h2``.
+One case reads a 128x128 field, whose 9x9 block ensemble is computed in
+three batches on threads and whose bootstrap weights are drawn on threads.
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ FIELD = _sets("process.kind=spherical", "grid.sizes=30x30") + [
     "--seed", "5", "--out", "f.csv", "simulate"]
 READ = ["--in", "f.csv"]
 BLOCK = _sets("block.sizes=5x5")
+# a 128x128 field written to big.csv, read by the threaded case
+BIG_FIELD = _sets("process.kind=spherical", "grid.sizes=128x128") + [
+    "--seed", "6", "--out", "big.csv", "simulate"]
 
 
 def _cases() -> dict[str, list[list[str]]]:
@@ -131,6 +136,11 @@ def _cases() -> dict[str, list[list[str]]]:
             f"methods={method}", "boot.B=200") + [
             "--seed", "4", "isotropy", *READ]]
     cases["blocksize"] = [FIELD, ["blocksize", *READ]]
+    cases["threaded_blocks"] = [
+        BIG_FIELD,
+        _sets("block.sizes=9x9") + ["estimate", "--in", "big.csv"],
+        _sets("block.sizes=9x9", "methods=hfdb_bias", "boot.B=200") + [
+            "--seed", "4", "ci", "--in", "big.csv"]]
     cases["oracle"] = [_sets("process.kind=white_noise", "grid.sizes=12x12",
                              "replicates=50") + [
         "--seed", "9", "--out", "oracle.json", "oracle"]]
