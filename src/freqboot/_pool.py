@@ -1,11 +1,17 @@
-"""Per-call thread pools for the stages that split a large field's work.
+"""Per-call thread pools for the stages that split a field's work.
 
-The FDWB draws and the block ensemble hand independent tasks to
+The FDWB draws, the batches of a large field's block ensemble and the
+ensembles of a field's block-size ladder hand independent tasks to
 ``map_ordered`` and get the results back in task order, so what they
 compute from them does not depend on how many threads ran.  Tasks must
 call only numpy and private helpers: numpy releases the GIL in its
 transforms and loops, and a public freqboot name may be wrapped by a
 caller's instrumentation that is not thread-safe.
+
+One CPU budget holds per process.  A ``map_ordered`` called from inside
+a task runs its tasks on that task's thread, so nested stages never
+start threads of their own; and a fork worker that shares the CPUs with
+others holds ``cpus()`` to its share while it runs (``share``).
 """
 
 from __future__ import annotations
@@ -13,18 +19,41 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+
+# the CPUs a fork worker holds this process to, or None for all of them
+_held: int | None = None
+# set on a thread while it runs tasks of a map_ordered call
+_in_task = threading.local()
 
 
 def cpus() -> int:
-    """CPUs this process may run on."""
+    """CPUs this process may use: those it may run on, or its share of
+    them while ``share`` holds it."""
+    if _held is not None:
+        return _held
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
+@contextmanager
+def share(processes: int):
+    """Hold ``cpus()`` to max(1, cpus() // processes) inside the block,
+    for one of ``processes`` processes that run at once on these CPUs;
+    the value before is restored on leaving."""
+    global _held
+    before = _held
+    _held = max(1, cpus() // processes)
+    try:
+        yield
+    finally:
+        _held = before
+
+
 def map_ordered(fn, tasks) -> list:
     """``[fn(t) for t in tasks]``, on up to one thread per CPU when there
-    are two or more tasks.
+    are two or more tasks and this is not itself a task's thread.
 
     The calling thread takes tasks too, so k threads need a pool of k - 1.
     Its allocations reuse memory the process already holds, while each
@@ -34,19 +63,23 @@ def map_ordered(fn, tasks) -> list:
     """
     tasks = list(tasks)
     k = min(cpus(), len(tasks))
-    if k < 2:
+    if k < 2 or getattr(_in_task, "active", False):
         return [fn(t) for t in tasks]
     results = [None] * len(tasks)
     todo = iter(range(len(tasks)))
     lock = threading.Lock()
 
     def work() -> None:
-        while True:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            results[i] = fn(tasks[i])
+        _in_task.active = True
+        try:
+            while True:
+                with lock:
+                    i = next(todo, None)
+                if i is None:
+                    return
+                results[i] = fn(tasks[i])
+        finally:
+            _in_task.active = False
 
     # a pool per call: a pool object inherited by a forked worker process
     # has no threads behind it

@@ -19,7 +19,8 @@ subsampling-estimated fourth-cumulant component:
 Replicate r reads its m half-plane weights from its own stream and is
 reduced without BLAS, so the draws do not depend on the BLAS thread
 count; on large fields the replicates are filled on threads, and the
-draws do not depend on their number either.
+draws do not depend on their number either.  A field's block-size
+ladder runs on threads too, one ensemble per task, with the same bits.
 
 ``FieldResampler`` holds one field's pipeline and is the only place the
 rescale and the hfdb_bias shift are applied; ``bootstrap_distribution``
@@ -41,7 +42,8 @@ from .errors import ConfigError, NumericalError
 from .lattice import LatticeField, Periodogram, periodogram
 from .spectral import PsiFunction, SpectralMeanValue, spectral_mean
 from .subsample import (BlockSpec, SubsampleEnsemble, VarianceEstimates,
-                        bias_estimate, subsample_ensemble, variance_estimates)
+                        _ladder, bias_estimate, subsample_ensemble,
+                        variance_estimates)
 
 _TWO_PI = 2.0 * np.pi
 _SQRT2 = np.sqrt(2.0)
@@ -172,9 +174,12 @@ class FieldResampler:
     periodogram, Mhat, the density estimate fhat, Var* and the B base
     FDWB draws are shared by every kind and block size asked of the
     field; the block ensemble, its variance estimates and each kind's
-    draws are cached per ``BlockSpec``.  Bootstrap replicate r reads the
-    weight stream (master_seed, BOOT, replicate_id, r) whatever the kind,
-    so fdwb and hybrid draws of one field agree replicate by replicate.
+    draws are cached per ``BlockSpec``.  ``ensembles`` computes a
+    field's ladder of block sizes at once, on threads, each ensemble
+    whole on one thread, so the bits do not depend on the thread count.
+    Bootstrap replicate r reads the weight stream (master_seed, BOOT,
+    replicate_id, r) whatever the kind, so fdwb and hybrid draws of one
+    field agree replicate by replicate.
     """
 
     def __init__(self, fieldz: LatticeField, psi: PsiFunction, B: int,
@@ -214,6 +219,15 @@ class FieldResampler:
         if spec not in self._ensembles:
             self._ensembles[spec] = subsample_ensemble(self.field, spec, self.psi)
         return self._ensembles[spec]
+
+    def ensembles(self, specs) -> None:
+        """Compute the block ensembles of ``specs`` not computed yet: one
+        by ``ensemble``, two or more as a ladder on threads."""
+        todo = [s for s in dict.fromkeys(specs) if s not in self._ensembles]
+        if len(todo) == 1:
+            self.ensemble(todo[0])
+        elif todo:
+            self._ensembles.update(_ladder(self.field, todo, self.psi))
 
     def variance(self, spec: BlockSpec) -> VarianceEstimates:
         if spec not in self._variances:

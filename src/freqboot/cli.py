@@ -13,6 +13,13 @@ so there t = 0.  Replicates fan out over a process pool in chunks; as
 every draw is addressed by these indices, reports are byte-identical for
 a given seed regardless of worker count.
 
+A field whose methods read block ensembles has the ensembles of all its
+block sizes computed at once, as a ladder on threads, before its rows
+are made.  Each worker process holds itself to its share of the CPUs
+(``_pool.share``), so processes times threads stay within them.  Each
+ensemble is computed whole on one thread, so the bits depend on neither
+the thread nor the worker count.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -29,6 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _pool
 from . import rng as rngmod
 from .bootstrap import FieldResampler
 from .errors import ConfigError, FreqbootError, NumericalError
@@ -240,6 +248,19 @@ def _block_spec(size, grid, subsample: bool) -> BlockSpec:
     return spec
 
 
+def _check_lags(block, h1, h2) -> None:
+    """Refuse a block with no pair of points at lag test.h1 or test.h2,
+    which the subsample isotropy calibration compares inside every block,
+    naming both keys."""
+    b1, b2 = block
+    for key, h in (("test.h1", h1), ("test.h2", h2)):
+        if abs(h[0]) >= b1 or abs(h[1]) >= b2:
+            raise ConfigError(
+                f"block.sizes: block {b1}x{b2} has no pairs at lag {key}="
+                f"{tuple(h)}, and methods=subsample compares the variogram "
+                f"at that lag inside every block")
+
+
 def _contrast(h1, h2):
     """The psi an isotropy command or experiment resamples: the contrast
     of its lags test.h1 and test.h2."""
@@ -305,6 +326,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"psi: an isotropy experiment resamples the contrast of "
                     f"test.h1 and test.h2, {contrast}, got {self.psi_name!r}")
+            if "subsample" in self.methods:
+                for size in self.blocks:
+                    _check_lags(size, self.h1, self.h2)
 
 
 def _fixture_truth(path: str, model, generator: str, psi_name: str,
@@ -410,17 +434,18 @@ class _Kind(NamedTuple):
     # var_star and the BootstrapDraws fields the kind records
     columns: tuple[str, ...]
     row: Callable             # (cfg, res, method, spec) -> the kind's cells
+    ensembles: tuple[str, ...]  # the methods that read the block ensemble
 
 
 _KINDS = {
     "coverage": _Kind(("method", "n1", "n2", "b1", "b2"), "covered",
                       ("mhat", "lower", "upper", "covered", "var_star",
                        "sigma2_raw", "sigma2_floored", "bias_sub"),
-                      _coverage_cells),
+                      _coverage_cells, ("hfdb", "hfdb_bias", "subsample")),
     "isotropy": _Kind(("method", "tau_r", "n1", "n2", "b1", "b2"), "reject",
                       ("ts", "p_value", "reject", "var_star", "sigma2_raw",
                        "sigma2_floored"),
-                      _isotropy_cells),
+                      _isotropy_cells, ("hfdb",)),
 }
 
 
@@ -432,6 +457,9 @@ def _replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
     # var_star is written on every row of a run that has a bootstrap
     # method, subsample rows included
     need_boot = any(m != "subsample" for m in cfg.methods)
+    # the blocks whose ensembles a method reads, computed at once per field
+    ladder = ([BlockSpec(b1, b2) for (b1, b2) in cfg.blocks]
+              if any(m in kind.ensembles for m in cfg.methods) else [])
     records = []
     for t_idx, tau in enumerate(cfg.tau_r_list):
         model = cfg.model
@@ -445,6 +473,7 @@ def _replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
                 generator=cfg.generator)
             res = FieldResampler(field, psi, cfg.B, cfg.master_seed,
                                  i * len(cfg.tau_r_list) + t_idx, cfg.bandwidth)
+            res.ensembles(ladder)
             for (b1, b2) in cfg.blocks or ((0, 0),):
                 spec = BlockSpec(b1, b2) if cfg.blocks else None
                 for method in cfg.methods:
@@ -461,10 +490,13 @@ def _replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
 
 
 def _chunk(args) -> list[dict]:
-    cfg, indices = args
+    """The records of replicates ``indices``, run as one of ``processes``
+    worker processes that share this machine's CPUs."""
+    cfg, indices, processes = args
     out = []
-    for i in indices:
-        out.extend(_replicate(cfg, i))
+    with _pool.share(processes):
+        for i in indices:
+            out.extend(_replicate(cfg, i))
     return out
 
 
@@ -504,12 +536,14 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
     table = _KINDS[kind]
     R = cfg.replicates
     n_chunks = 1 if cfg.workers == 1 else min(R, cfg.workers * 4)
-    payloads = [(cfg, list(range(R))[k::n_chunks]) for k in range(n_chunks)]
+    # a fork pool starts every worker up front: start no idle ones
+    processes = min(cfg.workers, n_chunks)
+    payloads = [(cfg, list(range(R))[k::n_chunks], processes)
+                for k in range(n_chunks)]
     if n_chunks == 1:
         chunks = [_chunk(p) for p in payloads]
     else:
-        # a fork pool starts every worker up front: start no idle ones
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, n_chunks)) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             chunks = list(pool.map(_chunk, payloads))
     records = [rec for chunk in chunks for rec in chunk]
     order = ("replicate", *table.keys[1:], "method")
@@ -790,6 +824,8 @@ def _dispatch(args) -> int:
             if spec is None:
                 raise ConfigError(f"block.sizes: methods={method} needs one "
                                   f"block size or minvol")
+            if cmd == "isotropy" and method == "subsample":
+                _check_lags((spec.b1, spec.b2), h1, h2)
         if cmd == "ci":
             level = st.get_float("ci.level", 0.9)
             check_level(level, "ci.level", 0.5)

@@ -188,10 +188,14 @@ def model_autocovariance(model, h) -> float:
 
 @lru_cache(maxsize=256)
 def _matern_autocov(model: MaternSpectral, h1: int, h2: int) -> float:
+    """gamma(h) by quadrature, stopped on a change of at most 1e-6 gamma(0):
+    gamma(0) is its own scale, so it stops where a relative test does."""
     def integrand(w1, w2):
         return model_spectral_density(model, w1, w2) * np.cos(h1 * w1 + h2 * w2)
 
-    return quadrature(integrand)
+    if (h1, h2) == (0, 0):
+        return quadrature(integrand)
+    return quadrature(integrand, scale=_matern_autocov(model, 0, 0))
 
 
 def gamma0(model) -> float:

@@ -178,13 +178,17 @@ def _midpoint_grid(m: int) -> np.ndarray:
 
 def quadrature(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                rel_tol: float = 1e-6, m_start: int = 64,
-               m_max: int = 4096) -> float:
+               m_max: int = 4096, scale: float | None = None) -> float:
     """Midpoint rule over [-pi, pi]^2 on a doubling m x m grid until the
-    relative change drops below ``rel_tol``.
+    change drops below ``rel_tol`` times ``scale``, or times the value
+    itself when no scale is given.
 
     The integrands used here are periodic, so the midpoint rule converges
     spectrally for smooth psi; discontinuous integrands (spectral CDF
-    indicators) may fail to stabilize, which raises NumericalError.
+    indicators) may fail to stabilize, which raises NumericalError.  A
+    value far smaller than its integrand's size, such as an
+    autocovariance at a far lag, settles only on an absolute change, so
+    give it the size as ``scale``.
     """
     prev = None
     m = m_start
@@ -193,7 +197,8 @@ def quadrature(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         cell = (_TWO_PI / m) ** 2
         val = float(np.sum(fn(w[:, None], w[None, :]))) * cell
         if prev is not None:
-            if abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
+            size = abs(val) if scale is None else scale
+            if abs(val - prev) <= rel_tol * max(size, 1e-300):
                 return val
         prev = val
         m *= 2

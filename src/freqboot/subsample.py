@@ -17,6 +17,10 @@ Blocks are transformed in batches of origin rows.  A field of two or
 more batches has them computed on up to one thread per CPU, and their
 per-frequency moments are merged in batch order on the calling thread;
 the batches, and so every bit of the result, do not depend on the
+thread count.  A ladder of block sizes on one field (the
+minimum-volatility candidates, or a resampler's blocks) has its
+ensembles computed as tasks on threads instead, each whole on one
+thread, with its batches in turn; again the bits do not depend on the
 thread count.
 """
 
@@ -173,30 +177,22 @@ def _ensemble_batch(values: np.ndarray, r0: int, r1: int, b1: int, b2: int,
     return intens.shape[0], mean, intens.sum(axis=0)
 
 
-def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
-                       psi: PsiFunction) -> SubsampleEnsemble:
-    """Compute all block periodogram statistics for one field.
+def _block_grid(fieldz: LatticeField, spec: BlockSpec) -> FrequencyGrid:
+    """The Fourier grid of ``spec``'s blocks, refused when they do not fit
+    in the field."""
+    n1, n2 = fieldz.n1, fieldz.n2
+    if spec.b1 > n1 or spec.b2 > n2:
+        raise ConfigError(
+            f"block ({spec.b1}, {spec.b2}) does not fit in grid ({n1}, {n2})")
+    return build_frequency_grid(spec.b1, spec.b2)
 
-    Each block's periodogram lives on the block's own b1 x b2 Fourier
-    grid; the block spectral mean is (2 pi)^2 b^-1 sum_j psi(omega_j,b)
-    I_block(omega_j,b).  Blocks are processed in row-major origin order
-    in batches of origin rows.  Each batch takes one real FFT of every
-    length-b2 row window of the field rows it covers, then one length-b1
-    FFT down each b1-row window of those transforms, giving the half grid
-    k2 = 0..b2//2 of every block.  Block means use psi folded onto the
-    half grid; the per-frequency moments are accumulated there and
-    mirrored to the full layout at the end.
 
-    A field of two or more batches has them computed on up to one thread
-    per CPU; their moments are merged in batch order on this thread, so
-    the result does not depend on the thread count.
-    """
+def _ensemble(fieldz: LatticeField, spec: BlockSpec, psi: PsiFunction,
+              grid: FrequencyGrid) -> SubsampleEnsemble:
+    """``subsample_ensemble`` on the block grid ``grid`` of ``spec``,
+    built by the caller; a ladder task runs this."""
     n1, n2 = fieldz.n1, fieldz.n2
     b1, b2 = spec.b1, spec.b2
-    if b1 > n1 or b2 > n2:
-        raise ConfigError(
-            f"block ({b1}, {b2}) does not fit in grid ({n1}, {n2})")
-    grid = build_frequency_grid(b1, b2)
     psi_block = psi.on_grid(grid)
     psi_block_neg = grid.negate_array(psi_block)
     # transforms come out as (origin, k2, k1); keep that order throughout
@@ -226,6 +222,48 @@ def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
                              block_means=block_means,
                              per_freq_m2=_mirror_to_full(m2.T, grid),
                              psi_block=psi_block, psi_block_neg=psi_block_neg)
+
+
+def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
+                       psi: PsiFunction) -> SubsampleEnsemble:
+    """Compute all block periodogram statistics for one field.
+
+    Each block's periodogram lives on the block's own b1 x b2 Fourier
+    grid; the block spectral mean is (2 pi)^2 b^-1 sum_j psi(omega_j,b)
+    I_block(omega_j,b).  Blocks are processed in row-major origin order
+    in batches of origin rows.  Each batch takes one real FFT of every
+    length-b2 row window of the field rows it covers, then one length-b1
+    FFT down each b1-row window of those transforms, giving the half grid
+    k2 = 0..b2//2 of every block.  Block means use psi folded onto the
+    half grid; the per-frequency moments are accumulated there and
+    mirrored to the full layout at the end.
+
+    A field of two or more batches has them computed on up to one thread
+    per CPU; their moments are merged in batch order on this thread, so
+    the result does not depend on the thread count.
+    """
+    return _ensemble(fieldz, spec, psi, _block_grid(fieldz, spec))
+
+
+def _ladder(fieldz: LatticeField, specs,
+            psi: PsiFunction) -> dict[BlockSpec, SubsampleEnsemble]:
+    """The ensembles of ``specs``, by spec.
+
+    Each is one task of ``_pool.map_ordered``, computed whole on one
+    thread as ``subsample_ensemble`` computes it, so the bits do not
+    depend on the thread count or the task order.  Tasks are handed out
+    largest first, by L b1 (b2//2 + 1), for balance; block grids are
+    built here, on the calling thread.
+    """
+    grids = {s: _block_grid(fieldz, s) for s in specs}
+
+    def cost(s: BlockSpec) -> int:
+        return ((fieldz.n1 - s.b1 + 1) * (fieldz.n2 - s.b2 + 1)
+                * s.b1 * (s.b2 // 2 + 1))
+
+    order = sorted(grids, key=cost, reverse=True)
+    return dict(zip(order, _pool.map_ordered(
+        lambda s: _ensemble(fieldz, s, psi, grids[s]), order)))
 
 
 def variance_estimates(ens: SubsampleEnsemble) -> VarianceEstimates:
@@ -334,9 +372,10 @@ def select_block_size_min_volatility(fieldz: LatticeField, psi: PsiFunction,
     """Minimum-volatility choice over a sorted candidate ladder.
 
     Computes sigma_hat (the root of the overall subsampling variance) for
-    each candidate, then the running sample standard deviation of
-    sigma_hat over each window of consecutive candidates, and returns the
-    center of the steadiest window; ties go to the smaller block.
+    each candidate, from one ladder of their ensembles, then the running
+    sample standard deviation of sigma_hat over each window of
+    consecutive candidates, and returns the center of the steadiest
+    window; ties go to the smaller block.
     """
     if window < 3 or window % 2 == 0:
         raise ConfigError("window must be an odd integer >= 3")
@@ -347,9 +386,9 @@ def select_block_size_min_volatility(fieldz: LatticeField, psi: PsiFunction,
     if order != sorted(order):
         raise ConfigError("candidates must be sorted by block size ascending")
 
+    ladder = _ladder(fieldz, candidates, psi)
     sigma = np.array([
-        np.sqrt(max(variance_estimates(
-            subsample_ensemble(fieldz, c, psi)).sigma_sq_hat, 0.0))
+        np.sqrt(max(variance_estimates(ladder[c]).sigma_sq_hat, 0.0))
         for c in candidates])
     half = window // 2
     best_idx, best_sd = None, np.inf

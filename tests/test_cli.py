@@ -7,6 +7,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -15,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from freqboot import FieldResampler, LatticeField, load_field_csv
+from freqboot import _pool as pool_module
+from freqboot import bootstrap as bootstrap_module
 from freqboot import cli as cli_module
+from freqboot import subsample as subsample_module
 from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
                           _chunk, emit_report, experiment_config, main,
                           parse_config_file, report_to_json,
@@ -107,6 +111,34 @@ class TestConfigParsing:
         # refused only inside the first replicate
         with pytest.raises(ConfigError, match="block.sizes"):
             _cfg(**over)
+
+    @pytest.mark.parametrize("blocks, key", [
+        (((3, 3),), "test.h1"), (((6, 6), (4, 3)), "test.h2")])
+    def test_subsample_lags_must_fit_the_blocks(self, blocks, key):
+        # the subsample calibration compares variograms inside each block
+        iso = dict(kind="isotropy", model=SphericalAniso(sigma2=1.0, range_=3.0),
+                   sizes=((12, 12),), blocks=blocks, h1=(3, 0), h2=(0, 3),
+                   psi_name="iso_contrast{h1=(3,0),h2=(0,3)}")
+        with pytest.raises(ConfigError, match="block.sizes") as exc:
+            _cfg(methods=("fdwb", "subsample"), **iso)
+        assert key in str(exc.value)
+        assert _cfg(methods=("fdwb", "hfdb"), **iso).blocks == blocks
+
+    def test_subsample_lags_outside_the_blocks_exit_2_before_a_replicate(
+            self, tmp_path, capsys, monkeypatch):
+        def no_field(*args, **kwargs):
+            pytest.fail("a replicate ran")
+        monkeypatch.setattr(cli_module, "simulate_process", no_field)
+        args = []
+        for kv in ("process.kind=spherical", "grid.sizes=12x12",
+                   "block.sizes=3x3", "methods=subsample", "test.h1=(3,0)",
+                   "test.h2=(0,3)", "replicates=2"):
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"),
+                            "isotropy-experiment"]) == 2
+        err = capsys.readouterr().err
+        assert "block.sizes" in err and "test.h1" in err
+        assert not list(tmp_path.iterdir())
 
     def test_hybrid_methods_take_a_single_translate(self):
         assert _cfg(blocks=((16, 16),), methods=("hfdb",)).blocks == ((16, 16),)
@@ -459,6 +491,75 @@ class TestCoverageExperiment:
             assert (tmp_path / ("w1" + suffix)).read_bytes() == \
                 (tmp_path / ("w2" + suffix)).read_bytes()
 
+    @pytest.mark.parametrize("workers, replicates, share", [
+        (1, 4, 2), (2, 4, 1), (3, 20, 1), (2, 1, 2)])
+    def test_chunks_hold_to_their_share_of_the_cpus(self, monkeypatch, workers,
+                                                     replicates, share):
+        # on 2 CPUs each of 2 or 3 worker processes uses one; one chunk run
+        # in this process, or a chunk in a pool run here, restores the value
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        seen = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        def replicate(cfg, i, _replicate=cli_module._replicate):
+            seen.append(pool_module.cpus())
+            return _replicate(cfg, i)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(cli_module, "_replicate", replicate)
+        run_coverage_experiment(_cfg(replicates=replicates, workers=workers,
+                                     B=100))
+        assert seen == [share] * replicates
+        assert pool_module.cpus() == 2
+
+    @pytest.mark.parametrize("kind, methods, blocks, calls, ladders", [
+        ("coverage", ("fdwb", "hfdb", "hfdb_bias", "subsample"), ((4, 4),),
+         1, 0),
+        ("coverage", ("fdwb", "hfdb_bias"), ((4, 4), (5, 3)), 0, 1),
+        ("coverage", ("fdwb",), ((4, 4), (5, 3)), 0, 0),
+        ("isotropy", ("hfdb", "subsample"), ((4, 4),), 1, 0),
+        ("isotropy", ("fdwb", "hfdb"), ((4, 4), (5, 3)), 0, 1),
+        ("isotropy", ("fdwb", "subsample"), ((4, 4), (5, 3)), 0, 0)])
+    def test_ensembles_per_field(self, monkeypatch, kind, methods, blocks,
+                                 calls, ladders):
+        # one block: the public subsample_ensemble, once per field, on this
+        # thread; two or more: one ladder per field; none when no method
+        # reads an ensemble (fdwb, and the variogram-based isotropy
+        # subsample calibration)
+        counts = {"subsample_ensemble": [], "_ladder": [], "_ensemble": []}
+        for module, name in ((bootstrap_module, "subsample_ensemble"),
+                             (bootstrap_module, "_ladder"),
+                             (subsample_module, "_ensemble")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kw):
+                counts[_name].append(threading.get_ident())
+                return _fn(*args, **kw)
+            monkeypatch.setattr(module, name, counted)
+        cfg = _cfg(kind=kind, model=SphericalAniso(sigma2=1.0, range_=3.0),
+                   sizes=((12, 12), (14, 13)), blocks=blocks, methods=methods,
+                   replicates=3, B=100, truth=0.0)
+        (run_coverage_experiment if kind == "coverage"
+         else run_isotropy_experiment)(cfg)
+        fields = 3 * 2
+        assert counts["subsample_ensemble"] == [threading.get_ident()] * (
+            calls * fields)
+        assert len(counts["_ladder"]) == ladders * fields
+        assert len(counts["_ensemble"]) == (
+            fields * (calls + ladders * len(blocks)))
+
     def test_summary_matches_recomputation_from_replicates(self):
         report = run_coverage_experiment(_cfg(replicates=5))
         for row in report.summary:
@@ -531,7 +632,7 @@ class TestChunking:
     def _run(cfg, chunks):
         out = []
         for chunk in chunks:
-            out.extend(_chunk((cfg, chunk)))
+            out.extend(_chunk((cfg, chunk, 1)))
         return sorted(out, key=_sort_key)
 
     @settings(max_examples=8, deadline=None)
@@ -841,6 +942,12 @@ class TestCommandLine:
         ("ci", ["block.sizes=20x20", "methods=subsample"], "block.sizes"),
         ("isotropy", ["block.sizes=20x20", "methods=subsample"], "block.sizes"),
         ("ci", ["block.sizes=21x4", "methods=hfdb"], "block.sizes"),
+        ("isotropy", ["block.sizes=3x3", "methods=subsample", "test.h1=(3,0)",
+                      "test.h2=(0,3)"], "block.sizes: block 3x3 has no pairs "
+                                        "at lag test.h1"),
+        ("isotropy", ["block.sizes=4x3", "methods=subsample", "test.h1=(3,0)",
+                      "test.h2=(0,3)"], "block.sizes: block 4x3 has no pairs "
+                                        "at lag test.h2"),
     ])
     def test_single_field_blocks_name_the_key(self, tmp_path, capsys, command,
                                               settings, key):
@@ -865,6 +972,16 @@ class TestCommandLine:
         field = _field(tmp_path)
         assert main(["--set", "methods=subsample", "--set", "block.sizes=5x5",
                      "--set", "boot.B=10", "ci", "--in", field]) == 0
+
+    def test_matern_truth_at_a_far_lag(self, tmp_path, capsys):
+        # gamma(5, 0) is about 5e-2 of gamma(0) here; the quadrature stops
+        # on a change of 1e-6 gamma(0) rather than of 1e-6 gamma(5, 0)
+        rc = main(["--set", "process.kind=matern", "--set", "process.alpha=2",
+                   "--set", "process.nu=1", "--set", "psi=cos_lag{h=(5,0)}",
+                   "--set", "grid.sizes=12x12", "--set", "methods=fdwb",
+                   "--set", "replicates=2", "--set", "boot.B=100",
+                   "--out", str(tmp_path / "r"), "coverage"])
+        assert rc == 0, capsys.readouterr().err
 
     def test_coverage_command_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -4,6 +4,7 @@ variograms, and minimum-volatility selection."""
 import itertools
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ import scipy.stats as st
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from freqboot import (BlockSpec, ConfigError, LatticeField, WhiteNoise,
-                      bias_estimate, block_variogram, block_variogram_contrast,
-                      default_block_candidates, periodogram,
-                      sample_variogram, select_block_size_min_volatility,
-                      simulate_gaussian, spectral_mean, subsample_edf,
-                      subsample_ensemble, variance_estimates)
+from freqboot import (BlockSpec, ConfigError, FieldResampler, LatticeField,
+                      WhiteNoise, bias_estimate, block_variogram,
+                      block_variogram_contrast, default_block_candidates,
+                      periodogram, sample_variogram,
+                      select_block_size_min_volatility, simulate_gaussian,
+                      spectral_mean, subsample_edf, subsample_ensemble,
+                      variance_estimates)
 from freqboot import psi_cos_lag, psi_isotropy_contrast, psi_spectral_cdf
 from freqboot import _pool as pool_module
 from freqboot import rng as rngmod
@@ -205,6 +207,71 @@ class TestEnsemble:
         assert len(threads) == 2
         assert np.array_equal(got.block_means, want.block_means)
         assert np.array_equal(got.per_freq_m2, want.per_freq_m2)
+
+
+class TestLadder:
+    @settings(max_examples=40, deadline=None)
+    @given(data=hst.data(), n1=hst.integers(7, 16), n2=hst.integers(7, 16),
+           cpus=hst.integers(1, 4), psi=hst.sampled_from(_PSIS),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_ladder_bits_equal_one_at_a_time(self, data, n1, n2, cpus, psi,
+                                             seed):
+        # each ensemble is one task computed whole, its batches in turn on
+        # the task's thread; a small budget gives every task several batches
+        sizes = hst.tuples(hst.integers(2, 7), hst.integers(2, 7))
+        specs = [BlockSpec(*s) for s in data.draw(
+            hst.lists(sizes, min_size=2, max_size=5, unique=True))]
+        budget = data.draw(hst.integers(1, 200))
+        f = LatticeField(np.random.default_rng(seed).standard_normal((n1, n2)))
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsample_module, "_CHUNK_BUDGET", budget)
+            mp.setattr(pool_module, "cpus", lambda: 1)
+            single = {s: subsample_ensemble(f, s, psi) for s in specs}
+            mp.setattr(pool_module, "cpus", lambda: cpus)
+            mp.setattr(pool_module, "ThreadPoolExecutor", RecordingPool)
+            res = FieldResampler(f, psi, 100, 0)
+            res.ensembles(specs)
+        # one pool for the ladder; the tasks' batches start none
+        threads = min(cpus, len(specs))
+        assert pools == ([threads - 1] if threads > 1 else [])
+        for s in specs:
+            got, want = res.ensemble(s), single[s]
+            assert (got.spec, got.L, got.grid) == (want.spec, want.L, want.grid)
+            for name in ("block_means", "per_freq_m2", "psi_block",
+                         "psi_block_neg"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_ladder_tasks_run_on_several_threads(self, monkeypatch):
+        # the two ensembles must be in their transforms at once: run one
+        # after the other, the first waits at the barrier and fails
+        barrier = threading.Barrier(2, timeout=10)
+        calls, threads = itertools.count(), set()
+        rfft = np.fft.rfft
+
+        def meeting_rfft(*args, **kwargs):   # one call per 1-batch ensemble
+            threads.add(threading.get_ident())
+            if next(calls) < 2:
+                barrier.wait()
+            return rfft(*args, **kwargs)
+
+        f = LatticeField(np.random.default_rng(5).standard_normal((20, 20)))
+        specs, psi = [BlockSpec(4, 4), BlockSpec(5, 3)], psi_cos_lag((1, 2))
+        monkeypatch.setattr(pool_module, "cpus", lambda: 2)
+        want = [subsample_ensemble(f, s, psi) for s in specs]
+        monkeypatch.setattr(np.fft, "rfft", meeting_rfft)
+        res = FieldResampler(f, psi, 100, 0)
+        res.ensembles(specs)
+        assert len(threads) == 2
+        for s, ens in zip(specs, want):
+            assert np.array_equal(res.ensemble(s).block_means, ens.block_means)
+            assert np.array_equal(res.ensemble(s).per_freq_m2, ens.per_freq_m2)
 
 
 class TestVarianceEstimates:

@@ -18,6 +18,8 @@ single-shot commands and ``simulate`` for every process kind.  Isotropy
 experiments name their psi, the contrast of ``test.h1`` and ``test.h2``.
 One case reads a 128x128 field, whose 9x9 block ensemble is computed in
 three batches on threads and whose bootstrap weights are drawn on threads.
+Another runs a coverage ladder of two block sizes on 128x128 fields,
+whose ensembles are computed as tasks on threads.
 """
 
 from __future__ import annotations
@@ -82,6 +84,13 @@ EXPERIMENTS = {
         "process.kind=matern_quartic", "grid.sizes=20x20", "block.sizes=5x5",
         "methods=fdwb,hfdb,hfdb_bias,subsample", "boot.B=150",
         "replicates=4")),
+    # two block sizes of several ensemble batches each: a ladder on threads
+    # whose tasks run their batches in turn, and at two workers each
+    # process's share of the CPUs
+    "ladder_128_coverage": ("coverage", _sets(
+        "process.kind=spherical", "grid.sizes=128x128",
+        "block.sizes=9x9,11x11", "methods=fdwb,hfdb_bias,subsample",
+        "boot.B=100", "replicates=2")),
 }
 
 PROCESSES = {
