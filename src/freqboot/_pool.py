@@ -1,17 +1,16 @@
 """Per-call thread pools for the stages that split a field's work.
 
-The FDWB draws, the batches of a large field's block ensemble and the
-ensembles of a field's block-size ladder hand independent tasks to
-``map_ordered`` and get the results back in task order, so what they
-compute from them does not depend on how many threads ran.  Tasks must
-call only numpy and private helpers: numpy releases the GIL in its
-transforms and loops, and a public freqboot name may be wrapped by a
-caller's instrumentation that is not thread-safe.
+The FDWB draws and the batches of a field's block ensembles hand
+independent tasks to ``map_ordered`` and get the results back in task
+order, so what they compute from them does not depend on how many
+threads ran.  Tasks must call only numpy and private helpers: numpy
+releases the GIL in its transforms and loops, and a public freqboot name
+may be wrapped by a caller's instrumentation that is not thread-safe.
 
-One CPU budget holds per process.  A ``map_ordered`` called from inside
-a task runs its tasks on that task's thread, so nested stages never
-start threads of their own; and a fork worker that shares the CPUs with
-others holds ``cpus()`` to its share while it runs (``share``).
+Worker processes that share the CPUs count how many of them are running
+a chunk of work (``share``, ``working``), and while k of them are,
+``cpus()`` in each is its share of the CPUs, so processes times threads
+stay within the CPUs; a worker left running alone uses them all.
 """
 
 from __future__ import annotations
@@ -21,39 +20,48 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
-# the CPUs a fork worker holds this process to, or None for all of them
-_held: int | None = None
-# set on a thread while it runs tasks of a map_ordered call
-_in_task = threading.local()
+# in a worker process: the shared count of workers running a chunk
+_busy = None
 
 
 def cpus() -> int:
-    """CPUs this process may use: those it may run on, or its share of
-    them while ``share`` holds it."""
-    if _held is not None:
-        return _held
+    """CPUs this process may use: those it may run on, divided among the
+    worker processes running a chunk."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
+    if _busy is not None:
+        return max(1, n // max(1, _busy.value))
+    return n
+
+
+def share(busy) -> None:
+    """A worker pool's initializer: this process shares the CPUs with the
+    workers counted in ``busy``, a ``multiprocessing.Value('i')``."""
+    global _busy
+    _busy = busy
 
 
 @contextmanager
-def share(processes: int):
-    """Hold ``cpus()`` to max(1, cpus() // processes) inside the block,
-    for one of ``processes`` processes that run at once on these CPUs;
-    the value before is restored on leaving."""
-    global _held
-    before = _held
-    _held = max(1, cpus() // processes)
+def working():
+    """Count this worker process in its pool's busy count inside the
+    block; a no-op outside a pool's workers."""
+    if _busy is None:
+        yield
+        return
+    with _busy.get_lock():
+        _busy.value += 1
     try:
         yield
     finally:
-        _held = before
+        with _busy.get_lock():
+            _busy.value -= 1
 
 
 def map_ordered(fn, tasks) -> list:
     """``[fn(t) for t in tasks]``, on up to one thread per CPU when there
-    are two or more tasks and this is not itself a task's thread.
+    are two or more tasks.
 
     The calling thread takes tasks too, so k threads need a pool of k - 1.
     Its allocations reuse memory the process already holds, while each
@@ -63,23 +71,19 @@ def map_ordered(fn, tasks) -> list:
     """
     tasks = list(tasks)
     k = min(cpus(), len(tasks))
-    if k < 2 or getattr(_in_task, "active", False):
+    if k < 2:
         return [fn(t) for t in tasks]
     results = [None] * len(tasks)
     todo = iter(range(len(tasks)))
     lock = threading.Lock()
 
     def work() -> None:
-        _in_task.active = True
-        try:
-            while True:
-                with lock:
-                    i = next(todo, None)
-                if i is None:
-                    return
-                results[i] = fn(tasks[i])
-        finally:
-            _in_task.active = False
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            results[i] = fn(tasks[i])
 
     # a pool per call: a pool object inherited by a forked worker process
     # has no threads behind it

@@ -20,7 +20,7 @@ Replicate r reads its m half-plane weights from its own stream and is
 reduced without BLAS, so the draws do not depend on the BLAS thread
 count; on large fields the replicates are filled on threads, and the
 draws do not depend on their number either.  A field's block-size
-ladder runs on threads too, one ensemble per task, with the same bits.
+ladder runs its batches on threads too, with the same bits.
 
 ``FieldResampler`` holds one field's pipeline and is the only place the
 rescale and the hfdb_bias shift are applied; ``bootstrap_distribution``
@@ -175,8 +175,8 @@ class FieldResampler:
     FDWB draws are shared by every kind and block size asked of the
     field; the block ensemble, its variance estimates and each kind's
     draws are cached per ``BlockSpec``.  ``ensembles`` computes a
-    field's ladder of block sizes at once, on threads, each ensemble
-    whole on one thread, so the bits do not depend on the thread count.
+    field's ladder of block sizes at once, the batches of all of them on
+    threads, with the bits of one ensemble at a time.
     Bootstrap replicate r reads the weight stream (master_seed, BOOT,
     replicate_id, r) whatever the kind, so fdwb and hybrid draws of one
     field agree replicate by replicate.

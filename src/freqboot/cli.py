@@ -14,11 +14,12 @@ every draw is addressed by these indices, reports are byte-identical for
 a given seed regardless of worker count.
 
 A field whose methods read block ensembles has the ensembles of all its
-block sizes computed at once, as a ladder on threads, before its rows
-are made.  Each worker process holds itself to its share of the CPUs
-(``_pool.share``), so processes times threads stay within them.  Each
-ensemble is computed whole on one thread, so the bits depend on neither
-the thread nor the worker count.
+block sizes computed at once, as a ladder whose batches run on threads,
+before its rows are made.  Worker processes divide the CPUs among those
+running a chunk (``_pool.share``), so processes times threads stay
+within them and a worker left alone uses them all.  Each ensemble's
+batches are merged in batch order, so the bits depend on neither the
+thread nor the worker count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -490,11 +492,9 @@ def _replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
 
 
 def _chunk(args) -> list[dict]:
-    """The records of replicates ``indices``, run as one of ``processes``
-    worker processes that share this machine's CPUs."""
-    cfg, indices, processes = args
+    cfg, indices = args
     out = []
-    with _pool.share(processes):
+    with _pool.working():
         for i in indices:
             out.extend(_replicate(cfg, i))
     return out
@@ -536,14 +536,16 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
     table = _KINDS[kind]
     R = cfg.replicates
     n_chunks = 1 if cfg.workers == 1 else min(R, cfg.workers * 4)
-    # a fork pool starts every worker up front: start no idle ones
-    processes = min(cfg.workers, n_chunks)
-    payloads = [(cfg, list(range(R))[k::n_chunks], processes)
-                for k in range(n_chunks)]
+    payloads = [(cfg, list(range(R))[k::n_chunks]) for k in range(n_chunks)]
     if n_chunks == 1:
         chunks = [_chunk(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        # a fork pool starts every worker up front: start no idle ones;
+        # they divide the CPUs among those running a chunk
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, n_chunks),
+                                 initializer=_pool.share,
+                                 initargs=(multiprocessing.Value("i", 0),)
+                                 ) as pool:
             chunks = list(pool.map(_chunk, payloads))
     records = [rec for chunk in chunks for rec in chunk]
     order = ("replicate", *table.keys[1:], "method")

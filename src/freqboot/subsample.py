@@ -13,20 +13,19 @@ half grid k2 = 0..b2//2 is transformed: one real FFT per row window of
 the field, shared by every block that contains the row, then one
 length-b1 FFT down each block's rows.
 
-Blocks are transformed in batches of origin rows.  A field of two or
-more batches has them computed on up to one thread per CPU, and their
+Blocks are transformed in batches of origin rows.  The batches of a
+field's ensemble, or of all the ensembles of a ladder of block sizes on
+one field (the minimum-volatility candidates, or a resampler's blocks),
+are computed on up to one thread per CPU, and each ensemble's
 per-frequency moments are merged in batch order on the calling thread;
-the batches, and so every bit of the result, do not depend on the
-thread count.  A ladder of block sizes on one field (the
-minimum-volatility candidates, or a resampler's blocks) has its
-ensembles computed as tasks on threads instead, each whole on one
-thread, with its batches in turn; again the bits do not depend on the
-thread count.
+the batches, and so every bit of the result, depend on neither the
+thread count nor the other block sizes of the ladder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,6 +44,11 @@ _TWO_PI = 2.0 * np.pi
 # (2-vCPU Xeon, numpy 2.4).  It also sets the batches, and so the order
 # of the moment merges: changing it moves the moments at rounding level
 _CHUNK_BUDGET = 262_144
+
+# a ladder computes its block sizes in waves of at most this many block
+# means (4 MiB), or one size's: the 35 minimum-volatility candidates of a
+# 512 x 512 field hold about 63 MiB of means in all
+_WAVE_MEANS = 524_288
 
 
 @dataclass(frozen=True)
@@ -177,51 +181,105 @@ def _ensemble_batch(values: np.ndarray, r0: int, r1: int, b1: int, b2: int,
     return intens.shape[0], mean, intens.sum(axis=0)
 
 
-def _block_grid(fieldz: LatticeField, spec: BlockSpec) -> FrequencyGrid:
-    """The Fourier grid of ``spec``'s blocks, refused when they do not fit
-    in the field."""
-    n1, n2 = fieldz.n1, fieldz.n2
-    if spec.b1 > n1 or spec.b2 > n2:
-        raise ConfigError(
-            f"block ({spec.b1}, {spec.b2}) does not fit in grid ({n1}, {n2})")
-    return build_frequency_grid(spec.b1, spec.b2)
+class _Blocks(NamedTuple):
+    """One block size's ensemble before its batches run: what every batch
+    reads, built on the calling thread."""
+
+    spec: BlockSpec
+    grid: FrequencyGrid
+    psi_block: np.ndarray
+    psi_block_neg: np.ndarray
+    weights: np.ndarray       # psi on the half grid, as (k2, k1)
+    rows: int                 # origin rows
+    cols: int                 # origins per row
+    rows_per_batch: int
+
+    @classmethod
+    def of(cls, fieldz: LatticeField, spec: BlockSpec,
+           psi: PsiFunction) -> "_Blocks":
+        n1, n2 = fieldz.n1, fieldz.n2
+        b1, b2 = spec.b1, spec.b2
+        if b1 > n1 or b2 > n2:
+            raise ConfigError(
+                f"block ({b1}, {b2}) does not fit in grid ({n1}, {n2})")
+        grid = build_frequency_grid(b1, b2)
+        psi_block = psi.on_grid(grid)
+        psi_block_neg = grid.negate_array(psi_block)
+        # transforms come out as (origin, k2, k1); keep that order throughout
+        weights = _half_grid_weights(psi_block, psi_block_neg).T
+        cols = n2 - b2 + 1
+        return cls(spec, grid, psi_block, psi_block_neg, weights,
+                   n1 - b1 + 1, cols,
+                   max(1, _CHUNK_BUDGET // (cols * b1 * (b2 // 2 + 1))))
+
+    @property
+    def L(self) -> int:
+        return self.rows * self.cols
+
+    def batches(self) -> range:
+        """The first origin row of each batch."""
+        return range(0, self.rows, self.rows_per_batch)
+
+    def run(self, values: np.ndarray, r0: int, block_means: np.ndarray):
+        """The batch starting at origin row r0, as ``_ensemble_batch``."""
+        r1 = min(r0 + self.rows_per_batch, self.rows)
+        return _ensemble_batch(values, r0, r1, self.spec.b1, self.spec.b2,
+                               1.0 / ((_TWO_PI ** 2) * self.spec.b),
+                               self.weights, (_TWO_PI ** 2) / self.spec.b,
+                               block_means[r0 * self.cols:r1 * self.cols])
+
+    def cost(self, r0: int) -> int:
+        """The batch's half-grid values, its share of the work."""
+        return ((min(r0 + self.rows_per_batch, self.rows) - r0) * self.cols
+                * self.spec.b1 * self.weights.shape[0])
 
 
-def _ensemble(fieldz: LatticeField, spec: BlockSpec, psi: PsiFunction,
-              grid: FrequencyGrid) -> SubsampleEnsemble:
-    """``subsample_ensemble`` on the block grid ``grid`` of ``spec``,
-    built by the caller; a ladder task runs this."""
-    n1, n2 = fieldz.n1, fieldz.n2
-    b1, b2 = spec.b1, spec.b2
-    psi_block = psi.on_grid(grid)
-    psi_block_neg = grid.negate_array(psi_block)
-    # transforms come out as (origin, k2, k1); keep that order throughout
-    weights = _half_grid_weights(psi_block, psi_block_neg).T
+def _wave(values: np.ndarray, blocks: list[_Blocks]) -> list[SubsampleEnsemble]:
+    """The ensembles of ``blocks``: every batch of every one a task of
+    ``_pool.map_ordered``, handed out largest first, and each ensemble's
+    batch moments merged in batch order on this thread."""
+    means = [np.empty(blk.L) for blk in blocks]
+    tasks = sorted(((i, r0) for i, blk in enumerate(blocks)
+                    for r0 in blk.batches()),
+                   key=lambda t: -blocks[t[0]].cost(t[1]))
+    stats = dict(zip(tasks, _pool.map_ordered(
+        lambda t: blocks[t[0]].run(values, t[1], means[t[0]]), tasks)))
+    out = []
+    for i, blk in enumerate(blocks):
+        count = 0
+        mean = np.zeros(blk.weights.shape)
+        m2 = np.zeros(blk.weights.shape)
+        for r0 in blk.batches():
+            count, mean, m2 = _welford_merge(count, mean, m2, *stats[i, r0])
+        out.append(SubsampleEnsemble(
+            spec=blk.spec, grid=blk.grid, L=blk.L, block_means=means[i],
+            per_freq_m2=_mirror_to_full(m2.T, blk.grid),
+            psi_block=blk.psi_block, psi_block_neg=blk.psi_block_neg))
+    return out
 
-    rows, cols = n1 - b1 + 1, n2 - b2 + 1
-    half = b2 // 2 + 1
-    L = rows * cols
-    norm = 1.0 / ((_TWO_PI ** 2) * spec.b)
-    scale = (_TWO_PI ** 2) / spec.b
 
-    rows_per_chunk = max(1, _CHUNK_BUDGET // (cols * b1 * half))
-    block_means = np.empty(L)
+def _ladder(fieldz: LatticeField, specs, psi: PsiFunction):
+    """Yield (spec, ensemble) for each of ``specs``, in order.
 
-    def batch(r0: int):
-        r1 = min(r0 + rows_per_chunk, rows)
-        return _ensemble_batch(fieldz.values, r0, r1, b1, b2, norm, weights,
-                               scale, block_means[r0 * cols:r1 * cols])
-
-    count = 0
-    mean = np.zeros((half, b1))
-    m2 = np.zeros((half, b1))
-    for stats in _pool.map_ordered(batch, range(0, rows, rows_per_chunk)):
-        count, mean, m2 = _welford_merge(count, mean, m2, *stats)
-
-    return SubsampleEnsemble(spec=spec, grid=grid, L=L,
-                             block_means=block_means,
-                             per_freq_m2=_mirror_to_full(m2.T, grid),
-                             psi_block=psi_block, psi_block_neg=psi_block_neg)
+    All the batches of a wave of block sizes are tasks of one
+    ``_pool.map_ordered`` call, and each ensemble's moments are merged in
+    batch order, so every bit is as ``subsample_ensemble`` computes it
+    alone, whatever the thread count, the spec order or the waves.  A
+    wave holds at most ``_WAVE_MEANS`` block means, or one block size's,
+    so a caller that keeps only a figure of each ensemble holds one
+    wave's at a time.  Every spec is checked before any batch runs.
+    """
+    specs = list(specs)
+    blocks = [_Blocks.of(fieldz, s, psi) for s in specs]
+    start = 0
+    while start < len(blocks):
+        end, held = start + 1, blocks[start].L
+        while end < len(blocks) and held + blocks[end].L <= _WAVE_MEANS:
+            held += blocks[end].L
+            end += 1
+        yield from zip(specs[start:end],
+                       _wave(fieldz.values, blocks[start:end]))
+        start = end
 
 
 def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
@@ -242,28 +300,7 @@ def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
     per CPU; their moments are merged in batch order on this thread, so
     the result does not depend on the thread count.
     """
-    return _ensemble(fieldz, spec, psi, _block_grid(fieldz, spec))
-
-
-def _ladder(fieldz: LatticeField, specs,
-            psi: PsiFunction) -> dict[BlockSpec, SubsampleEnsemble]:
-    """The ensembles of ``specs``, by spec.
-
-    Each is one task of ``_pool.map_ordered``, computed whole on one
-    thread as ``subsample_ensemble`` computes it, so the bits do not
-    depend on the thread count or the task order.  Tasks are handed out
-    largest first, by L b1 (b2//2 + 1), for balance; block grids are
-    built here, on the calling thread.
-    """
-    grids = {s: _block_grid(fieldz, s) for s in specs}
-
-    def cost(s: BlockSpec) -> int:
-        return ((fieldz.n1 - s.b1 + 1) * (fieldz.n2 - s.b2 + 1)
-                * s.b1 * (s.b2 // 2 + 1))
-
-    order = sorted(grids, key=cost, reverse=True)
-    return dict(zip(order, _pool.map_ordered(
-        lambda s: _ensemble(fieldz, s, psi, grids[s]), order)))
+    return next(_ladder(fieldz, [spec], psi))[1]
 
 
 def variance_estimates(ens: SubsampleEnsemble) -> VarianceEstimates:
@@ -386,10 +423,9 @@ def select_block_size_min_volatility(fieldz: LatticeField, psi: PsiFunction,
     if order != sorted(order):
         raise ConfigError("candidates must be sorted by block size ascending")
 
-    ladder = _ladder(fieldz, candidates, psi)
     sigma = np.array([
-        np.sqrt(max(variance_estimates(ladder[c]).sigma_sq_hat, 0.0))
-        for c in candidates])
+        np.sqrt(max(variance_estimates(ens).sigma_sq_hat, 0.0))
+        for _, ens in _ladder(fieldz, candidates, psi)])
     half = window // 2
     best_idx, best_sd = None, np.inf
     for center in range(half, len(candidates) - half):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -44,6 +46,14 @@ def _cfg(**over):
                 plus_one=False, truth=None)
     base.update(over)
     return ExperimentConfig(**base)
+
+
+def _enter_and_leave(times: int) -> int:
+    """Enter and leave a pool worker's busy count ``times`` times."""
+    for _ in range(times):
+        with pool_module.working():
+            pass
+    return times
 
 
 def _field(tmp_path) -> str:
@@ -440,7 +450,7 @@ class TestCoverageExperiment:
         sizes = []
 
         class RecordingPool:   # runs the chunks here; starts no process
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -491,40 +501,73 @@ class TestCoverageExperiment:
             assert (tmp_path / ("w1" + suffix)).read_bytes() == \
                 (tmp_path / ("w2" + suffix)).read_bytes()
 
-    @pytest.mark.parametrize("workers, replicates, share", [
-        (1, 4, 2), (2, 4, 1), (3, 20, 1), (2, 1, 2)])
-    def test_chunks_hold_to_their_share_of_the_cpus(self, monkeypatch, workers,
-                                                     replicates, share):
-        # on 2 CPUs each of 2 or 3 worker processes uses one; one chunk run
-        # in this process, or a chunk in a pool run here, restores the value
+    @pytest.mark.parametrize("workers, replicates", [
+        (1, 4), (2, 1), (2, 4), (3, 20), (2, 3)])
+    def test_worker_processes_divide_the_cpus_among_the_busy(
+            self, tmp_path, monkeypatch, workers, replicates):
+        # on 2 CPUs a forked worker uses one while another runs a chunk too,
+        # and both once it runs alone; a run in this process uses both and
+        # leaves this process's count alone
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        seen = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, payloads):
-                return map(fn, payloads)
+        log = tmp_path / "cpus"
 
         def replicate(cfg, i, _replicate=cli_module._replicate):
-            seen.append(pool_module.cpus())
+            busy = pool_module._busy
+            if busy is None:
+                seen = (0, pool_module.cpus())
+            else:
+                # the first chunks wait for a second busy worker, up to 5 s
+                deadline = time.monotonic() + 5.0
+                while (i < workers and busy.value < min(workers, 2)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
+                with busy.get_lock():
+                    seen = (busy.value, pool_module.cpus())
+            with open(log, "a") as fh:
+                fh.write("%d:%d\n" % seen)
             return _replicate(cfg, i)
 
-        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(cli_module, "_replicate", replicate)
         run_coverage_experiment(_cfg(replicates=replicates, workers=workers,
                                      B=100))
-        assert seen == [share] * replicates
-        assert pool_module.cpus() == 2
+        seen = [tuple(map(int, x.split(":"))) for x in log.read_text().split()]
+        assert len(seen) == replicates
+        assert all(c == max(1, 2 // max(1, b)) for b, c in seen), seen
+        if workers == 1 or replicates == 1:
+            assert seen == [(0, 2)] * replicates
+        else:
+            assert (2, 1) in seen or (3, 1) in seen
+        assert pool_module._busy is None and pool_module.cpus() == 2
+
+    def test_a_worker_running_alone_uses_every_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        busy = multiprocessing.Value("i", 0)
+        monkeypatch.setattr(pool_module, "_busy", busy)
+        got = []
+        for k in (1, 2, 3, 4, 5):
+            busy.value = k
+            got.append(pool_module.cpus())
+        assert got == [4, 2, 1, 1, 1]
+        with pool_module.working():
+            assert busy.value == 6
+        assert busy.value == 5
+
+    def test_busy_count_loses_no_update(self):
+        # more workers than CPUs enter and leave at once; a lost update
+        # would leave the count away from zero
+        ctx = multiprocessing.get_context("spawn")
+        busy = ctx.Value("i", 0)
+        with ProcessPoolExecutor(4, mp_context=ctx,
+                                 initializer=pool_module.share,
+                                 initargs=(busy,)) as pool:
+            done = [f.result(timeout=120)
+                    for f in [pool.submit(_enter_and_leave, 2000)
+                              for _ in range(8)]]
+        assert done == [2000] * 8
+        assert busy.value == 0
 
     @pytest.mark.parametrize("kind, methods, blocks, calls, ladders", [
         ("coverage", ("fdwb", "hfdb", "hfdb_bias", "subsample"), ((4, 4),),
@@ -539,11 +582,11 @@ class TestCoverageExperiment:
         # one block: the public subsample_ensemble, once per field, on this
         # thread; two or more: one ladder per field; none when no method
         # reads an ensemble (fdwb, and the variogram-based isotropy
-        # subsample calibration)
-        counts = {"subsample_ensemble": [], "_ladder": [], "_ensemble": []}
+        # subsample calibration).  Each is one wave of batches.
+        counts = {"subsample_ensemble": [], "_ladder": [], "_wave": []}
         for module, name in ((bootstrap_module, "subsample_ensemble"),
                              (bootstrap_module, "_ladder"),
-                             (subsample_module, "_ensemble")):
+                             (subsample_module, "_wave")):
             def counted(*args, _fn=getattr(module, name), _name=name, **kw):
                 counts[_name].append(threading.get_ident())
                 return _fn(*args, **kw)
@@ -557,8 +600,7 @@ class TestCoverageExperiment:
         assert counts["subsample_ensemble"] == [threading.get_ident()] * (
             calls * fields)
         assert len(counts["_ladder"]) == ladders * fields
-        assert len(counts["_ensemble"]) == (
-            fields * (calls + ladders * len(blocks)))
+        assert len(counts["_wave"]) == fields * (calls + ladders)
 
     def test_summary_matches_recomputation_from_replicates(self):
         report = run_coverage_experiment(_cfg(replicates=5))
@@ -632,7 +674,7 @@ class TestChunking:
     def _run(cfg, chunks):
         out = []
         for chunk in chunks:
-            out.extend(_chunk((cfg, chunk, 1)))
+            out.extend(_chunk((cfg, chunk)))
         return sorted(out, key=_sort_key)
 
     @settings(max_examples=8, deadline=None)

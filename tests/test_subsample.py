@@ -4,6 +4,7 @@ variograms, and minimum-volatility selection."""
 import itertools
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -213,40 +214,72 @@ class TestLadder:
     @settings(max_examples=40, deadline=None)
     @given(data=hst.data(), n1=hst.integers(7, 16), n2=hst.integers(7, 16),
            cpus=hst.integers(1, 4), psi=hst.sampled_from(_PSIS),
+           waves=hst.sampled_from(["one", "per spec"]),
            seed=hst.integers(0, 2 ** 32 - 1))
     def test_ladder_bits_equal_one_at_a_time(self, data, n1, n2, cpus, psi,
-                                             seed):
-        # each ensemble is one task computed whole, its batches in turn on
-        # the task's thread; a small budget gives every task several batches
+                                             waves, seed):
+        # the batches of every ensemble of a wave are tasks of one call,
+        # merged per ensemble in batch order; a small budget gives every
+        # ensemble several batches
         sizes = hst.tuples(hst.integers(2, 7), hst.integers(2, 7))
         specs = [BlockSpec(*s) for s in data.draw(
             hst.lists(sizes, min_size=2, max_size=5, unique=True))]
         budget = data.draw(hst.integers(1, 200))
         f = LatticeField(np.random.default_rng(seed).standard_normal((n1, n2)))
-        pools = []
+        calls, pools = [], []
 
         class RecordingPool(ThreadPoolExecutor):
             def __init__(self, max_workers):
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
+        def recorded(fn, tasks, _map=pool_module.map_ordered):
+            tasks = list(tasks)
+            calls.append(len(tasks))
+            return _map(fn, tasks)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(subsample_module, "_CHUNK_BUDGET", budget)
+            mp.setattr(subsample_module, "_WAVE_MEANS",
+                       1 << 62 if waves == "one" else 1)
             mp.setattr(pool_module, "cpus", lambda: 1)
             single = {s: subsample_ensemble(f, s, psi) for s in specs}
             mp.setattr(pool_module, "cpus", lambda: cpus)
             mp.setattr(pool_module, "ThreadPoolExecutor", RecordingPool)
+            mp.setattr(pool_module, "map_ordered", recorded)
             res = FieldResampler(f, psi, 100, 0)
             res.ensembles(specs)
-        # one pool for the ladder; the tasks' batches start none
-        threads = min(cpus, len(specs))
-        assert pools == ([threads - 1] if threads > 1 else [])
+        # one call per wave, holding every batch of its ensembles and
+        # nothing else; a pool for each call of two or more tasks
+        batches = [len(range(0, n1 - s.b1 + 1, max(1, budget // (
+            (n2 - s.b2 + 1) * s.b1 * (s.b2 // 2 + 1))))) for s in specs]
+        assert calls == ([sum(batches)] if waves == "one" else batches)
+        assert pools == [min(cpus, n) - 1 for n in calls if min(cpus, n) > 1]
         for s in specs:
             got, want = res.ensemble(s), single[s]
             assert (got.spec, got.L, got.grid) == (want.spec, want.L, want.grid)
             for name in ("block_means", "per_freq_m2", "psi_block",
                          "psi_block_neg"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_min_volatility_holds_one_wave_of_ensembles(self, monkeypatch):
+        # a wave of one block size each: when a candidate's sigma is taken,
+        # no earlier candidate's ensemble is still alive
+        f = LatticeField(np.random.default_rng(3).standard_normal((14, 14)))
+        live, alive = [], []
+
+        def estimates(ens, _fn=subsample_module.variance_estimates):
+            alive.append(sum(r() is not None for r in live))
+            live.append(weakref.ref(ens))
+            return _fn(ens)
+
+        cands = [BlockSpec(b, b) for b in range(2, 8)]
+        want = select_block_size_min_volatility(f, psi_cos_lag((1, 0)), cands)
+        monkeypatch.setattr(subsample_module, "_WAVE_MEANS", 1)
+        monkeypatch.setattr(subsample_module, "variance_estimates", estimates)
+        got = select_block_size_min_volatility(f, psi_cos_lag((1, 0)), cands)
+        assert got == want
+        assert alive == [0] * len(cands)
 
     def test_ladder_tasks_run_on_several_threads(self, monkeypatch):
         # the two ensembles must be in their transforms at once: run one
