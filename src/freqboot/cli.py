@@ -265,7 +265,11 @@ def _check_lags(block, h1, h2) -> None:
 
 def _contrast(h1, h2):
     """The psi an isotropy command or experiment resamples: the contrast
-    of its lags test.h1 and test.h2."""
+    of its lags test.h1 and test.h2, two distinct nonzero lags."""
+    for key, h in (("test.h1", h1), ("test.h2", h2)):
+        if tuple(h) == (0, 0):
+            raise ConfigError(f"{key} must be a nonzero lag: the contrast "
+                              f"compares the variogram at two lags")
     if tuple(h1) == tuple(h2):
         raise ConfigError(f"test.h1 and test.h2 must be two distinct lags, "
                           f"both are {tuple(h1)}")
@@ -368,6 +372,9 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
     model, generator = build_model(st)
     methods = st.get_names("methods", ("fdwb", "hfdb", "subsample"))
     listed = st.get_floats("process.tau_r_list")
+    if kind == "isotropy" and listed is not None and "process.tau_r" in st.values:
+        raise ConfigError("set process.tau_r or process.tau_r_list, not both: "
+                          "an isotropy experiment runs each tau_r of the list")
     tau_list = listed or (st.get_float("process.tau_r", 1.0),)
     _check_tau(kind, model, tau_list,
                "process.tau_r" if listed is None else "process.tau_r_list")
@@ -797,13 +804,13 @@ def _dispatch(args) -> int:
         return 0
 
     # estimate, ci, isotropy, blocksize: one field, one psi, one bandwidth
-    fieldz = _load_field(st, args.infile, seed)
     if cmd == "isotropy":
         h1 = st.get_pair("test.h1", (1, 0))
         h2 = st.get_pair("test.h2", (0, 1))
         psi = _contrast(h1, h2)
     else:
         psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
+    fieldz = _load_field(st, args.infile, seed)
     if cmd == "blocksize":
         spec, cands, window = _minvol(st, fieldz, psi)
         st.refuse_unread(cmd)

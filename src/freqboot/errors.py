@@ -10,5 +10,5 @@ class ConfigError(FreqbootError):
 
 
 class NumericalError(FreqbootError):
-    """Numerical failure: degenerate bootstrap, failed embedding,
-    non-convergent quadrature (CLI exit code 3)."""
+    """Numerical failure: degenerate bootstrap, failed embedding, a
+    Matern lag table that does not settle (CLI exit code 3)."""

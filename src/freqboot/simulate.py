@@ -5,6 +5,11 @@ seed.  Spectral models are synthesized on a refined frequency torus and
 cropped; covariance models go through circulant embedding with a
 nonnegative-eigenvalue check and fall back to dense Cholesky while the
 grid stays within the dense limit.
+
+Every Matern autocovariance, whether a coverage truth, the variance that
+calibrates phi or an entry of a dense covariance matrix, is read from
+one cached lag table (``_matern_lags``): the inverse DFT of the density
+on a torus that doubles until the lags settle.
 """
 
 from __future__ import annotations
@@ -16,12 +21,13 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .lattice import LatticeField, _signed_indices
-from .spectral import quadrature
 
 _TWO_PI = 2.0 * np.pi
 
 REFINE = 4              # torus refinement for spectral-model synthesis
 DENSE_LIMIT = 4096      # largest n1*n2 for dense Cholesky paths
+_SETTLE = 1e-6          # largest change of a Matern lag, over gamma(0), on doubling
+_TORUS_CAP = 4096       # a Matern lag table's torus has at most _TORUS_CAP^2 points
 _BURN_IN = 500          # AR(1) steps discarded before the separable field
 _JITTER = 1e-10
 _EIG_TOL = 1e-9
@@ -161,15 +167,16 @@ def model_spectral_density(model, w1, w2):
 
 
 def model_autocovariance(model, h) -> float:
-    """gamma(h) of the model process (exact where closed-form, quadrature
-    for spectral models)."""
+    """gamma(h) of the model process: closed-form, or for a Matern model
+    phi times its lag table's entry (to 1e-6 gamma(0))."""
     h1, h2 = int(h[0]), int(h[1])
     if isinstance(model, WhiteNoise):
         return model.variance if (h1, h2) == (0, 0) else 0.0
     if isinstance(model, SphericalAniso):
         return spherical_covariance(model, (h1, h2))
     if isinstance(model, MaternSpectral):
-        return _matern_autocov(model, h1, h2)
+        r1, r2 = abs(h1), abs(h2)
+        return model.phi * float(_matern_lags(model.alpha, model.nu, r1, r2)[r1, r2])
     if isinstance(model, SeparableARMA):
         gx = model.ar ** abs(h1) / (1.0 - model.ar ** 2)
         if h2 == 0:
@@ -186,16 +193,38 @@ def model_autocovariance(model, h) -> float:
     raise ConfigError(f"unknown model {type(model).__name__}")
 
 
-@lru_cache(maxsize=256)
-def _matern_autocov(model: MaternSpectral, h1: int, h2: int) -> float:
-    """gamma(h) by quadrature, stopped on a change of at most 1e-6 gamma(0):
-    gamma(0) is its own scale, so it stops where a relative test does."""
-    def integrand(w1, w2):
-        return model_spectral_density(model, w1, w2) * np.cos(h1 * w1 + h2 * w2)
+@lru_cache(maxsize=64)
+def _matern_lags(alpha: float, nu: float, r1: int, r2: int) -> np.ndarray:
+    """gamma(h) for 0 <= h_k <= r_k of the phi = 1 Matern model, read-only
+    (gamma is even in each component, and linear in phi).
 
-    if (h1, h2) == (0, 0):
-        return quadrature(integrand)
-    return quadrature(integrand, scale=_matern_autocov(model, 0, 0))
+    The inverse DFT of the density on an m1 x m2 torus is gamma plus its
+    copies shifted by multiples of (m1, m2).  Each extent is max(p,
+    2 (r_k + 1)), so the lags asked for lie in the torus's first half,
+    and p doubles from the smaller extent, at least 64, until no lag
+    moves by more than _SETTLE gamma(0).  A torus past _TORUS_CAP^2
+    points raises NumericalError.  The tori do not go through the
+    synthesis cache, where they would evict the tori that fields use.
+    """
+    model = MaternSpectral(phi=1.0, alpha=alpha, nu=nu)
+    p = max(64, 2 * (min(r1, r2) + 1))
+    prev = None
+    while True:
+        m1, m2 = max(p, 2 * (r1 + 1)), max(p, 2 * (r2 + 1))
+        if m1 * m2 > _TORUS_CAP ** 2:
+            raise NumericalError(
+                f"the autocovariance of the Matern model alpha={alpha}, nu={nu} "
+                f"at lags up to ({r1}, {r2}) did not settle to {_SETTLE} "
+                f"gamma(0) on a torus of at most {_TORUS_CAP}^2 points")
+        # the density is even, so half of axis 2 gives the real inverse
+        w1 = _torus_omegas(m1)[:, None]
+        w2 = (_TWO_PI / m2) * np.arange(m2 // 2 + 1)[None, :]
+        lam = (_TWO_PI ** 2) * model_spectral_density(model, w1, w2)
+        lags = np.fft.irfft2(lam, s=(m1, m2))[:r1 + 1, :r2 + 1].copy()
+        if prev is not None and np.max(np.abs(lags - prev)) <= _SETTLE * lags[0, 0]:
+            lags.flags.writeable = False
+            return lags
+        prev, p = lags, 2 * p
 
 
 def gamma0(model) -> float:
@@ -205,10 +234,9 @@ def gamma0(model) -> float:
 def matern_model(alpha: float, nu: float, phi: float | None = None) -> MaternSpectral:
     """Matern model; with phi omitted the amplitude is calibrated so the
     process variance gamma(0) equals 1."""
-    if phi is not None:
-        return MaternSpectral(phi=phi, alpha=alpha, nu=nu)
-    raw = MaternSpectral(phi=1.0, alpha=alpha, nu=nu)
-    return MaternSpectral(phi=1.0 / gamma0(raw), alpha=alpha, nu=nu)
+    if phi is None:
+        phi = 1.0 / gamma0(MaternSpectral(phi=1.0, alpha=alpha, nu=nu))
+    return MaternSpectral(phi=phi, alpha=alpha, nu=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +323,11 @@ def covariance_matrix(model, n1: int, n2: int) -> np.ndarray:
         return np.asarray(_spherical_cov_arrays(model, d1.astype(float),
                                                 d2.astype(float)))
     if isinstance(model, MaternSpectral):
-        table = _matern_cov_table(model, n1, n2)
+        table = model.phi * _matern_lags(model.alpha, model.nu, n1 - 1, n2 - 1)
         return table[np.abs(d1), np.abs(d2)]
     if isinstance(model, WhiteNoise):
         return model.variance * np.eye(n1 * n2)
     raise ConfigError(f"no dense covariance for {type(model).__name__}")
-
-
-@lru_cache(maxsize=8)
-def _matern_cov_table(model: MaternSpectral, n1: int, n2: int) -> np.ndarray:
-    """gamma(h) for 0 <= h_k < n_k by inverse DFT of the density on a
-    refined torus (controls aliasing; gamma is even per component)."""
-    lam = _matern_torus_spectrum(model, REFINE * n1, REFINE * n2)
-    cov = np.fft.ifft2(lam).real
-    return cov[:n1, :n2]
 
 
 @lru_cache(maxsize=4)

@@ -1,5 +1,4 @@
-"""Psi-function catalog, the spectral mean statistic, and midpoint
-quadrature over the frequency square.
+"""Psi-function catalog and the spectral mean statistic.
 
 The target parameter is the spectral mean M(psi) = integral of
 psi(omega) f(omega) over [-pi, pi]^2; its estimator is the Riemann sum
@@ -14,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .lattice import Periodogram
 
 _TWO_PI = 2.0 * np.pi
@@ -168,39 +167,3 @@ def spectral_mean(pgram: Periodogram, psi: PsiFunction) -> SpectralMeanValue:
     total = float(np.sum(pvals * pgram.values)) - float(pvals[0, 0] * pgram.values[0, 0])
     return SpectralMeanValue(value=(_TWO_PI ** 2) / grid.n * total, n=grid.n)
 
-
-# ---------------------------------------------------------------------------
-# quadrature for analytic spectral integrals
-
-def _midpoint_grid(m: int) -> np.ndarray:
-    return -np.pi + (np.arange(m) + 0.5) * (_TWO_PI / m)
-
-
-def quadrature(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-               rel_tol: float = 1e-6, m_start: int = 64,
-               m_max: int = 4096, scale: float | None = None) -> float:
-    """Midpoint rule over [-pi, pi]^2 on a doubling m x m grid until the
-    change drops below ``rel_tol`` times ``scale``, or times the value
-    itself when no scale is given.
-
-    The integrands used here are periodic, so the midpoint rule converges
-    spectrally for smooth psi; discontinuous integrands (spectral CDF
-    indicators) may fail to stabilize, which raises NumericalError.  A
-    value far smaller than its integrand's size, such as an
-    autocovariance at a far lag, settles only on an absolute change, so
-    give it the size as ``scale``.
-    """
-    prev = None
-    m = m_start
-    while m <= m_max:
-        w = _midpoint_grid(m)
-        cell = (_TWO_PI / m) ** 2
-        val = float(np.sum(fn(w[:, None], w[None, :]))) * cell
-        if prev is not None:
-            size = abs(val) if scale is None else scale
-            if abs(val - prev) <= rel_tol * max(size, 1e-300):
-                return val
-        prev = val
-        m *= 2
-    raise NumericalError(
-        f"quadrature did not stabilize to rel. {rel_tol} within {m_max}^2 points")

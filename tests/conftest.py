@@ -13,7 +13,6 @@ import pytest
 from freqboot import NumericalError
 from freqboot.simulate import (MaternSpectral, SphericalAniso, WhiteNoise,
                                model_spectral_density)
-from freqboot.spectral import quadrature
 
 TWO_PI = 2.0 * np.pi
 
@@ -114,6 +113,37 @@ def enumerate_blocks(n1: int, n2: int, spec) -> list[tuple[int, int]]:
     """Row-major origins (zero-based offsets) of all in-grid translates."""
     return [(o1, o2) for o1 in range(n1 - spec.b1 + 1)
             for o2 in range(n2 - spec.b2 + 1)]
+
+
+# ---------------------------------------------------------------------------
+# quadrature for analytic spectral integrals
+
+def quadrature(fn, rel_tol: float = 1e-6, m_start: int = 64,
+               m_max: int = 4096, scale: float | None = None) -> float:
+    """Midpoint rule over [-pi, pi]^2 on a doubling m x m grid until the
+    change drops below ``rel_tol`` times ``scale``, or times the value
+    itself when no scale is given.
+
+    The integrands used here are periodic, so the midpoint rule converges
+    spectrally for smooth psi; discontinuous integrands (spectral CDF
+    indicators) may fail to stabilize, which raises NumericalError.  A
+    value far smaller than its integrand's size, such as an
+    autocovariance at a far lag, settles only on an absolute change, so
+    give it the size as ``scale``.
+    """
+    prev = None
+    m = m_start
+    while m <= m_max:
+        w = -np.pi + (np.arange(m) + 0.5) * (TWO_PI / m)
+        val = float(np.sum(fn(w[:, None], w[None, :]))) * (TWO_PI / m) ** 2
+        if prev is not None:
+            size = abs(val) if scale is None else scale
+            if abs(val - prev) <= rel_tol * max(size, 1e-300):
+                return val
+        prev = val
+        m *= 2
+    raise NumericalError(
+        f"quadrature did not stabilize to rel. {rel_tol} within {m_max}^2 points")
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,44 @@ class TestConfigParsing:
         # coverage keeps the interval methods
         assert _cfg(methods=("hfdb_bias",)).methods == ("hfdb_bias",)
 
+    @pytest.mark.parametrize("command, settings, key", [
+        ("isotropy-experiment", ["test.h1=(0,0)", "methods=subsample",
+                                 "block.sizes=4x4"], "test.h1"),
+        ("isotropy-experiment", ["test.h1=(0,0)", "methods=fdwb"], "test.h1"),
+        ("isotropy", ["test.h2=(0,0)", "methods=fdwb"], "test.h2"),
+    ])
+    def test_zero_lag_exits_2_before_a_field(self, tmp_path, capsys,
+                                             monkeypatch, command, settings,
+                                             key):
+        # the variogram at lag 0 is 0, so a contrast with a zero lag tests
+        # nothing about isotropy
+        def no_field(*args, **kwargs):
+            pytest.fail("a field was simulated")
+        monkeypatch.setattr(cli_module, "simulate_process", no_field)
+        monkeypatch.chdir(tmp_path)
+        args = []
+        for kv in ["process.kind=spherical", "grid.sizes=20x20",
+                   "replicates=1", "boot.B=100"] + settings:
+            args += ["--set", kv]
+        assert main(args + [command]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "nonzero" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_isotropy_refuses_tau_with_a_tau_list(self, tmp_path, capsys):
+        # the list sets every replicate's tau, so the model's would only be
+        # a label in the echo
+        args = []
+        for kv in ("process.kind=spherical", "process.tau_r=1.7",
+                   "process.tau_r_list=1.0,1.2", "grid.sizes=12x12",
+                   "block.sizes=4x4", "replicates=1", "boot.B=100"):
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"),
+                            "isotropy-experiment"]) == 2
+        err = capsys.readouterr().err
+        assert "process.tau_r " in err and "process.tau_r_list" in err
+        assert not list(tmp_path.iterdir())
+
     def test_isotropy_psi_is_the_contrast_of_its_lags(self):
         # the experiment resamples the contrast of test.h1 and test.h2, so
         # its config names that psi and no other
@@ -1016,13 +1054,21 @@ class TestCommandLine:
                      "--set", "boot.B=10", "ci", "--in", field]) == 0
 
     def test_matern_truth_at_a_far_lag(self, tmp_path, capsys):
-        # gamma(5, 0) is about 5e-2 of gamma(0) here; the quadrature stops
+        # gamma(5, 0) is about 5e-2 of gamma(0) here; the lag table settles
         # on a change of 1e-6 gamma(0) rather than of 1e-6 gamma(5, 0)
         rc = main(["--set", "process.kind=matern", "--set", "process.alpha=2",
                    "--set", "process.nu=1", "--set", "psi=cos_lag{h=(5,0)}",
                    "--set", "grid.sizes=12x12", "--set", "methods=fdwb",
                    "--set", "replicates=2", "--set", "boot.B=100",
                    "--out", str(tmp_path / "r"), "coverage"])
+        assert rc == 0, capsys.readouterr().err
+
+    def test_exp_cholesky_on_an_elongated_grid(self, tmp_path, capsys):
+        # the dense factor reads lags up to (1, 1023); the lag table's torus
+        # is sized per axis, so only its long axis is that long
+        rc = main(["--set", "process.kind=exp_cholesky",
+                   "--set", "grid.sizes=2x1024",
+                   "--out", str(tmp_path / "f.csv"), "simulate"])
         assert rc == 0, capsys.readouterr().err
 
     def test_coverage_command_end_to_end(self, tmp_path, capsys):

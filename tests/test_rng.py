@@ -1,4 +1,5 @@
-"""Counter-based stream addressing and quadrature failure signalling."""
+"""Counter-based stream addressing, and failure signalling of the
+quadrature oracle the analytic limit variances use."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from freqboot import NumericalError
 from freqboot import rng as rngmod
-from freqboot.spectral import quadrature
+
+from conftest import quadrature
 
 
 class TestStreams:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from freqboot import (ConfigError, MaternSpectral,
+from freqboot import (ConfigError, MaternSpectral, NumericalError,
                       SeparableARMA, SphericalAniso, TransformedGaussian,
                       WhiteNoise, anisotropy_matrix, matern_model,
                       model_autocovariance, model_spectral_density,
@@ -12,7 +12,10 @@ from freqboot import (ConfigError, MaternSpectral,
                       simulate_process, simulate_separable,
                       simulate_transformed, spherical_covariance)
 from freqboot import rng as rngmod
+from freqboot import simulate as simulate_module
 from freqboot.simulate import covariance_matrix, gamma0
+
+from conftest import quadrature
 
 
 class TestModelDescriptors:
@@ -77,6 +80,43 @@ class TestModelDescriptors:
         for h in [(0, 0), (1, 0), (2, 2)]:
             val = np.sum(dens * np.cos(h[0] * w[:, None] + h[1] * w[None, :])) * cell
             assert val == pytest.approx(spherical_covariance(m, h), rel=1e-8)
+
+
+class TestMaternLagTable:
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_dense_covariance_is_the_autocovariance(self, n):
+        # the exp-Cholesky factor realises the covariance that the
+        # coverage truths assume
+        m = matern_model(alpha=1.0 / 3.0, nu=1.0)
+        sigma = covariance_matrix(m, n, n)
+        tol = 2e-6 * gamma0(m)
+        for h1 in range(n):
+            for h2 in range(n):
+                g = model_autocovariance(m, (h1, h2))
+                # rows (h1, h2) and (h1, 0) against columns (0, 0) and (0, h2)
+                assert abs(sigma[h1 * n + h2, 0] - g) <= tol
+                assert abs(sigma[h1 * n, h2] - g) <= tol
+
+    @pytest.mark.parametrize("alpha, nu", [(1.0 / 3.0, 1.0), (1.0, 1.0),
+                                           (2.0, 1.0), (1.0, 0.5)])
+    def test_autocovariance_matches_quadrature(self, alpha, nu):
+        m = MaternSpectral(phi=1.0, alpha=alpha, nu=nu)
+
+        def integrand(h):
+            return lambda w1, w2: (model_spectral_density(m, w1, w2)
+                                   * np.cos(h[0] * w1 + h[1] * w2))
+
+        g0 = quadrature(integrand((0, 0)))
+        for h in [(0, 0), (1, 0), (5, 0), (8, 0), (3, 4)]:
+            want = quadrature(integrand(h), scale=g0)
+            assert abs(model_autocovariance(m, h) - want) <= 2e-6 * g0
+
+    def test_unsettled_table_raises_naming_the_model(self, monkeypatch):
+        # alpha = 2 needs a 2048 x 2048 torus; nu = 1.25 is used nowhere
+        # else, so no cached table answers first
+        monkeypatch.setattr(simulate_module, "_TORUS_CAP", 128)
+        with pytest.raises(NumericalError, match="alpha=2.0, nu=1.25"):
+            matern_model(alpha=2.0, nu=1.25)
 
 
 class TestGaussianGenerators:

@@ -19,7 +19,8 @@ experiments name their psi, the contrast of ``test.h1`` and ``test.h2``.
 One case reads a 128x128 field, whose 9x9 block ensemble is computed in
 three batches on threads and whose bootstrap weights are drawn on threads.
 Another runs a coverage ladder of two block sizes on 128x128 fields,
-whose ensembles are computed as tasks on threads.
+whose ensembles are computed as tasks on threads.  An 8x8 exp-Cholesky
+coverage case checks the dense Matern covariance against its truth.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ EXPERIMENTS = {
         "psi=spectral_cdf{t=(0.5,-1.0)}", "truth.value=0.3",
         "density.bandwidth1=0.6", "density.bandwidth2=0.4",
         "methods=fdwb,hfdb,subsample", "boot.B=150", "replicates=4")),
+    # the dense exp-Cholesky covariance against the coverage truth gamma(1, 0)
+    "exp_cholesky_8_coverage": ("coverage", _sets(
+        "process.kind=exp_cholesky", "grid.sizes=8x8", "psi=cos_lag{h=(1,0)}",
+        "methods=fdwb", "boot.B=150", "replicates=6")),
     "matern_quartic_coverage": ("coverage", _sets(
         "process.kind=matern_quartic", "grid.sizes=20x20", "block.sizes=5x5",
         "methods=fdwb,hfdb,hfdb_bias,subsample", "boot.B=150",
