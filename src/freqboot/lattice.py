@@ -31,7 +31,11 @@ _MAGIC = b"FREQBOOT"  # binary field dump, 8-byte magic
 class LatticeField:
     """Real-valued observations on an n1 x n2 integer grid.
 
-    ``values[s1 - 1, s2 - 1]`` holds Z(s).  Values must be finite.
+    ``values[s1 - 1, s2 - 1]`` holds Z(s).  Values must be finite.  They
+    are stored C-contiguous in float64: a strided or column-major input
+    (the crop of a simulation torus, a ``.bin`` dump) is copied once, so
+    a simulated field holds only its own n1 x n2 values and every
+    consumer reads them in row-major order.
     """
 
     values: np.ndarray
@@ -42,7 +46,7 @@ class LatticeField:
             raise ConfigError(f"field must be a 2-D matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ConfigError("field contains non-finite values")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", np.ascontiguousarray(v))
 
     @property
     def n1(self) -> int:

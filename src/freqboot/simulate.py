@@ -248,32 +248,51 @@ def _torus_omegas(m: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _matern_torus_spectrum(model: MaternSpectral, m1: int, m2: int) -> np.ndarray:
+    """Square roots of the torus eigenvalues (2 pi)^2 f(omega), the one
+    array that synthesis reads."""
     w1 = _torus_omegas(m1)[:, None]
     w2 = _torus_omegas(m2)[None, :]
-    return (_TWO_PI ** 2) * model_spectral_density(model, w1, w2)
+    return np.sqrt((_TWO_PI ** 2) * model_spectral_density(model, w1, w2))
 
 
 @lru_cache(maxsize=16)
 def _spherical_torus_spectrum(model: SphericalAniso, m1: int, m2: int) -> np.ndarray | None:
-    """Circulant eigenvalues of the torus-wrapped covariance, or None when
-    the embedding is not nonnegative."""
+    """Square roots of the circulant eigenvalues of the torus-wrapped
+    covariance, or None when the embedding is not nonnegative."""
     h1 = _signed_indices(m1)[:, None]
     h2 = _signed_indices(m2)[None, :]
     cov = _spherical_cov_arrays(model, h1, h2)
     lam = np.fft.fft2(cov).real
     if lam.min() < -_EIG_TOL * max(lam.max(), 1.0):
         return None
-    return np.maximum(lam, 0.0)
+    return np.sqrt(np.maximum(lam, 0.0))
 
 
-def _torus_draw(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One exact stationary Gaussian field on the torus with circulant
-    eigenvalues lam (real part of a complex synthesis; real and imaginary
-    parts would be independent copies, only the real one is used)."""
-    m1, m2 = lam.shape
-    noise = rng.standard_normal((2, m1, m2))
-    z = noise[0] + 1j * noise[1]
-    x = np.fft.ifft2(np.sqrt(lam) * z) * np.sqrt(m1 * m2)
+def _torus_draw(sqrt_lam: np.ndarray, n1: int, n2: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """The n1 x n2 corner of one exact stationary Gaussian field on the
+    torus whose circulant eigenvalues are sqrt_lam ** 2: the real part of
+    ifft2(sqrt_lam * (re + 1j im)) * sqrt(m1 m2) for standard normal re
+    and im (the imaginary part would be an independent copy, unused).
+
+    ifft2 is its two 1-D passes, axis -1 then axis -2, one line at a
+    time, so each pass keeps only what the corner needs: the first pass
+    keeps n2 columns and the second only n1 rows, which alone are
+    scaled.  Every value equals the full-torus expression's, bit for bit,
+    while at most two torus-sized complex arrays are held at once."""
+    m1, m2 = sqrt_lam.shape
+    re = rng.standard_normal((m1, m2))
+    im = rng.standard_normal((m1, m2))
+    z = 1j * im
+    del im
+    z += re                 # re + 1j im: complex addition commutes exactly
+    del re
+    z *= sqrt_lam
+    y = np.fft.ifft(z, axis=-1)
+    del z
+    x = np.fft.ifft(y[:, :n2], axis=-2)[:n1]
+    del y
+    x *= np.sqrt(m1 * m2)
     return x.real
 
 
@@ -292,14 +311,14 @@ def simulate_gaussian(model, n1: int, n2: int,
     if isinstance(model, WhiteNoise):
         return LatticeField(np.sqrt(model.variance) * rng.standard_normal((n1, n2)))
     if isinstance(model, MaternSpectral):
-        lam = _matern_torus_spectrum(model, REFINE * n1, REFINE * n2)
-        return LatticeField(_torus_draw(lam, rng)[:n1, :n2])
+        sqrt_lam = _matern_torus_spectrum(model, REFINE * n1, REFINE * n2)
+        return LatticeField(_torus_draw(sqrt_lam, n1, n2, rng))
     if isinstance(model, SphericalAniso):
         m1 = 2 * max(n1, int(np.ceil(model.range_)) + 1)
         m2 = 2 * max(n2, int(np.ceil(model.range_)) + 1)
-        lam = _spherical_torus_spectrum(model, m1, m2)
-        if lam is not None:
-            return LatticeField(_torus_draw(lam, rng)[:n1, :n2])
+        sqrt_lam = _spherical_torus_spectrum(model, m1, m2)
+        if sqrt_lam is not None:
+            return LatticeField(_torus_draw(sqrt_lam, n1, n2, rng))
         if n1 * n2 > DENSE_LIMIT:
             raise NumericalError(
                 f"circulant embedding failed and {n1}x{n2} exceeds the dense "

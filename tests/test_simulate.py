@@ -187,6 +187,114 @@ class TestGaussianGenerators:
         assert np.allclose(chol @ chol.T, sig, atol=1e-8)
 
 
+def _one_shot_field(model, n1: int, n2: int, rng) -> np.ndarray:
+    """The full-torus synthesis as one expression, the oracle for the
+    pass-by-pass draw: ifft2 of sqrt(lam) times complex noise drawn as one
+    (2, m1, m2) array, scaled, real part, cropped.  Returns the field and
+    the torus eigenvalues lam."""
+    sm = simulate_module
+    if isinstance(model, MaternSpectral):
+        m1, m2 = sm.REFINE * n1, sm.REFINE * n2
+        w1, w2 = sm._torus_omegas(m1)[:, None], sm._torus_omegas(m2)[None, :]
+        lam = (2 * np.pi) ** 2 * model_spectral_density(model, w1, w2)
+    else:
+        reach = int(np.ceil(model.range_)) + 1
+        m1, m2 = 2 * max(n1, reach), 2 * max(n2, reach)
+        h1 = sm._signed_indices(m1)[:, None]
+        h2 = sm._signed_indices(m2)[None, :]
+        lam = np.maximum(np.fft.fft2(sm._spherical_cov_arrays(model, h1, h2)).real,
+                         0.0)
+    noise = rng.standard_normal((2, m1, m2))
+    z = noise[0] + 1j * noise[1]
+    x = np.fft.ifft2(np.sqrt(lam) * z) * np.sqrt(m1 * m2)
+    return x.real[:n1, :n2], lam
+
+
+def _buffer_nbytes(a: np.ndarray) -> int:
+    """Bytes of the buffer that ``a`` keeps alive."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes if a.base is None else memoryview(a.base).nbytes
+
+
+_SYNTH_MODELS = {
+    "spherical": SphericalAniso(sigma2=1.0, range_=5.0, eta=0.2, tau_a=0.5,
+                                tau_r=1.5),
+    "matern": matern_model(alpha=1.0 / 3.0, nu=1.0),
+}
+
+
+class TestTorusSynthesis:
+    @pytest.mark.parametrize("kind", ["spherical", "matern", "matern_quartic"])
+    @pytest.mark.parametrize("n1,n2", [(15, 15), (16, 16), (37, 52), (52, 37),
+                                       (7, 64), (1, 5)])
+    def test_bit_identical_to_one_shot_synthesis(self, kind, n1, n2):
+        base = _SYNTH_MODELS["matern" if kind == "matern_quartic" else kind]
+        model = TransformedGaussian(base) if kind == "matern_quartic" else base
+        for i in range(2):
+            got = simulate_process(model, n1, n2,
+                                   rngmod.stream(106, rngmod.TAG_FIELD, i))
+            want, lam = _one_shot_field(base, n1, n2,
+                                        rngmod.stream(106, rngmod.TAG_FIELD, i))
+            if model is not base:
+                want = want ** 4 - 3.0 * gamma0(base) ** 2
+            assert np.array_equal(got.values.view(np.uint64),
+                                  np.ascontiguousarray(want).view(np.uint64))
+        # the synthesis caches sqrt(lam), the one array it reads
+        spectrum = (simulate_module._matern_torus_spectrum
+                    if isinstance(base, MaternSpectral)
+                    else simulate_module._spherical_torus_spectrum)
+        assert np.array_equal(spectrum(base, *lam.shape), np.sqrt(lam))
+
+    @pytest.mark.parametrize("model,generator", [
+        (WhiteNoise(2.0), "default"),
+        (_SYNTH_MODELS["spherical"], "default"),
+        (_SYNTH_MODELS["matern"], "default"),
+        (TransformedGaussian(_SYNTH_MODELS["matern"]), "default"),
+        (SeparableARMA(0.2, -0.7), "default"),
+        (_SYNTH_MODELS["matern"], "exp_cholesky"),
+    ])
+    def test_fields_own_exactly_their_values(self, model, generator):
+        f = simulate_process(model, 9, 14, rngmod.stream(107), generator)
+        assert f.values.flags.c_contiguous
+        assert _buffer_nbytes(f.values) == 9 * 14 * 8
+
+    def test_dense_fallback_field_owns_exactly_its_values(self, monkeypatch):
+        monkeypatch.setattr(simulate_module, "_spherical_torus_spectrum",
+                            lambda *args: None)
+        f = simulate_gaussian(_SYNTH_MODELS["spherical"], 6, 7,
+                              rngmod.stream(108))
+        assert f.values.flags.c_contiguous
+        assert _buffer_nbytes(f.values) == 6 * 7 * 8
+
+    def test_binary_load_is_row_major_and_owns_its_values(self, tmp_path):
+        from freqboot import load_field_binary, save_field_binary
+        f = simulate_process(_SYNTH_MODELS["spherical"], 11, 6,
+                             rngmod.stream(109))
+        save_field_binary(f, tmp_path / "f.bin")
+        back = load_field_binary(tmp_path / "f.bin")
+        assert np.array_equal(back.values, f.values)
+        assert back.values.flags.c_contiguous
+        assert _buffer_nbytes(back.values) == 11 * 6 * 8
+
+    @pytest.mark.parametrize("kind,n", [("spherical", 128), ("matern", 64)])
+    def test_warm_draw_holds_at_most_48_bytes_per_torus_point(self, kind, n):
+        # the one-shot synthesis peaks near 80 bytes per torus point: the
+        # (2, m1, m2) noise, z, sqrt(lam) z, the ifft2 result and its
+        # scaled copy; the pass-by-pass draw holds two complex tori at most
+        import tracemalloc
+        model = _SYNTH_MODELS[kind]
+        simulate_gaussian(model, n, n, rngmod.stream(110))   # warm the caches
+        m = (4 if kind == "matern" else 2) * n
+        tracemalloc.start()
+        try:
+            simulate_gaussian(model, n, n, rngmod.stream(110, rngmod.TAG_FIELD, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * m * m
+
+
 class TestSeparable:
     def test_independent_product_moments(self):
         means, var = [], []
