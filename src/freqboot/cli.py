@@ -654,42 +654,45 @@ def _single(items: tuple, key: str):
     return items[0]
 
 
-def _load_field(st: Settings, path: str | None, seed: int) -> LatticeField:
+def _field_source(st: Settings, path: str | None, seed: int):
+    """Read the keys that name a single command's field and return the
+    function that loads or simulates it, so that the command refuses its
+    unread keys before that work."""
     if path is not None:
-        if path.endswith(".bin"):
-            return load_field_binary(path)
-        return load_field_csv(path)
+        load = load_field_binary if path.endswith(".bin") else load_field_csv
+        return lambda: load(path)
     model, generator = build_model(st)
     (n1, n2) = _single(st.get_sizes("grid.sizes", ((50, 50),)), "grid.sizes")
-    gen = rngmod.stream(seed, rngmod.TAG_GENERIC, 0, 0)
-    return simulate_process(model, n1, n2, gen, generator=generator)
+    return lambda: simulate_process(
+        model, n1, n2, rngmod.stream(seed, rngmod.TAG_GENERIC, 0, 0),
+        generator=generator)
 
 
-def _minvol(st: Settings, fieldz: LatticeField, psi):
+def _minvol(fieldz: LatticeField, psi, window: int):
     """The minimum-volatility block of ``fieldz`` among the default
-    candidates, with the window ``block.window``: (block, candidates,
-    window)."""
-    window = st.get_int("block.window", 3)
+    candidates, with the window ``block.window``: (block, candidates)."""
     cands = default_block_candidates(fieldz.n1, fieldz.n2)
     try:
         # the default candidates are sorted, so only the window is refused
         spec = select_block_size_min_volatility(fieldz, psi, cands, window)
     except ConfigError as exc:
         raise ConfigError(f"block.window: {exc}") from None
-    return spec, cands, window
+    return spec, cands
 
 
-def _single_block(st: Settings, fieldz: LatticeField, psi,
-                  subsample: bool = False) -> BlockSpec | None:
-    """The block that ``block.sizes`` names for a single field: one size,
-    or ``minvol`` for the minimum-volatility selection; None when unset."""
+def _single_block(st: Settings, psi, subsample: bool = False):
+    """Read the block that ``block.sizes`` names for a single field: one
+    size, or ``minvol`` (with ``block.window``) for the minimum-volatility
+    selection.  None when unset, else the function that gives the loaded
+    field's BlockSpec, where the checks that need its extents run."""
     if st.get_str("block.sizes") == "minvol":
-        return _minvol(st, fieldz, psi)[0]
+        window = st.get_int("block.window", 3)
+        return lambda fieldz: _minvol(fieldz, psi, window)[0]
     sizes = st.get_sizes("block.sizes")
     if sizes is None:
         return None
-    return _block_spec(_single(sizes, "block.sizes"), (fieldz.n1, fieldz.n2),
-                       subsample)
+    size = _single(sizes, "block.sizes")
+    return lambda fieldz: _block_spec(size, (fieldz.n1, fieldz.n2), subsample)
 
 
 def _print_json(obj) -> None:
@@ -752,8 +755,9 @@ def _dispatch(args) -> int:
         if fmt not in ("csv", "bin", "binary"):
             raise ConfigError(f"format must be csv, bin or binary for simulate, "
                               f"got {fmt!r}")
-        fieldz = _load_field(st, None, seed)
+        load = _field_source(st, None, seed)
         st.refuse_unread(cmd)
+        fieldz = load()
         if fmt in ("bin", "binary"):
             save_field_binary(fieldz, out)
         else:
@@ -810,10 +814,13 @@ def _dispatch(args) -> int:
         psi = _contrast(h1, h2)
     else:
         psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
-    fieldz = _load_field(st, args.infile, seed)
+    # every key is read and the unread ones refused before the field is
+    # loaded or simulated
+    load = _field_source(st, args.infile, seed)
     if cmd == "blocksize":
-        spec, cands, window = _minvol(st, fieldz, psi)
+        window = st.get_int("block.window", 3)
         st.refuse_unread(cmd)
+        spec, cands = _minvol(load(), psi, window)
         _print_json({"b1": spec.b1, "b2": spec.b2,
                      "candidates": [[c.b1, c.b2] for c in cands],
                      "window": window})
@@ -821,26 +828,28 @@ def _dispatch(args) -> int:
     bandwidth = build_bandwidth(st)
     if cmd == "estimate":
         # B = 0: estimate draws no bootstrap replicates
-        B, spec = 0, _single_block(st, fieldz, psi)
+        B, method, block = 0, None, _single_block(st, psi)
     else:
         # ci and isotropy: the one method of methods, and its block
         method = _single(st.get_names("methods", ("hfdb",)), "methods")
         B = st.get_int("boot.B", 500)
         _check_methods((method,), CI_METHODS if cmd == "ci" else TEST_METHODS, B)
-        spec = None
+        block = None
         if method != "fdwb":
-            spec = _single_block(st, fieldz, psi, method == "subsample")
-            if spec is None:
+            block = _single_block(st, psi, method == "subsample")
+            if block is None:
                 raise ConfigError(f"block.sizes: methods={method} needs one "
                                   f"block size or minvol")
-            if cmd == "isotropy" and method == "subsample":
-                _check_lags((spec.b1, spec.b2), h1, h2)
         if cmd == "ci":
             level = st.get_float("ci.level", 0.9)
             check_level(level, "ci.level", 0.5)
         else:
             plus_one = st.get_bool("pvalue.plus_one", False)
     st.refuse_unread(cmd)
+    fieldz = load()
+    spec = None if block is None else block(fieldz)
+    if cmd == "isotropy" and method == "subsample":
+        _check_lags((spec.b1, spec.b2), h1, h2)
     res = FieldResampler(fieldz, psi, B, seed, bandwidth=bandwidth)
     if cmd == "estimate":
         result = {"n1": fieldz.n1, "n2": fieldz.n2, "psi": psi.name,

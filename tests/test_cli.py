@@ -993,6 +993,35 @@ class TestCommandLine:
         assert out == "" and key in err and "does not read" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, settings, infile, key", [
+        ("simulate", ["grid.sizes=1024x1024", "process.kind=matern",
+                      "block.sizes=9x9"], None, "block.sizes"),
+        ("ci", ["grid.sizes=200x200", "block.sizes=minvol", "test.h1=(1,0)",
+                "methods=hfdb", "boot.B=100"], None, "test.h1"),
+        ("estimate", ["block.sizes=minvol", "methods=hfdb"], "f.bin",
+         "methods"),
+        ("isotropy", ["block.sizes=minvol", "methods=subsample",
+                      "ci.level=0.8"], "f.csv", "ci.level"),
+        ("blocksize", ["boot.B=100"], None, "boot.B"),
+    ])
+    def test_single_field_commands_refuse_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, settings, infile,
+            key):
+        # no field is loaded or simulated, and no block selected, before
+        # the keys are read and the unread ones refused
+        def work(*args, **kwargs):
+            pytest.fail("work started before the refusal")
+
+        for name in ("simulate_process", "load_field_binary", "load_field_csv",
+                     "select_block_size_min_volatility"):
+            monkeypatch.setattr(cli_module, name, work)
+        monkeypatch.chdir(tmp_path)
+        argv = [arg for kv in settings for arg in ("--set", kv)] + [command]
+        assert main(argv + (["--in", infile] if infile else [])) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and key in err and "does not read" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command, settings, key", [
         ("ci", ["ci.level=0.4"], "ci.level"),
         ("ci", ["boot.B=50"], "boot.B"),
