@@ -14,7 +14,10 @@ Exit status: 0 when every case ran and matched, 1 when a case differs or
 a command failed in either tree, 2 on bad arguments.
 
 The cases cover both Monte Carlo experiments at one and two workers, the
-single-shot commands and ``simulate`` for every process kind.  Isotropy
+single-shot commands and ``simulate`` for every process kind, and again
+on an odd rectangular 37x52 grid for the torus-synthesized kinds.  A
+binary round trip writes a field with ``--format bin`` and reads it back
+into ``estimate`` and a subsample ``isotropy`` test.  Isotropy
 experiments name their psi, the contrast of ``test.h1`` and ``test.h2``.
 One case reads a 128x128 field, whose 9x9 block ensemble is computed in
 three batches on threads and whose bootstrap weights are drawn on threads.
@@ -128,8 +131,18 @@ def _cases() -> dict[str, list[list[str]]]:
         cases[f"simulate_{kind}"] = [_sets(
             f"process.kind={kind}", "grid.sizes=24x20", *extra) + [
             "--seed", "3", "--out", "f.csv", "simulate"]]
+    for kind in ("spherical", "matern", "matern_quartic"):
+        cases[f"simulate_{kind}_37x52"] = [_sets(
+            f"process.kind={kind}", "grid.sizes=37x52", *PROCESSES[kind]) + [
+            "--seed", "3", "--out", "f.csv", "simulate"]]
     cases["simulate_binary"] = [_sets("process.kind=matern", "grid.sizes=16x18") + [
         "--seed", "3", "--format", "bin", "--out", "f.bin", "simulate"]]
+    cases["binary_round_trip"] = [
+        _sets("process.kind=spherical", "grid.sizes=31x26") + [
+            "--seed", "5", "--format", "bin", "--out", "f.bin", "simulate"],
+        BLOCK + ["estimate", "--in", "f.bin"],
+        BLOCK + _sets("methods=subsample") + [
+            "--seed", "4", "isotropy", "--in", "f.bin"]]
     cases["estimate_blocks"] = [FIELD, BLOCK + ["estimate", *READ]]
     cases["estimate_minvol"] = [FIELD, _sets("block.sizes=minvol") + [
         "estimate", *READ]]
