@@ -346,13 +346,15 @@ def subsample_edf(ens: SubsampleEnsemble) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # block variograms (small-scale copies of variogram-contrast statistics)
 
-def _block_lag_means(sq_diff: np.ndarray, spec: BlockSpec, h1: int, h2: int,
-                     n1: int, n2: int) -> np.ndarray:
-    win = sliding_window_view(sq_diff, (spec.b1 - h1, spec.b2 - h2))
-    sums = win.sum(axis=(2, 3))
-    rows = n1 - spec.b1 + 1
-    cols = n2 - spec.b2 + 1
-    return sums[:rows, :cols] / ((spec.b1 - h1) * (spec.b2 - h2))
+def _block_lag_means(sq_diff: np.ndarray, spec: BlockSpec, h1: int,
+                     h2: int) -> np.ndarray:
+    """Mean of ``sq_diff`` over its (b1 - h1) x (b2 - h2) window at every
+    block origin: a sliding sum along the rows, then one down the columns
+    of those sums."""
+    w1, w2 = spec.b1 - h1, spec.b2 - h2
+    row_sums = sliding_window_view(sq_diff, w2, axis=1).sum(axis=-1)
+    sums = sliding_window_view(row_sums, w1, axis=0).sum(axis=-1)
+    return sums / (w1 * w2)
 
 
 def block_variogram(fieldz: LatticeField, spec: BlockSpec, h) -> np.ndarray:
@@ -378,7 +380,7 @@ def block_variogram(fieldz: LatticeField, spec: BlockSpec, h) -> np.ndarray:
         d = v[:n1 - h1, :n2 - h2] - v[h1:, h2:]
     else:
         d = v[:n1 - h1, -h2:] - v[h1:, :n2 + h2]
-    return _block_lag_means(d * d, spec, h1, abs(h2), n1, n2).ravel()
+    return _block_lag_means(d * d, spec, h1, abs(h2)).ravel()
 
 
 def block_variogram_contrast(fieldz: LatticeField, spec: BlockSpec,

@@ -421,6 +421,30 @@ class TestBlockVariogram:
                 slow.append(sample_variogram(sub, h))
             assert np.allclose(fast, slow, rtol=1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=hst.data(), n1=hst.integers(2, 30), n2=hst.integers(2, 30),
+           seed=hst.integers(0, 2 ** 32 - 1), scale=hst.floats(1e-3, 1e3))
+    def test_separable_sums_match_the_window_sum(self, data, n1, n2, seed,
+                                                 scale):
+        # the row-then-column sliding sums against one 4-D window sum
+        from numpy.lib.stride_tricks import sliding_window_view
+        b1 = data.draw(hst.integers(2, n1))
+        b2 = data.draw(hst.integers(2, n2))
+        h1 = data.draw(hst.integers(0, b1 - 1))
+        h2 = data.draw(hst.integers(-(b2 - 1), b2 - 1))
+        if (h1, h2) == (0, 0):
+            h2 = 1
+        v = scale * np.random.default_rng(seed).standard_normal((n1, n2))
+        if h2 >= 0:
+            d = v[:n1 - h1, :n2 - h2] - v[h1:, h2:]
+        else:
+            d = v[:n1 - h1, -h2:] - v[h1:, :n2 + h2]
+        w1, w2 = b1 - h1, b2 - abs(h2)
+        want = sliding_window_view(d * d, (w1, w2)).sum(axis=(2, 3)) / (w1 * w2)
+        got = block_variogram(LatticeField(v), BlockSpec(b1, b2), (h1, h2))
+        assert got.shape == (want.size,)
+        assert np.allclose(got, want.ravel(), rtol=1e-12, atol=0.0)
+
     def test_contrast_antisymmetry(self, rng):
         f = LatticeField(rng.standard_normal((9, 9)))
         spec = BlockSpec(4, 4)
