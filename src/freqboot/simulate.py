@@ -4,7 +4,9 @@ All generators are exact in distribution and bit-reproducible from a
 seed.  Spectral models are synthesized on a refined frequency torus and
 cropped; covariance models go through circulant embedding with a
 nonnegative-eigenvalue check and fall back to dense Cholesky while the
-grid stays within the dense limit.
+grid stays within the dense limit.  Torus synthesis computes only the
+part of the inverse transform that the crop reads, and every generator
+returns a field that holds just its own n1 x n2 values.
 
 Every Matern autocovariance, whether a coverage truth, the variance that
 calibrates phi or an entry of a dense covariance matrix, is read from
@@ -304,7 +306,9 @@ def simulate_gaussian(model, n1: int, n2: int,
     REFINE-times-finer frequency torus and crop; covariance (spherical)
     models use circulant embedding on a doubled torus, falling back to
     dense Cholesky when the embedding has negative eigenvalues and the
-    grid is within the dense limit.
+    grid is within the dense limit.  A torus draw holds at most two
+    complex tori at once (32 bytes per torus point), and the field
+    copies its corner out, so the torus is freed on return.
     """
     if n1 < 1 or n2 < 1:
         raise ConfigError("grid extents must be positive")

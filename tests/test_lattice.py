@@ -160,6 +160,8 @@ class TestFieldIO:
         back = load_field_binary(path)
         assert np.array_equal(back.values, f.values)
         assert (back.n1, back.n2) == (7, 4)
+        # the column-major dump is read into a row-major array of its own
+        assert back.values.flags.c_contiguous and back.values.base is None
 
     def test_binary_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,5 +1,7 @@
 """Field generators: moment checks against model covariances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats as st
@@ -267,22 +269,11 @@ class TestTorusSynthesis:
         assert f.values.flags.c_contiguous
         assert _buffer_nbytes(f.values) == 6 * 7 * 8
 
-    def test_binary_load_is_row_major_and_owns_its_values(self, tmp_path):
-        from freqboot import load_field_binary, save_field_binary
-        f = simulate_process(_SYNTH_MODELS["spherical"], 11, 6,
-                             rngmod.stream(109))
-        save_field_binary(f, tmp_path / "f.bin")
-        back = load_field_binary(tmp_path / "f.bin")
-        assert np.array_equal(back.values, f.values)
-        assert back.values.flags.c_contiguous
-        assert _buffer_nbytes(back.values) == 11 * 6 * 8
-
     @pytest.mark.parametrize("kind,n", [("spherical", 128), ("matern", 64)])
     def test_warm_draw_holds_at_most_48_bytes_per_torus_point(self, kind, n):
         # the one-shot synthesis peaks near 80 bytes per torus point: the
         # (2, m1, m2) noise, z, sqrt(lam) z, the ifft2 result and its
         # scaled copy; the pass-by-pass draw holds two complex tori at most
-        import tracemalloc
         model = _SYNTH_MODELS[kind]
         simulate_gaussian(model, n, n, rngmod.stream(110))   # warm the caches
         m = (4 if kind == "matern" else 2) * n

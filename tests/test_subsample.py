@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 import scipy.stats as st
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -427,7 +428,6 @@ class TestBlockVariogram:
     def test_separable_sums_match_the_window_sum(self, data, n1, n2, seed,
                                                  scale):
         # the row-then-column sliding sums against one 4-D window sum
-        from numpy.lib.stride_tricks import sliding_window_view
         b1 = data.draw(hst.integers(2, n1))
         b2 = data.draw(hst.integers(2, n2))
         h1 = data.draw(hst.integers(0, b1 - 1))
