@@ -226,13 +226,30 @@ _SYNTH_MODELS = {
 }
 
 
+def _spectrum(model):
+    """The cached torus spectrum function that synthesis of ``model`` reads."""
+    return (simulate_module._matern_torus_spectrum
+            if isinstance(model, MaternSpectral)
+            else simulate_module._spherical_torus_spectrum)
+
+
 class TestTorusSynthesis:
     @pytest.mark.parametrize("kind", ["spherical", "matern", "matern_quartic"])
-    @pytest.mark.parametrize("n1,n2", [(15, 15), (16, 16), (37, 52), (52, 37),
-                                       (7, 64), (1, 5)])
-    def test_bit_identical_to_one_shot_synthesis(self, kind, n1, n2):
+    @pytest.mark.parametrize("n1,n2,block", [
+        pytest.param(n1, n2, None, id=f"{n1}-{n2}")
+        for n1, n2 in [(15, 15), (16, 16), (37, 52), (52, 37), (7, 64), (1, 5)]
+    ] + [
+        # at 1500 torus points a block, 3 to 22 blocks in every pass, each
+        # with a ragged last block; at 500, 2 to 10
+        pytest.param(n1, n2, block, id=f"{n1}-{n2}-block{block}")
+        for n1, n2, block in [(37, 52, 1500), (52, 37, 1500), (16, 16, 500)]])
+    def test_bit_identical_to_one_shot_synthesis(self, monkeypatch, kind, n1,
+                                                 n2, block):
         base = _SYNTH_MODELS["matern" if kind == "matern_quartic" else kind]
         model = TransformedGaussian(base) if kind == "matern_quartic" else base
+        if block is not None:
+            monkeypatch.setattr(simulate_module, "_BLOCK", block, raising=False)
+            _spectrum(base).cache_clear()
         for i in range(2):
             got = simulate_process(model, n1, n2,
                                    rngmod.stream(106, rngmod.TAG_FIELD, i))
@@ -243,10 +260,32 @@ class TestTorusSynthesis:
             assert np.array_equal(got.values.view(np.uint64),
                                   np.ascontiguousarray(want).view(np.uint64))
         # the synthesis caches sqrt(lam), the one array it reads
-        spectrum = (simulate_module._matern_torus_spectrum
-                    if isinstance(base, MaternSpectral)
-                    else simulate_module._spherical_torus_spectrum)
-        assert np.array_equal(spectrum(base, *lam.shape), np.sqrt(lam))
+        assert np.array_equal(_spectrum(base)(base, *lam.shape), np.sqrt(lam))
+
+    @pytest.mark.parametrize("model", [
+        SphericalAniso(sigma2=1.0, range_=5.0),
+        _SYNTH_MODELS["spherical"],
+        SphericalAniso(sigma2=2.0, range_=7.3, eta=0.5, tau_a=1.1, tau_r=2.0),
+        _SYNTH_MODELS["matern"],
+        MaternSpectral(phi=0.7, alpha=1.0, nu=0.5),
+    ])
+    @pytest.mark.parametrize("m1,m2", [(60, 74), (96, 41)])
+    def test_block_spectra_equal_one_shot_oracles(self, monkeypatch, model,
+                                                  m1, m2):
+        # 700 torus points a block: 6 or 7 blocks of rows and of columns,
+        # the last one ragged in every pass
+        monkeypatch.setattr(simulate_module, "_BLOCK", 700)
+        sm = simulate_module
+        if isinstance(model, MaternSpectral):
+            w1, w2 = sm._torus_omegas(m1)[:, None], sm._torus_omegas(m2)[None, :]
+            want = np.sqrt((2 * np.pi) ** 2 * model_spectral_density(model, w1, w2))
+        else:
+            h1, h2 = sm._signed_indices(m1)[:, None], sm._signed_indices(m2)[None, :]
+            cov = sm._spherical_cov_arrays(model, h1, h2)
+            want = np.sqrt(np.maximum(np.fft.fft2(cov).real, 0.0))
+        got = _spectrum(model).__wrapped__(model, m1, m2)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("model,generator", [
         (WhiteNoise(2.0), "default"),
@@ -284,6 +323,33 @@ class TestTorusSynthesis:
         finally:
             tracemalloc.stop()
         assert peak <= 48 * m * m
+
+    @pytest.mark.parametrize("kind,n,bound", [("spherical", 512, 22),
+                                              ("matern", 256, 18)])
+    def test_warm_block_draw_bytes_per_torus_point(self, kind, n, bound):
+        # a 1024^2 torus: the whole-torus passes held 32 bytes per point,
+        # re and the kept columns of the block passes about 19 and 15
+        model = _SYNTH_MODELS[kind]
+        simulate_gaussian(model, n, n, rngmod.stream(111))   # warm the caches
+        tracemalloc.start()
+        try:
+            simulate_gaussian(model, n, n, rngmod.stream(111, rngmod.TAG_FIELD, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 1024 * 1024
+
+    def test_cold_spherical_spectrum_bytes_per_torus_point(self):
+        # fft2 of the 1024^2 covariance held 40 bytes per point; the block
+        # passes hold one complex torus and the real eigenvalues
+        model = _SYNTH_MODELS["spherical"]
+        tracemalloc.start()
+        try:
+            simulate_module._spherical_torus_spectrum.__wrapped__(model, 1024, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * 1024 * 1024
 
 
 class TestSeparable:
