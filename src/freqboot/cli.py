@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -90,6 +91,14 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
+def _finite(s: str) -> float:
+    """float(s), refusing nan and +-inf (ValueError), which no key takes."""
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"{s!r} is not finite")
+    return value
+
+
 class Settings:
     """Typed access to the flat key-value map with key diagnostics; a
     getter returns ``default`` for an unset key.  Every key a getter
@@ -119,7 +128,7 @@ class Settings:
             raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc
 
     def get_float(self, key, default=None) -> float:
-        return self._parse(key, float, default, "a number")
+        return self._parse(key, _finite, default, "a finite number")
 
     def get_int(self, key, default=None) -> int:
         return self._parse(key, lambda s: int(s, 0), default, "an integer")
@@ -154,7 +163,7 @@ class Settings:
         return self._parse(key, cast, default, kind)
 
     def get_floats(self, key, default=None) -> tuple[float, ...]:
-        return self._list(key, float, default, "a comma list of numbers")
+        return self._list(key, _finite, default, "a comma list of finite numbers")
 
     def get_names(self, key, default=None) -> tuple[str, ...]:
         return self._list(key, str, default, "a comma list of names")
@@ -346,7 +355,7 @@ def _fixture_truth(path: str, model, generator: str, psi_name: str,
             fx = json.load(fh)
         made_for = (fx["kind"], fx["model"], fx["generator"], fx["psi"],
                     ((fx["n1"], fx["n2"]),))
-        value = float(fx["value"])
+        value = _finite(fx["value"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"truth.fixture: cannot read an oracle fixture "
                           f"from {path!r}: {exc!r}") from exc
@@ -770,6 +779,8 @@ def _dispatch(args) -> int:
         psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
         (n1, n2) = _single(st.get_sizes("grid.sizes", ((50, 50),)), "grid.sizes")
         R = st.get_int("replicates", 2000)
+        if R < 2:
+            raise ConfigError(f"replicates: an oracle needs at least 2, got {R}")
         out = st.get_str("out", "freqboot_out")
         st.refuse_unread(cmd)
         vals = np.empty(R)

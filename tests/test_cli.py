@@ -920,6 +920,50 @@ class TestCommandLine:
         assert key in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command, settings, key", [
+        ("coverage", ["truth.value=nan"], "truth.value"),
+        ("coverage", ["truth.value=inf"], "truth.value"),
+        ("simulate", ["process.tau_a=nan"], "process.tau_a"),
+        ("simulate", ["process.tau_r=nan"], "process.tau_r"),
+        ("simulate", ["process.range=nan"], "process.range"),
+        ("simulate", ["process.range=inf"], "process.range"),
+        ("simulate", ["process.eta=nan"], "process.eta"),
+        ("simulate", ["process.sigma2=nan"], "process.sigma2"),
+        ("simulate", ["process.kind=matern", "process.phi=nan"], "process.phi"),
+        ("simulate", ["process.kind=white_noise", "process.variance=inf"],
+         "process.variance"),
+        ("isotropy-experiment", ["process.tau_r_list=1.0,nan"],
+         "process.tau_r_list"),
+        ("oracle", ["replicates=0"], "replicates"),
+        ("oracle", ["replicates=1"], "replicates"),
+        ("oracle", ["replicates=-3"], "replicates"),
+    ])
+    def test_non_finite_value_exits_2_naming_the_key(self, tmp_path, capsys,
+                                                     command, settings, key):
+        # each ran to exit 0 on a NaN field, truth or fixture, or ended in
+        # a traceback, or was refused after the field without a key
+        base = {"process.kind": "spherical", "grid.sizes": "12x12"}
+        if command in ("coverage", "isotropy-experiment"):
+            base.update({"methods": "fdwb", "boot.B": "100", "replicates": "2"})
+        args = []
+        for kv in [f"{k}={v}" for k, v in base.items()] + settings:
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"), command]) == 2
+        assert key in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_fixture_value_is_refused(self, tmp_path, capsys, value):
+        fixture = _oracle_fixture(tmp_path, {"value": value})
+        args = []
+        for kv in ("process.kind=white_noise", "grid.sizes=12x12",
+                   "methods=fdwb", "boot.B=100", "replicates=2",
+                   f"truth.fixture={fixture}"):
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"), "coverage"]) == 2
+        assert "truth.fixture" in capsys.readouterr().err
+        assert not list(tmp_path.glob("r*"))
+
     def test_ci_method_comes_from_methods(self, tmp_path, capsys):
         field = _field(tmp_path)
         capsys.readouterr()
