@@ -15,7 +15,9 @@ a command failed in either tree, 2 on bad arguments.
 
 The cases cover both Monte Carlo experiments at one and two workers, the
 single-shot commands and ``simulate`` for every process kind, and again
-on an odd rectangular 37x52 grid for the torus-synthesized kinds.  A
+on an odd rectangular 37x52 grid for the torus-synthesized kinds, and
+on grids whose torus is synthesized in blocks (spherical 300x301,
+Matern and matern_quartic 80x90, the last written as ``.bin``).  A
 binary round trip writes a field with ``--format bin`` and reads it back
 into ``estimate`` and a subsample ``isotropy`` test.  Isotropy
 experiments name their psi, the contrast of ``test.h1`` and ``test.h2``.
@@ -135,6 +137,13 @@ def _cases() -> dict[str, list[list[str]]]:
         cases[f"simulate_{kind}_37x52"] = [_sets(
             f"process.kind={kind}", "grid.sizes=37x52", *PROCESSES[kind]) + [
             "--seed", "3", "--out", "f.csv", "simulate"]]
+    # tori of several blocks of torus points, each pass's last block ragged
+    for kind, size, fmt, out in (("spherical", "300x301", "csv", "f.csv"),
+                                 ("matern", "80x90", "csv", "f.csv"),
+                                 ("matern_quartic", "80x90", "bin", "f.bin")):
+        cases[f"simulate_{kind}_{size}_{fmt}"] = [_sets(
+            f"process.kind={kind}", f"grid.sizes={size}", *PROCESSES[kind]) + [
+            "--seed", "3", "--format", fmt, "--out", out, "simulate"]]
     cases["simulate_binary"] = [_sets("process.kind=matern", "grid.sizes=16x18") + [
         "--seed", "3", "--format", "bin", "--out", "f.bin", "simulate"]]
     cases["binary_round_trip"] = [
