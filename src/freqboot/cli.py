@@ -91,7 +91,7 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-def _finite(s: str) -> float:
+def _finite(s) -> float:
     """float(s), refusing nan and +-inf (ValueError), which no key takes."""
     value = float(s)
     if not math.isfinite(value):

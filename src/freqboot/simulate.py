@@ -5,7 +5,8 @@ seed.  Spectral models are synthesized on a refined frequency torus and
 cropped; covariance models go through circulant embedding with a
 nonnegative-eigenvalue check and fall back to dense Cholesky while the
 grid stays within the dense limit.  Torus synthesis computes only the
-part of the inverse transform that the crop reads, and every generator
+part of the inverse transform that the crop reads, a large torus and
+its spectrum are worked in blocks of _BLOCK points, and every generator
 returns a field that holds just its own n1 x n2 values.
 
 Every Matern autocovariance, whether a coverage truth, the variance that
@@ -311,8 +312,8 @@ def _torus_draw(sqrt_lam: np.ndarray, n1: int, n2: int,
     draws re whole and im one block of rows at a time, in the same
     stream order, and runs the first pass block by block into the n2
     kept columns, then the second pass over blocks of those columns: it
-    holds re and the kept columns, near 18 bytes per point of a doubled
-    torus.  Either way every value equals the full-torus expression's,
+    holds re and the kept columns, about 19 bytes per point of a doubled
+    torus and 15 of a 4x one.  Either way every value equals the full-torus expression's,
     bit for bit."""
     m1, m2 = sqrt_lam.shape
     scale = np.sqrt(m1 * m2)
@@ -351,9 +352,11 @@ def simulate_gaussian(model, n1: int, n2: int,
     REFINE-times-finer frequency torus and crop; covariance (spherical)
     models use circulant embedding on a doubled torus, falling back to
     dense Cholesky when the embedding has negative eigenvalues and the
-    grid is within the dense limit.  A torus draw holds at most two
-    complex tori at once (32 bytes per torus point), and the field
-    copies its corner out, so the torus is freed on return.
+    grid is within the dense limit.  A torus of at most _BLOCK points is
+    drawn whole, holding at most two complex tori at once (32 bytes per
+    torus point); a larger one is drawn in blocks (about 19 bytes per
+    point of a doubled torus, 15 of a 4x one).  The field holds only its
+    own n1 x n2 values, so the torus is freed on return.
     """
     if n1 < 1 or n2 < 1:
         raise ConfigError("grid extents must be positive")
