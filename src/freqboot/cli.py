@@ -1,7 +1,8 @@
 """Batch experiment runner.
 
 Configuration is a flat key=value file (``#`` comments, dotted keys)
-plus ``--set key=value`` overrides.
+plus ``--set key=value`` overrides.  Each key is declared once, in
+``KEYS``, with its parser, its default and its check.
 
 The coverage and isotropy experiments share one replicate loop, chunk
 worker and runner, and differ only in their row of ``_KINDS``.
@@ -33,6 +34,7 @@ import math
 import multiprocessing
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -45,7 +47,7 @@ from .bootstrap import FieldResampler
 from .errors import ConfigError, FreqbootError, NumericalError
 from .infer import (CI_METHODS, TEST_METHODS, calibrate_isotropy,
                     check_level, resampled_interval)
-from .lattice import (LatticeField, load_field_binary, load_field_csv,
+from .lattice import (load_field_binary, load_field_csv,
                       periodogram, save_field_binary, save_field_csv)
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
                        TransformedGaussian, WhiteNoise, matern_model,
@@ -59,23 +61,13 @@ SCHEMA_VERSION = 1
 PROCESS_KINDS = ("white_noise", "matern", "spherical", "separable",
                  "matern_quartic", "exp_cholesky")
 
-KNOWN_KEYS = frozenset({
-    "process.kind", "process.variance", "process.alpha", "process.nu",
-    "process.phi", "process.sigma2", "process.range", "process.eta",
-    "process.tau_a", "process.tau_r", "process.tau_r_list", "process.ar",
-    "process.ma", "process.innov1", "process.innov2",
-    "grid.sizes", "psi",
-    "block.sizes", "block.window", "methods", "boot.B",
-    "ci.level", "test.h1", "test.h2", "test.level",
-    "pvalue.plus_one",
-    "density.bandwidth1", "density.bandwidth2",
-    "replicates", "seed", "workers", "out", "format",
-    "truth.value", "truth.fixture",
-})
+# the command that reads the keys of each experiment kind; every other
+# command makes or reads a single field
+_COMMAND = {"coverage": "coverage", "isotropy": "isotropy-experiment"}
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration keys
 
 def parse_config_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
@@ -99,14 +91,163 @@ def _finite(s) -> float:
     return value
 
 
-class Settings:
-    """Typed access to the flat key-value map with key diagnostics; a
-    getter returns ``default`` for an unset key.  Every key a getter
-    asks for is recorded, so a command can refuse the keys it never
-    read."""
+def _list(item):
+    """The parser of a non-empty comma list; empty items are skipped."""
+    def parse(s):
+        out = tuple(item(part.strip()) for part in s.split(",") if part.strip())
+        if not out:
+            raise ValueError(s)
+        return out
+    return parse
 
-    def __init__(self, values: dict[str, str]):
+
+def _pair(s) -> tuple[int, int]:
+    a, b = s.strip().strip("()").split(",")
+    return (int(a), int(b))
+
+
+def _size(part) -> tuple[int, int]:
+    a, _, b = part.partition("x")
+    return (int(a), int(b if b else a))
+
+
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+# a key's parser (raising ValueError, KeyError or TypeError) and what it
+# takes, for the message that refuses a value it cannot parse
+NUMBER = (_finite, "a finite number")
+INT = (lambda s: int(s, 0), "an integer")
+STRING = (str, "a string")
+BOOL = (lambda s: _BOOLS[s.strip().lower()], "a boolean")
+PAIR = (_pair, "a pair like (1,0)")
+NUMBERS = (_list(_finite), "a comma list of finite numbers")
+NAMES = (_list(str), "a comma list of names")
+SIZES = (_list(_size), "sizes like 50x50,30x30")
+# a single field's block.sizes also takes minvol, the minimum-volatility block
+BLOCKS = (lambda s: s if s == "minvol" else SIZES[0](s), SIZES[1])
+
+
+def _when(ok, refusal: str):
+    """The check refusing a value that fails ``ok``, formatting ``refusal``."""
+    return lambda value, command: None if ok(value) else refusal.format(value)
+
+
+def _entries(items, command):
+    """A list takes at least one entry, and one in a single-field command."""
+    if command not in (None, *_COMMAND.values()) and len(items) > 1:
+        return f": this command takes one entry, got {len(items)}"
+    return None if items else ": no entries configured"
+
+
+def _extents(sizes, command, least: int, why: str = ""):
+    """A list of sizes whose extents are all at least ``least``."""
+    for n1, n2 in sizes:
+        if min(n1, n2) < least:
+            return f": extents must be >= {least}{why}, got {n1}x{n2}"
+    return _entries(sizes, command)
+
+
+def _methods(methods, command):
+    # the isotropy commands take the test methods
+    allowed = TEST_METHODS if "isotropy" in (command or "") else CI_METHODS
+    for m in methods:
+        if m not in allowed:
+            return f": unknown method {m!r}, expected one or more of {allowed}"
+    return _entries(methods, command)
+
+
+# One configuration key: its parser, its default when unset and its check,
+# which takes (value, command) and returns None or the refusal that follows
+# the key's name.  A parser, default or check that differs by command is a
+# dict keyed by command, whose None entry serves the other commands.
+Key = namedtuple("Key", "parser default check", defaults=(None, None))
+
+_LAG = _when(lambda h: tuple(h) != (0, 0), " must be a nonzero lag: the "
+             "contrast compares the variogram at two lags")
+_BANDWIDTH = _when(lambda b: 0.0 < b <= math.pi, " must lie in (0, pi], got {}")
+
+KEYS = {
+    "process.kind": Key(STRING, "white_noise", _when(
+        lambda k: k in PROCESS_KINDS, f" must be one of {PROCESS_KINDS}, got {{!r}}")),
+    "process.variance": Key(NUMBER, 1.0),
+    "process.alpha": Key(NUMBER, 1.0 / 3.0),
+    "process.nu": Key(NUMBER, 1.0),
+    "process.phi": Key(NUMBER),     # unset: calibrated to unit variance
+    "process.sigma2": Key(NUMBER, 1.0),
+    "process.range": Key(NUMBER, 5.0),
+    "process.eta": Key(NUMBER, 0.0),
+    "process.tau_a": Key(NUMBER, 0.0),
+    "process.tau_r": Key(NUMBER, 1.0),
+    "process.tau_r_list": Key(NUMBERS, None, _entries),  # unset: process.tau_r
+    "process.ar": Key(NUMBER, 0.2),
+    "process.ma": Key(NUMBER, -0.7),
+    "process.innov1": Key(STRING, "gaussian"),
+    "process.innov2": Key(STRING, "gaussian"),
+    "grid.sizes": Key(SIZES, ((50, 50),), {
+        "simulate": lambda s, c: _extents(s, c, 1),
+        None: lambda s, c: _extents(s, c, 2, " to take a periodogram")}),
+    # isotropy-experiment: the contrast of test.h1 and test.h2
+    "psi": Key(STRING, {"isotropy-experiment": None, None: "cos_lag{h=(1,0)}"}),
+    # none for fdwb alone; a block's fit to its grid is checked where both
+    # are known (_block_spec)
+    "block.sizes": Key({"coverage": SIZES, "isotropy-experiment": SIZES,
+                        None: BLOCKS}, (), lambda s, c: (
+                            None if s in ("minvol", ()) else _extents(s, c, 2))),
+    "block.window": Key(INT, 3),
+    "methods": Key(NAMES, {"ci": ("hfdb",), "isotropy": ("hfdb",),
+                           None: ("fdwb", "hfdb", "subsample")}, _methods),
+    "boot.B": Key(INT, 500),
+    "ci.level": Key(NUMBER, 0.9, lambda v, c: check_level(v, "ci.level", 0.5)),
+    "test.h1": Key(PAIR, (1, 0), _LAG),
+    "test.h2": Key(PAIR, (0, 1), _LAG),
+    "test.level": Key(NUMBER, 0.1, lambda v, c: check_level(v, "test.level")),
+    "pvalue.plus_one": Key(BOOL, False),
+    "density.bandwidth1": Key(NUMBER, None, _BANDWIDTH),  # both unset:
+    "density.bandwidth2": Key(NUMBER, None, _BANDWIDTH),  # the default rate
+    "replicates": Key(INT, {"oracle": 2000, None: 500}, {
+        "oracle": _when(lambda r: r >= 2, ": an oracle needs at least 2, got {}"),
+        None: _when(lambda r: r >= 1, " must be >= 1")}),
+    "seed": Key(INT, 0),
+    "workers": Key(INT, 1, _when(lambda w: w >= 1, " must be >= 1, got {}")),
+    "out": Key(STRING, "freqboot_out"),
+    "format": Key(STRING, "csv", {
+        "simulate": _when(lambda f: f in ("csv", "bin", "binary"),
+                          " must be csv, bin or binary for simulate, got {!r}"),
+        None: _when(lambda f: f in ("csv", "json", "both"),
+                    " must be csv, json or both, got {!r}")}),
+    "truth.value": Key(NUMBER),
+    "truth.fixture": Key(STRING),
+}
+KNOWN_KEYS = frozenset(KEYS)
+
+
+def _for(command, entry):
+    """The entry that serves ``command`` of a per-command dict."""
+    return entry.get(command, entry[None]) if isinstance(entry, dict) else entry
+
+
+def _check(key: str, value, command: str | None):
+    """``value``, refused naming ``key`` unless its check passes for ``command``."""
+    check = _for(command, KEYS[key].check)
+    refusal = None if check is None else check(value, command)
+    if refusal:
+        raise ConfigError(key + refusal)
+    return value
+
+
+class Settings:
+    """The flat key-value map of one command, read through the keys'
+    declarations: a getter returns a set key parsed and checked for the
+    command, and an unset key's default.  Unknown keys are refused at
+    once, and every key read is recorded, so the command can refuse the
+    keys it never read."""
+
+    def __init__(self, values: dict[str, str], command: str | None = None):
+        unknown = sorted(set(values) - KNOWN_KEYS)
+        if unknown:
+            raise ConfigError("unknown config keys: " + ", ".join(unknown))
         self.values = dict(values)
+        self.command = command
         self.read: set[str] = set()
 
     def refuse_unread(self, command: str) -> None:
@@ -117,85 +258,37 @@ class Settings:
             raise ConfigError(f"{command} does not read these keys, which "
                               f"are set: " + ", ".join(unread))
 
-    def _parse(self, key, caster, default, kind):
+    def get(self, key: str, default=None):
+        """``key``'s value; when unset, ``default`` or else the declared one."""
         self.read.add(key)
         raw = self.values.get(key)
         if raw is None:
-            return default
+            return _for(self.command, KEYS[key].default) if default is None else default
+        parse, takes = _for(self.command, KEYS[key].parser)
         try:
-            return caster(raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from exc
+            value = parse(raw)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {takes}") from exc
+        return _check(key, value, self.command)
 
-    def get_float(self, key, default=None) -> float:
-        return self._parse(key, _finite, default, "a finite number")
-
-    def get_int(self, key, default=None) -> int:
-        return self._parse(key, lambda s: int(s, 0), default, "an integer")
-
-    def get_str(self, key, default=None) -> str:
-        return self._parse(key, str, default, "a string")
-
-    def get_bool(self, key, default=False) -> bool:
-        def cast(s):
-            t = s.strip().lower()
-            if t in ("1", "true", "yes", "on"):
-                return True
-            if t in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(t)
-        return self._parse(key, cast, default, "a boolean")
-
-    def get_pair(self, key, default=None) -> tuple[int, int]:
-        def cast(s):
-            t = s.strip().strip("()")
-            a, b = t.split(",")
-            return (int(a), int(b))
-        return self._parse(key, cast, default, "a pair like (1,0)")
-
-    def _list(self, key, item, default, kind) -> tuple:
-        """A non-empty comma list; empty items are skipped."""
-        def cast(s):
-            out = tuple(item(part.strip()) for part in s.split(",") if part.strip())
-            if not out:
-                raise ValueError(s)
-            return out
-        return self._parse(key, cast, default, kind)
-
-    def get_floats(self, key, default=None) -> tuple[float, ...]:
-        return self._list(key, _finite, default, "a comma list of finite numbers")
-
-    def get_names(self, key, default=None) -> tuple[str, ...]:
-        return self._list(key, str, default, "a comma list of names")
-
-    def get_sizes(self, key, default=None) -> tuple[tuple[int, int], ...]:
-        def size(part):
-            a, _, b = part.partition("x")
-            return (int(a), int(b if b else a))
-        return self._list(key, size, default, "sizes like 50x50,30x30")
+    # a key's declaration gives its type, so one getter serves every type
+    get_float = get_int = get_str = get_bool = get
+    get_pair = get_floats = get_names = get_sizes = get
 
 
 def build_model(st: Settings):
     """Resolve the process descriptor into (model, generator)."""
-    kind = st.get_str("process.kind", "white_noise")
-    if kind not in PROCESS_KINDS:
-        raise ConfigError(f"process.kind must be one of {PROCESS_KINDS}, got {kind!r}")
+    kind, get = st.get("process.kind"), st.get
     if kind == "white_noise":
-        return WhiteNoise(st.get_float("process.variance", 1.0)), "default"
+        return WhiteNoise(get("process.variance")), "default"
     if kind == "spherical":
-        return SphericalAniso(sigma2=st.get_float("process.sigma2", 1.0),
-                              range_=st.get_float("process.range", 5.0),
-                              eta=st.get_float("process.eta", 0.0),
-                              tau_a=st.get_float("process.tau_a", 0.0),
-                              tau_r=st.get_float("process.tau_r", 1.0)), "default"
+        return SphericalAniso(get("process.sigma2"), get("process.range"),
+                              get("process.eta"), get("process.tau_a"),
+                              get("process.tau_r")), "default"
     if kind == "separable":
-        return SeparableARMA(ar=st.get_float("process.ar", 0.2),
-                             ma=st.get_float("process.ma", -0.7),
-                             innov1=st.get_str("process.innov1", "gaussian"),
-                             innov2=st.get_str("process.innov2", "gaussian")), "default"
-    base = matern_model(st.get_float("process.alpha", 1.0 / 3.0),
-                        st.get_float("process.nu", 1.0),
-                        st.get_float("process.phi"))
+        return SeparableARMA(get("process.ar"), get("process.ma"),
+                             get("process.innov1"), get("process.innov2")), "default"
+    base = matern_model(get("process.alpha"), get("process.nu"), get("process.phi"))
     if kind == "matern_quartic":
         return TransformedGaussian(base=base, transform="quartic"), "default"
     # exp_cholesky: Matern-as-covariance driven by centered exponentials
@@ -203,26 +296,34 @@ def build_model(st: Settings):
 
 
 def build_bandwidth(st: Settings):
-    """Explicit (bandwidth1, bandwidth2), or None for the default rate
-    when neither key is set."""
-    b1 = st.get_float("density.bandwidth1")
-    b2 = st.get_float("density.bandwidth2")
-    if b1 is None and b2 is None:
-        return None
-    if b1 is None or b2 is None:
+    """(bandwidth1, bandwidth2), or None for the default rate when both are unset."""
+    pair = (st.get("density.bandwidth1"), st.get("density.bandwidth2"))
+    if pair.count(None) == 1:
         raise ConfigError("set both density.bandwidth1 and density.bandwidth2")
-    return (b1, b2)
+    return None if pair[0] is None else pair
 
 
-def _check_methods(methods, allowed, B: int) -> None:
-    """Refuse a method outside ``allowed`` naming ``methods``, and a
-    bootstrap method with B < 100 naming ``boot.B``."""
-    for m in methods:
-        if m not in allowed:
-            raise ConfigError(f"methods: unknown method {m!r}, expected "
-                              f"one or more of {allowed}")
+def _field_source(st: Settings, path: str | None, seed: int):
+    """Read the keys that name a single command's field and return the
+    function that loads or simulates it, so that the command refuses its
+    unread keys before that work."""
+    if path is not None:
+        load = load_field_binary if path.endswith(".bin") else load_field_csv
+        return lambda: load(path)
+    model, generator = build_model(st)
+    (n1, n2) = st.get("grid.sizes")[0]
+    return lambda: simulate_process(
+        model, n1, n2, rngmod.stream(seed, rngmod.TAG_GENERIC, 0, 0),
+        generator=generator)
+
+
+def _check_methods(methods, B: int, blocks) -> None:
+    """Refuse B < 100 for a bootstrap method, and no block for any but fdwb."""
     if B < 100 and any(m != "subsample" for m in methods):
         raise ConfigError(f"boot.B must be >= 100 for bootstrap methods, got {B}")
+    for m in methods:
+        if m != "fdwb" and not blocks:
+            raise ConfigError(f"block.sizes: methods={m} needs a block size")
 
 
 def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
@@ -242,52 +343,49 @@ def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
             f"tau_r={own}, got {list(tau_r_list)}")
 
 
-def _block_spec(size, grid, subsample: bool) -> BlockSpec:
+def _block_spec(size, grid, subsample: bool, lags=()) -> BlockSpec:
     """The block a ``block.sizes`` entry names on an n1 x n2 grid, refused
-    naming the key when it is too small, does not fit, or leaves a
-    subsample method fewer than two block translates."""
+    naming the key when it does not fit, leaves a subsample method fewer
+    than two block translates, or has no pair of points at one of
+    ``lags``, which the subsample isotropy calibration compares in it."""
     (b1, b2), (n1, n2) = size, grid
-    try:
-        spec = BlockSpec(b1, b2)
-    except ConfigError as exc:
-        raise ConfigError(f"block.sizes: {exc}") from None
     if b1 > n1 or b2 > n2:
         raise ConfigError(f"block.sizes: block {b1}x{b2} does not fit grid {n1}x{n2}")
     if subsample and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
         raise ConfigError(f"block.sizes: block {b1}x{b2} has one translate in "
                           f"grid {n1}x{n2}, subsample needs at least 2")
-    return spec
-
-
-def _check_lags(block, h1, h2) -> None:
-    """Refuse a block with no pair of points at lag test.h1 or test.h2,
-    which the subsample isotropy calibration compares inside every block,
-    naming both keys."""
-    b1, b2 = block
-    for key, h in (("test.h1", h1), ("test.h2", h2)):
+    for key, h in zip(("test.h1", "test.h2"), lags):
         if abs(h[0]) >= b1 or abs(h[1]) >= b2:
             raise ConfigError(
                 f"block.sizes: block {b1}x{b2} has no pairs at lag {key}="
                 f"{tuple(h)}, and methods=subsample compares the variogram "
                 f"at that lag inside every block")
+    return BlockSpec(b1, b2)
 
 
 def _contrast(h1, h2):
     """The psi an isotropy command or experiment resamples: the contrast
-    of its lags test.h1 and test.h2, two distinct nonzero lags."""
-    for key, h in (("test.h1", h1), ("test.h2", h2)):
-        if tuple(h) == (0, 0):
-            raise ConfigError(f"{key} must be a nonzero lag: the contrast "
-                              f"compares the variogram at two lags")
+    of its lags test.h1 and test.h2, two distinct lags."""
     if tuple(h1) == tuple(h2):
         raise ConfigError(f"test.h1 and test.h2 must be two distinct lags, "
                           f"both are {tuple(h1)}")
     return psi_isotropy_contrast(h1, h2)
 
 
+# each ExperimentConfig field that a key sets: (key, the kind reading it or None)
+_FIELDS = {"sizes": ("grid.sizes", None), "methods": ("methods", None),
+           "blocks": ("block.sizes", None), "replicates": ("replicates", None),
+           "B": ("boot.B", None), "level": ("ci.level", "coverage"),
+           "truth": ("truth.value", "coverage"),
+           "test_level": ("test.level", "isotropy"),
+           "h1": ("test.h1", "isotropy"), "h2": ("test.h2", "isotropy"),
+           "plus_one": ("pvalue.plus_one", "isotropy")}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved description of a Monte Carlo run (picklable)."""
+    """Fully resolved description of a Monte Carlo run (picklable).  It
+    refuses what the CLI refuses, in the words that name the CLI keys."""
 
     kind: str
     model: object
@@ -310,40 +408,30 @@ class ExperimentConfig:
     truth: float | None
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        check_level(self.level, "ci.level", 0.5)
-        check_level(self.test_level, "test.level")
-        _check_methods(self.methods, TEST_METHODS if self.kind == "isotropy"
-                       else CI_METHODS, self.B)
-        if not self.methods:
-            raise ConfigError("no methods configured")
-        if not self.sizes:
-            raise ConfigError("no grid sizes configured")
-        if not self.tau_r_list:
-            raise ConfigError("no tau_r_list values configured")
-        if not self.blocks and any(m != "fdwb" for m in self.methods):
-            raise ConfigError("subsample-based methods need block.sizes")
+        command = _COMMAND[self.kind]
+        for key, value in (*((key, getattr(self, f)) for f, (key, _) in _FIELDS.items()),
+                           ("workers", self.workers),
+                           ("process.tau_r_list", self.tau_r_list),
+                           *zip(("density.bandwidth1", "density.bandwidth2"),
+                                self.bandwidth or ())):
+            _check(key, value, command)
+        _check_methods(self.methods, self.B, self.blocks)
+        iso = self.kind == "isotropy"
+        lags = (self.h1, self.h2) if iso and "subsample" in self.methods else ()
         for grid in self.sizes:
             for size in self.blocks:
-                _block_spec(size, grid, "subsample" in self.methods)
-        _check_tau(self.kind, self.model, self.tau_r_list, "tau_r_list")
+                _block_spec(size, grid, "subsample" in self.methods, lags)
+        _check_tau(self.kind, self.model, self.tau_r_list, "process.tau_r_list")
+        contrast = _contrast(self.h1, self.h2).name if iso else None
         psi = psi_from_name(self.psi_name)
-        if self.kind == "coverage" and self.truth is None and not psi.cos_terms:
+        if not iso and self.truth is None and not psi.cos_terms:
             raise ConfigError(
                 f"truth.value: {psi.name} has no closed-form spectral mean; "
                 f"give truth.value or truth.fixture")
-        if self.kind == "isotropy":
-            contrast = _contrast(self.h1, self.h2).name
-            if psi.name != contrast:
-                raise ConfigError(
-                    f"psi: an isotropy experiment resamples the contrast of "
-                    f"test.h1 and test.h2, {contrast}, got {self.psi_name!r}")
-            if "subsample" in self.methods:
-                for size in self.blocks:
-                    _check_lags(size, self.h1, self.h2)
+        if iso and psi.name != contrast:
+            raise ConfigError(
+                f"psi: an isotropy experiment resamples the contrast of "
+                f"test.h1 and test.h2, {contrast}, got {self.psi_name!r}")
 
 
 def _fixture_truth(path: str, model, generator: str, psi_name: str,
@@ -378,54 +466,34 @@ def true_spectral_mean(model, psi_name: str) -> float:
 
 
 def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfig:
+    """The ``kind`` run that ``st`` describes, its keys read as those of
+    the kind's command.  Each kind reads only its own keys; the other
+    kind's fields keep their declared defaults, so its keys stay unread
+    and are refused."""
+    st.command = _COMMAND[kind]
     model, generator = build_model(st)
-    methods = st.get_names("methods", ("fdwb", "hfdb", "subsample"))
-    listed = st.get_floats("process.tau_r_list")
+    read = {field: st.get(key) if reader in (None, kind) else KEYS[key].default
+            for field, (key, reader) in _FIELDS.items()}
+    listed = st.get("process.tau_r_list")
     if kind == "isotropy" and listed is not None and "process.tau_r" in st.values:
         raise ConfigError("set process.tau_r or process.tau_r_list, not both: "
                           "an isotropy experiment runs each tau_r of the list")
-    tau_list = listed or (st.get_float("process.tau_r", 1.0),)
-    _check_tau(kind, model, tau_list,
-               "process.tau_r" if listed is None else "process.tau_r_list")
-    sizes = st.get_sizes("grid.sizes", ((50, 50),))
-    # each kind reads only its own keys; the other kind's fields keep
-    # these defaults, so its keys stay unread and are refused
-    level, truth, test_level, plus_one = 0.9, None, 0.1, False
-    h1, h2 = (1, 0), (0, 1)
-    if kind == "isotropy":
-        h1 = st.get_pair("test.h1", h1)
-        h2 = st.get_pair("test.h2", h2)
-        test_level = st.get_float("test.level", test_level)
-        plus_one = st.get_bool("pvalue.plus_one", plus_one)
-        psi_name = st.get_str("psi", _contrast(h1, h2).name)
-    else:
-        psi_name = st.get_str("psi", "cos_lag{h=(1,0)}")
-        level = st.get_float("ci.level", level)
-        truth = st.get_float("truth.value")
-        fixture = st.get_str("truth.fixture")
-        if fixture is not None:
-            if truth is not None:
-                raise ConfigError("give truth.value or truth.fixture, not both")
-            truth = _fixture_truth(fixture, model, generator, psi_name, sizes)
+    tau_list = listed or (st.get("process.tau_r"),)
+    if listed is None:   # the config holds only the list, and names its key
+        _check_tau(kind, model, tau_list, "process.tau_r")
+    psi_name = st.get("psi")
+    if psi_name is None:
+        psi_name = _contrast(read["h1"], read["h2"]).name
+    fixture = st.get("truth.fixture") if kind == "coverage" else None
+    if fixture is not None:
+        if read["truth"] is not None:
+            raise ConfigError("give truth.value or truth.fixture, not both")
+        read["truth"] = _fixture_truth(fixture, model, generator, psi_name,
+                                       read["sizes"])
     return ExperimentConfig(
-        kind=kind, model=model, generator=generator,
-        sizes=sizes,
-        psi_name=psi_name,
-        blocks=st.get_sizes("block.sizes", ()),
-        methods=methods,
-        level=level,
-        test_level=test_level,
-        replicates=st.get_int("replicates", 500),
-        B=st.get_int("boot.B", 500),
-        master_seed=int(seed),
-        workers=int(workers),
-        bandwidth=build_bandwidth(st),
-        tau_r_list=tau_list,
-        h1=h1,
-        h2=h2,
-        plus_one=plus_one,
-        truth=truth,
-    )
+        kind=kind, model=model, generator=generator, psi_name=psi_name,
+        master_seed=int(seed), workers=int(workers),
+        bandwidth=build_bandwidth(st), tau_r_list=tau_list, **read)
 
 
 # ---------------------------------------------------------------------------
@@ -618,15 +686,10 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=1, default=repr)
 
 
-def _check_report_format(fmt: str) -> None:
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError(f"format must be csv, json or both, got {fmt!r}")
-
-
 def emit_report(report: ExperimentReport, out_prefix: str,
                 fmt: str = "csv") -> list[str]:
     """Write the summary and per-replicate files; returns written paths."""
-    _check_report_format(fmt)
+    _check("format", fmt, _COMMAND[report.kind])
     parent = os.path.dirname(out_prefix)
     if parent:
         os.makedirs(parent, exist_ok=True)
@@ -654,61 +717,6 @@ def emit_report(report: ExperimentReport, out_prefix: str,
 
 
 # ---------------------------------------------------------------------------
-# single-shot helpers
-
-def _single(items: tuple, key: str):
-    """The one entry that a single-field command reads from ``key``."""
-    if len(items) > 1:
-        raise ConfigError(f"{key}: this command takes one entry, got {len(items)}")
-    return items[0]
-
-
-def _field_source(st: Settings, path: str | None, seed: int):
-    """Read the keys that name a single command's field and return the
-    function that loads or simulates it, so that the command refuses its
-    unread keys before that work."""
-    if path is not None:
-        load = load_field_binary if path.endswith(".bin") else load_field_csv
-        return lambda: load(path)
-    model, generator = build_model(st)
-    (n1, n2) = _single(st.get_sizes("grid.sizes", ((50, 50),)), "grid.sizes")
-    return lambda: simulate_process(
-        model, n1, n2, rngmod.stream(seed, rngmod.TAG_GENERIC, 0, 0),
-        generator=generator)
-
-
-def _minvol(fieldz: LatticeField, psi, window: int):
-    """The minimum-volatility block of ``fieldz`` among the default
-    candidates, with the window ``block.window``: (block, candidates)."""
-    cands = default_block_candidates(fieldz.n1, fieldz.n2)
-    try:
-        # the default candidates are sorted, so only the window is refused
-        spec = select_block_size_min_volatility(fieldz, psi, cands, window)
-    except ConfigError as exc:
-        raise ConfigError(f"block.window: {exc}") from None
-    return spec, cands
-
-
-def _single_block(st: Settings, psi, subsample: bool = False):
-    """Read the block that ``block.sizes`` names for a single field: one
-    size, or ``minvol`` (with ``block.window``) for the minimum-volatility
-    selection.  None when unset, else the function that gives the loaded
-    field's BlockSpec, where the checks that need its extents run."""
-    if st.get_str("block.sizes") == "minvol":
-        window = st.get_int("block.window", 3)
-        return lambda fieldz: _minvol(fieldz, psi, window)[0]
-    sizes = st.get_sizes("block.sizes")
-    if sizes is None:
-        return None
-    size = _single(sizes, "block.sizes")
-    return lambda fieldz: _block_spec(size, (fieldz.n1, fieldz.n2), subsample)
-
-
-def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=1, default=repr))
-
-
-# ---------------------------------------------------------------------------
 # entry point
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -722,7 +730,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, help="master seed (overrides 'seed' key)")
     ap.add_argument("--workers", type=int, help="worker processes")
     ap.add_argument("--out", help="output path or prefix")
-    ap.add_argument("--format", dest="fmt", help="report format: csv, json, both")
+    ap.add_argument("--format", help="report format: csv, json, both")
     sub = ap.add_subparsers(dest="command", required=True)
     sub.add_parser("simulate", help="simulate one field and write it")
     for name in ("estimate", "ci", "isotropy", "blocksize"):
@@ -734,54 +742,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _settings_from_args(args) -> Settings:
-    values: dict[str, str] = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
+def _dispatch(args) -> int:
+    values = parse_config_file(args.config) if args.config else {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, val = item.split("=", 1)
         values[key.strip()] = val.strip()
-    for key, val in (("seed", args.seed), ("workers", args.workers),
-                     ("out", args.out), ("format", args.fmt)):
-        if val is not None:
-            values[key] = str(val)
-    unknown = sorted(set(values) - KNOWN_KEYS)
-    if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(unknown))
-    return Settings(values)
-
-
-def _dispatch(args) -> int:
-    st = _settings_from_args(args)
+    # the flags of the same names
+    values.update({key: str(getattr(args, key)) for key in ("seed", "workers",
+                   "out", "format") if getattr(args, key) is not None})
     cmd = args.command
-    seed = st.get_int("seed", 0)
+    st = Settings(values, cmd)
+    seed = st.get("seed")
 
     if cmd == "simulate":
-        out = st.get_str("out", "freqboot_out")
-        fmt = st.get_str("format", "csv")
-        if fmt not in ("csv", "bin", "binary"):
-            raise ConfigError(f"format must be csv, bin or binary for simulate, "
-                              f"got {fmt!r}")
+        out, fmt = st.get("out"), st.get("format")
         load = _field_source(st, None, seed)
         st.refuse_unread(cmd)
-        fieldz = load()
-        if fmt in ("bin", "binary"):
-            save_field_binary(fieldz, out)
-        else:
-            save_field_csv(fieldz, out)
+        (save_field_csv if fmt == "csv" else save_field_binary)(load(), out)
         print(out)
         return 0
 
     if cmd == "oracle":
         model, generator = build_model(st)
-        psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
-        (n1, n2) = _single(st.get_sizes("grid.sizes", ((50, 50),)), "grid.sizes")
-        R = st.get_int("replicates", 2000)
-        if R < 2:
-            raise ConfigError(f"replicates: an oracle needs at least 2, got {R}")
-        out = st.get_str("out", "freqboot_out")
+        psi = psi_from_name(st.get("psi"))
+        (n1, n2) = st.get("grid.sizes")[0]
+        R = st.get("replicates")
+        out = st.get("out")
         st.refuse_unread(cmd)
         vals = np.empty(R)
         for i in range(R):
@@ -802,12 +790,10 @@ def _dispatch(args) -> int:
         print(out)
         return 0
 
-    if cmd in ("coverage", "isotropy-experiment"):
+    if cmd in _COMMAND.values():
         kind = "coverage" if cmd == "coverage" else "isotropy"
-        cfg = experiment_config(st, kind, seed, st.get_int("workers", 1))
-        out = st.get_str("out", "freqboot_out")
-        fmt = st.get_str("format", "csv")
-        _check_report_format(fmt)
+        cfg = experiment_config(st, kind, seed, st.get("workers"))
+        out, fmt = st.get("out"), st.get("format")
         st.refuse_unread(cmd)
         report = (run_coverage_experiment if kind == "coverage"
                   else run_isotropy_experiment)(cfg)
@@ -818,50 +804,47 @@ def _dispatch(args) -> int:
             print("wrote", p, file=sys.stderr)
         return 0
 
-    # estimate, ci, isotropy, blocksize: one field, one psi, one bandwidth
+    # estimate, ci, isotropy, blocksize: one field, one psi
     if cmd == "isotropy":
-        h1 = st.get_pair("test.h1", (1, 0))
-        h2 = st.get_pair("test.h2", (0, 1))
+        h1, h2 = st.get("test.h1"), st.get("test.h2")
         psi = _contrast(h1, h2)
     else:
-        psi = psi_from_name(st.get_str("psi", "cos_lag{h=(1,0)}"))
+        psi = psi_from_name(st.get("psi"))
     # every key is read and the unread ones refused before the field is
     # loaded or simulated
     load = _field_source(st, args.infile, seed)
-    if cmd == "blocksize":
-        window = st.get_int("block.window", 3)
-        st.refuse_unread(cmd)
-        spec, cands = _minvol(load(), psi, window)
-        _print_json({"b1": spec.b1, "b2": spec.b2,
-                     "candidates": [[c.b1, c.b2] for c in cands],
-                     "window": window})
-        return 0
-    bandwidth = build_bandwidth(st)
-    if cmd == "estimate":
-        # B = 0: estimate draws no bootstrap replicates
-        B, method, block = 0, None, _single_block(st, psi)
-    else:
-        # ci and isotropy: the one method of methods, and its block
-        method = _single(st.get_names("methods", ("hfdb",)), "methods")
-        B = st.get_int("boot.B", 500)
-        _check_methods((method,), CI_METHODS if cmd == "ci" else TEST_METHODS, B)
-        block = None
-        if method != "fdwb":
-            block = _single_block(st, psi, method == "subsample")
-            if block is None:
-                raise ConfigError(f"block.sizes: methods={method} needs one "
-                                  f"block size or minvol")
-        if cmd == "ci":
-            level = st.get_float("ci.level", 0.9)
-            check_level(level, "ci.level", 0.5)
-        else:
-            plus_one = st.get_bool("pvalue.plus_one", False)
+    bandwidth = None if cmd == "blocksize" else build_bandwidth(st)
+    method, B = None, 0   # estimate draws no bootstrap replicates
+    if cmd in ("ci", "isotropy"):   # the one method of methods
+        method, B = st.get("methods")[0], st.get("boot.B")
+    # the block: blocksize selects one, as block.sizes=minvol does (with
+    # block.window); estimate, ci and isotropy read one size, fdwb none
+    sizes = ("minvol" if cmd == "blocksize" else
+             () if method == "fdwb" else st.get("block.sizes"))
+    window = st.get("block.window") if sizes == "minvol" else None
+    if method is not None:
+        _check_methods((method,), B, sizes)
+    level = st.get("ci.level") if cmd == "ci" else None
+    plus_one = st.get("pvalue.plus_one") if cmd == "isotropy" else None
     st.refuse_unread(cmd)
     fieldz = load()
-    spec = None if block is None else block(fieldz)
-    if cmd == "isotropy" and method == "subsample":
-        _check_lags((spec.b1, spec.b2), h1, h2)
-    res = FieldResampler(fieldz, psi, B, seed, bandwidth=bandwidth)
+    if sizes == "minvol":
+        cands = default_block_candidates(fieldz.n1, fieldz.n2)
+        try:
+            # the default candidates are sorted, so only the window is refused
+            spec = select_block_size_min_volatility(fieldz, psi, cands, window)
+        except ConfigError as exc:
+            raise ConfigError(f"block.window: {exc}") from None
+        sizes = ((spec.b1, spec.b2),)
+    # the checks that need the field's extents run here
+    lags = (h1, h2) if cmd == "isotropy" and method == "subsample" else ()
+    spec = (_block_spec(sizes[0], (fieldz.n1, fieldz.n2), method == "subsample",
+                        lags) if sizes else None)
+    if cmd == "blocksize":
+        result = {"b1": spec.b1, "b2": spec.b2, "window": window,
+                  "candidates": [[c.b1, c.b2] for c in cands]}
+    else:
+        res = FieldResampler(fieldz, psi, B, seed, bandwidth=bandwidth)
     if cmd == "estimate":
         result = {"n1": fieldz.n1, "n2": fieldz.n2, "psi": psi.name,
                   "mhat": res.mhat.value, "var_star": res.var_star,
@@ -877,11 +860,11 @@ def _dispatch(args) -> int:
         ci = resampled_interval(res, method, spec, level)
         result = {"method": ci.method, "level": ci.level,
                   "mhat": res.mhat.value, "lower": ci.lower, "upper": ci.upper}
-    else:
+    elif cmd == "isotropy":
         test = calibrate_isotropy(res, method, spec, h1, h2, plus_one)
         result = {"ts": test.ts, "p_value": test.p_value, "method": test.method,
                   "h1": list(test.h1), "h2": list(test.h2)}
-    _print_json(result)
+    print(json.dumps(result, sort_keys=True, indent=1, default=repr))
     return 0
 
 

@@ -42,11 +42,20 @@ INNOVATIONS = ("gaussian", "exponential_centered")
 # ---------------------------------------------------------------------------
 # model descriptors
 
+def _finite_parameters(model) -> None:
+    """Refuse a nan or infinite parameter, which a range check passes."""
+    for name, value in vars(model).items():
+        if not isinstance(value, str) and not np.isfinite(value):
+            raise ConfigError(f"{type(model).__name__} parameter {name} "
+                              f"must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class WhiteNoise:
     variance: float = 1.0
 
     def __post_init__(self):
+        _finite_parameters(self)
         if self.variance < 0:
             raise ConfigError("white noise variance must be >= 0")
 
@@ -61,6 +70,7 @@ class MaternSpectral:
     nu: float
 
     def __post_init__(self):
+        _finite_parameters(self)
         if self.phi <= 0 or self.alpha <= 0 or self.nu <= 0:
             raise ConfigError("Matern parameters phi, alpha, nu must be positive")
 
@@ -81,6 +91,7 @@ class SphericalAniso:
     tau_r: float = 1.0
 
     def __post_init__(self):
+        _finite_parameters(self)
         if self.sigma2 <= 0 or self.range_ <= 0 or self.eta < 0 or self.tau_r < 1:
             raise ConfigError(
                 "spherical model needs sigma2 > 0, range > 0, eta >= 0, tau_r >= 1")
@@ -96,6 +107,7 @@ class SeparableARMA:
     innov2: str = "gaussian"
 
     def __post_init__(self):
+        _finite_parameters(self)
         if not abs(self.ar) < 1:
             raise ConfigError(f"AR coefficient must satisfy |ar| < 1, got {self.ar}")
         for innov in (self.innov1, self.innov2):

@@ -87,6 +87,56 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="bad.cfg:1"):
             parse_config_file(p)
 
+    def test_readme_lists_exactly_the_declared_keys(self):
+        # each entry of the README's key block starts a line; shorthand
+        # such as process.alpha/.nu/.phi or seed / out / format names
+        # several keys
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as fh:
+            section = fh.read().split("### Configuration keys", 1)[1]
+        block = section.split("```", 2)[1]
+        listed = []
+        for line in block.splitlines():
+            entry = re.match(r"[\w.]+(?:\s*/\s*\.?[\w.]+)*", line)
+            if entry is None:
+                continue
+            first, *rest = [part.strip() for part in entry.group().split("/")]
+            listed.append(first)
+            listed += [first.rsplit(".", 1)[0] + part if part.startswith(".")
+                       else part for part in rest]
+        assert len(listed) == len(set(listed))
+        assert set(listed) == cli_module.KNOWN_KEYS
+        count = re.search(r"These (\d+) keys", section)
+        assert count is not None and int(count.group(1)) == len(listed)
+
+    @pytest.mark.parametrize("over, settings", [
+        (dict(level=0.4), ["ci.level=0.4"]),
+        (dict(methods=("wild",)), ["methods=wild"]),
+        (dict(methods=("fdwb",), B=50), ["methods=fdwb", "boot.B=50"]),
+        (dict(blocks=((20, 20),)), ["block.sizes=20x20"]),
+        (dict(blocks=((1, 4),)), ["block.sizes=1x4"]),
+        (dict(tau_r_list=(1.5,)), ["process.tau_r_list=1.5"]),
+        (dict(replicates=0), ["replicates=0"]),
+        (dict(workers=0), ["workers=0"]),
+        (dict(sizes=((1, 40),)), ["grid.sizes=1x40"]),
+        (dict(bandwidth=(4.0, 0.5)),
+         ["density.bandwidth1=4", "density.bandwidth2=0.5"]),
+    ])
+    def test_library_refuses_in_the_cli_words(self, tmp_path, capsys, over,
+                                              settings):
+        # a config built as a dataclass refuses what the CLI refuses, with
+        # the message that names the CLI key
+        with pytest.raises(ConfigError) as exc:
+            _cfg(**over)
+        args = []
+        for kv in ["process.kind=white_noise", "grid.sizes=16x16",
+                   "block.sizes=4x4", "methods=fdwb,subsample", "boot.B=120",
+                   "replicates=4"] + settings:
+            args += ["--set", kv]
+        assert main(args + ["--out", str(tmp_path / "r"), "coverage"]) == 2
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_typed_getters_report_key(self):
         st = Settings({"boot.B": "many"})
         with pytest.raises(ConfigError, match="boot.B"):
@@ -1113,6 +1163,46 @@ class TestCommandLine:
         assert main(args + [command, "--in", field]) == 2
         out, err = capsys.readouterr()
         assert out == "" and key in err
+
+    @pytest.mark.parametrize("command, settings, key", [
+        ("coverage", ["density.bandwidth1=50", "density.bandwidth2=50"],
+         "density.bandwidth1"),
+        ("coverage", ["density.bandwidth1=0.5", "density.bandwidth2=-1"],
+         "density.bandwidth2"),
+        ("coverage", ["grid.sizes=0x5"], "grid.sizes"),
+        ("coverage", ["grid.sizes=1x40"], "grid.sizes"),
+        ("isotropy-experiment", ["grid.sizes=40x1"], "grid.sizes"),
+        ("estimate", ["density.bandwidth1=50", "density.bandwidth2=50"],
+         "density.bandwidth1"),
+        ("estimate", ["grid.sizes=1x40"], "grid.sizes"),
+        ("oracle", ["grid.sizes=1x40"], "grid.sizes"),
+        ("simulate", ["grid.sizes=0x5"], "grid.sizes"),
+    ])
+    def test_bandwidths_and_grid_extents_exit_2_before_a_field(
+            self, tmp_path, capsys, monkeypatch, command, settings, key):
+        # a bandwidth outside (0, pi] or a grid with no nonzero frequency
+        # was refused only by the smoother or the frequency grid, after a
+        # field was simulated, without naming the key
+        def no_field(*args, **kwargs):
+            pytest.fail("a field was simulated")
+        monkeypatch.setattr(cli_module, "simulate_process", no_field)
+        base = {"process.kind": "white_noise", "grid.sizes": "12x12"}
+        if command == "coverage":
+            base.update({"methods": "fdwb", "replicates": "2"})
+        if command == "isotropy-experiment":
+            base.update({"process.kind": "spherical", "methods": "fdwb",
+                         "replicates": "2"})
+        if command == "oracle":
+            base["replicates"] = "2"
+        if command != "estimate":
+            base["out"] = "r"
+        monkeypatch.chdir(tmp_path)
+        args = [a for kv in [f"{k}={v}" for k, v in base.items()] + settings
+                for a in ("--set", kv)]
+        assert main(args + [command]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and key in err
+        assert not list(tmp_path.iterdir())
 
     def test_isotropy_command_warns_on_unequal_norms(self, tmp_path):
         field = _field(tmp_path)

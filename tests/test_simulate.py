@@ -47,6 +47,28 @@ class TestModelDescriptors:
         with pytest.raises(ConfigError):
             SphericalAniso(sigma2=1.0, range_=5.0, tau_r=0.5)
 
+    @pytest.mark.parametrize("build", [
+        lambda: WhiteNoise(np.nan),
+        lambda: WhiteNoise(np.inf),
+        lambda: MaternSpectral(phi=np.nan, alpha=1.0, nu=1.0),
+        lambda: MaternSpectral(phi=1.0, alpha=np.inf, nu=1.0),
+        lambda: MaternSpectral(phi=1.0, alpha=1.0, nu=np.nan),
+        lambda: SphericalAniso(sigma2=np.nan),
+        lambda: SphericalAniso(range_=np.inf),
+        lambda: SphericalAniso(eta=np.nan),
+        lambda: SphericalAniso(tau_a=np.nan),
+        lambda: SphericalAniso(tau_r=np.nan),
+        lambda: SeparableARMA(ar=0.2, ma=np.nan),
+        lambda: SeparableARMA(ar=np.nan, ma=0.0),
+    ], ids=["wn-nan", "wn-inf", "matern-phi", "matern-alpha", "matern-nu",
+            "sph-sigma2", "sph-range", "sph-eta", "sph-tau_a", "sph-tau_r",
+            "sep-ma", "sep-ar"])
+    def test_descriptors_refuse_non_finite_parameters(self, build):
+        # nan passes every "<= 0" range check, so each of these built, and
+        # SphericalAniso(tau_a=nan) simulated an all-zero field
+        with pytest.raises(ConfigError, match="must be finite"):
+            build()
+
     def test_separable_validation(self):
         with pytest.raises(ConfigError):
             SeparableARMA(ar=1.0, ma=0.0)

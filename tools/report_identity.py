@@ -10,8 +10,14 @@ exit code and stdout (the single-shot commands print their result there)
 and every file the case writes, byte for byte.  stderr holds only the
 written paths and diagnostics, and is shown for a failing command.
 
-Exit status: 0 when every case ran and matched, 1 when a case differs or
-a command failed in either tree, 2 on bad arguments.
+Each case of ``REFUSALS`` is one command that both trees must refuse as
+a configuration error: it must exit 2 in each, and its stdout, its
+stderr (the message that names the key) and the files it leaves must be
+byte-identical.  There is one case per family of refusal.
+
+Exit status: 0 when every case ran and matched, 1 when a case differs, a
+command failed in either tree or a refusal did not exit 2, 2 on bad
+arguments.
 
 The cases cover both Monte Carlo experiments at one and two workers, the
 single-shot commands and ``simulate`` for every process kind, and again
@@ -185,10 +191,53 @@ def _cases() -> dict[str, list[list[str]]]:
 
 CASES = _cases()
 
+# a small experiment that every refusal case below spoils with one setting
+_RUN = _sets("process.kind=spherical", "grid.sizes=12x12", "block.sizes=4x4",
+             "boot.B=100", "replicates=2") + ["--out", "r"]
+
+# name -> argv of one command that both trees refuse with exit 2
+REFUSALS = {
+    "unknown_key": _sets("bogus.key=1") + _RUN + ["coverage"],
+    "unread_key": _RUN + _sets("test.h1=(1,0)") + ["coverage"],
+    "unparsable_value": _RUN + _sets("boot.B=lots") + ["coverage"],
+    "non_finite_value": _RUN + _sets("truth.value=nan") + ["coverage"],
+    "ci_level_out_of_range": _RUN + _sets("ci.level=0.4") + ["coverage"],
+    "test_level_out_of_range": _RUN + _sets("test.level=1.5") + [
+        "isotropy-experiment"],
+    "unknown_method": _RUN + _sets("methods=wild") + ["coverage"],
+    "isotropy_method": _sets("process.kind=spherical", "grid.sizes=12x12",
+                             "block.sizes=4x4", "methods=hfdb_bias") + [
+        "isotropy"],
+    "boot_B_below_100": _RUN + _sets("methods=fdwb", "boot.B=50") + [
+        "coverage"],
+    "block_does_not_fit": _RUN + _sets("block.sizes=20x20") + ["coverage"],
+    "lag_outside_block": _RUN + _sets(
+        "block.sizes=3x3", "methods=subsample", "test.h1=(3,0)",
+        "test.h2=(0,3)") + ["isotropy-experiment"],
+    "tau_list_on_isotropic_model": _RUN + _sets(
+        "process.kind=matern", "process.tau_r_list=1.0,1.5") + [
+        "isotropy-experiment"],
+    "tau_on_isotropic_model": _RUN + _sets(
+        "process.kind=white_noise", "process.tau_r=1.5") + ["coverage"],
+    "truth_value_and_fixture": _RUN + _sets(
+        "truth.value=0.1", "truth.fixture=oracle.json") + ["coverage"],
+    "simulate_format": _sets("grid.sizes=8x8") + [
+        "--format", "json", "--out", "f", "simulate"],
+    "experiment_format": _RUN + ["--format", "parquet", "coverage"],
+    "workers_below_one": _RUN + ["--workers", "0", "coverage"],
+    "oracle_replicates": _sets("grid.sizes=8x8", "replicates=1") + [
+        "--out", "o.json", "oracle"],
+    "single_field_list": _sets("grid.sizes=8x8,10x10") + [
+        "--out", "f", "simulate"],
+    "zero_lag": _RUN + _sets("test.h1=(0,0)") + ["isotropy-experiment"],
+    "isotropy_psi": _RUN + _sets("psi=cos_lag{h=(1,0)}") + [
+        "isotropy-experiment"],
+}
+
 
 def run_case(tree: str, steps: list[list[str]]):
     """Run one case against ``tree``: its commands' (exit code, stdout),
-    the files written (relative path -> bytes) and a failing stderr."""
+    the files written (relative path -> bytes) and each command's stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(tree, "src"), env.get("PYTHONPATH")) if p)
@@ -199,8 +248,7 @@ def run_case(tree: str, steps: list[list[str]]):
                                   cwd=work, env=env, capture_output=True,
                                   text=True)
             printed.append((proc.returncode, proc.stdout))
-            if proc.returncode != 0:
-                errors.append(proc.stderr.strip())
+            errors.append(proc.stderr)
         files = {}
         for root, _, names in os.walk(work):
             for name in names:
@@ -218,14 +266,21 @@ def main(argv: list[str]) -> int:
         return 2
     parent, change = argv
     bad = n_files = 0
-    for name, steps in CASES.items():
+    cases = {**CASES, **{name: [argv] for name, argv in REFUSALS.items()}}
+    for name, steps in cases.items():
+        refusal = name in REFUSALS
         p_out, p_files, p_err = run_case(parent, steps)
         c_out, c_files, c_err = run_case(change, steps)
-        problems = [f"failed in {which}: {err}"
-                    for which, errs in (("parent", p_err), ("change", c_err))
-                    for err in errs]
+        problems = [f"exited {code} in {which}: {err.strip()}"
+                    for which, out, errs in (("parent", p_out, p_err),
+                                             ("change", c_out, c_err))
+                    for (code, _), err in zip(out, errs)
+                    if code != (2 if refusal else 0)]
         if p_out != c_out:
             problems.append("exit codes or stdout differ")
+        if refusal and p_err != c_err:
+            problems.append(f"stderr differs: {p_err[0].strip()!r} against "
+                            f"{c_err[0].strip()!r}")
         for rel in sorted(set(p_files) | set(c_files)):
             if p_files.get(rel) != c_files.get(rel):
                 problems.append(f"{rel} differs")
@@ -233,7 +288,7 @@ def main(argv: list[str]) -> int:
         bad += bool(problems)
         print(f"{name}: " + ("; ".join(problems) if problems
                              else f"identical ({len(c_files)} files)"))
-    print(f"{len(CASES) - bad} of {len(CASES)} cases identical, "
+    print(f"{len(cases) - bad} of {len(cases)} cases identical, "
           f"{n_files} files written by the change")
     return 1 if bad else 0
 
