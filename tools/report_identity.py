@@ -13,7 +13,7 @@ written paths and diagnostics, and is shown for a failing command.
 Each case of ``REFUSALS`` is one command that both trees must refuse as
 a configuration error: it must exit 2 in each, and its stdout, its
 stderr (the message that names the key) and the files it leaves must be
-byte-identical.  There is one case per family of refusal.
+byte-identical.  There is at least one case per family of refusal.
 
 Exit status: 0 when every case ran and matched, 1 when a case differs, a
 command failed in either tree or a refusal did not exit 2, 2 on bad
