@@ -153,7 +153,10 @@ def psi_from_name(spec: str) -> PsiFunction:
     if set(args) != set(expected):
         raise ConfigError(f"psi descriptor {spec!r} needs exactly the arguments "
                           f"{', '.join(expected)}")
-    return build(*(args[k] for k in expected))
+    try:
+        return build(*(args[k] for k in expected))
+    except ConfigError as exc:
+        raise ConfigError(f"psi descriptor {spec!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -959,6 +959,8 @@ class TestCommandLine:
         ("coverage", ["block.sizes=qx4"], "block.sizes"),
         ("isotropy-experiment", ["process.kind=matern", "process.phi=z"],
          "process.phi"),
+        ("coverage", ["psi=iso_contrast{h1=(1,0),h2=(1,0)}"], "psi"),
+        ("coverage", ["psi=spectral_cdf{t=(9,9)}", "truth.value=0.1"], "psi"),
     ])
     def test_unparsable_value_exits_2_naming_the_key(self, tmp_path, capsys,
                                                      command, settings, key):
