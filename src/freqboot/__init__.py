@@ -32,7 +32,6 @@ from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
                        matern_model, model_autocovariance,
                        model_spectral_density, simulate_exp_cholesky,
                        simulate_gaussian, simulate_process,
-                       simulate_separable, simulate_transformed,
-                       spherical_covariance)
+                       simulate_separable, simulate_transformed)
 
 __version__ = "0.1.0"

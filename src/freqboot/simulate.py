@@ -1,18 +1,20 @@
 """Random field generators for the experimental designs.
 
 All generators are exact in distribution and bit-reproducible from a
-seed.  Spectral models are synthesized on a refined frequency torus and
-cropped; covariance models go through circulant embedding with a
-nonnegative-eigenvalue check and fall back to dense Cholesky while the
-grid stays within the dense limit.  Torus synthesis computes only the
-part of the inverse transform that the crop reads, a large torus and
-its spectrum are worked in blocks of _BLOCK points, and every generator
-returns a field that holds just its own n1 x n2 values.
+seed.  Every Gaussian covariance model, Matern or spherical, goes
+through one circulant embedding of its lag covariance on a doubled
+torus, with a nonnegative-eigenvalue check: a negative embedding falls
+back to dense Cholesky while the grid stays within the dense limit, and
+otherwise doubles the torus until it embeds.  Torus synthesis computes
+only the part of the inverse transform that the crop reads, a large
+torus and its spectrum are worked in blocks of _BLOCK points, and every
+generator returns a field that holds just its own n1 x n2 values.
 
-Every Matern autocovariance, whether a coverage truth, the variance that
-calibrates phi or an entry of a dense covariance matrix, is read from
-one cached lag table (``_matern_lags``): the inverse DFT of the density
-on a torus that doubles until the lags settle.
+Every autocovariance of a Gaussian model, whether a coverage truth, an
+entry of a dense covariance matrix or of an embedded torus, is read from
+one function (``_lag_covariance``).  A Matern model's is phi times a
+cached lag table (``_matern_lags``): the inverse DFT of the density on a
+torus that doubles until the lags settle.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from .lattice import LatticeField, _signed_indices
 
 _TWO_PI = 2.0 * np.pi
 
-REFINE = 4              # torus refinement for spectral-model synthesis
 _BLOCK = 1 << 16        # torus points per block of a torus pass
 DENSE_LIMIT = 4096      # largest n1*n2 for dense Cholesky paths
 _SETTLE = 1e-6          # largest change of a Matern lag, over gamma(0), on doubling
-_TORUS_CAP = 4096       # a Matern lag table's torus has at most _TORUS_CAP^2 points
+_TORUS_CAP = 4096       # torus growth stops past _TORUS_CAP^2 points
 _BURN_IN = 500          # AR(1) steps discarded before the separable field
 _JITTER = 1e-10
 _EIG_TOL = 1e-9
@@ -141,17 +142,23 @@ def anisotropy_matrix(tau_a: float, tau_r: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # densities and covariances
 
-def spherical_covariance(model: SphericalAniso, h) -> float:
-    return float(_spherical_cov_arrays(
-        model, np.asarray(h[0], dtype=float), np.asarray(h[1], dtype=float)))
-
-
-def _spherical_cov_arrays(model: SphericalAniso, h1, h2):
-    B = anisotropy_matrix(model.tau_a, model.tau_r)
-    r = np.sqrt(B[0, 0] * h1 * h1 + 2.0 * B[0, 1] * h1 * h2 + B[1, 1] * h2 * h2)
-    u = r / model.range_
-    body = np.where(u <= 1.0, model.sigma2 * (1.0 - 1.5 * u + 0.5 * u ** 3), 0.0)
-    return body + model.eta * ((h1 == 0) & (h2 == 0))
+def _lag_covariance(model, h1, h2, reach):
+    """gamma at the integer lag arrays h1, h2 of a Gaussian covariance
+    model.  A Matern model reads phi times its lag table of the given
+    reach (r1, r2), so |h_k| <= r_k; the other models ignore reach."""
+    if isinstance(model, WhiteNoise):
+        return model.variance * ((h1 == 0) & (h2 == 0))
+    if isinstance(model, MaternSpectral):
+        gam = _matern_lags(model.alpha, model.nu, *reach)[np.abs(h1), np.abs(h2)]
+        gam *= model.phi
+        return gam
+    if isinstance(model, SphericalAniso):
+        B = anisotropy_matrix(model.tau_a, model.tau_r)
+        r = np.sqrt(B[0, 0] * h1 * h1 + 2.0 * B[0, 1] * h1 * h2 + B[1, 1] * h2 * h2)
+        u = r / model.range_
+        body = np.where(u <= 1.0, model.sigma2 * (1.0 - 1.5 * u + 0.5 * u ** 3), 0.0)
+        return body + model.eta * ((h1 == 0) & (h2 == 0))
+    raise ConfigError(f"no lag covariance for {type(model).__name__}")
 
 
 def model_spectral_density(model, w1, w2):
@@ -170,8 +177,7 @@ def model_spectral_density(model, w1, w2):
         # polynomial (the nugget contributes its flat term at lag 0)
         reach = int(np.ceil(model.range_))
         lags = np.arange(-reach, reach + 1)
-        gam = np.asarray(_spherical_cov_arrays(
-            model, lags[:, None].astype(float), lags[None, :].astype(float)))
+        gam = _lag_covariance(model, lags[:, None], lags[None, :], None)
         out = np.zeros(np.broadcast(w1, w2).shape)
         for i, l1 in enumerate(lags):
             for j, l2 in enumerate(lags):
@@ -186,13 +192,6 @@ def model_autocovariance(model, h) -> float:
     """gamma(h) of the model process: closed-form, or for a Matern model
     phi times its lag table's entry (to 1e-6 gamma(0))."""
     h1, h2 = int(h[0]), int(h[1])
-    if isinstance(model, WhiteNoise):
-        return model.variance if (h1, h2) == (0, 0) else 0.0
-    if isinstance(model, SphericalAniso):
-        return spherical_covariance(model, (h1, h2))
-    if isinstance(model, MaternSpectral):
-        r1, r2 = abs(h1), abs(h2)
-        return model.phi * float(_matern_lags(model.alpha, model.nu, r1, r2)[r1, r2])
     if isinstance(model, SeparableARMA):
         gx = model.ar ** abs(h1) / (1.0 - model.ar ** 2)
         if h2 == 0:
@@ -206,7 +205,7 @@ def model_autocovariance(model, h) -> float:
         v = gamma0(model.base)
         c = model_autocovariance(model.base, (h1, h2))
         return 72.0 * v * v * c * c + 24.0 * c ** 4
-    raise ConfigError(f"unknown model {type(model).__name__}")
+    return float(_lag_covariance(model, h1, h2, (abs(h1), abs(h2))))
 
 
 @lru_cache(maxsize=64)
@@ -218,20 +217,23 @@ def _matern_lags(alpha: float, nu: float, r1: int, r2: int) -> np.ndarray:
     copies shifted by multiples of (m1, m2).  Each extent is max(p,
     2 (r_k + 1)), so the lags asked for lie in the torus's first half,
     and p doubles from the smaller extent, at least 64, until no lag
-    moves by more than _SETTLE gamma(0).  A torus past _TORUS_CAP^2
-    points raises NumericalError.  The tori do not go through the
-    synthesis cache, where they would evict the tori that fields use.
+    moves by more than _SETTLE gamma(0).  A torus of more than
+    _TORUS_CAP^2 points, and more than the 16 (r1 + 1) (r2 + 1) that a
+    large table needs to settle on its second torus, raises
+    NumericalError.  The tori do not go through the synthesis cache,
+    where they would evict the tori that fields use.
     """
     model = MaternSpectral(phi=1.0, alpha=alpha, nu=nu)
     p = max(64, 2 * (min(r1, r2) + 1))
+    cap = max(_TORUS_CAP ** 2, 16 * (r1 + 1) * (r2 + 1))
     prev = None
     while True:
         m1, m2 = max(p, 2 * (r1 + 1)), max(p, 2 * (r2 + 1))
-        if m1 * m2 > _TORUS_CAP ** 2:
+        if m1 * m2 > cap:
             raise NumericalError(
                 f"the autocovariance of the Matern model alpha={alpha}, nu={nu} "
                 f"at lags up to ({r1}, {r2}) did not settle to {_SETTLE} "
-                f"gamma(0) on a torus of at most {_TORUS_CAP}^2 points")
+                f"gamma(0) on a torus of at most {cap} points")
         # the density is even, so half of axis 2 gives the real inverse
         w1 = _torus_omegas(m1)[:, None]
         w2 = (_TWO_PI / m2) * np.arange(m2 // 2 + 1)[None, :]
@@ -270,22 +272,11 @@ def _blocks(m: int, per: int) -> list[slice]:
 
 
 @lru_cache(maxsize=16)
-def _matern_torus_spectrum(model: MaternSpectral, m1: int, m2: int) -> np.ndarray:
-    """Square roots of the torus eigenvalues (2 pi)^2 f(omega), the one
-    array that synthesis reads, written one block of rows at a time: the
-    build peaks near 9 bytes per torus point instead of 16."""
-    w1 = _torus_omegas(m1)[:, None]
-    w2 = _torus_omegas(m2)[None, :]
-    out = np.empty((m1, m2))
-    for r in _blocks(m1, _BLOCK // m2):
-        out[r] = np.sqrt((_TWO_PI ** 2) * model_spectral_density(model, w1[r], w2))
-    return out
-
-
-@lru_cache(maxsize=16)
-def _spherical_torus_spectrum(model: SphericalAniso, m1: int, m2: int) -> np.ndarray | None:
-    """Square roots of the circulant eigenvalues of the torus-wrapped
-    covariance, or None when the embedding is not nonnegative.
+def _embedding_spectrum(model, m1: int, m2: int) -> np.ndarray | None:
+    """Square roots of the circulant eigenvalues of the model's lag
+    covariance wrapped on an m1 x m2 torus, or None when the embedding is
+    not nonnegative.  A Matern model reads the one lag table of the
+    torus's half extents, whichever block of rows asks.
 
     The eigenvalues are the real part of fft2 of the covariance, run as
     fft2's two 1-D passes: the covariance of one block of rows at a time
@@ -296,9 +287,10 @@ def _spherical_torus_spectrum(model: SphericalAniso, m1: int, m2: int) -> np.nda
     peaks near 25 bytes per point instead of 40."""
     h1 = _signed_indices(m1)[:, None]
     h2 = _signed_indices(m2)[None, :]
+    reach = (m1 // 2, m2 // 2)
     y = np.empty((m1, m2), dtype=complex)
     for r in _blocks(m1, _BLOCK // m2):
-        y[r] = np.fft.fft(_spherical_cov_arrays(model, h1[r], h2), axis=-1)
+        y[r] = np.fft.fft(_lag_covariance(model, h1[r], h2, reach), axis=-1)
     lam = np.empty((m1, m2))
     for c in _blocks(m2, _BLOCK // m1):
         lam[:, c] = np.fft.fft(y[:, c], axis=-2).real
@@ -325,7 +317,7 @@ def _torus_draw(sqrt_lam: np.ndarray, n1: int, n2: int,
     stream order, and runs the first pass block by block into the n2
     kept columns, then the second pass over blocks of those columns: it
     holds re and the kept columns, about 19 bytes per point of a doubled
-    torus and 15 of a 4x one.  Either way every value equals the full-torus expression's,
+    torus.  Either way every value equals the full-torus expression's,
     bit for bit."""
     m1, m2 = sqrt_lam.shape
     scale = np.sqrt(m1 * m2)
@@ -360,37 +352,36 @@ def simulate_gaussian(model, n1: int, n2: int,
                       rng: np.random.Generator) -> LatticeField:
     """Mean-zero Gaussian field with the model's covariance.
 
-    White noise draws directly; spectral (Matern) models synthesize on a
-    REFINE-times-finer frequency torus and crop; covariance (spherical)
-    models use circulant embedding on a doubled torus, falling back to
-    dense Cholesky when the embedding has negative eigenvalues and the
-    grid is within the dense limit.  A torus of at most _BLOCK points is
-    drawn whole, holding at most two complex tori at once (32 bytes per
-    torus point); a larger one is drawn in blocks (about 19 bytes per
-    point of a doubled torus, 15 of a 4x one).  The field holds only its
+    White noise draws directly.  A Matern or spherical model embeds its
+    lag covariance on a torus of 2 max(n_k, reach + 1) points per axis,
+    where reach is the spherical range rounded up and 0 for Matern.  When
+    that embedding has negative eigenvalues, a grid within the dense
+    limit falls back to dense Cholesky, and a larger one doubles the
+    torus until it embeds, refusing past _TORUS_CAP^2 points.  A torus of
+    at most _BLOCK points is drawn whole, holding at most two complex
+    tori at once (32 bytes per torus point); a larger one is drawn in
+    blocks (about 19 bytes per torus point).  The field holds only its
     own n1 x n2 values, so the torus is freed on return.
     """
     if n1 < 1 or n2 < 1:
         raise ConfigError("grid extents must be positive")
     if isinstance(model, WhiteNoise):
         return LatticeField(np.sqrt(model.variance) * rng.standard_normal((n1, n2)))
-    if isinstance(model, MaternSpectral):
-        sqrt_lam = _matern_torus_spectrum(model, REFINE * n1, REFINE * n2)
-        return LatticeField(_torus_draw(sqrt_lam, n1, n2, rng))
-    if isinstance(model, SphericalAniso):
-        m1 = 2 * max(n1, int(np.ceil(model.range_)) + 1)
-        m2 = 2 * max(n2, int(np.ceil(model.range_)) + 1)
-        sqrt_lam = _spherical_torus_spectrum(model, m1, m2)
-        if sqrt_lam is not None:
-            return LatticeField(_torus_draw(sqrt_lam, n1, n2, rng))
-        if n1 * n2 > DENSE_LIMIT:
+    if not isinstance(model, (MaternSpectral, SphericalAniso)):
+        raise ConfigError(f"{type(model).__name__} is not Gaussian-compatible; "
+                          f"use its own generator")
+    reach = int(np.ceil(model.range_)) if isinstance(model, SphericalAniso) else 0
+    m1, m2 = 2 * max(n1, reach + 1), 2 * max(n2, reach + 1)
+    while (sqrt_lam := _embedding_spectrum(model, m1, m2)) is None:
+        if n1 * n2 <= DENSE_LIMIT:
+            chol = _dense_cholesky(model, n1, n2)
+            return LatticeField((chol @ rng.standard_normal(n1 * n2)).reshape(n1, n2))
+        m1, m2 = 2 * m1, 2 * m2
+        if m1 * m2 > _TORUS_CAP ** 2:
             raise NumericalError(
-                f"circulant embedding failed and {n1}x{n2} exceeds the dense "
-                f"Cholesky limit of {DENSE_LIMIT} sites")
-        chol = _dense_cholesky(model, n1, n2)
-        return LatticeField((chol @ rng.standard_normal(n1 * n2)).reshape(n1, n2))
-    raise ConfigError(
-        f"{type(model).__name__} is not Gaussian-compatible; use its own generator")
+                f"circulant embedding of {model!r} for {n1}x{n2} is not "
+                f"nonnegative on a torus of at most {_TORUS_CAP}^2 points")
+    return LatticeField(_torus_draw(sqrt_lam, n1, n2, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +393,7 @@ def covariance_matrix(model, n1: int, n2: int) -> np.ndarray:
     p2 = np.tile(np.arange(n2, dtype=np.int32), n1)
     d1 = p1[:, None] - p1[None, :]
     d2 = p2[:, None] - p2[None, :]
-    if isinstance(model, SphericalAniso):
-        return np.asarray(_spherical_cov_arrays(model, d1.astype(float),
-                                                d2.astype(float)))
-    if isinstance(model, MaternSpectral):
-        table = model.phi * _matern_lags(model.alpha, model.nu, n1 - 1, n2 - 1)
-        return table[np.abs(d1), np.abs(d2)]
-    if isinstance(model, WhiteNoise):
-        return model.variance * np.eye(n1 * n2)
-    raise ConfigError(f"no dense covariance for {type(model).__name__}")
+    return _lag_covariance(model, d1, d2, (n1 - 1, n2 - 1))
 
 
 @lru_cache(maxsize=4)

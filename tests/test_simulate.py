@@ -12,7 +12,7 @@ from freqboot import (ConfigError, MaternSpectral, NumericalError,
                       model_autocovariance, model_spectral_density,
                       simulate_exp_cholesky, simulate_gaussian,
                       simulate_process, simulate_separable,
-                      simulate_transformed, spherical_covariance)
+                      simulate_transformed)
 from freqboot import rng as rngmod
 from freqboot import simulate as simulate_module
 from freqboot.simulate import covariance_matrix, gamma0
@@ -34,13 +34,13 @@ class TestModelDescriptors:
 
     def test_spherical_values(self):
         m = SphericalAniso(sigma2=2.0, range_=5.0, eta=0.3)
-        assert spherical_covariance(m, (0, 0)) == pytest.approx(2.3)
-        assert spherical_covariance(m, (3, 4)) == pytest.approx(0.0)  # r = range
+        assert model_autocovariance(m, (0, 0)) == pytest.approx(2.3)
+        assert model_autocovariance(m, (3, 4)) == pytest.approx(0.0)  # r = range
         iso = SphericalAniso(sigma2=1.0, range_=5.0, tau_a=0.0, tau_r=1.0)
         assert np.allclose(anisotropy_matrix(0.0, 1.0), np.eye(2))
         r = np.hypot(1, 2)
         u = r / 5.0
-        assert spherical_covariance(iso, (1, 2)) == pytest.approx(
+        assert model_autocovariance(iso, (1, 2)) == pytest.approx(
             1.0 - 1.5 * u + 0.5 * u ** 3)
 
     def test_spherical_validation(self):
@@ -103,7 +103,7 @@ class TestModelDescriptors:
         cell = (2 * np.pi) ** 2 / (n * n)
         for h in [(0, 0), (1, 0), (2, 2)]:
             val = np.sum(dens * np.cos(h[0] * w[:, None] + h[1] * w[None, :])) * cell
-            assert val == pytest.approx(spherical_covariance(m, h), rel=1e-8)
+            assert val == pytest.approx(model_autocovariance(m, h), rel=1e-8)
 
 
 class TestMaternLagTable:
@@ -142,6 +142,14 @@ class TestMaternLagTable:
         with pytest.raises(NumericalError, match="alpha=2.0, nu=1.25"):
             matern_model(alpha=2.0, nu=1.25)
 
+    def test_large_table_settles_on_its_second_torus_past_the_cap(self, monkeypatch):
+        # a reach-(40, 40) table is read on 82^2 points and confirmed on
+        # 164^2, past a cap of 128^2: a large table may use the 16 (r + 1)^2
+        # points its second torus needs
+        monkeypatch.setattr(simulate_module, "_TORUS_CAP", 128)
+        table = simulate_module._matern_lags.__wrapped__(0.5, 2.0, 40, 40)
+        assert table.shape == (41, 41)
+
 
 class TestGaussianGenerators:
     def test_white_noise_moments(self):
@@ -173,8 +181,8 @@ class TestGaussianGenerators:
             c01.append(np.mean(f.values[:, :-1] * f.values[:, 1:]))
         se10 = np.std(c10, ddof=1) / np.sqrt(len(c10))
         se01 = np.std(c01, ddof=1) / np.sqrt(len(c01))
-        assert abs(np.mean(c10) - spherical_covariance(m, (1, 0))) <= 3 * se10
-        assert abs(np.mean(c01) - spherical_covariance(m, (0, 1))) <= 3 * se01
+        assert abs(np.mean(c10) - model_autocovariance(m, (1, 0))) <= 3 * se10
+        assert abs(np.mean(c01) - model_autocovariance(m, (0, 1))) <= 3 * se01
 
     def test_marginal_gaussianity_pointwise(self):
         # fixed grid points across replicates are iid N(0, gamma(0))
@@ -211,23 +219,28 @@ class TestGaussianGenerators:
         assert np.allclose(chol @ chol.T, sig, atol=1e-8)
 
 
+def _torus_covariance(model, m1: int, m2: int) -> np.ndarray:
+    """The model's lag covariance wrapped on an m1 x m2 torus: phi times
+    the Matern lag table of the torus's half extents, or the spherical
+    covariance."""
+    sm = simulate_module
+    h1 = sm._signed_indices(m1)[:, None]
+    h2 = sm._signed_indices(m2)[None, :]
+    if isinstance(model, MaternSpectral):
+        table = sm._matern_lags(model.alpha, model.nu, m1 // 2, m2 // 2)
+        return model.phi * table[np.abs(h1), np.abs(h2)]
+    return sm._lag_covariance(model, h1, h2, None)
+
+
 def _one_shot_field(model, n1: int, n2: int, rng) -> np.ndarray:
     """The full-torus synthesis as one expression, the oracle for the
     pass-by-pass draw: ifft2 of sqrt(lam) times complex noise drawn as one
     (2, m1, m2) array, scaled, real part, cropped.  Returns the field and
     the torus eigenvalues lam."""
-    sm = simulate_module
-    if isinstance(model, MaternSpectral):
-        m1, m2 = sm.REFINE * n1, sm.REFINE * n2
-        w1, w2 = sm._torus_omegas(m1)[:, None], sm._torus_omegas(m2)[None, :]
-        lam = (2 * np.pi) ** 2 * model_spectral_density(model, w1, w2)
-    else:
-        reach = int(np.ceil(model.range_)) + 1
-        m1, m2 = 2 * max(n1, reach), 2 * max(n2, reach)
-        h1 = sm._signed_indices(m1)[:, None]
-        h2 = sm._signed_indices(m2)[None, :]
-        lam = np.maximum(np.fft.fft2(sm._spherical_cov_arrays(model, h1, h2)).real,
-                         0.0)
+    reach = (int(np.ceil(model.range_)) if isinstance(model, SphericalAniso)
+             else 0) + 1
+    m1, m2 = 2 * max(n1, reach), 2 * max(n2, reach)
+    lam = np.maximum(np.fft.fft2(_torus_covariance(model, m1, m2)).real, 0.0)
     noise = rng.standard_normal((2, m1, m2))
     z = noise[0] + 1j * noise[1]
     x = np.fft.ifft2(np.sqrt(lam) * z) * np.sqrt(m1 * m2)
@@ -244,15 +257,10 @@ def _buffer_nbytes(a: np.ndarray) -> int:
 _SYNTH_MODELS = {
     "spherical": SphericalAniso(sigma2=1.0, range_=5.0, eta=0.2, tau_a=0.5,
                                 tau_r=1.5),
-    "matern": matern_model(alpha=1.0 / 3.0, nu=1.0),
+    # alpha = 1 embeds on the doubled torus of every grid below; alpha =
+    # 1/3 would take the dense fallback on grids below 20 x 20
+    "matern": matern_model(alpha=1.0, nu=1.0),
 }
-
-
-def _spectrum(model):
-    """The cached torus spectrum function that synthesis of ``model`` reads."""
-    return (simulate_module._matern_torus_spectrum
-            if isinstance(model, MaternSpectral)
-            else simulate_module._spherical_torus_spectrum)
 
 
 class TestTorusSynthesis:
@@ -271,7 +279,7 @@ class TestTorusSynthesis:
         model = TransformedGaussian(base) if kind == "matern_quartic" else base
         if block is not None:
             monkeypatch.setattr(simulate_module, "_BLOCK", block, raising=False)
-            _spectrum(base).cache_clear()
+            simulate_module._embedding_spectrum.cache_clear()
         for i in range(2):
             got = simulate_process(model, n1, n2,
                                    rngmod.stream(106, rngmod.TAG_FIELD, i))
@@ -282,7 +290,8 @@ class TestTorusSynthesis:
             assert np.array_equal(got.values.view(np.uint64),
                                   np.ascontiguousarray(want).view(np.uint64))
         # the synthesis caches sqrt(lam), the one array it reads
-        assert np.array_equal(_spectrum(base)(base, *lam.shape), np.sqrt(lam))
+        assert np.array_equal(simulate_module._embedding_spectrum(base, *lam.shape),
+                              np.sqrt(lam))
 
     @pytest.mark.parametrize("model", [
         SphericalAniso(sigma2=1.0, range_=5.0),
@@ -297,15 +306,9 @@ class TestTorusSynthesis:
         # 700 torus points a block: 6 or 7 blocks of rows and of columns,
         # the last one ragged in every pass
         monkeypatch.setattr(simulate_module, "_BLOCK", 700)
-        sm = simulate_module
-        if isinstance(model, MaternSpectral):
-            w1, w2 = sm._torus_omegas(m1)[:, None], sm._torus_omegas(m2)[None, :]
-            want = np.sqrt((2 * np.pi) ** 2 * model_spectral_density(model, w1, w2))
-        else:
-            h1, h2 = sm._signed_indices(m1)[:, None], sm._signed_indices(m2)[None, :]
-            cov = sm._spherical_cov_arrays(model, h1, h2)
-            want = np.sqrt(np.maximum(np.fft.fft2(cov).real, 0.0))
-        got = _spectrum(model).__wrapped__(model, m1, m2)
+        cov = _torus_covariance(model, m1, m2)
+        want = np.sqrt(np.maximum(np.fft.fft2(cov).real, 0.0))
+        got = simulate_module._embedding_spectrum.__wrapped__(model, m1, m2)
         assert got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -323,7 +326,7 @@ class TestTorusSynthesis:
         assert _buffer_nbytes(f.values) == 9 * 14 * 8
 
     def test_dense_fallback_field_owns_exactly_its_values(self, monkeypatch):
-        monkeypatch.setattr(simulate_module, "_spherical_torus_spectrum",
+        monkeypatch.setattr(simulate_module, "_embedding_spectrum",
                             lambda *args: None)
         f = simulate_gaussian(_SYNTH_MODELS["spherical"], 6, 7,
                               rngmod.stream(108))
@@ -337,7 +340,7 @@ class TestTorusSynthesis:
         # scaled copy; the pass-by-pass draw holds two complex tori at most
         model = _SYNTH_MODELS[kind]
         simulate_gaussian(model, n, n, rngmod.stream(110))   # warm the caches
-        m = (4 if kind == "matern" else 2) * n
+        m = 2 * n
         tracemalloc.start()
         try:
             simulate_gaussian(model, n, n, rngmod.stream(110, rngmod.TAG_FIELD, 1))
@@ -349,8 +352,9 @@ class TestTorusSynthesis:
     @pytest.mark.parametrize("kind,n,bound", [("spherical", 512, 22),
                                               ("matern", 256, 18)])
     def test_warm_block_draw_bytes_per_torus_point(self, kind, n, bound):
-        # a 1024^2 torus: the whole-torus passes held 32 bytes per point,
-        # re and the kept columns of the block passes about 19 and 15
+        # a 1024^2 torus for spherical and 512^2 for Matern: the
+        # whole-torus passes held 32 bytes per point, re and the kept
+        # columns of the block passes about 19
         model = _SYNTH_MODELS[kind]
         simulate_gaussian(model, n, n, rngmod.stream(111))   # warm the caches
         tracemalloc.start()
@@ -367,11 +371,76 @@ class TestTorusSynthesis:
         model = _SYNTH_MODELS["spherical"]
         tracemalloc.start()
         try:
-            simulate_module._spherical_torus_spectrum.__wrapped__(model, 1024, 1024)
+            simulate_module._embedding_spectrum.__wrapped__(model, 1024, 1024)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 28 * 1024 * 1024
+
+
+def _realised_covariance(monkeypatch, model, n1: int, n2: int) -> np.ndarray:
+    """The covariance that one simulated field's torus realises: the
+    inverse DFT of the circulant eigenvalues sqrt_lam ** 2 it draws with."""
+    draw, seen = simulate_module._torus_draw, []
+
+    def capture(sqrt_lam, *args):
+        seen.append(sqrt_lam)
+        return draw(sqrt_lam, *args)
+
+    monkeypatch.setattr(simulate_module, "_torus_draw", capture)
+    simulate_gaussian(model, n1, n2, rngmod.stream(112))
+    (sqrt_lam,) = seen
+    return np.fft.ifft2(sqrt_lam ** 2).real
+
+
+def _worst_lag_gap(cov: np.ndarray, model, lags1, lags2) -> float:
+    """Largest |cov(h) - gamma(h)| over h in lags1 x lags2 and their
+    negatives, over gamma(0)."""
+    gap = 0.0
+    for a in lags1:
+        for b in lags2:
+            g = model_autocovariance(model, (a, b))
+            gap = max(gap, *(abs(cov[s1 * a, s2 * b] - g)
+                             for s1 in (1, -1) for s2 in (1, -1)))
+    return gap / gamma0(model)
+
+
+class TestMaternEmbedding:
+    @pytest.mark.parametrize("alpha,n", [(1.0, 8), (0.5, 12), (1.0 / 3.0, 20)])
+    def test_realised_covariance_is_the_autocovariance(self, monkeypatch,
+                                                       alpha, n):
+        model = matern_model(alpha=alpha, nu=1.0)
+        cov = _realised_covariance(monkeypatch, model, n, n)
+        assert _worst_lag_gap(cov, model, range(n), range(n)) <= 2e-6
+        assert cov.shape == (2 * n, 2 * n)
+
+    @pytest.mark.parametrize("n", [8, 15])
+    def test_negative_embedding_draws_the_dense_factor(self, n):
+        # alpha = 1/3 is negative on the doubled torus below 20 x 20
+        model = matern_model(alpha=1.0 / 3.0, nu=1.0)
+        assert simulate_module._embedding_spectrum(model, 2 * n, 2 * n) is None
+        got = simulate_gaussian(model, n, n, rngmod.stream(113, rngmod.TAG_FIELD, n))
+        normals = rngmod.stream(113, rngmod.TAG_FIELD, n).standard_normal(n * n)
+        want = (simulate_module._dense_cholesky(model, n, n) @ normals).reshape(n, n)
+        assert np.array_equal(got.values.view(np.uint64), want.view(np.uint64))
+
+    def test_long_range_field_grows_its_torus(self, monkeypatch):
+        # alpha = 0.1 is negative on the doubled 160 x 180 torus, and
+        # 80 x 90 is past the dense limit, so the torus doubles once
+        model = matern_model(alpha=0.1, nu=1.0)
+        assert simulate_module._embedding_spectrum(model, 160, 180) is None
+        cov = _realised_covariance(monkeypatch, model, 80, 90)
+        assert cov.shape == (320, 360)
+        assert _worst_lag_gap(cov, model, range(0, 80, 8), range(0, 90, 9)) <= 2e-6
+
+    def test_torus_that_never_embeds_is_refused(self, monkeypatch):
+        tori = []
+        monkeypatch.setattr(simulate_module, "_embedding_spectrum",
+                            lambda model, m1, m2: tori.append((m1, m2)))
+        with pytest.raises(NumericalError, match="65x65"):
+            simulate_gaussian(_SYNTH_MODELS["matern"], 65, 65, rngmod.stream(114))
+        # 130^2 doubled four times; 4160^2 is past _TORUS_CAP^2 = 4096^2
+        assert tori == [(130 << k, 130 << k) for k in range(5)]
 
 
 class TestSeparable:

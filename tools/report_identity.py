@@ -23,7 +23,10 @@ The cases cover both Monte Carlo experiments at one and two workers, the
 single-shot commands and ``simulate`` for every process kind, and again
 on an odd rectangular 37x52 grid for the torus-synthesized kinds, and
 on grids whose torus is synthesized in blocks (spherical 300x301,
-Matern and matern_quartic 80x90, the last written as ``.bin``).  A
+Matern and matern_quartic 80x90, the last written as ``.bin``).  Two
+Matern fields do not embed on their doubled torus: an 8x8 one at the
+default alpha = 1/3 draws from the dense Cholesky factor, and a
+long-range 80x90 one at alpha = 0.1 from a torus doubled once more.  A
 binary round trip writes a field with ``--format bin`` and reads it back
 into ``estimate`` and a subsample ``isotropy`` test.  Isotropy
 experiments name their psi, the contrast of ``test.h1`` and ``test.h2``.
@@ -150,6 +153,13 @@ def _cases() -> dict[str, list[list[str]]]:
         cases[f"simulate_{kind}_{size}_{fmt}"] = [_sets(
             f"process.kind={kind}", f"grid.sizes={size}", *PROCESSES[kind]) + [
             "--seed", "3", "--format", fmt, "--out", out, "simulate"]]
+    # Matern fields whose doubled torus does not embed: a dense fallback
+    # and a grown torus
+    for name, size, extra in (("dense_8x8", "8x8", ()),
+                              ("grown_80x90", "80x90", ("process.alpha=0.1",))):
+        cases[f"simulate_matern_{name}"] = [_sets(
+            "process.kind=matern", f"grid.sizes={size}", *extra) + [
+            "--seed", "3", "--out", "f.csv", "simulate"]]
     cases["simulate_binary"] = [_sets("process.kind=matern", "grid.sizes=16x18") + [
         "--seed", "3", "--format", "bin", "--out", "f.bin", "simulate"]]
     cases["binary_round_trip"] = [
