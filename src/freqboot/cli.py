@@ -258,22 +258,20 @@ class Settings:
             raise ConfigError(f"{command} does not read these keys, which "
                               f"are set: " + ", ".join(unread))
 
-    def get(self, key: str, default=None):
-        """``key``'s value; when unset, ``default`` or else the declared one."""
+    def get(self, key: str):
+        """``key``'s value parsed and checked, or its declared default when
+        unset; the declaration gives its type, so one getter serves every
+        key."""
         self.read.add(key)
         raw = self.values.get(key)
         if raw is None:
-            return _for(self.command, KEYS[key].default) if default is None else default
+            return _for(self.command, KEYS[key].default)
         parse, takes = _for(self.command, KEYS[key].parser)
         try:
             value = parse(raw)
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {takes}") from exc
         return _check(key, value, self.command)
-
-    # a key's declaration gives its type, so one getter serves every type
-    get_float = get_int = get_str = get_bool = get
-    get_pair = get_floats = get_names = get_sizes = get
 
 
 def build_model(st: Settings):

@@ -22,7 +22,8 @@ from .bootstrap import BootstrapDraws, FieldResampler
 from .errors import ConfigError
 from .lattice import LatticeField
 from .spectral import SpectralMeanValue, psi_isotropy_contrast
-from .subsample import BlockSpec, block_variogram_contrast, subsample_edf
+from .subsample import (BlockSpec, _lag_squares, block_variogram_contrast,
+                        subsample_edf)
 
 CI_METHODS = ("fdwb", "hfdb", "hfdb_bias", "subsample")
 TEST_METHODS = ("fdwb", "hfdb", "subsample")
@@ -96,13 +97,7 @@ def sample_variogram(fieldz: LatticeField, h) -> float:
     n1, n2 = fieldz.n1, fieldz.n2
     if abs(h1) >= n1 or abs(h2) >= n2:
         raise ConfigError(f"lag ({h1}, {h2}) has no valid pairs in a {n1}x{n2} grid")
-    v = fieldz.values
-    a1 = slice(max(0, -h1), n1 - max(0, h1))
-    a2 = slice(max(0, -h2), n2 - max(0, h2))
-    b1 = slice(max(0, h1), n1 - max(0, -h1))
-    b2 = slice(max(0, h2), n2 - max(0, -h2))
-    diff = v[a1, a2] - v[b1, b2]
-    return float(np.mean(diff * diff))
+    return float(np.mean(_lag_squares(fieldz.values, h1, h2)))
 
 
 def p_value_from_replicates(replicate_sq: np.ndarray, ts: float,

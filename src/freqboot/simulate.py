@@ -5,9 +5,10 @@ seed.  Every Gaussian covariance model, Matern or spherical, goes
 through one circulant embedding of its lag covariance on a doubled
 torus, with a nonnegative-eigenvalue check: a negative embedding falls
 back to dense Cholesky while the grid stays within the dense limit, and
-otherwise doubles the torus until it embeds.  Torus synthesis computes
-only the part of the inverse transform that the crop reads, a large
-torus and its spectrum are worked in blocks of _BLOCK points, and every
+otherwise doubles the torus until it embeds.  Every torus transform, the
+embedding spectrum, the draw and the Matern lag table, runs through one
+helper (``_two_pass``) as its two 1-D passes over blocks of at most
+_BLOCK points, keeping only the crop its caller reads, and every
 generator returns a field that holds just its own n1 x n2 values.
 
 Every autocovariance of a Gaussian model, whether a coverage truth, an
@@ -220,8 +221,10 @@ def _matern_lags(alpha: float, nu: float, r1: int, r2: int) -> np.ndarray:
     moves by more than _SETTLE gamma(0).  A torus of more than
     _TORUS_CAP^2 points, and more than the 16 (r1 + 1) (r2 + 1) that a
     large table needs to settle on its second torus, raises
-    NumericalError.  The tori do not go through the synthesis cache,
-    where they would evict the tori that fields use.
+    NumericalError.  Each inverse DFT runs through ``_two_pass``, which
+    evaluates the density one block at a time and keeps only the lags
+    asked for.  The tori do not go through the synthesis cache, where
+    they would evict the tori that fields use.
     """
     model = MaternSpectral(phi=1.0, alpha=alpha, nu=nu)
     p = max(64, 2 * (min(r1, r2) + 1))
@@ -234,11 +237,15 @@ def _matern_lags(alpha: float, nu: float, r1: int, r2: int) -> np.ndarray:
                 f"the autocovariance of the Matern model alpha={alpha}, nu={nu} "
                 f"at lags up to ({r1}, {r2}) did not settle to {_SETTLE} "
                 f"gamma(0) on a torus of at most {cap} points")
-        # the density is even, so half of axis 2 gives the real inverse
-        w1 = _torus_omegas(m1)[:, None]
-        w2 = (_TWO_PI / m2) * np.arange(m2 // 2 + 1)[None, :]
-        lam = (_TWO_PI ** 2) * model_spectral_density(model, w1, w2)
-        lags = np.fft.irfft2(lam, s=(m1, m2))[:r1 + 1, :r2 + 1].copy()
+        # the density is even, so half of axis 2 gives the real inverse:
+        # irfft2's ifft along axis 1 and then irfft along axis 2, here the
+        # two passes over the transposed half torus
+        w1 = _torus_omegas(m1)[None, :]
+        w2 = (_TWO_PI / m2) * np.arange(m2 // 2 + 1)[:, None]
+        lags = _two_pass(
+            lambda r: (_TWO_PI ** 2) * model_spectral_density(model, w1, w2[r]),
+            (m2 // 2 + 1, m1), (r2 + 1, r1 + 1), np.fft.ifft,
+            lambda y: np.fft.irfft(y, m2, axis=0)).T.copy()
         if prev is not None and np.max(np.abs(lags - prev)) <= _SETTLE * lags[0, 0]:
             lags.flags.writeable = False
             return lags
@@ -271,6 +278,30 @@ def _blocks(m: int, per: int) -> list[slice]:
     return [slice(s, min(s + per, m)) for s in range(0, m, per)]
 
 
+def _two_pass(rows, shape, crop, first, second) -> np.ndarray:
+    """The n1 x n2 corner of a 2-D transform of an m1 x m2 array, run as
+    its two 1-D passes over blocks of lines.
+
+    ``rows(r)`` gives the array's rows r, and ``first`` transforms them
+    along axis -1, of which the first n2 columns are kept in one complex
+    m1 x n2 array.  ``rows`` is dropped before ``second`` transforms
+    blocks of those columns along axis -2 into real values, of which the
+    first n1 rows are kept.  A block holds at most _BLOCK points and at
+    most half the lines of its pass.  Each 1-D line is the one a
+    whole-array transform runs, so every value equals that transform's,
+    bit for bit.
+    """
+    (m1, m2), (n1, n2) = shape, crop
+    y = np.empty((m1, n2), dtype=complex)
+    for r in _blocks(m1, min(_BLOCK // m2, m1 // 2)):
+        y[r] = first(rows(r))[:, :n2]
+    del rows
+    out = np.empty((n1, n2))
+    for c in _blocks(n2, min(_BLOCK // m1, n2 // 2)):
+        out[:, c] = second(y[:, c])[:n1]
+    return out
+
+
 @lru_cache(maxsize=16)
 def _embedding_spectrum(model, m1: int, m2: int) -> np.ndarray | None:
     """Square roots of the circulant eigenvalues of the model's lag
@@ -278,27 +309,34 @@ def _embedding_spectrum(model, m1: int, m2: int) -> np.ndarray | None:
     not nonnegative.  A Matern model reads the one lag table of the
     torus's half extents, whichever block of rows asks.
 
-    The eigenvalues are the real part of fft2 of the covariance, run as
-    fft2's two 1-D passes: the covariance of one block of rows at a time
-    goes through the axis -1 pass into one complex torus, whose blocks of
-    columns go through the axis -2 pass, keeping only their real part,
-    which is then clipped and square-rooted in place.  Every value equals
-    the whole-torus expression's, bit for bit, and a torus of many blocks
-    peaks near 25 bytes per point instead of 40."""
+    The eigenvalues are the real part of fft2 of the covariance, run by
+    ``_two_pass`` one block of rows of the covariance at a time, then
+    clipped and square-rooted in place: a torus peaks near 25 bytes per
+    point instead of fft2's 40."""
     h1 = _signed_indices(m1)[:, None]
     h2 = _signed_indices(m2)[None, :]
     reach = (m1 // 2, m2 // 2)
-    y = np.empty((m1, m2), dtype=complex)
-    for r in _blocks(m1, _BLOCK // m2):
-        y[r] = np.fft.fft(_lag_covariance(model, h1[r], h2, reach), axis=-1)
-    lam = np.empty((m1, m2))
-    for c in _blocks(m2, _BLOCK // m1):
-        lam[:, c] = np.fft.fft(y[:, c], axis=-2).real
-    del y
+    lam = _two_pass(lambda r: _lag_covariance(model, h1[r], h2, reach),
+                    (m1, m2), (m1, m2), np.fft.fft,
+                    lambda y: np.fft.fft(y, axis=0).real)
     if lam.min() < -_EIG_TOL * max(lam.max(), 1.0):
         return None
     np.maximum(lam, 0.0, out=lam)
     return np.sqrt(lam, out=lam)
+
+
+def _noise_rows(sqrt_lam: np.ndarray, rng: np.random.Generator):
+    """Rows r of sqrt_lam * (re + 1j im) for standard normal re and im, in
+    the stream order of one (2, m1, m2) draw: re is drawn whole here, and
+    im one block of rows at a time as the rows are asked for in order."""
+    re = rng.standard_normal(sqrt_lam.shape)
+
+    def rows(r):
+        z = 1j * rng.standard_normal(re[r].shape)
+        z += re[r]          # re + 1j im: complex addition commutes exactly
+        z *= sqrt_lam[r]
+        return z
+    return rows
 
 
 def _torus_draw(sqrt_lam: np.ndarray, n1: int, n2: int,
@@ -308,44 +346,17 @@ def _torus_draw(sqrt_lam: np.ndarray, n1: int, n2: int,
     ifft2(sqrt_lam * (re + 1j im)) * sqrt(m1 m2) for standard normal re
     and im (the imaginary part would be an independent copy, unused).
 
-    ifft2 is its two 1-D passes, axis -1 then axis -2, one line at a
-    time, so each pass keeps only what the corner needs: the first pass
-    keeps n2 columns and the second only n1 rows, which alone are
-    scaled.  A torus of at most _BLOCK points runs each pass whole, and
-    holds at most two torus-sized complex arrays at once.  A larger one
-    draws re whole and im one block of rows at a time, in the same
-    stream order, and runs the first pass block by block into the n2
-    kept columns, then the second pass over blocks of those columns: it
-    holds re and the kept columns, about 19 bytes per point of a doubled
-    torus.  Either way every value equals the full-torus expression's,
-    bit for bit."""
+    ``_two_pass`` runs ifft2 as its two 1-D passes, keeping the n2
+    columns and then the n1 rows of the corner, which alone are scaled.
+    Passing the noise rows to it unnamed lets it free re before its
+    second pass, so a draw holds re, one block and the kept columns,
+    about 32 bytes per torus point at most and near 18 on a large torus.
+    Every value equals the full-torus expression's, bit for bit."""
     m1, m2 = sqrt_lam.shape
     scale = np.sqrt(m1 * m2)
-    re = rng.standard_normal((m1, m2))
-    if m1 * m2 <= _BLOCK:
-        z = 1j * rng.standard_normal((m1, m2))
-        z += re             # re + 1j im: complex addition commutes exactly
-        del re
-        z *= sqrt_lam
-        y = np.fft.ifft(z, axis=-1)
-        del z
-        x = np.fft.ifft(y[:, :n2], axis=-2)[:n1]
-        del y
-        x *= scale
-        return x.real
-    y = np.empty((m1, n2), dtype=complex)
-    for r in _blocks(m1, _BLOCK // m2):
-        z = 1j * rng.standard_normal((r.stop - r.start, m2))
-        z += re[r]
-        z *= sqrt_lam[r]
-        y[r] = np.fft.ifft(z, axis=-1)[:, :n2]
-    del re, z
-    out = np.empty((n1, n2))
-    for c in _blocks(n2, _BLOCK // m1):
-        x = np.fft.ifft(y[:, c], axis=-2)[:n1]
-        x *= scale
-        out[:, c] = x.real
-    return out
+    return _two_pass(_noise_rows(sqrt_lam, rng), (m1, m2), (n1, n2),
+                     np.fft.ifft,
+                     lambda y: (np.fft.ifft(y, axis=0)[:n1] * scale).real)
 
 
 def simulate_gaussian(model, n1: int, n2: int,
@@ -357,11 +368,10 @@ def simulate_gaussian(model, n1: int, n2: int,
     where reach is the spherical range rounded up and 0 for Matern.  When
     that embedding has negative eigenvalues, a grid within the dense
     limit falls back to dense Cholesky, and a larger one doubles the
-    torus until it embeds, refusing past _TORUS_CAP^2 points.  A torus of
-    at most _BLOCK points is drawn whole, holding at most two complex
-    tori at once (32 bytes per torus point); a larger one is drawn in
-    blocks (about 19 bytes per torus point).  The field holds only its
-    own n1 x n2 values, so the torus is freed on return.
+    torus until it embeds, refusing past _TORUS_CAP^2 points.  Every
+    torus is drawn in blocks, holding at most about 32 bytes per torus
+    point and near 18 on a large torus.  The field holds only its own
+    n1 x n2 values, so the torus is freed on return.
     """
     if n1 < 1 or n2 < 1:
         raise ConfigError("grid extents must be positive")

@@ -357,6 +357,21 @@ def _block_lag_means(sq_diff: np.ndarray, spec: BlockSpec, h1: int,
     return sums / (w1 * w2)
 
 
+def _lag_squares(v: np.ndarray, h1: int, h2: int) -> np.ndarray:
+    """(Z(s) - Z(s + h))^2 over every pair s, s + h inside the values v,
+    for a lag h that fits in them.  The lag is taken as h or -h, whichever
+    has its first nonzero component positive: the pairs are the same and
+    negated differences square to the same bits."""
+    if h1 < 0 or (h1 == 0 and h2 < 0):
+        h1, h2 = -h1, -h2
+    n1, n2 = v.shape
+    if h2 >= 0:
+        d = v[:n1 - h1, :n2 - h2] - v[h1:, h2:]
+    else:
+        d = v[:n1 - h1, -h2:] - v[h1:, :n2 + h2]
+    return d * d
+
+
 def block_variogram(fieldz: LatticeField, spec: BlockSpec, h) -> np.ndarray:
     """Sample variogram 2 kappa_hat(h) on every block, row-major origins.
 
@@ -366,21 +381,15 @@ def block_variogram(fieldz: LatticeField, spec: BlockSpec, h) -> np.ndarray:
     h1, h2 = int(h[0]), int(h[1])
     if (h1, h2) == (0, 0):
         raise ConfigError("block variogram lag must be nonzero")
-    if h1 < 0 or (h1 == 0 and h2 < 0):  # 2 kappa(h) = 2 kappa(-h)
-        h1, h2 = -h1, -h2
-    if h1 >= spec.b1 or abs(h2) >= spec.b2:
+    if abs(h1) >= spec.b1 or abs(h2) >= spec.b2:
         raise ConfigError(f"lag ({h1}, {h2}) has no pairs inside a "
                           f"({spec.b1}, {spec.b2}) block")
     n1, n2 = fieldz.n1, fieldz.n2
     if spec.b1 > n1 or spec.b2 > n2:
         raise ConfigError(
             f"block ({spec.b1}, {spec.b2}) does not fit in grid ({n1}, {n2})")
-    v = fieldz.values
-    if h2 >= 0:
-        d = v[:n1 - h1, :n2 - h2] - v[h1:, h2:]
-    else:
-        d = v[:n1 - h1, -h2:] - v[h1:, :n2 + h2]
-    return _block_lag_means(d * d, spec, h1, abs(h2)).ravel()
+    sq = _lag_squares(fieldz.values, h1, h2)
+    return _block_lag_means(sq, spec, abs(h1), abs(h2)).ravel()
 
 
 def block_variogram_contrast(fieldz: LatticeField, spec: BlockSpec,

@@ -140,10 +140,10 @@ class TestConfigParsing:
     def test_typed_getters_report_key(self):
         st = Settings({"boot.B": "many"})
         with pytest.raises(ConfigError, match="boot.B"):
-            st.get_int("boot.B")
+            st.get("boot.B")
         st = Settings({"grid.sizes": "50x50,30x30"})
-        assert st.get_sizes("grid.sizes") == ((50, 50), (30, 30))
-        assert Settings({"test.h1": "(1,0)"}).get_pair("test.h1") == (1, 0)
+        assert st.get("grid.sizes") == ((50, 50), (30, 30))
+        assert Settings({"test.h1": "(1,0)"}).get("test.h1") == (1, 0)
 
     def test_experiment_config_validation(self):
         with pytest.raises(ConfigError):

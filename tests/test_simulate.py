@@ -1,6 +1,7 @@
 """Field generators: moment checks against model covariances."""
 
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -106,6 +107,23 @@ class TestModelDescriptors:
             assert val == pytest.approx(model_autocovariance(m, h), rel=1e-8)
 
 
+def _irfft2_lags(alpha: float, nu: float, r1: int, r2: int) -> np.ndarray:
+    """The Matern lag table through one whole-torus irfft2 per torus, on
+    the tori that ``_matern_lags`` doubles through: the oracle for its
+    blocked passes."""
+    model = MaternSpectral(phi=1.0, alpha=alpha, nu=nu)
+    p, prev = max(64, 2 * (min(r1, r2) + 1)), None
+    while True:
+        m1, m2 = max(p, 2 * (r1 + 1)), max(p, 2 * (r2 + 1))
+        w1 = 2.0 * np.pi * simulate_module._signed_indices(m1)[:, None] / m1
+        w2 = (2.0 * np.pi / m2) * np.arange(m2 // 2 + 1)[None, :]
+        lam = (2.0 * np.pi) ** 2 * model_spectral_density(model, w1, w2)
+        lags = np.fft.irfft2(lam, s=(m1, m2))[:r1 + 1, :r2 + 1]
+        if prev is not None and np.max(np.abs(lags - prev)) <= 1e-6 * lags[0, 0]:
+            return lags
+        prev, p = lags, 2 * p
+
+
 class TestMaternLagTable:
     @pytest.mark.parametrize("n", [8, 20])
     def test_dense_covariance_is_the_autocovariance(self, n):
@@ -134,6 +152,20 @@ class TestMaternLagTable:
         for h in [(0, 0), (1, 0), (5, 0), (8, 0), (3, 4)]:
             want = quadrature(integrand(h), scale=g0)
             assert abs(model_autocovariance(m, h) - want) <= 2e-6 * g0
+
+    @pytest.mark.parametrize("alpha, nu, r1, r2", [
+        (1.0 / 3.0, 1.0, 5, 9), (1.0, 1.0, 40, 3), (1.0, 0.5, 200, 150)])
+    @pytest.mark.parametrize("block", [None, 700])
+    def test_table_equals_whole_torus_irfft2(self, monkeypatch, alpha, nu,
+                                             r1, r2, block):
+        # at 700 points a block every pass has several blocks, the last
+        # ragged; at the default, tori past 2^16 points do too
+        if block is not None:
+            monkeypatch.setattr(simulate_module, "_BLOCK", block)
+        got = simulate_module._matern_lags.__wrapped__(alpha, nu, r1, r2)
+        want = _irfft2_lags(alpha, nu, r1, r2)
+        assert got.shape == (r1 + 1, r2 + 1) and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_unsettled_table_raises_naming_the_model(self, monkeypatch):
         # alpha = 2 needs a 2048 x 2048 torus; nu = 1.25 is used nowhere
@@ -337,7 +369,8 @@ class TestTorusSynthesis:
     def test_warm_draw_holds_at_most_48_bytes_per_torus_point(self, kind, n):
         # the one-shot synthesis peaks near 80 bytes per torus point: the
         # (2, m1, m2) noise, z, sqrt(lam) z, the ifft2 result and its
-        # scaled copy; the pass-by-pass draw holds two complex tori at most
+        # scaled copy; the block passes hold re, the kept columns and one
+        # block of at most half the rows, about 32
         model = _SYNTH_MODELS[kind]
         simulate_gaussian(model, n, n, rngmod.stream(110))   # warm the caches
         m = 2 * n
@@ -353,8 +386,8 @@ class TestTorusSynthesis:
                                               ("matern", 256, 18)])
     def test_warm_block_draw_bytes_per_torus_point(self, kind, n, bound):
         # a 1024^2 torus for spherical and 512^2 for Matern: the
-        # whole-torus passes held 32 bytes per point, re and the kept
-        # columns of the block passes about 19
+        # one-shot synthesis holds about 80 bytes per point, re and the
+        # kept columns of the block passes about 18
         model = _SYNTH_MODELS[kind]
         simulate_gaussian(model, n, n, rngmod.stream(111))   # warm the caches
         tracemalloc.start()
@@ -377,6 +410,21 @@ class TestTorusSynthesis:
             tracemalloc.stop()
         assert peak <= 28 * 1024 * 1024
 
+
+    def test_cold_matern_spectrum_bytes_per_torus_point(self, monkeypatch):
+        # a 1024^2 torus reads a reach-(512, 512) table built on 1026^2 and
+        # 2052^2 tori: with a whole-torus irfft2 of each the spectrum
+        # peaked at 98 MiB, with the table's block passes at 29
+        monkeypatch.setattr(simulate_module, "_matern_lags", lru_cache(
+            maxsize=64)(simulate_module._matern_lags.__wrapped__))
+        model = MaternSpectral(phi=1.0, alpha=1.0 / 3.0, nu=1.0)
+        tracemalloc.start()
+        try:
+            simulate_module._embedding_spectrum.__wrapped__(model, 1024, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 1024 * 1024
 
 def _realised_covariance(monkeypatch, model, n1: int, n2: int) -> np.ndarray:
     """The covariance that one simulated field's torus realises: the

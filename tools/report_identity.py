@@ -21,8 +21,9 @@ arguments.
 
 The cases cover both Monte Carlo experiments at one and two workers, the
 single-shot commands and ``simulate`` for every process kind, and again
-on an odd rectangular 37x52 grid for the torus-synthesized kinds, and
-on grids whose torus is synthesized in blocks (spherical 300x301,
+on an odd rectangular 37x52 grid for the torus-synthesized kinds, and on
+grids whose torus is synthesized in blocks (spherical 300x301, Matern
+300x301 written as ``.bin``, whose lag table is built in blocks too, and
 Matern and matern_quartic 80x90, the last written as ``.bin``).  Two
 Matern fields do not embed on their doubled torus: an 8x8 one at the
 default alpha = 1/3 draws from the dense Cholesky factor, and a
@@ -31,10 +32,11 @@ binary round trip writes a field with ``--format bin`` and reads it back
 into ``estimate`` and a subsample ``isotropy`` test.  Isotropy
 experiments name their psi, the contrast of ``test.h1`` and ``test.h2``.
 One case reads a 128x128 field, whose 9x9 block ensemble is computed in
-three batches on threads and whose bootstrap weights are drawn on threads.
-Another runs a coverage ladder of two block sizes on 128x128 fields,
-whose ensembles are computed as tasks on threads.  An 8x8 exp-Cholesky
-coverage case checks the dense Matern covariance against its truth.
+three batches on threads and whose bootstrap weights are drawn on
+threads.  Another runs a coverage ladder of two block sizes on 128x128
+fields, whose ensembles are computed as tasks on threads.  An 8x8
+exp-Cholesky coverage case checks the dense Matern covariance against
+its truth.
 """
 
 from __future__ import annotations
@@ -148,6 +150,7 @@ def _cases() -> dict[str, list[list[str]]]:
             "--seed", "3", "--out", "f.csv", "simulate"]]
     # tori of several blocks of torus points, each pass's last block ragged
     for kind, size, fmt, out in (("spherical", "300x301", "csv", "f.csv"),
+                                 ("matern", "300x301", "bin", "f.bin"),
                                  ("matern", "80x90", "csv", "f.csv"),
                                  ("matern_quartic", "80x90", "bin", "f.bin")):
         cases[f"simulate_{kind}_{size}_{fmt}"] = [_sets(
