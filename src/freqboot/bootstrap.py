@@ -60,6 +60,21 @@ _DRAW_BUDGET = 1 << 16
 _THREAD_ROW = 1 << 13
 
 
+def check_B(B: int, methods, name: str) -> None:
+    """Refuse B < 100, naming it ``name``, when one of ``methods`` draws
+    bootstrap replicates (all but subsample): their quantiles need 100."""
+    if B < 100 and any(m != "subsample" for m in methods):
+        raise ConfigError(f"{name} must be >= 100 for bootstrap methods, got {B}")
+
+
+def check_block_given(methods, block, name: str) -> None:
+    """Refuse a method of ``methods`` that reads a block ensemble (all but
+    fdwb) when ``block``, named ``name``, gives none."""
+    for m in methods:
+        if m != "fdwb" and not block:
+            raise ConfigError(f"{name}: methods={m} needs a block size")
+
+
 @dataclass(frozen=True)
 class BootstrapDraws:
     """B replicate values plus the scaling bookkeeping.
@@ -242,17 +257,14 @@ class FieldResampler:
         """
         if kind not in KINDS:
             raise ConfigError(f"unknown bootstrap kind {kind!r}, expected one of {KINDS}")
-        if self.B < 100:
-            raise ConfigError(
-                f"need B >= 100 bootstrap replicates for quantile use, got {self.B}")
+        check_B(self.B, (kind,), "B")
+        check_block_given((kind,), spec, "spec")
         key = (kind, None if kind == "fdwb" else spec)
         if key in self._draws:
             return self._draws[key]
         values = self.base_draws
         sigma2_raw = sigma2_floored = bias = 0.0
         if kind != "fdwb":
-            if spec is None:
-                raise ConfigError("hybrid kinds need a block spec")
             est = self.variance(spec)
             sigma2_raw = est.sigma2_sq_hat
             sigma2_floored = est.floored_sigma2

@@ -43,7 +43,8 @@ import numpy as np
 
 from . import _pool
 from . import rng as rngmod
-from .bootstrap import FieldResampler
+from .bootstrap import FieldResampler, check_B, check_block_given
+from .density import check_bandwidth
 from .errors import ConfigError, FreqbootError, NumericalError
 from .infer import (CI_METHODS, TEST_METHODS, calibrate_isotropy,
                     check_level, resampled_interval)
@@ -52,8 +53,10 @@ from .lattice import (load_field_binary, load_field_csv,
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
                        TransformedGaussian, WhiteNoise, matern_model,
                        model_autocovariance, simulate_process)
-from .spectral import psi_from_name, psi_isotropy_contrast, spectral_mean
-from .subsample import (BlockSpec, default_block_candidates,
+from .spectral import (check_distinct_lags, psi_from_name,
+                       psi_isotropy_contrast, spectral_mean)
+from .subsample import (BlockSpec, check_fits, check_lag, check_translates,
+                        default_block_candidates,
                         select_block_size_min_volatility)
 
 SCHEMA_VERSION = 1
@@ -162,10 +165,6 @@ def _methods(methods, command):
 # dict keyed by command, whose None entry serves the other commands.
 Key = namedtuple("Key", "parser default check", defaults=(None, None))
 
-_LAG = _when(lambda h: tuple(h) != (0, 0), " must be a nonzero lag: the "
-             "contrast compares the variogram at two lags")
-_BANDWIDTH = _when(lambda b: 0.0 < b <= math.pi, " must lie in (0, pi], got {}")
-
 KEYS = {
     "process.kind": Key(STRING, "white_noise", _when(
         lambda k: k in PROCESS_KINDS, f" must be one of {PROCESS_KINDS}, got {{!r}}")),
@@ -198,12 +197,15 @@ KEYS = {
                            None: ("fdwb", "hfdb", "subsample")}, _methods),
     "boot.B": Key(INT, 500),
     "ci.level": Key(NUMBER, 0.9, lambda v, c: check_level(v, "ci.level", 0.5)),
-    "test.h1": Key(PAIR, (1, 0), _LAG),
-    "test.h2": Key(PAIR, (0, 1), _LAG),
+    "test.h1": Key(PAIR, (1, 0), lambda h, c: check_lag(h, "test.h1")),
+    "test.h2": Key(PAIR, (0, 1), lambda h, c: check_lag(h, "test.h2")),
     "test.level": Key(NUMBER, 0.1, lambda v, c: check_level(v, "test.level")),
     "pvalue.plus_one": Key(BOOL, False),
-    "density.bandwidth1": Key(NUMBER, None, _BANDWIDTH),  # both unset:
-    "density.bandwidth2": Key(NUMBER, None, _BANDWIDTH),  # the default rate
+    # both unset: the default rate
+    "density.bandwidth1": Key(NUMBER, None, lambda b, c: check_bandwidth(
+        b, "density.bandwidth1")),
+    "density.bandwidth2": Key(NUMBER, None, lambda b, c: check_bandwidth(
+        b, "density.bandwidth2")),
     "replicates": Key(INT, {"oracle": 2000, None: 500}, {
         "oracle": _when(lambda r: r >= 2, ": an oracle needs at least 2, got {}"),
         None: _when(lambda r: r >= 1, " must be >= 1")}),
@@ -315,15 +317,6 @@ def _field_source(st: Settings, path: str | None, seed: int):
         generator=generator)
 
 
-def _check_methods(methods, B: int, blocks) -> None:
-    """Refuse B < 100 for a bootstrap method, and no block for any but fdwb."""
-    if B < 100 and any(m != "subsample" for m in methods):
-        raise ConfigError(f"boot.B must be >= 100 for bootstrap methods, got {B}")
-    for m in methods:
-        if m != "fdwb" and not blocks:
-            raise ConfigError(f"block.sizes: methods={m} needs a block size")
-
-
 def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
     """tau only deforms SphericalAniso; on any other model a tau != 1 row
     would be an isotropic field under an anisotropic label.  Coverage
@@ -341,32 +334,23 @@ def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
             f"tau_r={own}, got {list(tau_r_list)}")
 
 
-def _block_spec(size, grid, subsample: bool, lags=()) -> BlockSpec:
+def _block_spec(size, grid, methods, lags=()) -> BlockSpec:
     """The block a ``block.sizes`` entry names on an n1 x n2 grid, refused
-    naming the key when it does not fit, leaves a subsample method fewer
-    than two block translates, or has no pair of points at one of
-    ``lags``, which the subsample isotropy calibration compares in it."""
-    (b1, b2), (n1, n2) = size, grid
-    if b1 > n1 or b2 > n2:
-        raise ConfigError(f"block.sizes: block {b1}x{b2} does not fit grid {n1}x{n2}")
-    if subsample and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
-        raise ConfigError(f"block.sizes: block {b1}x{b2} has one translate in "
-                          f"grid {n1}x{n2}, subsample needs at least 2")
+    naming the key when it does not fit, leaves a subsample method of
+    ``methods`` fewer than two block translates, or has no pair of points
+    at one of ``lags``, which the subsample isotropy calibration compares
+    in it."""
+    check_fits(size, grid, "block.sizes")
+    check_translates(size, grid, methods, "block.sizes")
     for key, h in zip(("test.h1", "test.h2"), lags):
-        if abs(h[0]) >= b1 or abs(h[1]) >= b2:
-            raise ConfigError(
-                f"block.sizes: block {b1}x{b2} has no pairs at lag {key}="
-                f"{tuple(h)}, and methods=subsample compares the variogram "
-                f"at that lag inside every block")
-    return BlockSpec(b1, b2)
+        check_lag(h, key, size, "block.sizes")
+    return BlockSpec(*size)
 
 
 def _contrast(h1, h2):
     """The psi an isotropy command or experiment resamples: the contrast
     of its lags test.h1 and test.h2, two distinct lags."""
-    if tuple(h1) == tuple(h2):
-        raise ConfigError(f"test.h1 and test.h2 must be two distinct lags, "
-                          f"both are {tuple(h1)}")
+    check_distinct_lags(h1, h2, "test.h1", "test.h2")
     return psi_isotropy_contrast(h1, h2)
 
 
@@ -413,12 +397,13 @@ class ExperimentConfig:
                            *zip(("density.bandwidth1", "density.bandwidth2"),
                                 self.bandwidth or ())):
             _check(key, value, command)
-        _check_methods(self.methods, self.B, self.blocks)
+        check_B(self.B, self.methods, "boot.B")
+        check_block_given(self.methods, self.blocks, "block.sizes")
         iso = self.kind == "isotropy"
         lags = (self.h1, self.h2) if iso and "subsample" in self.methods else ()
         for grid in self.sizes:
             for size in self.blocks:
-                _block_spec(size, grid, "subsample" in self.methods, lags)
+                _block_spec(size, grid, self.methods, lags)
         _check_tau(self.kind, self.model, self.tau_r_list, "process.tau_r_list")
         contrast = _contrast(self.h1, self.h2).name if iso else None
         psi = psi_from_name(self.psi_name)
@@ -430,6 +415,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"psi: an isotropy experiment resamples the contrast of "
                 f"test.h1 and test.h2, {contrast}, got {self.psi_name!r}")
+        if iso and not isinstance(self.model, (SphericalAniso, MaternSpectral)):
+            raise ConfigError(f"process.kind must be spherical, matern or exp_cholesky for an "
+                              f"isotropy experiment, got a {type(self.model).__name__}")
 
 
 def _fixture_truth(path: str, model, generator: str, psi_name: str,
@@ -655,9 +643,6 @@ def run_coverage_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 def run_isotropy_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Rejection rate of the isotropy test per (method, tau_r, grid size,
     block) cell."""
-    if not isinstance(cfg.model, (SphericalAniso, MaternSpectral)):
-        raise ConfigError(
-            "isotropy experiments need a spherical or exp-Cholesky (Matern) process")
     return _run(cfg, "isotropy")
 
 
@@ -790,8 +775,8 @@ def _dispatch(args) -> int:
 
     if cmd in _COMMAND.values():
         kind = "coverage" if cmd == "coverage" else "isotropy"
-        cfg = experiment_config(st, kind, seed, st.get("workers"))
         out, fmt = st.get("out"), st.get("format")
+        cfg = experiment_config(st, kind, seed, st.get("workers"))
         st.refuse_unread(cmd)
         report = (run_coverage_experiment if kind == "coverage"
                   else run_isotropy_experiment)(cfg)
@@ -812,16 +797,17 @@ def _dispatch(args) -> int:
     # loaded or simulated
     load = _field_source(st, args.infile, seed)
     bandwidth = None if cmd == "blocksize" else build_bandwidth(st)
-    method, B = None, 0   # estimate draws no bootstrap replicates
-    if cmd in ("ci", "isotropy"):   # the one method of methods
-        method, B = st.get("methods")[0], st.get("boot.B")
+    # ci and isotropy run the one method of methods; estimate and
+    # blocksize run none and draw no bootstrap replicates
+    methods = st.get("methods")[:1] if cmd in ("ci", "isotropy") else ()
+    method, B = (methods[0], st.get("boot.B")) if methods else (None, 0)
     # the block: blocksize selects one, as block.sizes=minvol does (with
     # block.window); estimate, ci and isotropy read one size, fdwb none
     sizes = ("minvol" if cmd == "blocksize" else
              () if method == "fdwb" else st.get("block.sizes"))
     window = st.get("block.window") if sizes == "minvol" else None
-    if method is not None:
-        _check_methods((method,), B, sizes)
+    check_B(B, methods, "boot.B")
+    check_block_given(methods, sizes, "block.sizes")
     level = st.get("ci.level") if cmd == "ci" else None
     plus_one = st.get("pvalue.plus_one") if cmd == "isotropy" else None
     st.refuse_unread(cmd)
@@ -836,8 +822,8 @@ def _dispatch(args) -> int:
         sizes = ((spec.b1, spec.b2),)
     # the checks that need the field's extents run here
     lags = (h1, h2) if cmd == "isotropy" and method == "subsample" else ()
-    spec = (_block_spec(sizes[0], (fieldz.n1, fieldz.n2), method == "subsample",
-                        lags) if sizes else None)
+    spec = (_block_spec(sizes[0], (fieldz.n1, fieldz.n2), methods, lags)
+            if sizes else None)
     if cmd == "blocksize":
         result = {"b1": spec.b1, "b2": spec.b2, "window": window,
                   "candidates": [[c.b1, c.b2] for c in cands]}

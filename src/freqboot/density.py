@@ -40,6 +40,12 @@ def default_bandwidth(n1: int, n2: int) -> tuple[float, float]:
     return tuple(DEFAULT_BANDWIDTH_SCALE * np.pi * n ** (-1.0 / 6.0) for n in (n1, n2))
 
 
+def check_bandwidth(b: float, name: str) -> None:
+    """Refuse a bandwidth ``b`` outside (0, pi], naming it ``name``."""
+    if not 0.0 < b <= np.pi:
+        raise ConfigError(f"{name} must lie in (0, pi], got {b}")
+
+
 def _wrap_distance(n: int) -> np.ndarray:
     """Circular frequency distance of each FFT-layout offset from 0."""
     p = np.arange(n)
@@ -81,8 +87,8 @@ def kernel_density_estimate(pgram: Periodogram,
     if bandwidth is None:
         bandwidth = default_bandwidth(grid.n1, grid.n2)
     b1, b2 = float(bandwidth[0]), float(bandwidth[1])
-    if not (0.0 < b1 <= np.pi) or not (0.0 < b2 <= np.pi):
-        raise ConfigError(f"bandwidth components must lie in (0, pi], got {bandwidth}")
+    check_bandwidth(b1, "bandwidth[0]")
+    check_bandwidth(b2, "bandwidth[1]")
 
     kern_f, denom = _smoother_pieces(grid.n1, grid.n2, b1, b2)
     masked = pgram.values.copy()

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapDraws, FieldResampler
+from .bootstrap import (BootstrapDraws, FieldResampler, check_B,
+                        check_block_given)
 from .errors import ConfigError
 from .lattice import LatticeField
 from .spectral import SpectralMeanValue, psi_isotropy_contrast
 from .subsample import (BlockSpec, _lag_squares, block_variogram_contrast,
-                        subsample_edf)
+                        check_lag, subsample_edf)
 
 CI_METHODS = ("fdwb", "hfdb", "hfdb_bias", "subsample")
 TEST_METHODS = ("fdwb", "hfdb", "subsample")
@@ -69,8 +70,7 @@ def _centered_interval(mhat: SpectralMeanValue, values: np.ndarray,
 
 def confidence_interval(mhat: SpectralMeanValue, draws: BootstrapDraws,
                         level: float) -> ConfidenceInterval:
-    if draws.B < 100:
-        raise ConfigError(f"need at least 100 bootstrap draws, got {draws.B}")
+    check_B(draws.B, (draws.kind,), "draws.B")
     return _centered_interval(mhat, draws.values, level, draws.kind)
 
 
@@ -81,8 +81,7 @@ def resampled_interval(res: FieldResampler, method: str,
     ``CI_METHODS``: the centered subsample EDF of the ``spec`` blocks, or
     the resampler's bootstrap draws of that kind."""
     if method == "subsample":
-        if spec is None:
-            raise ConfigError("subsample intervals need a block spec")
+        check_block_given((method,), spec, "spec")
         # subsample_edf rejects L < 2
         return _centered_interval(res.mhat, subsample_edf(res.ensemble(spec)),
                                   level, "subsample")
@@ -91,13 +90,8 @@ def resampled_interval(res: FieldResampler, method: str,
 
 def sample_variogram(fieldz: LatticeField, h) -> float:
     """2 kappa_hat(h): mean of (Z(s) - Z(s + h))^2 over all in-grid pairs."""
-    h1, h2 = int(h[0]), int(h[1])
-    if (h1, h2) == (0, 0):
-        raise ConfigError("variogram lag must be nonzero")
-    n1, n2 = fieldz.n1, fieldz.n2
-    if abs(h1) >= n1 or abs(h2) >= n2:
-        raise ConfigError(f"lag ({h1}, {h2}) has no valid pairs in a {n1}x{n2} grid")
-    return float(np.mean(_lag_squares(fieldz.values, h1, h2)))
+    check_lag(h, "h", (fieldz.n1, fieldz.n2), "fieldz")
+    return float(np.mean(_lag_squares(fieldz.values, int(h[0]), int(h[1]))))
 
 
 def p_value_from_replicates(replicate_sq: np.ndarray, ts: float,
@@ -156,8 +150,7 @@ def calibrate_isotropy(res: FieldResampler, method: str,
     mhat = res.mhat
     ts = float(mhat.n * mhat.value ** 2)
     if method == "subsample":
-        if spec is None:
-            raise ConfigError("subsample calibration needs a block spec")
+        check_block_given((method,), spec, "spec")
         contrast = sample_variogram(res.field, h1) - sample_variogram(res.field, h2)
         ts_vario = float(mhat.n * contrast ** 2)
         copies = block_variogram_contrast(res.field, spec, h1, h2)

@@ -179,7 +179,7 @@ def save_field_binary(fieldz: LatticeField, path) -> None:
     header = _MAGIC + struct.pack("<II", fieldz.n1, fieldz.n2)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.asfortranarray(fieldz.values).tobytes(order="F"))
+        fh.write(fieldz.values.tobytes(order="F"))
 
 
 def load_field_binary(path) -> LatticeField:

@@ -95,6 +95,14 @@ def psi_spectral_cdf(t) -> PsiFunction:
     return PsiFunction(name=f"spectral_cdf{{t=({t1},{t2})}}", fn=fn)
 
 
+def check_distinct_lags(h1, h2, name1: str, name2: str) -> None:
+    """Refuse equal lags ``h1`` and ``h2``, named ``name1`` and ``name2``:
+    an isotropy contrast compares the variogram at two lags."""
+    if tuple(h1) == tuple(h2):
+        raise ConfigError(f"{name1} and {name2} must be two distinct lags, "
+                          f"both are {tuple(h1)}")
+
+
 def psi_isotropy_contrast(h1, h2) -> PsiFunction:
     """psi(omega) = 2 cos(h1 . omega) - 2 cos(h2 . omega).
 
@@ -104,8 +112,7 @@ def psi_isotropy_contrast(h1, h2) -> PsiFunction:
     """
     a = (int(h1[0]), int(h1[1]))
     b = (int(h2[0]), int(h2[1]))
-    if a == b:
-        raise ConfigError("isotropy contrast needs two distinct lags")
+    check_distinct_lags(a, b, "h1", "h2")
 
     def fn(w1, w2):
         return 2.0 * np.cos(a[0] * w1 + a[1] * w2) - 2.0 * np.cos(b[0] * w1 + b[1] * w2)

@@ -67,6 +67,40 @@ class BlockSpec:
         return self.b1 * self.b2
 
 
+# The preconditions of block subsampling.  Each is tested and worded here
+# once; a caller names what it checks, as an argument or a config key.
+
+def check_fits(size, grid, name: str) -> None:
+    """Refuse a (b1, b2) block ``size`` that does not fit an (n1, n2)
+    ``grid``, naming the block ``name``."""
+    (b1, b2), (n1, n2) = size, grid
+    if b1 > n1 or b2 > n2:
+        raise ConfigError(f"{name}: block {b1}x{b2} does not fit grid {n1}x{n2}")
+
+
+def check_translates(size, grid, methods, name: str) -> None:
+    """Refuse a block ``size``, named ``name``, that has one translate in
+    ``grid`` when one of ``methods`` is subsample, whose EDF needs two."""
+    (b1, b2), (n1, n2) = size, grid
+    if "subsample" in methods and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
+        raise ConfigError(f"{name}: block {b1}x{b2} has one translate in "
+                          f"grid {n1}x{n2}, subsample needs at least 2")
+
+
+def check_lag(h, name: str, block=None, block_name: str = "") -> None:
+    """Refuse a zero lag ``h``, named ``name``, and one with no pair of
+    points inside a (b1, b2) ``block`` (or a whole grid) when one is
+    given, naming that ``block_name``."""
+    h = (int(h[0]), int(h[1]))
+    if h == (0, 0):
+        raise ConfigError(f"{name} must be a nonzero lag: the contrast "
+                          f"compares the variogram at two lags")
+    if block is not None and (abs(h[0]) >= block[0] or abs(h[1]) >= block[1]):
+        raise ConfigError(f"{block_name}: block {block[0]}x{block[1]} has no pairs "
+                          f"at lag {name}={h}, and methods=subsample compares "
+                          f"the variogram at that lag inside every block")
+
+
 @dataclass(frozen=True)
 class SubsampleEnsemble:
     """All L block statistics, reduced on the fly.
@@ -199,9 +233,7 @@ class _Blocks(NamedTuple):
            psi: PsiFunction) -> "_Blocks":
         n1, n2 = fieldz.n1, fieldz.n2
         b1, b2 = spec.b1, spec.b2
-        if b1 > n1 or b2 > n2:
-            raise ConfigError(
-                f"block ({b1}, {b2}) does not fit in grid ({n1}, {n2})")
+        check_fits((b1, b2), (n1, n2), "spec")
         grid = build_frequency_grid(b1, b2)
         psi_block = psi.on_grid(grid)
         psi_block_neg = grid.negate_array(psi_block)
@@ -337,8 +369,9 @@ def bias_estimate(ens: SubsampleEnsemble, mhat: SpectralMeanValue) -> float:
 
 def subsample_edf(ens: SubsampleEnsemble) -> np.ndarray:
     """Sorted centered block statistics b^(1/2)(Mhat_l - Mtilde)."""
-    if ens.L < 2:
-        raise ConfigError("subsample EDF needs at least 2 blocks")
+    # a grid with the ensemble's L translates; with one, the block's own
+    b1, b2 = ens.spec.b1, ens.spec.b2
+    check_translates((b1, b2), (b1 + ens.L - 1, b2), ("subsample",), "ens")
     vals = np.sqrt(ens.b) * (ens.block_means - ens.subsample_grand_mean)
     return np.sort(vals)
 
@@ -378,16 +411,10 @@ def block_variogram(fieldz: LatticeField, spec: BlockSpec, h) -> np.ndarray:
     Uses only pairs interior to each block (no wrap-around), so the block
     copies match the full-sample variogram's structure at small scales.
     """
+    block = (spec.b1, spec.b2)
+    check_lag(h, "h", block, "spec")
+    check_fits(block, (fieldz.n1, fieldz.n2), "spec")
     h1, h2 = int(h[0]), int(h[1])
-    if (h1, h2) == (0, 0):
-        raise ConfigError("block variogram lag must be nonzero")
-    if abs(h1) >= spec.b1 or abs(h2) >= spec.b2:
-        raise ConfigError(f"lag ({h1}, {h2}) has no pairs inside a "
-                          f"({spec.b1}, {spec.b2}) block")
-    n1, n2 = fieldz.n1, fieldz.n2
-    if spec.b1 > n1 or spec.b2 > n2:
-        raise ConfigError(
-            f"block ({spec.b1}, {spec.b2}) does not fit in grid ({n1}, {n2})")
     sq = _lag_squares(fieldz.values, h1, h2)
     return _block_lag_means(sq, spec, abs(h1), abs(h2)).ravel()
 

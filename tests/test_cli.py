@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from freqboot import FieldResampler, LatticeField, load_field_csv
+from freqboot import (BlockSpec, FieldResampler, LatticeField, block_variogram,
+                      kernel_density_estimate, load_field_csv, periodogram,
+                      psi_isotropy_contrast, sample_variogram, subsample_edf,
+                      subsample_ensemble)
 from freqboot import _pool as pool_module
 from freqboot import bootstrap as bootstrap_module
 from freqboot import cli as cli_module
@@ -255,9 +258,10 @@ class TestConfigParsing:
                        "block.sizes": "5x5"})
         with pytest.raises(ConfigError, match=re.escape(key)):
             experiment_config(st, "isotropy", 0, 1)
+        # coverage runs every kind, an isotropy experiment only some
         ok = Settings({"process.kind": kind, key: "1.0",
                        "block.sizes": "5x5"})
-        assert experiment_config(ok, "isotropy", 0, 1).tau_r_list == (1.0,)
+        assert experiment_config(ok, "coverage", 0, 1).tau_r_list == (1.0,)
 
     def test_tau_list_on_spherical_process(self):
         st = Settings({"process.kind": "spherical",
@@ -557,25 +561,31 @@ class TestCoverageExperiment:
         assert pooled == run_coverage_experiment(_cfg(replicates=replicates,
                                                       workers=1, B=100))
 
-    def test_forked_workers_fill_draws_on_threads(self, tmp_path):
+    @pytest.mark.parametrize("settings", [
+        ["process.kind=white_noise", "methods=fdwb", "replicates=2"],
+        # a worker left running the last replicate alone computes its
+        # ladder's ensembles on threads
+        ["process.kind=spherical", "block.sizes=9x9,11x11",
+         "methods=fdwb,hfdb_bias,subsample", "replicates=3"]])
+    def test_forked_workers_fill_draws_on_threads(self, tmp_path, settings):
         # a 128 x 128 field has 8,193 weights per bootstrap replicate, so
         # draws are filled on threads; the process runs one worker first,
         # so the pool forks a process that has already run draw threads
+        sets = [arg for kv in ["grid.sizes=128x128", "boot.B=100", *settings]
+                for arg in ("--set", kv)]
         code = ("import sys\n"
                 "from freqboot.cli import main\n"
                 "for w in ('1', '2'):\n"
                 "    rc = main(['--seed', '5', '--workers', w, '--out',\n"
                 "               sys.argv[1] + '/w' + w, '--format', 'both',\n"
-                "               '--set', 'process.kind=white_noise',\n"
-                "               '--set', 'grid.sizes=128x128',\n"
-                "               '--set', 'methods=fdwb', '--set', 'boot.B=100',\n"
-                "               '--set', 'replicates=2', 'coverage'])\n"
+                "               *sys.argv[2:], 'coverage'])\n"
                 "    assert rc == 0, rc\n")
         src = os.path.dirname(os.path.dirname(cli_module.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         # its own session, so a hung run is killed with its workers
-        proc = subprocess.Popen([sys.executable, "-c", code, str(tmp_path)],
+        proc = subprocess.Popen([sys.executable, "-c", code, str(tmp_path),
+                                 *sets],
                                 env=env, stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE, start_new_session=True)
         try:
@@ -729,9 +739,9 @@ class TestIsotropyExperiment:
         assert len(rows) == 1 + 2 * 2
 
     def test_rejects_wrong_process(self):
-        cfg = _cfg(kind="isotropy", model=SeparableARMA(0.2, -0.7))
         with pytest.raises(ConfigError):
-            run_isotropy_experiment(cfg)
+            run_isotropy_experiment(_cfg(kind="isotropy",
+                                         model=SeparableARMA(0.2, -0.7)))
 
     def test_runners_refuse_the_other_kind(self):
         spherical = SphericalAniso(sigma2=1.0, range_=3.0)
@@ -1246,3 +1256,58 @@ class TestCommandLine:
         assert rc == 0
         assert (tmp_path / "run_summary.csv").exists()
         assert "proportion=" in capsys.readouterr().out
+
+
+_ZEROS = LatticeField(np.zeros((12, 12)))
+_COS = psi_cos_lag((1, 0))
+# a small run on 12x12 fields that a rule's case spoils with its settings
+_RUN = {"process.kind": "spherical", "grid.sizes": "12x12",
+        "block.sizes": "4x4", "boot.B": "100", "replicates": "2"}
+
+
+@pytest.mark.parametrize("library, settings, command, wording, arg, key", [
+    (lambda: subsample_ensemble(_ZEROS, BlockSpec(20, 20), _COS),
+     {"block.sizes": "20x20"}, "coverage",
+     "{}: block 20x20 does not fit grid 12x12", ("spec",), ("block.sizes",)),
+    (lambda: subsample_edf(subsample_ensemble(_ZEROS, BlockSpec(12, 12), _COS)),
+     {"block.sizes": "12x12", "methods": "subsample"}, "coverage",
+     "{}: block 12x12 has one translate in grid 12x12, subsample needs at "
+     "least 2", ("ens",), ("block.sizes",)),
+    (lambda: sample_variogram(_ZEROS, (0, 0)),
+     {"test.h1": "(0,0)"}, "isotropy-experiment",
+     "{} must be a nonzero lag: the contrast compares the variogram at two "
+     "lags", ("h",), ("test.h1",)),
+    (lambda: block_variogram(_ZEROS, BlockSpec(3, 3), (3, 0)),
+     {"block.sizes": "3x3", "methods": "subsample", "test.h1": "(3,0)",
+      "test.h2": "(0,3)"}, "isotropy-experiment",
+     "{}: block 3x3 has no pairs at lag {}=(3, 0), and methods=subsample "
+     "compares the variogram at that lag inside every block",
+     ("spec", "h"), ("block.sizes", "test.h1")),
+    (lambda: FieldResampler(_ZEROS, _COS, 50, 0).draws("fdwb"),
+     {"methods": "fdwb", "boot.B": "50"}, "coverage",
+     "{} must be >= 100 for bootstrap methods, got 50", ("B",), ("boot.B",)),
+    (lambda: FieldResampler(_ZEROS, _COS, 100, 0).draws("hfdb"),
+     {"methods": "hfdb", "block.sizes": None}, "coverage",
+     "{}: methods=hfdb needs a block size", ("spec",), ("block.sizes",)),
+    (lambda: kernel_density_estimate(periodogram(_ZEROS), (4.0, 1.0)),
+     {"density.bandwidth1": "4", "density.bandwidth2": "1"}, "coverage",
+     "{} must lie in (0, pi], got 4.0", ("bandwidth[0]",),
+     ("density.bandwidth1",)),
+    (lambda: psi_isotropy_contrast((1, 0), (1, 0)),
+     {"test.h1": "(1,0)", "test.h2": "(1,0)"}, "isotropy-experiment",
+     "{} and {} must be two distinct lags, both are (1, 0)", ("h1", "h2"),
+     ("test.h1", "test.h2")),
+], ids=["block_fits", "two_translates", "nonzero_lag", "lag_in_block",
+        "boot_B", "block_given", "bandwidth", "distinct_lags"])
+def test_a_rule_words_the_library_and_the_cli_alike(
+        tmp_path, capsys, library, settings, command, wording, arg, key):
+    # each resampling precondition is worded once: the library's refusal
+    # names the argument, the command's the key, in the same words
+    with pytest.raises(ConfigError) as refused:
+        library()
+    assert str(refused.value) == wording.format(*arg)
+    args = []
+    for k, v in {**_RUN, **settings}.items():
+        args += [] if v is None else ["--set", f"{k}={v}"]
+    assert main(args + ["--out", str(tmp_path / "r"), command]) == 2
+    assert capsys.readouterr().err == f"config error: {wording.format(*key)}\n"

@@ -13,7 +13,16 @@ written paths and diagnostics, and is shown for a failing command.
 Each case of ``REFUSALS`` is one command that both trees must refuse as
 a configuration error: it must exit 2 in each, and its stdout, its
 stderr (the message that names the key) and the files it leaves must be
-byte-identical.  There is at least one case per family of refusal.
+byte-identical.  There is at least one case per family of refusal: an
+unknown, unread, unparsable or non-finite value; a level, method, format,
+worker count or oracle replicate count out of range; a list given to a
+single-field command; a tau on an isotropic model; truth.value with
+truth.fixture; a psi an isotropy experiment does not resample; a process
+kind an isotropy experiment cannot run; and each precondition of the
+resampling methods (a block that does not fit its grid, a subsample block
+with one translate, a hybrid method without a block, a zero lag or one
+outside its blocks, equal test lags, B below 100 and a bandwidth outside
+(0, pi]).
 
 Exit status: 0 when every case ran and matched, 1 when a case differs, a
 command failed in either tree or a refusal did not exit 2, 2 on bad
@@ -244,6 +253,17 @@ REFUSALS = {
         "--out", "f", "simulate"],
     "zero_lag": _RUN + _sets("test.h1=(0,0)") + ["isotropy-experiment"],
     "isotropy_psi": _RUN + _sets("psi=cos_lag{h=(1,0)}") + [
+        "isotropy-experiment"],
+    "one_translate_subsample": _RUN + _sets(
+        "block.sizes=12x12", "methods=subsample") + ["coverage"],
+    "hybrid_without_block": _sets(
+        "process.kind=spherical", "grid.sizes=12x12", "methods=hfdb",
+        "boot.B=100", "replicates=2") + ["--out", "r", "coverage"],
+    "bandwidth_out_of_range": _RUN + _sets(
+        "density.bandwidth1=4", "density.bandwidth2=1") + ["coverage"],
+    "equal_test_lags": _RUN + _sets("test.h1=(1,0)", "test.h2=(1,0)") + [
+        "isotropy-experiment"],
+    "isotropy_process_kind": _RUN + _sets("process.kind=separable") + [
         "isotropy-experiment"],
 }
 
