@@ -37,7 +37,8 @@ import numpy as np
 
 from . import _pool
 from . import rng as rngmod
-from .density import SpectralDensityEstimate, kernel_density_estimate
+from .density import (SpectralDensityEstimate, check_bandwidth,
+                      kernel_density_estimate)
 from .errors import ConfigError, NumericalError
 from .lattice import LatticeField, Periodogram, periodogram
 from .spectral import PsiFunction, SpectralMeanValue, spectral_mean
@@ -194,11 +195,14 @@ class FieldResampler:
     threads, with the bits of one ensemble at a time.
     Bootstrap replicate r reads the weight stream (master_seed, BOOT,
     replicate_id, r) whatever the kind, so fdwb and hybrid draws of one
-    field agree replicate by replicate.
+    field agree replicate by replicate.  A bandwidth is refused at once,
+    whether or not a kind asks for fhat.
     """
 
     def __init__(self, fieldz: LatticeField, psi: PsiFunction, B: int,
                  master_seed: int, replicate_id: int = 0, bandwidth=None):
+        for k, b in enumerate(bandwidth or ()):
+            check_bandwidth(b, f"bandwidth[{k}]")
         self.field = fieldz
         self.psi = psi
         self.B = B

@@ -53,9 +53,9 @@ from .lattice import (load_field_binary, load_field_csv,
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
                        TransformedGaussian, WhiteNoise, matern_model,
                        model_autocovariance, simulate_process)
-from .spectral import (check_distinct_lags, psi_from_name,
+from .spectral import (check_cos_lags, check_distinct_lags, psi_from_name,
                        psi_isotropy_contrast, spectral_mean)
-from .subsample import (BlockSpec, check_fits, check_lag, check_translates,
+from .subsample import (BlockSpec, check_block, check_lag, check_window,
                         default_block_candidates,
                         select_block_size_min_volatility)
 
@@ -192,7 +192,7 @@ KEYS = {
     "block.sizes": Key({"coverage": SIZES, "isotropy-experiment": SIZES,
                         None: BLOCKS}, (), lambda s, c: (
                             None if s in ("minvol", ()) else _extents(s, c, 2))),
-    "block.window": Key(INT, 3),
+    "block.window": Key(INT, 3, lambda w, c: check_window(w, "block.window")),
     "methods": Key(NAMES, {"ci": ("hfdb",), "isotropy": ("hfdb",),
                            None: ("fdwb", "hfdb", "subsample")}, _methods),
     "boot.B": Key(INT, 500),
@@ -334,17 +334,22 @@ def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
             f"tau_r={own}, got {list(tau_r_list)}")
 
 
-def _block_spec(size, grid, methods, lags=()) -> BlockSpec:
-    """The block a ``block.sizes`` entry names on an n1 x n2 grid, refused
-    naming the key when it does not fit, leaves a subsample method of
-    ``methods`` fewer than two block translates, or has no pair of points
-    at one of ``lags``, which the subsample isotropy calibration compares
-    in it."""
-    check_fits(size, grid, "block.sizes")
-    check_translates(size, grid, methods, "block.sizes")
-    for key, h in zip(("test.h1", "test.h2"), lags):
-        check_lag(h, key, size, "block.sizes")
-    return BlockSpec(*size)
+def _check_windows(psi, iso: bool, grid, grid_name: str, blocks, methods,
+                   reads: bool) -> None:
+    """Refuse, naming keys, a ``grid`` (``grid_name``) that reads a cosine
+    lag of ``psi`` as another lag; a ``block.sizes`` entry of ``blocks``
+    that ``subsample.check_block`` refuses for ``methods``, with the lags
+    an isotropy subsample calibration compares in it; and one that reads
+    a lag as another when a method reads its ensemble (``reads``).  A lag
+    is named by the key that sets it: test.h1 and test.h2 in an isotropy
+    run, psi otherwise."""
+    keys = ("test.h1", "test.h2") if iso else ("psi",) * len(psi.cos_terms)
+    lags = tuple((key, h) for key, (_, h) in zip(keys, psi.cos_terms))
+    check_cos_lags(lags, grid, grid_name)
+    for size in blocks:
+        check_block(size, grid, methods, "block.sizes",
+                    lags if iso and "subsample" in methods else ())
+        check_cos_lags(lags if reads else (), size, "block.sizes")
 
 
 def _contrast(h1, h2):
@@ -400,21 +405,21 @@ class ExperimentConfig:
         check_B(self.B, self.methods, "boot.B")
         check_block_given(self.methods, self.blocks, "block.sizes")
         iso = self.kind == "isotropy"
-        lags = (self.h1, self.h2) if iso and "subsample" in self.methods else ()
-        for grid in self.sizes:
-            for size in self.blocks:
-                _block_spec(size, grid, self.methods, lags)
-        _check_tau(self.kind, self.model, self.tau_r_list, "process.tau_r_list")
         contrast = _contrast(self.h1, self.h2).name if iso else None
         psi = psi_from_name(self.psi_name)
-        if not iso and self.truth is None and not psi.cos_terms:
-            raise ConfigError(
-                f"truth.value: {psi.name} has no closed-form spectral mean; "
-                f"give truth.value or truth.fixture")
         if iso and psi.name != contrast:
             raise ConfigError(
                 f"psi: an isotropy experiment resamples the contrast of "
                 f"test.h1 and test.h2, {contrast}, got {self.psi_name!r}")
+        reads = any(m in _KINDS[self.kind].ensembles for m in self.methods)
+        for grid in self.sizes:
+            _check_windows(psi, iso, grid, "grid.sizes", self.blocks,
+                           self.methods, reads)
+        _check_tau(self.kind, self.model, self.tau_r_list, "process.tau_r_list")
+        if not iso and self.truth is None and not psi.cos_terms:
+            raise ConfigError(
+                f"truth.value: {psi.name} has no closed-form spectral mean; "
+                f"give truth.value or truth.fixture")
         if iso and not isinstance(self.model, (SphericalAniso, MaternSpectral)):
             raise ConfigError(f"process.kind must be spherical, matern or exp_cholesky for an "
                               f"isotropy experiment, got a {type(self.model).__name__}")
@@ -492,7 +497,7 @@ def _coverage_cells(cfg, res: FieldResampler, method: str, spec) -> dict:
 
 
 def _isotropy_cells(cfg, res: FieldResampler, method: str, spec) -> dict:
-    test = calibrate_isotropy(res, method, spec, cfg.h1, cfg.h2, cfg.plus_one)
+    test = calibrate_isotropy(res, method, spec, cfg.plus_one)
     return {"ts": test.ts, "p_value": test.p_value,
             "reject": int(test.p_value < cfg.test_level)}
 
@@ -789,8 +794,7 @@ def _dispatch(args) -> int:
 
     # estimate, ci, isotropy, blocksize: one field, one psi
     if cmd == "isotropy":
-        h1, h2 = st.get("test.h1"), st.get("test.h2")
-        psi = _contrast(h1, h2)
+        psi = _contrast(st.get("test.h1"), st.get("test.h2"))
     else:
         psi = psi_from_name(st.get("psi"))
     # every key is read and the unread ones refused before the field is
@@ -812,18 +816,20 @@ def _dispatch(args) -> int:
     plus_one = st.get("pvalue.plus_one") if cmd == "isotropy" else None
     st.refuse_unread(cmd)
     fieldz = load()
+    # the checks that need the field's extents run here, before any work;
+    # estimate reads the block's ensemble, as do the methods of the kind
+    iso, grid = cmd == "isotropy", (fieldz.n1, fieldz.n2)
+    windows = (psi, iso, grid, "--in" if args.infile else "grid.sizes")
+    reads = cmd == "estimate" or method in _KINDS[
+        "isotropy" if iso else "coverage"].ensembles
     if sizes == "minvol":
-        cands = default_block_candidates(fieldz.n1, fieldz.n2)
-        try:
-            # the default candidates are sorted, so only the window is refused
-            spec = select_block_size_min_volatility(fieldz, psi, cands, window)
-        except ConfigError as exc:
-            raise ConfigError(f"block.window: {exc}") from None
+        cands = default_block_candidates(*grid)
+        _check_windows(*windows, [(c.b1, c.b2) for c in cands], (), True)
+        spec = select_block_size_min_volatility(fieldz, psi, cands, window,
+                                                "block.window")
         sizes = ((spec.b1, spec.b2),)
-    # the checks that need the field's extents run here
-    lags = (h1, h2) if cmd == "isotropy" and method == "subsample" else ()
-    spec = (_block_spec(sizes[0], (fieldz.n1, fieldz.n2), methods, lags)
-            if sizes else None)
+    _check_windows(*windows, sizes or (), methods, reads)
+    spec = BlockSpec(*sizes[0]) if sizes else None
     if cmd == "blocksize":
         result = {"b1": spec.b1, "b2": spec.b2, "window": window,
                   "candidates": [[c.b1, c.b2] for c in cands]}
@@ -845,7 +851,7 @@ def _dispatch(args) -> int:
         result = {"method": ci.method, "level": ci.level,
                   "mhat": res.mhat.value, "lower": ci.lower, "upper": ci.upper}
     elif cmd == "isotropy":
-        test = calibrate_isotropy(res, method, spec, h1, h2, plus_one)
+        test = calibrate_isotropy(res, method, spec, plus_one)
         result = {"ts": test.ts, "p_value": test.p_value, "method": test.method,
                   "h1": list(test.h1), "h2": list(test.h2)}
     print(json.dumps(result, sort_keys=True, indent=1, default=repr))

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .lattice import LatticeField
 from .spectral import SpectralMeanValue, psi_isotropy_contrast
 from .subsample import (BlockSpec, _lag_squares, block_variogram_contrast,
-                        check_lag, subsample_edf)
+                        check_block, check_lag, subsample_edf)
 
 CI_METHODS = ("fdwb", "hfdb", "hfdb_bias", "subsample")
 TEST_METHODS = ("fdwb", "hfdb", "subsample")
@@ -58,7 +58,7 @@ def check_level(level: float, name: str, lower: float = 0.0) -> None:
 
 def _centered_interval(mhat: SpectralMeanValue, values: np.ndarray,
                        level: float, method: str) -> ConfidenceInterval:
-    check_level(level, "confidence level", 0.5)
+    check_level(level, "level", 0.5)
     alpha = 1.0 - level
     root_n = np.sqrt(mhat.n)
     # both tails from one type-7 (numpy default) call, bit-identical to two
@@ -82,7 +82,8 @@ def resampled_interval(res: FieldResampler, method: str,
     the resampler's bootstrap draws of that kind."""
     if method == "subsample":
         check_block_given((method,), spec, "spec")
-        # subsample_edf rejects L < 2
+        check_block((spec.b1, spec.b2), (res.field.n1, res.field.n2),
+                    (method,), "spec")
         return _centered_interval(res.mhat, subsample_edf(res.ensemble(spec)),
                                   level, "subsample")
     return confidence_interval(res.mhat, res.draws(method, spec), level)
@@ -116,19 +117,17 @@ def isotropy_test(fieldz: LatticeField, h1, h2, method: str = "hfdb",
     TS = n Mhat(psi)^2 for psi(w) = 2 cos(h1.w) - 2 cos(h2.w), calibrated
     as :func:`calibrate_isotropy` describes.
     """
-    ha = (int(h1[0]), int(h1[1]))
-    hb = (int(h2[0]), int(h2[1]))
-    res = FieldResampler(fieldz, psi_isotropy_contrast(ha, hb), B, master_seed,
+    res = FieldResampler(fieldz, psi_isotropy_contrast(h1, h2), B, master_seed,
                          replicate_id, bandwidth)
-    return calibrate_isotropy(res, method, spec, ha, hb, plus_one)
+    return calibrate_isotropy(res, method, spec, plus_one)
 
 
 def calibrate_isotropy(res: FieldResampler, method: str,
-                       spec: BlockSpec | None, h1: tuple[int, int],
-                       h2: tuple[int, int],
+                       spec: BlockSpec | None,
                        plus_one: bool = False) -> IsotropyTestResult:
-    """p-value of TS = n Mhat^2, Mhat the spectral mean of ``res``'s psi
-    (the contrast of lags h1 and h2), under one calibration.
+    """p-value of TS = n Mhat^2, Mhat the spectral mean of ``res``'s psi,
+    which must be the contrast 2 cos(h1.w) - 2 cos(h2.w) of two nonzero
+    lags h1 and h2, under one calibration.
 
     The bootstrap backends (fdwb / hfdb) report the proportion of squared
     mean-zero replicates at or above TS.  The subsampling backend
@@ -144,6 +143,13 @@ def calibrate_isotropy(res: FieldResampler, method: str,
     if method not in TEST_METHODS:
         raise ConfigError(
             f"isotropy test method must be one of {TEST_METHODS}, got {method!r}")
+    terms = res.psi.cos_terms
+    if [c for c, _ in terms] != [2.0, -2.0]:
+        raise ConfigError(f"res.psi must be an isotropy contrast "
+                          f"2 cos(h1.w) - 2 cos(h2.w), got {res.psi.name}")
+    (_, h1), (_, h2) = terms
+    check_lag(h1, "h1")
+    check_lag(h2, "h2")
     if h1[0] ** 2 + h1[1] ** 2 != h2[0] ** 2 + h2[1] ** 2:
         warnings.warn(f"lags {h1} and {h2} have unequal norms; the isotropy "
                       "null does not apply", stacklevel=2)
@@ -151,6 +157,8 @@ def calibrate_isotropy(res: FieldResampler, method: str,
     ts = float(mhat.n * mhat.value ** 2)
     if method == "subsample":
         check_block_given((method,), spec, "spec")
+        check_block((spec.b1, spec.b2), (res.field.n1, res.field.n2),
+                    (method,), "spec", (("h1", h1), ("h2", h2)))
         contrast = sample_variogram(res.field, h1) - sample_variogram(res.field, h2)
         ts_vario = float(mhat.n * contrast ** 2)
         copies = block_variogram_contrast(res.field, spec, h1, h2)

@@ -28,7 +28,9 @@ class PsiFunction:
     ``name`` encodes the function and its parameters (it doubles as the
     CLI spelling).  A psi that is a cosine sum,
     sum_k c_k cos(h_k . omega), lists its (c_k, h_k) in ``cos_terms``;
-    its spectral mean is then sum_k c_k gamma(h_k).
+    its spectral mean is then sum_k c_k gamma(h_k).  A refusal names its
+    k-th lag as the catalog's descriptors do: h when it is alone, hk
+    otherwise.
     """
 
     name: str
@@ -45,15 +47,20 @@ class PsiFunction:
     def __getstate__(self):
         return {**self.__dict__, "_on_grid": {}}
 
-    def on_grid(self, grid) -> np.ndarray:
+    def on_grid(self, grid, name: str = "fieldz") -> np.ndarray:
         """Evaluate on a FrequencyGrid in FFT layout, shape (n1, n2).
 
         The values depend only on the grid's shape, so they are computed
-        once per shape and returned read-only.
+        once per shape and returned read-only.  This is where psi meets
+        every grid, the field's and each block's (``name``), so a shape
+        that reads a cosine lag as another is refused here.
         """
         key = (grid.n1, grid.n2)
         vals = self._on_grid.get(key)
         if vals is None:
+            terms = self.cos_terms
+            check_cos_lags([("h" if len(terms) == 1 else f"h{k}", h)
+                            for k, (_, h) in enumerate(terms, 1)], key, name)
             vals = np.asarray(self.fn(grid.omega1[:, None], grid.omega2[None, :]),
                               dtype=np.float64) + np.zeros(key)
             vals.flags.writeable = False
@@ -101,6 +108,27 @@ def check_distinct_lags(h1, h2, name1: str, name2: str) -> None:
     if tuple(h1) == tuple(h2):
         raise ConfigError(f"{name1} and {name2} must be two distinct lags, "
                           f"both are {tuple(h1)}")
+
+
+def check_cos_lags(lags, window, window_name: str) -> None:
+    """Refuse a cosine lag of ``lags``, (name, h) pairs, that a (w1, w2)
+    ``window``, the Fourier grid of a field or a block named
+    ``window_name``, reads as another lag.
+
+    On that grid cos(h . omega) is read modulo the window and up to sign,
+    so h must be the one shortest lag of its class: 2|h_i| <= w_i on each
+    axis, with equality only where the other component is 0 (on 12 x 12,
+    (8, 1) reads as (4, -1), and (6, 1) as (6, -1)).
+    """
+    w1, w2 = window
+    for name, (a, b) in lags:
+        if any(2 * abs(x) > w or (2 * abs(x) == w and y != 0)
+               for x, y, w in ((a, b, w1), (b, a, w2))):
+            raise ConfigError(
+                f"{window_name}: the {w1}x{w2} Fourier grid reads cosine lag "
+                f"{name}={(a, b)} as another lag; each lag needs "
+                f"2|h_i| <= n_i, with equality only where its other "
+                f"component is 0")
 
 
 def psi_isotropy_contrast(h1, h2) -> PsiFunction:

@@ -70,23 +70,6 @@ class BlockSpec:
 # The preconditions of block subsampling.  Each is tested and worded here
 # once; a caller names what it checks, as an argument or a config key.
 
-def check_fits(size, grid, name: str) -> None:
-    """Refuse a (b1, b2) block ``size`` that does not fit an (n1, n2)
-    ``grid``, naming the block ``name``."""
-    (b1, b2), (n1, n2) = size, grid
-    if b1 > n1 or b2 > n2:
-        raise ConfigError(f"{name}: block {b1}x{b2} does not fit grid {n1}x{n2}")
-
-
-def check_translates(size, grid, methods, name: str) -> None:
-    """Refuse a block ``size``, named ``name``, that has one translate in
-    ``grid`` when one of ``methods`` is subsample, whose EDF needs two."""
-    (b1, b2), (n1, n2) = size, grid
-    if "subsample" in methods and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
-        raise ConfigError(f"{name}: block {b1}x{b2} has one translate in "
-                          f"grid {n1}x{n2}, subsample needs at least 2")
-
-
 def check_lag(h, name: str, block=None, block_name: str = "") -> None:
     """Refuse a zero lag ``h``, named ``name``, and one with no pair of
     points inside a (b1, b2) ``block`` (or a whole grid) when one is
@@ -99,6 +82,29 @@ def check_lag(h, name: str, block=None, block_name: str = "") -> None:
         raise ConfigError(f"{block_name}: block {block[0]}x{block[1]} has no pairs "
                           f"at lag {name}={h}, and methods=subsample compares "
                           f"the variogram at that lag inside every block")
+
+
+def check_block(size, grid, methods, name: str, lags=()) -> None:
+    """Refuse a (b1, b2) block ``size``, named ``name``, that does not fit
+    an (n1, n2) ``grid``, that has one translate in it when one of
+    ``methods`` is subsample, whose EDF needs two, or that has no pair of
+    points at one of ``lags``, (name, h) pairs that the isotropy
+    subsample calibration compares in it."""
+    (b1, b2), (n1, n2) = size, grid
+    if b1 > n1 or b2 > n2:
+        raise ConfigError(f"{name}: block {b1}x{b2} does not fit grid {n1}x{n2}")
+    if "subsample" in methods and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
+        raise ConfigError(f"{name}: block {b1}x{b2} has one translate in "
+                          f"grid {n1}x{n2}, subsample needs at least 2")
+    for lag_name, h in lags:
+        check_lag(h, lag_name, size, name)
+
+
+def check_window(window: int, name: str) -> None:
+    """Refuse a minimum-volatility ``window``, named ``name``, that is not
+    an odd integer of at least 3: it must have a center."""
+    if window < 3 or window % 2 == 0:
+        raise ConfigError(f"{name} must be an odd integer >= 3, got {window}")
 
 
 @dataclass(frozen=True)
@@ -233,9 +239,9 @@ class _Blocks(NamedTuple):
            psi: PsiFunction) -> "_Blocks":
         n1, n2 = fieldz.n1, fieldz.n2
         b1, b2 = spec.b1, spec.b2
-        check_fits((b1, b2), (n1, n2), "spec")
+        check_block((b1, b2), (n1, n2), (), "spec")
         grid = build_frequency_grid(b1, b2)
-        psi_block = psi.on_grid(grid)
+        psi_block = psi.on_grid(grid, "spec")
         psi_block_neg = grid.negate_array(psi_block)
         # transforms come out as (origin, k2, k1); keep that order throughout
         weights = _half_grid_weights(psi_block, psi_block_neg).T
@@ -371,7 +377,7 @@ def subsample_edf(ens: SubsampleEnsemble) -> np.ndarray:
     """Sorted centered block statistics b^(1/2)(Mhat_l - Mtilde)."""
     # a grid with the ensemble's L translates; with one, the block's own
     b1, b2 = ens.spec.b1, ens.spec.b2
-    check_translates((b1, b2), (b1 + ens.L - 1, b2), ("subsample",), "ens")
+    check_block((b1, b2), (b1 + ens.L - 1, b2), ("subsample",), "ens")
     vals = np.sqrt(ens.b) * (ens.block_means - ens.subsample_grand_mean)
     return np.sort(vals)
 
@@ -411,9 +417,8 @@ def block_variogram(fieldz: LatticeField, spec: BlockSpec, h) -> np.ndarray:
     Uses only pairs interior to each block (no wrap-around), so the block
     copies match the full-sample variogram's structure at small scales.
     """
-    block = (spec.b1, spec.b2)
-    check_lag(h, "h", block, "spec")
-    check_fits(block, (fieldz.n1, fieldz.n2), "spec")
+    check_block((spec.b1, spec.b2), (fieldz.n1, fieldz.n2), (), "spec",
+                (("h", h),))
     h1, h2 = int(h[0]), int(h[1])
     sq = _lag_squares(fieldz.values, h1, h2)
     return _block_lag_means(sq, spec, abs(h1), abs(h2)).ravel()
@@ -443,20 +448,21 @@ def default_block_candidates(n1: int, n2: int) -> list[BlockSpec]:
 
 def select_block_size_min_volatility(fieldz: LatticeField, psi: PsiFunction,
                                      candidates: list[BlockSpec],
-                                     window: int = 3) -> BlockSpec:
+                                     window: int = 3,
+                                     name: str = "window") -> BlockSpec:
     """Minimum-volatility choice over a sorted candidate ladder.
 
     Computes sigma_hat (the root of the overall subsampling variance) for
     each candidate, from one ladder of their ensembles, then the running
     sample standard deviation of sigma_hat over each window of
     consecutive candidates, and returns the center of the steadiest
-    window; ties go to the smaller block.
+    window; ties go to the smaller block.  A window refusal names it
+    ``name``.
     """
-    if window < 3 or window % 2 == 0:
-        raise ConfigError("window must be an odd integer >= 3")
+    check_window(window, name)
     if len(candidates) < window:
-        raise ConfigError(
-            f"need at least {window} candidates, got {len(candidates)}")
+        raise ConfigError(f"{name}={window} needs at least {window} "
+                          f"candidates, got {len(candidates)}")
     order = [c.b for c in candidates]
     if order != sorted(order):
         raise ConfigError("candidates must be sorted by block size ascending")

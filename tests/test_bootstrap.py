@@ -65,8 +65,7 @@ def _recovered_weights(n1, n2, j, seed, B):
     return 1.0 + fdwb_draws(de, psi_cos_lag((0, 0)), B, seed) / (scale * 0.5)
 
 
-_UNEVEN = PsiFunction("uneven", lambda w1, w2: np.cos(w1) + 0.3 * np.sin(w2),
-                      False)
+_UNEVEN = PsiFunction("uneven", lambda w1, w2: np.cos(w1) + 0.3 * np.sin(w2))
 
 
 def _random_density(n1, n2, density_seed):
@@ -118,7 +117,7 @@ class TestFdwbStatistic:
         # psi odd, fhat even: paired terms cancel exactly; the direct
         # full-grid summation oracle confirms coefficient pairing
         de = _flat_density(3, 3, 0.5)
-        psi_odd = PsiFunction("odd", lambda w1, w2: np.sin(w1), False)
+        psi_odd = PsiFunction("odd", lambda w1, w2: np.sin(w1))
         grid = de.grid
         assert _half_plane_reduction(de, psi_odd) == pytest.approx(0.0, abs=1e-15)
         draws = fdwb_draws(de, psi_odd, 10, master_seed=76)
@@ -133,13 +132,20 @@ class TestFdwbStatistic:
             assert draws[r] == pytest.approx(0.0, abs=1e-12)
 
 
+@hst.composite
+def _grid_and_psi(draw):
+    """Extents n1, n2 and a psi on that grid: an even cosine psi of a lag
+    the grid reads as itself (|h_i| < n_i / 2), or a psi that is not even."""
+    n1, n2 = draw(hst.integers(2, 9)), draw(hst.integers(2, 9))
+    lag = hst.tuples(hst.integers(-((n1 - 1) // 2), (n1 - 1) // 2),
+                     hst.integers(-((n2 - 1) // 2), (n2 - 1) // 2))
+    return n1, n2, draw(hst.builds(psi_cos_lag, lag) | hst.just(_UNEVEN))
+
+
 # both grid parities; replicate ids past 2^63 and 2^64 wrap by masking;
 # an even cosine psi or a psi that is not even
 _DRAW_CASE = dict(
-    n1=hst.integers(2, 9), n2=hst.integers(2, 9),
-    psi=hst.one_of(hst.builds(psi_cos_lag, hst.tuples(hst.integers(-3, 3),
-                                                      hst.integers(-3, 3))),
-                   hst.just(_UNEVEN)),
+    grid_psi=_grid_and_psi(),
     master_seed=hst.integers(0, (1 << 64) - 1),
     replicate_id=hst.integers(-(1 << 64), 1 << 66),
     B=hst.integers(1, 24), density_seed=hst.integers(0, 2 ** 32 - 1))
@@ -148,9 +154,10 @@ _DRAW_CASE = dict(
 class TestStreamAddressing:
     @settings(max_examples=60, deadline=None)
     @given(**_DRAW_CASE)
-    def test_replicate_r_reads_stream_r(self, n1, n2, psi, master_seed,
+    def test_replicate_r_reads_stream_r(self, grid_psi, master_seed,
                                         replicate_id, B, density_seed):
         # row r of U holds the weights of stream (master_seed, replicate_id, r)
+        n1, n2, psi = grid_psi
         de = _random_density(n1, n2, density_seed)
         draws = fdwb_draws(de, psi, B, master_seed, replicate_id)
         cvec = _half_plane_reduction(de, psi)
@@ -167,9 +174,10 @@ class TestStreamAddressing:
 
     @settings(max_examples=60, deadline=None)
     @given(data=hst.data(), **_DRAW_CASE)
-    def test_bits_do_not_depend_on_budget_or_b(self, data, n1, n2, psi,
+    def test_bits_do_not_depend_on_budget_or_b(self, data, grid_psi,
                                                master_seed, replicate_id, B,
                                                density_seed):
+        n1, n2, psi = grid_psi
         de = _random_density(n1, n2, density_seed)
         m = int(de.grid.half_plane_mask.sum())
         budget = data.draw(hst.one_of(
@@ -185,11 +193,12 @@ class TestStreamAddressing:
 
     @settings(max_examples=60, deadline=None)
     @given(data=hst.data(), **_DRAW_CASE)
-    def test_bits_do_not_depend_on_threads(self, data, n1, n2, psi,
+    def test_bits_do_not_depend_on_threads(self, data, grid_psi,
                                            master_seed, replicate_id, B,
                                            density_seed):
         # every row length is filled on threads; row r still reads the
         # stream (master_seed, replicate_id, r)
+        n1, n2, psi = grid_psi
         de = _random_density(n1, n2, density_seed)
         m = int(de.grid.half_plane_mask.sum())
         budget = data.draw(hst.one_of(
@@ -289,8 +298,7 @@ class TestFdwbVariance:
         # (sum of those a_j)^2
         c1, c2, c3 = coefs
         psi = PsiFunction("mixed", lambda w1, w2: (
-            c1 * np.cos(w1) + c2 * np.sin(w1 + w2) + c3 * np.sin(2.0 * w2)),
-            False)
+            c1 * np.cos(w1) + c2 * np.sin(w1 + w2) + c3 * np.sin(2.0 * w2)))
         grid = build_frequency_grid(n1, n2)
         raw = np.random.default_rng(density_seed).uniform(0.1, 2.0, (n1, n2))
         values = raw.copy()   # mirror symmetric, as every estimate is
@@ -318,7 +326,7 @@ class TestFdwbVariance:
 
     def test_zero_psi(self):
         de = _flat_density(4, 4, 1.0)
-        zero = PsiFunction("zero", lambda w1, w2: 0.0 * w1, True)
+        zero = PsiFunction("zero", lambda w1, w2: 0.0 * w1)
         assert fdwb_variance(de, zero) == 0.0
 
     def test_large_n_limit_matches_sigma1(self):
@@ -343,7 +351,7 @@ class TestHfdbStatistic:
         # psi orthogonal to the density: Var* = 0 stops the hybrid kinds
         f = simulate_gaussian(WhiteNoise(1.0), 12, 12,
                               rngmod.stream(79, rngmod.TAG_FIELD, 0))
-        zero = PsiFunction("zero", lambda w1, w2: 0.0 * w1, True)
+        zero = PsiFunction("zero", lambda w1, w2: 0.0 * w1)
         res = FieldResampler(f, zero, 100, 79)
         assert np.all(res.draws("fdwb").values == 0.0)
         with pytest.raises(NumericalError):

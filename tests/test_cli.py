@@ -1,6 +1,8 @@
 """Configuration parsing, experiment drivers, report emission, CLI."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -10,17 +12,19 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from freqboot import (BlockSpec, FieldResampler, LatticeField, block_variogram,
-                      kernel_density_estimate, load_field_csv, periodogram,
-                      psi_isotropy_contrast, sample_variogram, subsample_edf,
-                      subsample_ensemble)
+                      isotropy_test, kernel_density_estimate, load_field_csv,
+                      periodogram, psi_isotropy_contrast, sample_variogram,
+                      save_field_csv, subsample_edf, subsample_ensemble)
 from freqboot import _pool as pool_module
 from freqboot import bootstrap as bootstrap_module
 from freqboot import cli as cli_module
@@ -30,8 +34,8 @@ from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
                           parse_config_file, report_to_json,
                           run_coverage_experiment, run_isotropy_experiment,
                           true_spectral_mean)
-from freqboot.errors import ConfigError
-from freqboot.infer import resampled_interval
+from freqboot.errors import ConfigError, NumericalError
+from freqboot.infer import CI_METHODS, TEST_METHODS, resampled_interval
 from freqboot.spectral import psi_cos_lag
 from freqboot.simulate import (SeparableARMA, SphericalAniso, WhiteNoise,
                                matern_model, model_autocovariance)
@@ -184,8 +188,14 @@ class TestConfigParsing:
                    psi_name="iso_contrast{h1=(3,0),h2=(0,3)}")
         with pytest.raises(ConfigError, match="block.sizes") as exc:
             _cfg(methods=("fdwb", "subsample"), **iso)
-        assert key in str(exc.value)
-        assert _cfg(methods=("fdwb", "hfdb"), **iso).blocks == blocks
+        assert key in str(exc.value) and "has no pairs" in str(exc.value)
+        # hfdb reads psi on the blocks instead, and a lag of 3 needs 6
+        # points on an axis of a block's Fourier grid
+        with pytest.raises(ConfigError, match="block.sizes") as exc:
+            _cfg(methods=("fdwb", "hfdb"), **iso)
+        assert "reads cosine lag test.h1=(3, 0)" in str(exc.value)
+        assert _cfg(methods=("fdwb", "hfdb"),
+                    **{**iso, "blocks": ((6, 6),)}).blocks == ((6, 6),)
 
     def test_subsample_lags_outside_the_blocks_exit_2_before_a_replicate(
             self, tmp_path, capsys, monkeypatch):
@@ -1311,3 +1321,261 @@ def test_a_rule_words_the_library_and_the_cli_alike(
         args += [] if v is None else ["--set", f"{k}={v}"]
     assert main(args + ["--out", str(tmp_path / "r"), command]) == 2
     assert capsys.readouterr().err == f"config error: {wording.format(*key)}\n"
+
+
+# ---------------------------------------------------------------------------
+# the library and the CLI refuse the same runs, in one rule's words
+
+class _Run(NamedTuple):
+    """One run, given to the library and to the commands alike."""
+
+    command: str           # ci or isotropy
+    grid: tuple            # the field's extents
+    block: tuple | None
+    lags: tuple            # ci: psi's lag h; isotropy: the test lags
+    method: str
+    B: int
+    bandwidth: tuple | None
+    level: float           # ci only
+
+
+class _Ran(Exception):
+    """An experiment got past its configuration to its first field."""
+
+
+# the names a rule's words take: the library's arguments, a command's
+# keys; an experiment simulates its grid, a single-field command reads it
+_NAMES = {"library": {"grid": "fieldz", "block": "spec", "B": "B",
+                      "level": "level", "bandwidth1": "bandwidth[0]",
+                      "bandwidth2": "bandwidth[1]", "h": "h", "h1": "h1",
+                      "h2": "h2"},
+          "command": {"grid": "--in", "block": "block.sizes", "B": "boot.B",
+                      "level": "ci.level", "bandwidth1": "density.bandwidth1",
+                      "bandwidth2": "density.bandwidth2", "h": "psi",
+                      "h1": "test.h1", "h2": "test.h2"}}
+_NAMES["experiment"] = {**_NAMES["command"], "grid": "grid.sizes"}
+
+
+def _aliased(h, window) -> bool:
+    """Whether a window's Fourier grid reads cos(h . omega) as the cosine of
+    a lag no longer than h other than h and -h: found by comparing the
+    cosines, not by the rule's inequalities."""
+    w1, w2 = window
+    norm = h[0] ** 2 + h[1] ** 2
+    others = [(a, b) for a in range(-w1, w1 + 1) for b in range(-w2, w2 + 1)
+              if a * a + b * b <= norm and (a, b) not in (h, (-h[0], -h[1]))]
+    if not others:
+        return False
+    g = np.array(others)
+    omega1 = 2.0 * np.pi * np.arange(w1) / w1
+    omega2 = 2.0 * np.pi * np.arange(w2) / w2
+
+    def cosines(a, b):
+        return np.cos(np.multiply.outer(a, omega1)[..., :, None]
+                      + np.multiply.outer(b, omega2)[..., None, :])
+
+    same = np.abs(cosines(g[:, 0], g[:, 1]) - cosines(*h)) < 1e-9
+    return bool(np.any(np.all(same, axis=(1, 2))))
+
+
+def _broken(run: _Run) -> list:
+    """The words of each rule ``run`` breaks, as functions of the names one
+    side gives (``_NAMES``): every refusal must be one of them."""
+    (n1, n2), m = run.grid, run.method
+    iso = run.command == "isotropy"
+    lags = tuple(zip(("h1", "h2") if iso else ("h",), run.lags))
+    out = []
+    for k, b in enumerate(run.bandwidth or (), 1):
+        if not 0.0 < b <= np.pi:
+            out.append(lambda n, k=k, b=b:
+                       f"{n[f'bandwidth{k}']} must lie in (0, pi], got {b}")
+    if not iso and not 0.5 < run.level < 1.0:
+        out.append(lambda n: f"{n['level']} must be in (0.5, 1), got {run.level}")
+    if m != "subsample" and run.B < 100:
+        out.append(lambda n: f"{n['B']} must be >= 100 for bootstrap methods, "
+                             f"got {run.B}")
+    if iso and run.lags[0] == run.lags[1]:
+        out.append(lambda n: f"{n['h1']} and {n['h2']} must be two distinct "
+                             f"lags, both are {run.lags[0]}")
+
+    def alias(window, role, h):
+        return lambda n: (
+            f"{n[window]}: the {'x'.join(map(str, getattr(run, window)))} "
+            f"Fourier grid reads cosine lag {n[role]}={h} as another lag; each "
+            f"lag needs 2|h_i| <= n_i, with equality only where its other "
+            f"component is 0")
+
+    for role, h in lags:
+        if iso and h == (0, 0):
+            out.append(lambda n, role=role: f"{n[role]} must be a nonzero lag: "
+                       f"the contrast compares the variogram at two lags")
+        if _aliased(h, run.grid):
+            out.append(alias("grid", role, h))
+    if m == "fdwb":
+        return out
+    if run.block is None:
+        out.append(lambda n: f"{n['block']}: methods={m} needs a block size")
+        return out
+    b1, b2 = run.block
+    if b1 > n1 or b2 > n2:
+        out.append(lambda n: f"{n['block']}: block {b1}x{b2} does not fit "
+                             f"grid {n1}x{n2}")
+    elif m == "subsample" and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
+        out.append(lambda n: f"{n['block']}: block {b1}x{b2} has one translate "
+                             f"in grid {n1}x{n2}, subsample needs at least 2")
+    for role, h in lags:
+        # the isotropy subsample calibration compares variograms in the
+        # blocks; every other method evaluates psi on them
+        if not (iso and m == "subsample") and _aliased(h, run.block):
+            out.append(alias("block", role, h))
+        if (iso and m == "subsample" and h != (0, 0)
+                and (abs(h[0]) >= b1 or abs(h[1]) >= b2)):
+            out.append(lambda n, role=role, h=h: (
+                f"{n['block']}: block {b1}x{b2} has no pairs at lag "
+                f"{n[role]}={h}, and methods=subsample compares the variogram "
+                f"at that lag inside every block"))
+    return out
+
+
+@hst.composite
+def _runs(draw):
+    # a setting breaks its rule one time in eight, and a lag component is
+    # drawn past the blocks one time in four, so that about one run in
+    # five breaks no rule
+    def sometimes(good, bad):
+        return draw(hst.sampled_from((good,) * 7 + (bad,)))
+
+    iso = draw(hst.booleans())
+    n1, n2 = draw(hst.tuples(hst.integers(4, 13), hst.integers(4, 13)))
+    size = hst.tuples(hst.integers(2, n1 + 1), hst.integers(2, n2 + 1))
+    block = sometimes(draw(size), None)
+    part = hst.sampled_from((hst.integers(-2, 2),) * 3 + (
+        hst.integers(-2 * max(n1, n2), 2 * max(n1, n2)),)).flatmap(lambda p: p)
+    lags = tuple(draw(hst.tuples(part, part)) for _ in range(1 + iso))
+    return _Run("isotropy" if iso else "ci", (n1, n2), block, lags,
+                draw(hst.sampled_from(TEST_METHODS if iso else CI_METHODS)),
+                sometimes(100, 50),
+                draw(hst.sampled_from((None,) * 6 + ((0.6, 0.4), (4.0, 0.5)))),
+                sometimes(0.9, 0.4))
+
+
+@pytest.fixture(scope="module")
+def field_files(tmp_path_factory):
+    """The path of a standard normal field of each grid shape, written once."""
+    root, paths = tmp_path_factory.mktemp("fields"), {}
+
+    def path(shape):
+        if shape not in paths:
+            paths[shape] = str(root / ("%dx%d.csv" % shape))
+            rng = np.random.default_rng(shape[0] * 100 + shape[1])
+            save_field_csv(LatticeField(rng.standard_normal(shape)), paths[shape])
+        return paths[shape]
+    return path
+
+
+def _command(argv):
+    """main(argv) in this process: (exit code, stdout, stderr), with exit
+    code None for an experiment that got to its first field."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except _Ran:
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
+    """Give ``run`` to the library entry point, to its single-field
+    command with the same field as --in, and to its experiment; each must
+    accept it when it breaks no rule, and otherwise refuse it in one
+    broken rule's words, with its own names, and before any field work."""
+    broken = _broken(run)
+    field = load_field_csv(path)
+    spec = BlockSpec(*run.block) if run.block else None
+    kv = [f"methods={run.method}", f"boot.B={run.B}"]
+    if run.block and run.method != "fdwb":    # fdwb reads no block
+        kv.append("block.sizes=%dx%d" % run.block)
+    if run.bandwidth:
+        kv += [f"density.bandwidth{k}={b}"
+               for k, b in enumerate(run.bandwidth, 1)]
+    if run.command == "ci":
+        kv += ["psi=cos_lag{h=(%d,%d)}" % run.lags[0], f"ci.level={run.level}"]
+    else:
+        kv += ["test.h%d=(%d,%d)" % (k, *h) for k, h in enumerate(run.lags, 1)]
+    sets = [a for item in kv for a in ("--set", item)]
+    built = []
+
+    class Counted(FieldResampler):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def no_field(*args, **kwargs):
+        raise _Ran
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")    # the unequal-norms warning
+        mp.setattr(cli_module, "FieldResampler", Counted)
+        mp.setattr(cli_module, "simulate_process", no_field)
+        try:
+            if run.command == "ci":
+                got = resampled_interval(
+                    FieldResampler(field, psi_cos_lag(run.lags[0]), run.B, 4,
+                                   0, run.bandwidth), run.method, spec,
+                    run.level)
+                got = {"lower": got.lower, "upper": got.upper}
+            else:
+                got = isotropy_test(field, *run.lags, run.method, spec, run.B,
+                                    4, 0, run.bandwidth)
+                got = {"ts": got.ts, "p_value": got.p_value}
+        except (ConfigError, NumericalError) as exc:
+            got = exc
+        code, out, err = _command(sets + ["--seed", "4", run.command,
+                                          "--in", path])
+        experiment = _command(
+            sets + ["--set", "process.kind=spherical",
+                    "--set", "grid.sizes=%dx%d" % run.grid,
+                    "--set", "replicates=1", "--out", out_dir + "/r",
+                    "coverage" if run.command == "ci"
+                    else "isotropy-experiment"])
+    if not broken:
+        # a run that breaks no rule runs, and runs the same in both
+        assert experiment[0] is None, experiment
+        assert not isinstance(got, ConfigError), got
+        if isinstance(got, NumericalError):
+            assert code == 3 and out == "", err
+        else:
+            assert code == 0, err
+            cli = json.loads(out)
+            assert {k: cli[k] for k in got} == got
+        return
+    words = {side: {rule(_NAMES[side]) for rule in broken} for side in _NAMES}
+    assert isinstance(got, ConfigError) and str(got) in words["library"], got
+    assert (code, out, built) == (2, "", []), err
+    assert err.startswith("config error: ")
+    assert err[len("config error: "):-1] in words["command"], err
+    assert experiment[:2] == (2, "") and not os.listdir(out_dir), experiment
+    assert experiment[2][len("config error: "):-1] in words["experiment"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=_runs())
+# runs that must be refused: a lag past the grid, one past the block and
+# isotropy lags past the grid, each read as another lag; a subsample block
+# with one translate; a zero isotropy lag; and an off-axis lag that a
+# 12 x 12 grid reads as (4, -1)
+@example(run=_Run("ci", (12, 12), (4, 4), ((40, 0),), "fdwb", 100, None, 0.9))
+@example(run=_Run("ci", (12, 12), (4, 4), ((5, 0),), "hfdb_bias", 100, None,
+                  0.9))
+@example(run=_Run("isotropy", (12, 12), (4, 4), ((20, 0), (0, 20)), "fdwb",
+                  100, None, 0.9))
+@example(run=_Run("isotropy", (12, 12), (12, 12), ((1, 0), (0, 1)),
+                  "subsample", 100, None, 0.9))
+@example(run=_Run("isotropy", (12, 12), None, ((0, 0), (0, 1)), "fdwb", 100,
+                  None, 0.9))
+@example(run=_Run("ci", (12, 12), (4, 4), ((8, 1),), "fdwb", 100, None, 0.9))
+def test_library_and_cli_refuse_the_same_runs(field_files, tmp_path_factory,
+                                              run):
+    _check_agreement(run, field_files(run.grid),
+                     str(tmp_path_factory.mktemp("out")))

@@ -146,7 +146,7 @@ class TestSpectralMean:
         p1, p2 = psi_cos_lag((1, 0)), psi_cos_lag((0, 1))
         import freqboot.spectral as sp
         combined = sp.PsiFunction(
-            "combo", lambda w1, w2: p1.fn(w1, w2) + 2.5 * p2.fn(w1, w2), True)
+            "combo", lambda w1, w2: p1.fn(w1, w2) + 2.5 * p2.fn(w1, w2))
         lhs = spectral_mean(pg, combined).value
         rhs = spectral_mean(pg, p1).value + 2.5 * spectral_mean(pg, p2).value
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -168,7 +168,7 @@ class TestAnalyticSigma1:
 
     def test_zero_psi(self):
         import freqboot.spectral as sp
-        zero = sp.PsiFunction("zero", lambda w1, w2: 0.0 * w1, True)
+        zero = sp.PsiFunction("zero", lambda w1, w2: 0.0 * w1)
         assert analytic_sigma1_sq(WhiteNoise(1.0), zero) == pytest.approx(0.0, abs=1e-12)
 
     def test_gaussian_limits_have_zero_sigma2(self):

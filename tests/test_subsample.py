@@ -2,6 +2,7 @@
 variograms, and minimum-volatility selection."""
 
 import itertools
+import re
 import sys
 import threading
 import weakref
@@ -16,7 +17,8 @@ from hypothesis import strategies as hst
 
 from freqboot import (BlockSpec, ConfigError, FieldResampler, LatticeField,
                       WhiteNoise, bias_estimate, block_variogram,
-                      block_variogram_contrast, default_block_candidates,
+                      block_variogram_contrast, build_frequency_grid,
+                      default_block_candidates,
                       periodogram, sample_variogram,
                       select_block_size_min_volatility, simulate_gaussian,
                       spectral_mean, subsample_edf, subsample_ensemble,
@@ -31,9 +33,19 @@ from freqboot.spectral import SpectralMeanValue
 from conftest import enumerate_blocks
 
 # an off-axis lag, an even contrast, and a non-even psi whose paired
-# half-grid columns carry psi(k) + psi(-k) with psi(k) != psi(-k)
-_PSIS = [psi_cos_lag((1, 2)), psi_isotropy_contrast((1, 0), (0, 1)),
-         psi_spectral_cdf((0.5, -1.0))]
+# half-grid columns carry psi(k) + psi(-k) with psi(k) != psi(-k); each
+# with the smallest block whose Fourier grid reads its lags as themselves
+_PSIS = [(psi_cos_lag((1, 2)), (3, 5)),
+         (psi_isotropy_contrast((1, 0), (0, 1)), (2, 2)),
+         (psi_spectral_cdf((0.5, -1.0)), (2, 2))]
+
+
+def _psi_blocks(top1: int, top2: int):
+    """(psi, b1, b2): a psi of ``_PSIS`` and extents from its smallest
+    block up to top1 x top2."""
+    return hst.sampled_from(_PSIS).flatmap(lambda p: hst.tuples(
+        hst.just(p[0]), hst.integers(p[1][0], top1),
+        hst.integers(p[1][1], top2)))
 
 
 class TestEnumerateBlocks:
@@ -92,12 +104,13 @@ class TestEnsemble:
             spectral_mean(periodogram(sub), psi).value, rel=1e-10)
 
     @settings(max_examples=80, deadline=None)
-    @given(b1=hst.integers(2, 9), b2=hst.integers(2, 9),
+    @given(psi_blocks=_psi_blocks(9, 9),
            extra1=hst.integers(0, 3), extra2=hst.integers(0, 3),
-           psi=hst.sampled_from(_PSIS), seed=hst.integers(0, 2 ** 32 - 1))
-    def test_per_frequency_mean_matches_stored_blocks(self, b1, b2, extra1,
-                                                      extra2, psi, seed):
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_per_frequency_mean_matches_stored_blocks(self, psi_blocks, extra1,
+                                                      extra2, seed):
         # extra = 0 on both axes is the single-block case L = 1
+        psi, b1, b2 = psi_blocks
         n1, n2 = b1 + extra1, b2 + extra2
         f = LatticeField(np.random.default_rng(seed).standard_normal((n1, n2)))
         spec = BlockSpec(b1, b2)
@@ -122,13 +135,14 @@ class TestEnsemble:
 
 
     @settings(max_examples=60, deadline=None)
-    @given(data=hst.data(), b1=hst.integers(2, 6), b2=hst.integers(2, 6),
+    @given(data=hst.data(), psi_blocks=_psi_blocks(6, 6),
            extra1=hst.integers(0, 10), extra2=hst.integers(0, 4),
-           psi=hst.sampled_from(_PSIS), seed=hst.integers(0, 2 ** 32 - 1))
-    def test_welford_merge_under_any_batch_size(self, data, b1, b2, extra1,
-                                                extra2, psi, seed):
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_welford_merge_under_any_batch_size(self, data, psi_blocks, extra1,
+                                                extra2, seed):
         # the budget sets how many origin rows a batch holds, from one row
         # to all of them; every split must merge to the one-batch result
+        psi, b1, b2 = psi_blocks
         n1, n2 = b1 + extra1, b2 + extra2
         f = LatticeField(np.random.default_rng(seed).standard_normal((n1, n2)))
         spec = BlockSpec(b1, b2)
@@ -144,13 +158,14 @@ class TestEnsemble:
             assert np.max(np.abs(b - a)) <= 1e-12 * np.max(np.abs(a)), name
 
     @settings(max_examples=40, deadline=None)
-    @given(data=hst.data(), b1=hst.integers(2, 7), b2=hst.integers(2, 7),
+    @given(data=hst.data(), psi_blocks=_psi_blocks(7, 7),
            extra1=hst.integers(1, 14), extra2=hst.integers(0, 9),
-           psi=hst.sampled_from(_PSIS), seed=hst.integers(0, 2 ** 32 - 1))
-    def test_bits_do_not_depend_on_threads(self, data, b1, b2, extra1, extra2,
-                                           psi, seed):
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_bits_do_not_depend_on_threads(self, data, psi_blocks, extra1,
+                                           extra2, seed):
         # a small budget splits the origin rows into many batches; the
         # threads compute them and this thread merges them in batch order
+        psi, b1, b2 = psi_blocks
         n1, n2 = b1 + extra1, b2 + extra2
         f = LatticeField(np.random.default_rng(seed).standard_normal((n1, n2)))
         spec = BlockSpec(b1, b2)
@@ -165,6 +180,29 @@ class TestEnsemble:
         for ens in runs[1:]:
             assert np.array_equal(ens.block_means, runs[0].block_means)
             assert np.array_equal(ens.per_freq_m2, runs[0].per_freq_m2)
+
+    @pytest.mark.parametrize("spec, alias", [
+        (BlockSpec(2, 5), (-1, 2)), (BlockSpec(3, 4), (1, -2)),
+        (BlockSpec(5, 3), (1, -1))])
+    def test_blocks_that_read_a_lag_as_another_are_refused(self, spec, alias):
+        # the block's Fourier grid cannot tell cos_lag (1, 2) from the
+        # other lag, so no ensemble, ladder or minimum-volatility
+        # candidate computes a statistic on it
+        grid = build_frequency_grid(spec.b1, spec.b2)
+        w1, w2 = grid.omega1[:, None], grid.omega2[None, :]
+        psi = psi_cos_lag((1, 2))
+        np.testing.assert_allclose(psi.fn(w1, w2),
+                                   psi_cos_lag(alias).fn(w1, w2), atol=1e-12)
+        f = LatticeField(np.random.default_rng(2).standard_normal((9, 9)))
+        words = (f"spec: the {spec.b1}x{spec.b2} Fourier grid reads cosine "
+                 f"lag h=(1, 2) as another lag")
+        for run in (lambda: subsample_ensemble(f, spec, psi),
+                    lambda: FieldResampler(f, psi, 100, 0).ensembles(
+                        [BlockSpec(5, 5), spec]),
+                    lambda: select_block_size_min_volatility(
+                        f, psi, [spec, BlockSpec(5, 5), BlockSpec(6, 6)])):
+            with pytest.raises(ConfigError, match=re.escape(words)):
+                run()
 
     def test_bits_do_not_depend_on_threads_at_full_size(self, monkeypatch):
         # 128 x 128 with 9 x 9 blocks: the default budget gives 3 batches;
@@ -214,15 +252,16 @@ class TestEnsemble:
 class TestLadder:
     @settings(max_examples=40, deadline=None)
     @given(data=hst.data(), n1=hst.integers(7, 16), n2=hst.integers(7, 16),
-           cpus=hst.integers(1, 4), psi=hst.sampled_from(_PSIS),
+           cpus=hst.integers(1, 4), psi_least=hst.sampled_from(_PSIS),
            waves=hst.sampled_from(["one", "per spec"]),
            seed=hst.integers(0, 2 ** 32 - 1))
-    def test_ladder_bits_equal_one_at_a_time(self, data, n1, n2, cpus, psi,
-                                             waves, seed):
+    def test_ladder_bits_equal_one_at_a_time(self, data, n1, n2, cpus,
+                                             psi_least, waves, seed):
         # the batches of every ensemble of a wave are tasks of one call,
         # merged per ensemble in batch order; a small budget gives every
         # ensemble several batches
-        sizes = hst.tuples(hst.integers(2, 7), hst.integers(2, 7))
+        psi, (least1, least2) = psi_least
+        sizes = hst.tuples(hst.integers(least1, 7), hst.integers(least2, 7))
         specs = [BlockSpec(*s) for s in data.draw(
             hst.lists(sizes, min_size=2, max_size=5, unique=True))]
         budget = data.draw(hst.integers(1, 200))
@@ -296,7 +335,7 @@ class TestLadder:
             return rfft(*args, **kwargs)
 
         f = LatticeField(np.random.default_rng(5).standard_normal((20, 20)))
-        specs, psi = [BlockSpec(4, 4), BlockSpec(5, 3)], psi_cos_lag((1, 2))
+        specs, psi = [BlockSpec(5, 5), BlockSpec(3, 5)], psi_cos_lag((1, 2))
         monkeypatch.setattr(pool_module, "cpus", lambda: 2)
         want = [subsample_ensemble(f, s, psi) for s in specs]
         monkeypatch.setattr(np.fft, "rfft", meeting_rfft)

@@ -22,7 +22,9 @@ kind an isotropy experiment cannot run; and each precondition of the
 resampling methods (a block that does not fit its grid, a subsample block
 with one translate, a hybrid method without a block, a zero lag or one
 outside its blocks, equal test lags, B below 100 and a bandwidth outside
-(0, pi]).
+(0, pi]); and a cosine lag of psi that a Fourier grid reads as another
+lag (one past the field's grid, one past a block's, and an off-axis lag
+within the grid's extents).
 
 Exit status: 0 when every case ran and matched, 1 when a case differs, a
 command failed in either tree or a refusal did not exit 2, 2 on bad
@@ -265,6 +267,10 @@ REFUSALS = {
         "isotropy-experiment"],
     "isotropy_process_kind": _RUN + _sets("process.kind=separable") + [
         "isotropy-experiment"],
+    "grid_lag": _RUN + _sets("psi=cos_lag{h=(40,0)}") + ["coverage"],
+    "block_lag": _RUN + _sets("psi=cos_lag{h=(5,0)}", "methods=hfdb_bias") + [
+        "coverage"],
+    "off_axis_alias": _RUN + _sets("psi=cos_lag{h=(8,1)}") + ["coverage"],
 }
 
 
