@@ -55,8 +55,8 @@ from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
                        model_autocovariance, simulate_process)
 from .spectral import (check_cos_lags, check_distinct_lags, psi_from_name,
                        psi_isotropy_contrast, spectral_mean)
-from .subsample import (BlockSpec, check_block, check_lag, check_window,
-                        default_block_candidates,
+from .subsample import (BlockSpec, check_block, check_extents, check_lag,
+                        check_window, default_block_candidates,
                         select_block_size_min_volatility)
 
 SCHEMA_VERSION = 1
@@ -150,6 +150,13 @@ def _extents(sizes, command, least: int, why: str = ""):
     return _entries(sizes, command)
 
 
+def _blocks(sizes, command):
+    """A list of block sizes that ``subsample.check_extents`` accepts."""
+    for size in sizes:
+        check_extents(size, "block.sizes")
+    return _entries(sizes, command)
+
+
 def _methods(methods, command):
     # the isotropy commands take the test methods
     allowed = TEST_METHODS if "isotropy" in (command or "") else CI_METHODS
@@ -191,7 +198,7 @@ KEYS = {
     # are known (_block_spec)
     "block.sizes": Key({"coverage": SIZES, "isotropy-experiment": SIZES,
                         None: BLOCKS}, (), lambda s, c: (
-                            None if s in ("minvol", ()) else _extents(s, c, 2))),
+                            None if s in ("minvol", ()) else _blocks(s, c))),
     "block.window": Key(INT, 3, lambda w, c: check_window(w, "block.window")),
     "methods": Key(NAMES, {"ci": ("hfdb",), "isotropy": ("hfdb",),
                            None: ("fdwb", "hfdb", "subsample")}, _methods),
@@ -526,10 +533,11 @@ _KINDS = {
 }
 
 
-def _replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
-    """Replicate i's records: one per tau, grid size, block and method."""
+def _replicate(cfg: ExperimentConfig, psi, i: int) -> list[dict]:
+    """Replicate i's records: one per tau, grid size, block and method,
+    for ``psi``, the run's psi resolved once per chunk, so that its
+    tables on the field and block grids are built once per chunk."""
     kind = _KINDS[cfg.kind]
-    psi = psi_from_name(cfg.psi_name)
     drawn = kind.columns[kind.columns.index("var_star") + 1:]
     # var_star is written on every row of a run that has a bootstrap
     # method, subsample rows included
@@ -568,11 +576,9 @@ def _replicate(cfg: ExperimentConfig, i: int) -> list[dict]:
 
 def _chunk(args) -> list[dict]:
     cfg, indices = args
-    out = []
+    psi = psi_from_name(cfg.psi_name)
     with _pool.working():
-        for i in indices:
-            out.extend(_replicate(cfg, i))
-    return out
+        return [rec for i in indices for rec in _replicate(cfg, psi, i)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ by squared bootstrap replicates or squared block statistics.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -56,15 +57,34 @@ def check_level(level: float, name: str, lower: float = 0.0) -> None:
         raise ConfigError(f"{name} must be in ({lower:g}, 1), got {level}")
 
 
+def _type7_quantiles(values: np.ndarray, probs) -> list[float]:
+    """The quantiles of ``values`` at ``probs`` in [0, 1] by Hyndman and
+    Fan's type 7, numpy's default ``linear`` method, with numpy's own
+    operations: one sort, the virtual index (n - 1) p, its floor and
+    fraction gamma (an index at n - 1 or past reads the largest value),
+    and the lerp that subtracts from the upper neighbour where gamma >=
+    0.5.  Each equals ``np.quantile(values, probs)`` bit for bit, but
+    for the sign of a zero quantile where -0.0 and 0.0 tie: they compare
+    equal, and np.quantile's partial sort may order them otherwise."""
+    v = np.sort(values)
+    out = []
+    for p in probs:
+        virtual = (v.size - 1) * p
+        lo = -1 if virtual >= v.size - 1 else math.floor(virtual)
+        a, b = float(v[lo]), float(v[lo + 1 if lo >= 0 else -1])
+        gamma, diff = virtual - lo, b - a
+        out.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    return out
+
+
 def _centered_interval(mhat: SpectralMeanValue, values: np.ndarray,
                        level: float, method: str) -> ConfidenceInterval:
     check_level(level, "level", 0.5)
     alpha = 1.0 - level
     root_n = np.sqrt(mhat.n)
-    # both tails from one type-7 (numpy default) call, bit-identical to two
-    q_lo, q_hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
-    upper = mhat.value - float(q_lo) / root_n
-    lower = mhat.value - float(q_hi) / root_n
+    q_lo, q_hi = _type7_quantiles(values, (alpha / 2.0, 1.0 - alpha / 2.0))
+    upper = mhat.value - q_lo / root_n
+    lower = mhat.value - q_hi / root_n
     return ConfidenceInterval(lower=lower, upper=upper, level=level, method=method)
 
 

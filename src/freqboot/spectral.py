@@ -36,7 +36,8 @@ class PsiFunction:
     name: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cos_terms: tuple[tuple[float, tuple[int, int]], ...] = ()
-    # on_grid's values per grid shape; not part of equality, repr or pickles
+    # on_grid's values per grid shape, and the tables derived from them;
+    # not part of equality, repr or pickles
     _on_grid: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -66,6 +67,16 @@ class PsiFunction:
             vals.flags.writeable = False
             self._on_grid[key] = vals
         return vals
+
+    def derived(self, what: str, grid, build, name: str = "fieldz"):
+        """``build(values, grid)`` of this psi's ``on_grid`` values: a table
+        that depends on psi and the grid's shape alone, built once per
+        shape and ``what``, the builder's name, and shared by every
+        caller, who must not write to it."""
+        key = (what, grid.n1, grid.n2)
+        if key not in self._on_grid:
+            self._on_grid[key] = build(self.on_grid(grid, name), grid)
+        return self._on_grid[key]
 
 
 @dataclass(frozen=True)
@@ -103,11 +114,15 @@ def psi_spectral_cdf(t) -> PsiFunction:
 
 
 def check_distinct_lags(h1, h2, name1: str, name2: str) -> None:
-    """Refuse equal lags ``h1`` and ``h2``, named ``name1`` and ``name2``:
-    an isotropy contrast compares the variogram at two lags."""
-    if tuple(h1) == tuple(h2):
-        raise ConfigError(f"{name1} and {name2} must be two distinct lags, "
-                          f"both are {tuple(h1)}")
+    """Refuse lags ``h1`` and ``h2``, named ``name1`` and ``name2``, that
+    are equal up to sign: an isotropy contrast compares the variogram at
+    two lags, and cos(h . omega) = cos(-h . omega) makes the contrast of
+    h and -h identically 0."""
+    a, b = tuple(h1), tuple(h2)
+    if a in (b, (-b[0], -b[1])):
+        raise ConfigError(f"{name1} and {name2} must be two distinct lags" + (
+            f", both are {a}" if a == b else
+            f" up to sign, got {a} and {b}: their contrast is 0"))
 
 
 def check_cos_lags(lags, window, window_name: str) -> None:

@@ -59,8 +59,7 @@ class BlockSpec:
     b2: int
 
     def __post_init__(self):
-        if self.b1 < 2 or self.b2 < 2:
-            raise ConfigError(f"block extents must be >= 2, got ({self.b1}, {self.b2})")
+        check_extents((self.b1, self.b2), "spec")
 
     @property
     def b(self) -> int:
@@ -69,6 +68,14 @@ class BlockSpec:
 
 # The preconditions of block subsampling.  Each is tested and worded here
 # once; a caller names what it checks, as an argument or a config key.
+
+def check_extents(size, name: str) -> None:
+    """Refuse a (b1, b2) block ``size``, named ``name``, with an extent
+    below 2: a block's Fourier grid, like a field's, needs two points on
+    each axis."""
+    if min(size) < 2:
+        raise ConfigError(f"{name}: extents must be >= 2, got {size[0]}x{size[1]}")
+
 
 def check_lag(h, name: str, block=None, block_name: str = "") -> None:
     """Refuse a zero lag ``h``, named ``name``, and one with no pair of
@@ -122,8 +129,7 @@ class SubsampleEnsemble:
     L: int
     block_means: np.ndarray = field(repr=False)          # per-block spectral means
     per_freq_m2: np.ndarray = field(repr=False)          # sum (I - Itilde)^2
-    psi_block: np.ndarray = field(repr=False)
-    psi_block_neg: np.ndarray = field(repr=False)
+    sigma1_weights: np.ndarray = field(repr=False)       # see _block_tables
 
     @property
     def b(self) -> int:
@@ -159,38 +165,31 @@ def _welford_merge(count_a, mean_a, m2_a, count_b, mean_b, m2_b):
     return count, mean, m2
 
 
-def _half_grid_weights(psi_block: np.ndarray,
-                       psi_block_neg: np.ndarray) -> np.ndarray:
-    """psi folded onto the columns k2 = 0..b2//2 of the block grid.
+def _block_tables(psi_block: np.ndarray, grid: FrequencyGrid):
+    """psi's read-only tables on a block grid, built once per (psi, block
+    shape): its weights on the half grid k2 = 0..b2//2, as (k2, k1), for
+    the block means, and the sigma1^2 weights of the full grid.
 
     A paired column k2 (0 < k2 < b2/2) stands for itself and for its
     mirror -k2, whose intensity at (k1, -k2) is I(-k1, k2); so it carries
     psi(k) + psi(-k).  Column 0 and, for even b2, column b2/2 are their
-    own mirrors and carry psi(k).  The origin carries 0.
+    own mirrors and carry psi(k).  sigma1^2 weighs frequency k by
+    psi(k) (psi(k) + psi(-k)), but self-conjugate (Nyquist) ordinates
+    appear once in the spectral sum and their empirical variance already
+    carries the real-coefficient doubling, so they enter with psi^2; the
+    paired weight would double count them and bias sigma1 upward by
+    O(1/b) on even-extent blocks.  The origin carries 0 in both.
     """
-    b2 = psi_block.shape[1]
-    w = psi_block[:, :b2 // 2 + 1].copy()
-    paired = slice(1, (b2 + 1) // 2)
-    w[:, paired] += psi_block_neg[:, paired]
-    w[0, 0] = 0.0
-    return w
-
-
-def _mirror_to_full(half: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """Expand per-frequency values on columns 0..b2//2 to the full FFT
-    layout using a(-k) = a(k).
-
-    Each mirror pair is read from one side only (the paired columns, and
-    the rows k1 <= b1//2 of the self-mirrored columns), so the result is
-    exactly mirror symmetric.
-    """
-    b1, b2 = grid.n1, grid.n2
-    k1 = np.arange(b1)[:, None]
-    k2 = np.arange(b2)[None, :]
-    paired = (k2 > 0) & (2 * k2 < b2)
-    own = (k2 <= b2 // 2) & (paired | (k1 <= b1 // 2))
-    return half[np.where(own, k1, grid.neg1[:, None]),
-                np.where(own, k2, grid.neg2[None, :])]
+    psi_neg = grid.negate_array(psi_block)
+    half = psi_block[:, :grid.n2 // 2 + 1].copy()
+    paired = slice(1, (grid.n2 + 1) // 2)
+    half[:, paired] += psi_neg[:, paired]
+    sigma1 = psi_block * (psi_block + psi_neg)
+    sigma1[grid.self_conjugate_mask] = psi_block[grid.self_conjugate_mask] ** 2
+    half[0, 0] = sigma1[0, 0] = 0.0
+    half.flags.writeable = sigma1.flags.writeable = False
+    # transforms come out as (origin, k2, k1); keep that order throughout
+    return half.T, sigma1
 
 
 def _ensemble_batch(values: np.ndarray, r0: int, r1: int, b1: int, b2: int,
@@ -227,9 +226,8 @@ class _Blocks(NamedTuple):
 
     spec: BlockSpec
     grid: FrequencyGrid
-    psi_block: np.ndarray
-    psi_block_neg: np.ndarray
     weights: np.ndarray       # psi on the half grid, as (k2, k1)
+    sigma1_weights: np.ndarray
     rows: int                 # origin rows
     cols: int                 # origins per row
     rows_per_batch: int
@@ -241,12 +239,8 @@ class _Blocks(NamedTuple):
         b1, b2 = spec.b1, spec.b2
         check_block((b1, b2), (n1, n2), (), "spec")
         grid = build_frequency_grid(b1, b2)
-        psi_block = psi.on_grid(grid, "spec")
-        psi_block_neg = grid.negate_array(psi_block)
-        # transforms come out as (origin, k2, k1); keep that order throughout
-        weights = _half_grid_weights(psi_block, psi_block_neg).T
         cols = n2 - b2 + 1
-        return cls(spec, grid, psi_block, psi_block_neg, weights,
+        return cls(spec, grid, *psi.derived("block", grid, _block_tables, "spec"),
                    n1 - b1 + 1, cols,
                    max(1, _CHUNK_BUDGET // (cols * b1 * (b2 // 2 + 1))))
 
@@ -291,8 +285,8 @@ def _wave(values: np.ndarray, blocks: list[_Blocks]) -> list[SubsampleEnsemble]:
             count, mean, m2 = _welford_merge(count, mean, m2, *stats[i, r0])
         out.append(SubsampleEnsemble(
             spec=blk.spec, grid=blk.grid, L=blk.L, block_means=means[i],
-            per_freq_m2=_mirror_to_full(m2.T, blk.grid),
-            psi_block=blk.psi_block, psi_block_neg=blk.psi_block_neg))
+            per_freq_m2=m2.T[blk.grid.mirror_index],
+            sigma1_weights=blk.sigma1_weights))
     return out
 
 
@@ -351,17 +345,9 @@ def variance_estimates(ens: SubsampleEnsemble) -> VarianceEstimates:
     """
     dev = ens.block_means - ens.subsample_grand_mean
     sigma_sq = float(ens.b * np.mean(dev * dev))
-
-    weights = ens.psi_block * (ens.psi_block + ens.psi_block_neg)
-    # self-conjugate (Nyquist) ordinates appear once in the spectral sum
-    # and their empirical variance already carries the real-coefficient
-    # doubling, so they enter with psi^2; the paired weight would double
-    # count them and bias sigma1 upward by O(1/b) on even-extent blocks
-    sc = ens.grid.self_conjugate_mask
-    weights[sc] = ens.psi_block[sc] ** 2
-    weights[0, 0] = 0.0
     per_freq_var = ens.per_freq_m2 / ens.L
-    sigma1_sq = float((_TWO_PI ** 2) ** 2 / ens.b * np.sum(weights * per_freq_var))
+    sigma1_sq = float((_TWO_PI ** 2) ** 2 / ens.b
+                      * np.sum(ens.sigma1_weights * per_freq_var))
 
     return VarianceEstimates(sigma_sq_hat=sigma_sq, sigma1_sq_hat=sigma1_sq,
                              sigma2_sq_hat=sigma_sq - sigma1_sq)

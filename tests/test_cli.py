@@ -36,7 +36,7 @@ from freqboot.cli import (ExperimentConfig, ExperimentReport, Settings,
                           true_spectral_mean)
 from freqboot.errors import ConfigError, NumericalError
 from freqboot.infer import CI_METHODS, TEST_METHODS, resampled_interval
-from freqboot.spectral import psi_cos_lag
+from freqboot.spectral import PsiFunction, psi_cos_lag
 from freqboot.simulate import (SeparableARMA, SphericalAniso, WhiteNoise,
                                matern_model, model_autocovariance)
 
@@ -621,7 +621,7 @@ class TestCoverageExperiment:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         log = tmp_path / "cpus"
 
-        def replicate(cfg, i, _replicate=cli_module._replicate):
+        def replicate(cfg, psi, i, _replicate=cli_module._replicate):
             busy = pool_module._busy
             if busy is None:
                 seen = (0, pool_module.cpus())
@@ -635,7 +635,7 @@ class TestCoverageExperiment:
                     seen = (busy.value, pool_module.cpus())
             with open(log, "a") as fh:
                 fh.write("%d:%d\n" % seen)
-            return _replicate(cfg, i)
+            return _replicate(cfg, psi, i)
 
         monkeypatch.setattr(cli_module, "_replicate", replicate)
         run_coverage_experiment(_cfg(replicates=replicates, workers=workers,
@@ -793,6 +793,37 @@ class TestChunking:
                   for k in data.draw(hst.permutations(sorted(set(labels))))]
         for cfg in (self._COVERAGE, self._ISOTROPY):
             assert self._run(cfg, chunks) == self._run(cfg, [list(range(R))])
+
+
+def test_a_chunk_builds_each_psi_table_once(monkeypatch):
+    # a chunk resolves its run's psi once, so psi is evaluated once on the
+    # field's grid and on each block grid, and each block shape's tables
+    # (the sigma1^2 weights among them) are built once, not per replicate
+    cfg = _cfg(sizes=((12, 12),), blocks=((3, 3), (4, 4), (5, 5)),
+               methods=("fdwb", "hfdb", "hfdb_bias", "subsample"), B=100,
+               truth=0.0, replicates=8)
+    resolved, evaluated, built = [], [], []
+
+    def resolve(name, _resolve=cli_module.psi_from_name):
+        psi = _resolve(name)
+        resolved.append(name)
+
+        def fn(w1, w2):
+            evaluated.append((np.shape(w1)[0], np.shape(w2)[1]))
+            return psi.fn(w1, w2)
+        return PsiFunction(psi.name, fn, psi.cos_terms)
+
+    def tables(psi_block, grid, _build=subsample_module._block_tables):
+        built.append((grid.n1, grid.n2))
+        return _build(psi_block, grid)
+
+    monkeypatch.setattr(cli_module, "psi_from_name", resolve)
+    monkeypatch.setattr(subsample_module, "_block_tables", tables)
+    records = _chunk((cfg, list(range(8))))
+    assert len(records) == 8 * 3 * 4
+    assert resolved == [cfg.psi_name]
+    assert sorted(evaluated) == [(3, 3), (4, 4), (5, 5), (12, 12)]
+    assert sorted(built) == [(3, 3), (4, 4), (5, 5)]
 
 
 class TestReports:
@@ -1307,8 +1338,15 @@ _RUN = {"process.kind": "spherical", "grid.sizes": "12x12",
      {"test.h1": "(1,0)", "test.h2": "(1,0)"}, "isotropy-experiment",
      "{} and {} must be two distinct lags, both are (1, 0)", ("h1", "h2"),
      ("test.h1", "test.h2")),
+    (lambda: psi_isotropy_contrast((1, 0), (-1, 0)),
+     {"test.h1": "(1,0)", "test.h2": "(-1,0)"}, "isotropy-experiment",
+     "{} and {} must be two distinct lags up to sign, got (1, 0) and "
+     "(-1, 0): their contrast is 0", ("h1", "h2"), ("test.h1", "test.h2")),
+    (lambda: BlockSpec(1, 4), {"block.sizes": "1x4"}, "coverage",
+     "{}: extents must be >= 2, got 1x4", ("spec",), ("block.sizes",)),
 ], ids=["block_fits", "two_translates", "nonzero_lag", "lag_in_block",
-        "boot_B", "block_given", "bandwidth", "distinct_lags"])
+        "boot_B", "block_given", "bandwidth", "distinct_lags",
+        "opposite_lags", "block_extents"])
 def test_a_rule_words_the_library_and_the_cli_alike(
         tmp_path, capsys, library, settings, command, wording, arg, key):
     # each resampling precondition is worded once: the library's refusal
@@ -1397,6 +1435,10 @@ def _broken(run: _Run) -> list:
     if iso and run.lags[0] == run.lags[1]:
         out.append(lambda n: f"{n['h1']} and {n['h2']} must be two distinct "
                              f"lags, both are {run.lags[0]}")
+    elif iso and run.lags[0] == tuple(-x for x in run.lags[1]):
+        out.append(lambda n: f"{n['h1']} and {n['h2']} must be two distinct "
+                             f"lags up to sign, got {run.lags[0]} and "
+                             f"{run.lags[1]}: their contrast is 0")
 
     def alias(window, role, h):
         return lambda n: (
@@ -1417,6 +1459,9 @@ def _broken(run: _Run) -> list:
         out.append(lambda n: f"{n['block']}: methods={m} needs a block size")
         return out
     b1, b2 = run.block
+    if min(b1, b2) < 2:
+        out.append(lambda n: f"{n['block']}: extents must be >= 2, got "
+                             f"{b1}x{b2}")
     if b1 > n1 or b2 > n2:
         out.append(lambda n: f"{n['block']}: block {b1}x{b2} does not fit "
                              f"grid {n1}x{n2}")
@@ -1439,15 +1484,15 @@ def _broken(run: _Run) -> list:
 
 @hst.composite
 def _runs(draw):
-    # a setting breaks its rule one time in eight, and a lag component is
-    # drawn past the blocks one time in four, so that about one run in
-    # five breaks no rule
+    # a setting breaks its rule one time in eight, a lag component is
+    # drawn past the blocks one time in four, and a block extent may be
+    # 1, so that about one run in seven breaks no rule
     def sometimes(good, bad):
         return draw(hst.sampled_from((good,) * 7 + (bad,)))
 
     iso = draw(hst.booleans())
     n1, n2 = draw(hst.tuples(hst.integers(4, 13), hst.integers(4, 13)))
-    size = hst.tuples(hst.integers(2, n1 + 1), hst.integers(2, n2 + 1))
+    size = hst.tuples(hst.integers(1, n1 + 1), hst.integers(1, n2 + 1))
     block = sometimes(draw(size), None)
     part = hst.sampled_from((hst.integers(-2, 2),) * 3 + (
         hst.integers(-2 * max(n1, n2), 2 * max(n1, n2)),)).flatmap(lambda p: p)
@@ -1492,10 +1537,11 @@ def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
     broken rule's words, with its own names, and before any field work."""
     broken = _broken(run)
     field = load_field_csv(path)
-    spec = BlockSpec(*run.block) if run.block else None
+    # fdwb reads no block, so neither side is given one
+    block = run.block if run.method != "fdwb" else None
     kv = [f"methods={run.method}", f"boot.B={run.B}"]
-    if run.block and run.method != "fdwb":    # fdwb reads no block
-        kv.append("block.sizes=%dx%d" % run.block)
+    if block:
+        kv.append("block.sizes=%dx%d" % block)
     if run.bandwidth:
         kv += [f"density.bandwidth{k}={b}"
                for k, b in enumerate(run.bandwidth, 1)]
@@ -1519,6 +1565,7 @@ def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
         mp.setattr(cli_module, "FieldResampler", Counted)
         mp.setattr(cli_module, "simulate_process", no_field)
         try:
+            spec = BlockSpec(*block) if block else None
             if run.command == "ci":
                 got = resampled_interval(
                     FieldResampler(field, psi_cos_lag(run.lags[0]), run.B, 4,
@@ -1575,6 +1622,10 @@ def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
 @example(run=_Run("isotropy", (12, 12), None, ((0, 0), (0, 1)), "fdwb", 100,
                   None, 0.9))
 @example(run=_Run("ci", (12, 12), (4, 4), ((8, 1),), "fdwb", 100, None, 0.9))
+# and isotropy lags h and -h, whose contrast is 0, and a block 1 wide
+@example(run=_Run("isotropy", (12, 12), None, ((1, 0), (-1, 0)), "fdwb", 100,
+                  None, 0.9))
+@example(run=_Run("ci", (12, 12), (1, 4), ((1, 0),), "hfdb", 100, None, 0.9))
 def test_library_and_cli_refuse_the_same_runs(field_files, tmp_path_factory,
                                               run):
     _check_agreement(run, field_files(run.grid),

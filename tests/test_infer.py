@@ -12,7 +12,7 @@ from freqboot import (BlockSpec, ConfigError, FieldResampler, LatticeField,
                       spectral_mean)
 from freqboot import rng as rngmod
 from freqboot.bootstrap import BootstrapDraws
-from freqboot.infer import p_value_from_replicates
+from freqboot.infer import _type7_quantiles, p_value_from_replicates
 from freqboot.spectral import SpectralMeanValue
 
 PSI = psi_cos_lag((1, 0))
@@ -58,6 +58,31 @@ class TestConfidenceInterval:
         a = 1.0 - level
         assert ci.upper == 0.3 - float(np.quantile(vals, a / 2.0)) / np.sqrt(2500)
         assert ci.lower == 0.3 - float(np.quantile(vals, 1.0 - a / 2.0)) / np.sqrt(2500)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=hst.integers(2, 5000),
+           level=hst.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+           pool=hst.lists(hst.floats(allow_nan=False, allow_infinity=False),
+                          min_size=1, max_size=4),
+           spread=hst.sampled_from(("normal", "ties", "constant")),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_type7_helper_is_numpy_quantile(self, n, level, pool, spread,
+                                            seed):
+        # both tails of an interval bit for bit as np.quantile reads them,
+        # for distinct, tied and constant values of either parity; the
+        # sign of a zero quantile may differ where -0.0 and 0.0 tie, as
+        # the two compare equal and may be ordered either way
+        rng = np.random.default_rng(seed)
+        vals = {"normal": lambda: (rng.standard_normal(n)
+                                   * min(abs(pool[0]), 1e300)),
+                "ties": lambda: rng.choice(pool, n),
+                "constant": lambda: np.full(n, pool[0])}[spread]()
+        a = 1.0 - level
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.quantile(vals, [a / 2.0, 1.0 - a / 2.0])
+        got = np.array(_type7_quantiles(vals, (a / 2.0, 1.0 - a / 2.0)))
+        assert np.array_equal((got + 0.0).view(np.int64),
+                              (want + 0.0).view(np.int64)), (got, want)
 
     def test_rejects_few_draws_and_bad_level(self):
         mhat = SpectralMeanValue(0.0, 100)

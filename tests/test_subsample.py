@@ -298,8 +298,7 @@ class TestLadder:
         for s in specs:
             got, want = res.ensemble(s), single[s]
             assert (got.spec, got.L, got.grid) == (want.spec, want.L, want.grid)
-            for name in ("block_means", "per_freq_m2", "psi_block",
-                         "psi_block_neg"):
+            for name in ("block_means", "per_freq_m2", "sigma1_weights"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_min_volatility_holds_one_wave_of_ensembles(self, monkeypatch):

@@ -19,16 +19,20 @@ worker count or oracle replicate count out of range; a list given to a
 single-field command; a tau on an isotropic model; truth.value with
 truth.fixture; a psi an isotropy experiment does not resample; a process
 kind an isotropy experiment cannot run; and each precondition of the
-resampling methods (a block that does not fit its grid, a subsample block
-with one translate, a hybrid method without a block, a zero lag or one
-outside its blocks, equal test lags, B below 100 and a bandwidth outside
-(0, pi]); and a cosine lag of psi that a Fourier grid reads as another
-lag (one past the field's grid, one past a block's, and an off-axis lag
-within the grid's extents).
+resampling methods (a block extent below 2, a block that does not fit its
+grid, a subsample block with one translate, a hybrid method without a
+block, a zero lag or one outside its blocks, equal test lags and test
+lags h and -h, B below 100 and a bandwidth outside (0, pi]); and a cosine
+lag of psi that a Fourier grid reads as another lag (one past the field's
+grid, one past a block's, and an off-axis lag within the grid's extents).
 
-Exit status: 0 when every case ran and matched, 1 when a case differs, a
-command failed in either tree or a refusal did not exit 2, 2 on bad
-arguments.
+A refusal case that the change refuses (exit 2, empty stdout, no files)
+and that the parent runs (exit 0) is a refusal the change adds: it is
+listed as a new refusal, with the change's message, and counted apart.
+
+Exit status: 0 when every case ran and matched or is a new refusal, 1
+when a case differs, a command failed in either tree or a refusal did
+not exit 2, 2 on bad arguments.
 
 The cases cover both Monte Carlo experiments at one and two workers, the
 single-shot commands and ``simulate`` for every process kind, and again
@@ -265,6 +269,11 @@ REFUSALS = {
         "density.bandwidth1=4", "density.bandwidth2=1") + ["coverage"],
     "equal_test_lags": _RUN + _sets("test.h1=(1,0)", "test.h2=(1,0)") + [
         "isotropy-experiment"],
+    # fdwb alone, so that a tree without the rule runs it to p = 1
+    "opposite_test_lags": _RUN + _sets(
+        "test.h1=(1,0)", "test.h2=(-1,0)", "methods=fdwb") + [
+        "isotropy-experiment"],
+    "block_extent_below_2": _RUN + _sets("block.sizes=1x4") + ["coverage"],
     "isotropy_process_kind": _RUN + _sets("process.kind=separable") + [
         "isotropy-experiment"],
     "grid_lag": _RUN + _sets("psi=cos_lag{h=(40,0)}") + ["coverage"],
@@ -304,12 +313,16 @@ def main(argv: list[str]) -> int:
         print("both trees need src/freqboot", file=sys.stderr)
         return 2
     parent, change = argv
-    bad = n_files = 0
+    bad = new = n_files = 0
     cases = {**CASES, **{name: [argv] for name, argv in REFUSALS.items()}}
     for name, steps in cases.items():
         refusal = name in REFUSALS
         p_out, p_files, p_err = run_case(parent, steps)
         c_out, c_files, c_err = run_case(change, steps)
+        if refusal and c_out == [(2, "")] and not c_files and p_out[0][0] == 0:
+            new += 1
+            print(f"{name}: new refusal: {c_err[0].strip()}")
+            continue
         problems = [f"exited {code} in {which}: {err.strip()}"
                     for which, out, errs in (("parent", p_out, p_err),
                                              ("change", c_out, c_err))
@@ -327,8 +340,8 @@ def main(argv: list[str]) -> int:
         bad += bool(problems)
         print(f"{name}: " + ("; ".join(problems) if problems
                              else f"identical ({len(c_files)} files)"))
-    print(f"{len(cases) - bad} of {len(cases)} cases identical, "
-          f"{n_files} files written by the change")
+    print(f"{len(cases) - bad - new} of {len(cases)} cases identical, "
+          f"{new} new refusals, {n_files} files written by the change")
     return 1 if bad else 0
 
 
