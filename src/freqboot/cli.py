@@ -136,9 +136,15 @@ def _when(ok, refusal: str):
 
 
 def _entries(items, command):
-    """A list takes at least one entry, and one in a single-field command."""
+    """A list takes at least one entry, and one in a single-field command.
+    An entry is listed once: a copy would run again as one more replicate
+    of its cell, or write a second row under the same key."""
     if command not in (None, *_COMMAND.values()) and len(items) > 1:
         return f": this command takes one entry, got {len(items)}"
+    for i, item in enumerate(items):
+        if item in items[:i]:
+            shown = "x".join(map(str, item)) if isinstance(item, tuple) else repr(item)
+            return f": {shown} is listed twice; list each entry once"
     return None if items else ": no entries configured"
 
 

@@ -37,12 +37,13 @@ from .spectral import PsiFunction, SpectralMeanValue
 
 _TWO_PI = 2.0 * np.pi
 
-# cap each batch's FFT workspace at roughly this many complex half-grid
-# values (4 MiB, plus one real array of half the size for |f|^2); every
-# batch in flight on a thread holds its own.  With 9 x 9 blocks on a
-# 512 x 512 field this ran about a third faster than 2,000,000 values
-# (2-vCPU Xeon, numpy 2.4).  It also sets the batches, and so the order
-# of the moment merges: changing it moves the moments at rounding level
+# cap each batch's workspace, one C-order complex buffer of its column
+# transforms, at roughly this many half-grid values (4 MiB, plus one
+# real array of half its size for |f|^2); every batch in flight on a
+# thread holds its own.  With 9 x 9 blocks on a 512 x 512 field this ran
+# about a third faster than 2,000,000 values (2-vCPU Xeon, numpy 2.4).
+# It also sets the batches, and so the order of the moment merges:
+# changing it moves the moments at rounding level
 _CHUNK_BUDGET = 262_144
 
 # a ladder computes its block sizes in waves of at most this many block
@@ -198,19 +199,22 @@ def _ensemble_batch(values: np.ndarray, r0: int, r1: int, b1: int, b2: int,
     """Write the means of the blocks with origin rows r0..r1-1 to ``out``
     and return their (count, mean, m2) per half-grid frequency.
 
-    |f|^2 norm is formed in place with the operations, and the order, of
-    (f.real ** 2 + f.imag ** 2) * norm, and the transform is dropped
-    before the deviations, so a batch holds its complex transform and
-    one real array at most.
+    The column transform writes into one C-order complex buffer, so
+    |f|^2 norm is formed from its float view, with the operations and
+    the order of (f.real ** 2 + f.imag ** 2) * norm, into one C-order
+    real array of half its size, which is reshaped without a copy.  The
+    transform is dropped before the deviations, so a batch holds those
+    two arrays at most.
     """
     row_f = np.fft.rfft(sliding_window_view(values[r0:r1 + b1 - 1], b2, axis=1),
                         axis=-1)
-    f = np.fft.fft(sliding_window_view(row_f, b1, axis=0), axis=-1)
+    f = np.empty((r1 - r0, row_f.shape[1], b2 // 2 + 1, b1), complex)
+    np.fft.fft(sliding_window_view(row_f, b1, axis=0), axis=-1, out=f)
     del row_f
-    intens = f.real * f.real
-    np.square(f.imag, out=f.imag)
-    intens += f.imag
-    del f
+    v = f.view(np.float64)
+    np.square(v, out=v)
+    intens = v[..., 0::2] + v[..., 1::2]
+    del f, v
     intens *= norm
     intens = intens.reshape(-1, *weights.shape)
     out[:] = scale * np.tensordot(intens, weights, axes=2)

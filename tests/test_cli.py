@@ -144,6 +144,37 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"config error: {exc.value}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("kind, over, setting, words", [
+        ("coverage", dict(methods=("fdwb", "fdwb", "subsample")),
+         "methods=fdwb,fdwb,subsample", "methods: 'fdwb' is listed twice"),
+        ("coverage", dict(blocks=((4, 4), (6, 6), (4, 4))),
+         "block.sizes=4x4,6x6,4", "block.sizes: 4x4 is listed twice"),
+        ("coverage", dict(sizes=((16, 16), (16, 16))),
+         "grid.sizes=16x16,16x16", "grid.sizes: 16x16 is listed twice"),
+        ("isotropy", dict(tau_r_list=(1.0, 1.5, 1.0)),
+         "process.tau_r_list=1,1.5,1.0",
+         "process.tau_r_list: 1.0 is listed twice"),
+    ], ids=["methods", "block.sizes", "grid.sizes", "process.tau_r_list"])
+    def test_repeated_list_entries_are_refused(self, tmp_path, capsys, kind,
+                                               over, setting, words):
+        # a repeated method, block or tau would run again as more
+        # replicates of its cell, and a repeated grid would write a second
+        # row under one key; the library and the CLI refuse it alike
+        iso = dict(model=SphericalAniso(sigma2=1.0, range_=3.0),
+                   methods=("fdwb", "subsample")) if kind == "isotropy" else {}
+        with pytest.raises(ConfigError) as exc:
+            _cfg(kind=kind, **{**iso, **over})
+        assert str(exc.value) == words + "; list each entry once"
+        args = []
+        for kv in ["process.kind=spherical", "grid.sizes=16x16",
+                   "block.sizes=4x4", "methods=fdwb,subsample", "boot.B=120",
+                   "replicates=2", setting]:
+            args += ["--set", kv]
+        command = cli_module._COMMAND[kind]
+        assert main(args + ["--out", str(tmp_path / "r"), command]) == 2
+        assert capsys.readouterr().err == f"config error: {exc.value}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_typed_getters_report_key(self):
         st = Settings({"boot.B": "many"})
         with pytest.raises(ConfigError, match="boot.B"):
@@ -1375,6 +1406,7 @@ class _Run(NamedTuple):
     B: int
     bandwidth: tuple | None
     level: float           # ci only
+    repeat: bool = False   # the experiment lists its method twice
 
 
 class _Ran(Exception):
@@ -1391,7 +1423,9 @@ _NAMES = {"library": {"grid": "fieldz", "block": "spec", "B": "B",
                       "level": "ci.level", "bandwidth1": "density.bandwidth1",
                       "bandwidth2": "density.bandwidth2", "h": "psi",
                       "h1": "test.h1", "h2": "test.h2"}}
-_NAMES["experiment"] = {**_NAMES["command"], "grid": "grid.sizes"}
+# only an experiment takes a list of methods
+_NAMES["experiment"] = {**_NAMES["command"], "grid": "grid.sizes",
+                        "methods": "methods"}
 
 
 def _aliased(h, window) -> bool:
@@ -1418,11 +1452,15 @@ def _aliased(h, window) -> bool:
 
 def _broken(run: _Run) -> list:
     """The words of each rule ``run`` breaks, as functions of the names one
-    side gives (``_NAMES``): every refusal must be one of them."""
+    side gives (``_NAMES``), or of None on a side that cannot break it:
+    every refusal must be one of them."""
     (n1, n2), m = run.grid, run.method
     iso = run.command == "isotropy"
     lags = tuple(zip(("h1", "h2") if iso else ("h",), run.lags))
     out = []
+    if run.repeat:
+        out.append(lambda n: f"{n['methods']}: {m!r} is listed twice; list "
+                   f"each entry once" if "methods" in n else None)
     for k, b in enumerate(run.bandwidth or (), 1):
         if not 0.0 < b <= np.pi:
             out.append(lambda n, k=k, b=b:
@@ -1486,7 +1524,8 @@ def _broken(run: _Run) -> list:
 def _runs(draw):
     # a setting breaks its rule one time in eight, a lag component is
     # drawn past the blocks one time in four, and a block extent may be
-    # 1, so that about one run in seven breaks no rule
+    # 1, so that about one run in seven breaks no rule; an experiment
+    # lists its method twice one time in eight
     def sometimes(good, bad):
         return draw(hst.sampled_from((good,) * 7 + (bad,)))
 
@@ -1501,7 +1540,7 @@ def _runs(draw):
                 draw(hst.sampled_from(TEST_METHODS if iso else CI_METHODS)),
                 sometimes(100, 50),
                 draw(hst.sampled_from((None,) * 6 + ((0.6, 0.4), (4.0, 0.5)))),
-                sometimes(0.9, 0.4))
+                sometimes(0.9, 0.4), sometimes(False, True))
 
 
 @pytest.fixture(scope="module")
@@ -1533,8 +1572,9 @@ def _command(argv):
 def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
     """Give ``run`` to the library entry point, to its single-field
     command with the same field as --in, and to its experiment; each must
-    accept it when it breaks no rule, and otherwise refuse it in one
-    broken rule's words, with its own names, and before any field work."""
+    accept it when it breaks no rule it can break, and otherwise refuse it
+    in one broken rule's words, with its own names, and before any field
+    work."""
     broken = _broken(run)
     field = load_field_csv(path)
     # fdwb reads no block, so neither side is given one
@@ -1580,15 +1620,18 @@ def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
             got = exc
         code, out, err = _command(sets + ["--seed", "4", run.command,
                                           "--in", path])
+        twice = ["--set", f"methods={run.method},{run.method}"] * run.repeat
         experiment = _command(
-            sets + ["--set", "process.kind=spherical",
-                    "--set", "grid.sizes=%dx%d" % run.grid,
-                    "--set", "replicates=1", "--out", out_dir + "/r",
-                    "coverage" if run.command == "ci"
-                    else "isotropy-experiment"])
-    if not broken:
-        # a run that breaks no rule runs, and runs the same in both
-        assert experiment[0] is None, experiment
+            sets + twice + ["--set", "process.kind=spherical",
+                            "--set", "grid.sizes=%dx%d" % run.grid,
+                            "--set", "replicates=1", "--out", out_dir + "/r",
+                            "coverage" if run.command == "ci"
+                            else "isotropy-experiment"])
+    words = {side: {w for rule in broken if (w := rule(_NAMES[side]))}
+             for side in _NAMES}
+    if not words["library"]:
+        # a run that breaks no rule runs, and runs the same in the library
+        # and the single-field command
         assert not isinstance(got, ConfigError), got
         if isinstance(got, NumericalError):
             assert code == 3 and out == "", err
@@ -1596,12 +1639,14 @@ def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
             assert code == 0, err
             cli = json.loads(out)
             assert {k: cli[k] for k in got} == got
+    else:
+        assert isinstance(got, ConfigError) and str(got) in words["library"], got
+        assert (code, out, built) == (2, "", []), err
+        assert err.startswith("config error: ")
+        assert err[len("config error: "):-1] in words["command"], err
+    if not words["experiment"]:
+        assert experiment[0] is None, experiment
         return
-    words = {side: {rule(_NAMES[side]) for rule in broken} for side in _NAMES}
-    assert isinstance(got, ConfigError) and str(got) in words["library"], got
-    assert (code, out, built) == (2, "", []), err
-    assert err.startswith("config error: ")
-    assert err[len("config error: "):-1] in words["command"], err
     assert experiment[:2] == (2, "") and not os.listdir(out_dir), experiment
     assert experiment[2][len("config error: "):-1] in words["experiment"]
 
@@ -1626,6 +1671,9 @@ def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
 @example(run=_Run("isotropy", (12, 12), None, ((1, 0), (-1, 0)), "fdwb", 100,
                   None, 0.9))
 @example(run=_Run("ci", (12, 12), (1, 4), ((1, 0),), "hfdb", 100, None, 0.9))
+# and a method an experiment lists twice, which the single-field sides run
+@example(run=_Run("ci", (12, 12), (4, 4), ((1, 0),), "hfdb", 100, None, 0.9,
+                  True))
 def test_library_and_cli_refuse_the_same_runs(field_files, tmp_path_factory,
                                               run):
     _check_agreement(run, field_files(run.grid),

@@ -248,6 +248,46 @@ class TestEnsemble:
         assert np.array_equal(got.block_means, want.block_means)
         assert np.array_equal(got.per_freq_m2, want.per_freq_m2)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=hst.data(), b1=hst.integers(2, 16), b2=hst.integers(2, 16),
+           seed=hst.integers(0, 2 ** 32 - 1))
+    def test_batch_bits_equal_the_plain_operations(self, data, b1, b2, seed):
+        # each batch, a ragged last one included, gives the bits of the
+        # plain operations: the column transform in its default layout,
+        # |f|^2 as f.real * f.real plus the squared f.imag, then norm, the
+        # block means, the mean and the squared deviations' sum
+        n1, n2 = data.draw(hst.integers(b1, 40)), data.draw(hst.integers(b2, 40))
+        values = np.random.default_rng(seed).standard_normal((n1, n2))
+        spec, psi = BlockSpec(b1, b2), psi_spectral_cdf((0.5, -1.0))
+        half = (n2 - b2 + 1) * b1 * (b2 // 2 + 1)
+        budget = data.draw(hst.one_of(
+            hst.just(subsample_module._CHUNK_BUDGET), hst.integers(1, 4 * half)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(subsample_module, "_CHUNK_BUDGET", budget)
+            blk = subsample_module._Blocks.of(LatticeField(values), spec, psi)
+        norm, scale = 1.0 / ((2 * np.pi) ** 2 * spec.b), (2 * np.pi) ** 2 / spec.b
+        got_means, want_means = np.empty(blk.L), np.empty(blk.L)
+        for r0 in blk.batches():
+            r1 = min(r0 + blk.rows_per_batch, blk.rows)
+            got = blk.run(values, r0, got_means)
+            row_f = np.fft.rfft(
+                sliding_window_view(values[r0:r1 + b1 - 1], b2, axis=1), axis=-1)
+            f = np.fft.fft(sliding_window_view(row_f, b1, axis=0), axis=-1)
+            intens = f.real * f.real
+            np.square(f.imag, out=f.imag)
+            intens += f.imag
+            intens *= norm
+            intens = intens.reshape(-1, *blk.weights.shape)
+            want_means[r0 * blk.cols:r1 * blk.cols] = scale * np.tensordot(
+                intens, blk.weights, axes=2)
+            mean = intens.mean(axis=0)
+            intens -= mean
+            np.square(intens, out=intens)
+            assert got[0] == intens.shape[0]
+            assert np.array_equal(got[1], mean)
+            assert np.array_equal(got[2], intens.sum(axis=0))
+        assert np.array_equal(got_means, want_means)
+
 
 class TestLadder:
     @settings(max_examples=40, deadline=None)

@@ -24,7 +24,8 @@ grid, a subsample block with one translate, a hybrid method without a
 block, a zero lag or one outside its blocks, equal test lags and test
 lags h and -h, B below 100 and a bandwidth outside (0, pi]); and a cosine
 lag of psi that a Fourier grid reads as another lag (one past the field's
-grid, one past a block's, and an off-axis lag within the grid's extents).
+grid, one past a block's, and an off-axis lag within the grid's extents);
+and an entry listed twice in a list key.
 
 A refusal case that the change refuses (exit 2, empty stdout, no files)
 and that the parent runs (exit 0) is a refusal the change adds: it is
@@ -280,6 +281,8 @@ REFUSALS = {
     "block_lag": _RUN + _sets("psi=cos_lag{h=(5,0)}", "methods=hfdb_bias") + [
         "coverage"],
     "off_axis_alias": _RUN + _sets("psi=cos_lag{h=(8,1)}") + ["coverage"],
+    "repeated_list_entry": _RUN + _sets("methods=fdwb,fdwb,hfdb") + [
+        "coverage"],
 }
 
 
