@@ -9,10 +9,10 @@ or worker count.
 
 Bootstrap weights need one stream per bootstrap replicate.  Rather than
 build a generator for each, ``streams`` keys one Philox per call and
-moves its counter to each draw's address in turn; the address layout is
-the one ``stream`` uses, so every random bit is unchanged.  Because each
-draw has its own address, draws can be split among callers in any order
-and any grouping without changing a bit.
+moves its counter to each draw's address in turn; ``stream`` is the
+first generator of a one-draw ``streams``, so the address has one
+encoding.  Because each draw has its own address, draws can be split
+among callers in any order and any grouping without changing a bit.
 """
 
 from __future__ import annotations
@@ -33,17 +33,14 @@ _MASK64 = (1 << 64) - 1
 def stream(master_seed: int, tag: int = TAG_GENERIC, replicate: int = 0,
            draw: int = 0) -> np.random.Generator:
     """Return the generator for address (master_seed, tag, replicate, draw)."""
-    key = np.array([master_seed & _MASK64, tag & _MASK64], dtype=np.uint64)
-    counter = np.array([0, draw & _MASK64, replicate & _MASK64, 0],
-                       dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return next(streams(master_seed, tag, replicate, (draw,)))
 
 
 def streams(master_seed: int, tag: int, replicate: int,
             draws: Iterable[int]) -> Iterator[np.random.Generator]:
-    """Yield a generator for each draw index in ``draws``, in that order;
-    the one yielded for draw r gives the same bits as
-    ``stream(master_seed, tag, replicate, r)``.
+    """Yield a generator for each draw index in ``draws``, in that order:
+    the one yielded for draw r is keyed (master_seed, tag) and starts at
+    counter (0, r, replicate, 0), each word taken modulo 2^64.
 
     One Philox is re-addressed for every draw, so each yielded generator
     is valid only until the next one is yielded.  Each call owns its

@@ -41,10 +41,6 @@ class PsiFunction:
     _on_grid: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
-    def __call__(self, omega) -> float:
-        return float(self.fn(np.asarray(omega[0], dtype=float),
-                             np.asarray(omega[1], dtype=float)))
-
     def __getstate__(self):
         return {**self.__dict__, "_on_grid": {}}
 

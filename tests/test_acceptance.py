@@ -7,6 +7,10 @@ exact identities the implementation promises. Every test prints one
 
 Two tests encode targets this implementation demonstrably cannot attain
 and are expected to fail; their docstrings carry the blocking analysis.
+
+The fixtures' runs and criteria 5 and 6 take their master seed as an
+argument, and each verdict carries its measured values by name, so that
+``tools/acceptance_spread.py`` runs these same tests at other seeds.
 """
 
 import time
@@ -25,13 +29,14 @@ from freqboot.density import kernel_density_estimate
 from freqboot.simulate import SeparableARMA, SphericalAniso, matern_model
 
 MASTER_SEED = 20260808
+CLT_SEED = 99       # criterion 6's bootstrap draws
 WORKERS = 2
 
 
-def _verdict(tag, ok, detail):
-    line = f"ACCEPTANCE {tag} {'PASS' if ok else 'FAIL'}: {detail}"
-    print(line)
-    return line
+def _verdict(tag, ok, detail, **values):
+    """Print the ACCEPTANCE line; ``values`` are the measured numbers it
+    reports, by name, for the seed-spread tool."""
+    print(f"ACCEPTANCE {tag} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
 def _cell(report, **keys):
@@ -41,14 +46,13 @@ def _cell(report, **keys):
     return rows[0]["proportion"]
 
 
-@pytest.fixture(scope="module")
-def table1():
+def run_table1(seed):
     cfg = ExperimentConfig(
         kind="isotropy", model=SphericalAniso(sigma2=1.0, range_=5.0),
         generator="default", sizes=((50, 50),),
         psi_name="iso_contrast{h1=(1,0),h2=(0,1)}", blocks=((9, 9),),
         methods=("fdwb", "hfdb", "subsample"), level=0.9, test_level=0.1,
-        replicates=500, B=500, master_seed=MASTER_SEED, workers=WORKERS,
+        replicates=500, B=500, master_seed=seed, workers=WORKERS,
         bandwidth=None, tau_r_list=(1.0, 1.2, 1.4, 1.5), h1=(1, 0),
         h2=(0, 1), plus_one=False, truth=None)
     start = time.time()
@@ -56,21 +60,19 @@ def table1():
     return report, time.time() - start
 
 
-@pytest.fixture(scope="module")
-def table2():
+def run_table2(seed):
     cfg = ExperimentConfig(
         kind="isotropy", model=matern_model(1.0 / 3.0, 1.0),
         generator="exp_cholesky", sizes=((50, 50),),
         psi_name="iso_contrast{h1=(1,0),h2=(0,1)}", blocks=((5, 5),),
         methods=("fdwb", "hfdb", "subsample"), level=0.9, test_level=0.1,
-        replicates=500, B=500, master_seed=MASTER_SEED, workers=WORKERS,
+        replicates=500, B=500, master_seed=seed, workers=WORKERS,
         bandwidth=None, tau_r_list=(1.0,), h1=(1, 0), h2=(0, 1),
         plus_one=False, truth=None)
     return run_isotropy_experiment(cfg)
 
 
-@pytest.fixture(scope="module")
-def separable_coverage():
+def run_separable_coverage(seed):
     cfg = ExperimentConfig(
         kind="coverage",
         model=SeparableARMA(0.2, -0.7, "exponential_centered",
@@ -78,10 +80,25 @@ def separable_coverage():
         generator="default", sizes=((50, 50),), psi_name="cos_lag{h=(1,0)}",
         blocks=tuple((b, b) for b in range(4, 16)),
         methods=("fdwb", "hfdb_bias"), level=0.9, test_level=0.1,
-        replicates=500, B=500, master_seed=MASTER_SEED, workers=WORKERS,
+        replicates=500, B=500, master_seed=seed, workers=WORKERS,
         bandwidth=None, tau_r_list=(1.0,), h1=(1, 0), h2=(0, 1),
         plus_one=False, truth=None)
     return run_coverage_experiment(cfg)
+
+
+@pytest.fixture(scope="module")
+def table1():
+    return run_table1(MASTER_SEED)
+
+
+@pytest.fixture(scope="module")
+def table2():
+    return run_table2(MASTER_SEED)
+
+
+@pytest.fixture(scope="module")
+def separable_coverage():
+    return run_separable_coverage(MASTER_SEED)
 
 
 # -------------------------------------------------------------------------
@@ -92,7 +109,8 @@ def test_criterion_1_fdwb_size(table1):
     p = _cell(report, method="fdwb", tau_r=1.0)
     ok = 0.058 <= p <= 0.148 and elapsed <= 900.0
     _verdict("1/FDWB-size", ok,
-             f"rejection {p:.3f} in [0.058, 0.148], wall {elapsed:.0f}s <= 900s")
+             f"rejection {p:.3f} in [0.058, 0.148], wall {elapsed:.0f}s <= 900s",
+             rejection=p)
     assert 0.058 <= p <= 0.148
     assert elapsed <= 900.0
 
@@ -112,7 +130,7 @@ def test_criterion_1_hfdb_size(table1):
     report, _ = table1
     p = _cell(report, method="hfdb", tau_r=1.0)
     _verdict("1/HFDB-size", 0.058 <= p <= 0.148,
-             f"rejection {p:.3f} vs [0.058, 0.148]")
+             f"rejection {p:.3f} vs [0.058, 0.148]", rejection=p)
     assert 0.058 <= p <= 0.148
 
 
@@ -120,7 +138,7 @@ def test_criterion_1_subsampling_size(table1):
     report, _ = table1
     p = _cell(report, method="subsample", tau_r=1.0)
     _verdict("1/subsampling-size", 0.039 <= p <= 0.129,
-             f"rejection {p:.3f} in [0.039, 0.129]")
+             f"rejection {p:.3f} in [0.039, 0.129]", rejection=p)
     assert 0.039 <= p <= 0.129
 
 
@@ -135,7 +153,8 @@ def test_criterion_2_hfdb_power_trend(table1):
     ok = nondecreasing and rates[-1] >= 0.95
     _verdict("2/power-trend", ok,
              "hfdb rejection over tau_R {1,1.2,1.4,1.5} = "
-             + ", ".join(f"{r:.3f}" for r in rates))
+             + ", ".join(f"{r:.3f}" for r in rates),
+             **{f"tau_r={t}": r for t, r in zip((1.0, 1.2, 1.4, 1.5), rates)})
     assert nondecreasing
     assert rates[-1] >= 0.95
 
@@ -145,21 +164,22 @@ def test_criterion_2_hfdb_power_trend(table1):
 
 def test_criterion_3_fdwb_invalidity(table2):
     p = _cell(table2, method="fdwb", tau_r=1.0)
-    _verdict("3/FDWB-invalid", p > 0.18, f"rejection {p:.3f} > 0.18")
+    _verdict("3/FDWB-invalid", p > 0.18, f"rejection {p:.3f} > 0.18",
+             rejection=p)
     assert p > 0.18
 
 
 def test_criterion_3_hfdb_size(table2):
     p = _cell(table2, method="hfdb", tau_r=1.0)
     _verdict("3/HFDB-size", 0.055 <= p <= 0.145,
-             f"rejection {p:.3f} in [0.055, 0.145]")
+             f"rejection {p:.3f} in [0.055, 0.145]", rejection=p)
     assert 0.055 <= p <= 0.145
 
 
 def test_criterion_3_subsampling_size(table2):
     p = _cell(table2, method="subsample", tau_r=1.0)
     _verdict("3/subsampling-size", 0.033 <= p <= 0.123,
-             f"rejection {p:.3f} in [0.033, 0.123]")
+             f"rejection {p:.3f} in [0.033, 0.123]", rejection=p)
     assert 0.033 <= p <= 0.123
 
 
@@ -185,7 +205,8 @@ def test_criterion_4_hfdb_bias_coverage(separable_coverage):
         if c > best:
             best_b, best = b, c
     _verdict("4/hfdb-bias-coverage", 0.82 <= best <= 0.95,
-             f"best coverage {best:.3f} at block {best_b} vs [0.82, 0.95]")
+             f"best coverage {best:.3f} at block {best_b} vs [0.82, 0.95]",
+             best=best, block=best_b)
     assert any(0.82 <= _cell(separable_coverage, method="hfdb_bias", b1=b) <= 0.95
                for b in range(4, 16))
 
@@ -197,22 +218,23 @@ def test_criterion_4_fdwb_undercoverage_gap(separable_coverage):
     best = max(_cell(separable_coverage, method="hfdb_bias", b1=b)
                for b in range(4, 16))
     _verdict("4/FDWB-gap", fdwb <= best - 0.08,
-             f"fdwb coverage {fdwb:.3f} <= best hfdb_bias {best:.3f} - 0.08")
+             f"fdwb coverage {fdwb:.3f} <= best hfdb_bias {best:.3f} - 0.08",
+             fdwb=fdwb, gap=best - fdwb)
     assert fdwb <= best - 0.08
 
 
 # -------------------------------------------------------------------------
 # 5. variance estimator consistency ladder
 
-def test_criterion_5_variance_ladder():
+def test_criterion_5_variance_ladder(seed=MASTER_SEED):
     psi = fb.psi_cos_lag((1, 0))
     med1, med2 = [], []
     for n, b in ((32, 6), (48, 7), (64, 8)):
         e1, e2 = [], []
         for i in range(200):
             f = fb.simulate_gaussian(fb.WhiteNoise(1.0), n, n,
-                                     rngmod.stream(MASTER_SEED,
-                                                   rngmod.TAG_ORACLE, i, n))
+                                     rngmod.stream(seed, rngmod.TAG_ORACLE,
+                                                   i, n))
             est = fb.variance_estimates(
                 fb.subsample_ensemble(f, fb.BlockSpec(b, b), psi))
             e1.append(abs(est.sigma1_sq_hat - 1.0))
@@ -223,7 +245,9 @@ def test_criterion_5_variance_ladder():
           and med1[2] <= 0.15 and med2[2] <= 0.15)
     _verdict("5/variance-ladder", ok,
              "med|s1-1| = " + ", ".join(f"{m:.3f}" for m in med1)
-             + "; med|s2| = " + ", ".join(f"{m:.3f}" for m in med2))
+             + "; med|s2| = " + ", ".join(f"{m:.3f}" for m in med2),
+             **{f"med|s1-1|@{n}": m for n, m in zip((32, 48, 64), med1)},
+             **{f"med|s2|@{n}": m for n, m in zip((32, 48, 64), med2)})
     assert med1[0] > med1[1] > med1[2]
     assert med2[0] > med2[1] > med2[2]
     assert med1[2] <= 0.15 and med2[2] <= 0.15
@@ -250,19 +274,21 @@ def _fixtures():
         bandwidth=(1.0, 1.0)), fb.psi_cos_lag((0, 0)))
 
 
-def test_criterion_6_var_star_and_clt():
+def test_criterion_6_var_star_and_clt(seed=CLT_SEED):
     details = []
     ok = True
     measured = []
+    values = {}
     for tag, fhat, psi in _fixtures():
         var_star = fdwb_variance(fhat, psi)
-        draws = fdwb_draws(fhat, psi, 100000, master_seed=99)
+        draws = fdwb_draws(fhat, psi, 100000, master_seed=seed)
         rel = abs(draws.var() - var_star) / var_star
         _, pval = st.kstest(draws / np.sqrt(var_star), "norm")
         details.append(f"{tag}: var rel err {rel:.4f}, KS p {pval:.3f}")
         ok = ok and rel <= 0.02 and pval > 0.01
         measured.append((tag, var_star, draws))
-    _verdict("6/var-star-clt", ok, "; ".join(details))
+        values.update({f"{tag} rel": rel, f"{tag} KS p": pval})
+    _verdict("6/var-star-clt", ok, "; ".join(details), **values)
     for tag, var_star, draws in measured:
         assert abs(draws.var() - var_star) / var_star <= 0.02, tag
         assert st.kstest(draws / np.sqrt(var_star), "norm").pvalue > 0.01, tag

@@ -310,7 +310,7 @@ class TestFdwbVariance:
         halves = half_plane(grid)
         sums, abs_sums = dict.fromkeys(halves, 0.0), dict.fromkeys(halves, 0.0)
         for j in grid_indices(grid):
-            a = psi(frequency(grid, j)) * values[position(grid, j)]
+            a = psi.fn(*frequency(grid, j)) * values[position(grid, j)]
             if negate(grid, j) == j:
                 a *= np.sqrt(2.0)
             u = j if j in sums else negate(grid, j)
@@ -319,10 +319,15 @@ class TestFdwbVariance:
         assert len(sums) == len(halves)
         var = (TWO_PI ** 2) ** 2 / grid.n
         # an odd psi cancels a_j against a_-j, so rounding is relative to
-        # the sizes of the terms, not to their sum
+        # the sizes of the terms, not to their sum; a coefficient near
+        # 1e-157 puts the squared terms below the normal range, where each
+        # rounds by up to half the smallest subnormal absolutely (at most
+        # four roundings per term on either side) before the scale var
+        subnormal = 4 * grid.n * var * np.finfo(float).smallest_subnormal
         np.testing.assert_allclose(
             fdwb_variance(de, psi), var * sum(s * s for s in sums.values()),
-            rtol=1e-12, atol=1e-12 * var * sum(s * s for s in abs_sums.values()))
+            rtol=1e-12,
+            atol=1e-12 * var * sum(s * s for s in abs_sums.values()) + subnormal)
 
     def test_zero_psi(self):
         de = _flat_density(4, 4, 1.0)

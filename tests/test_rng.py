@@ -30,8 +30,17 @@ class TestStreams:
         assert np.isfinite(gen.standard_normal())
 
 
-# addresses past 2^64 and below 0 must wrap exactly as ``stream`` masks them
+# addresses past 2^64 and below 0 must wrap modulo 2^64
 ADDRESS = st.integers(min_value=-(1 << 65), max_value=1 << 66)
+
+
+def _philox(seed, tag, replicate, r):
+    """The address layout, written out: key (seed, tag), counter
+    (0, r, replicate, 0)."""
+    words = [w % (1 << 64) for w in (seed, tag, 0, r, replicate, 0)]
+    return np.random.Generator(np.random.Philox(
+        counter=np.array(words[2:], dtype=np.uint64),
+        key=np.array(words[:2], dtype=np.uint64)))
 
 
 class TestReaddressedStreams:
@@ -58,8 +67,10 @@ class TestReaddressedStreams:
                                                    iter(indices))]
         assert len(got) == len(indices)
         for r, values in zip(indices, got):
-            assert np.array_equal(values,
-                                  draw(rngmod.stream(seed, tag, replicate, r)))
+            want = draw(_philox(seed, tag, replicate, r))
+            assert np.array_equal(values, want)
+            assert np.array_equal(
+                draw(rngmod.stream(seed, tag, replicate, r)), want)
 
 
 class TestQuadratureFailure:
