@@ -6,6 +6,9 @@ order, so what they compute from them does not depend on how many
 threads ran.  Tasks must call only numpy and private helpers: numpy
 releases the GIL in its transforms and loops, and a public freqboot name
 may be wrapped by a caller's instrumentation that is not thread-safe.
+The calling thread's own first job (``first``) may call them: a
+field's bootstrap draws, filled beside the batches of its ladder of
+block sizes.
 
 Worker processes that share the CPUs count how many of them are running
 a chunk of work (``share``, ``working``), and while k of them are,
@@ -59,19 +62,28 @@ def working():
             _busy.value -= 1
 
 
-def map_ordered(fn, tasks) -> list:
+def map_ordered(fn, tasks, first=None) -> list:
     """``[fn(t) for t in tasks]``, on up to one thread per CPU when there
-    are two or more tasks.
+    are two or more jobs: the tasks, and ``first`` when one is given.
 
     The calling thread takes tasks too, so k threads need a pool of k - 1.
     Its allocations reuse memory the process already holds, while each
     pool thread allocates from a malloc arena of its own; on a 512 x 512
     field's block ensemble each pool thread added about 7 MiB of peak RSS
     (glibc, numpy 2.4).
+
+    ``first``, a callable of no arguments whose result is dropped, is the
+    calling thread's first job: it runs it while the pool threads start
+    on the tasks, then takes tasks with them; on one thread it runs
+    before the tasks.  Being on the calling thread, it may call public
+    freqboot names, but it must start no threads: the pool's hold the
+    other CPUs.
     """
     tasks = list(tasks)
-    k = min(cpus(), len(tasks))
+    k = min(cpus(), len(tasks) + (first is not None))
     if k < 2:
+        if first is not None:
+            first()
         return [fn(t) for t in tasks]
     results = [None] * len(tasks)
     todo = iter(range(len(tasks)))
@@ -89,6 +101,8 @@ def map_ordered(fn, tasks) -> list:
     # has no threads behind it
     with ThreadPoolExecutor(k - 1) as pool:
         helpers = [pool.submit(work) for _ in range(k - 1)]
+        if first is not None:
+            first()
         work()
         for h in helpers:
             h.result()

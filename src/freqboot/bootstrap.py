@@ -20,7 +20,8 @@ Replicate r reads its m half-plane weights from its own stream and is
 reduced without BLAS, so the draws do not depend on the BLAS thread
 count; on large fields the replicates are filled on threads, and the
 draws do not depend on their number either.  A field's block-size
-ladder runs its batches on threads too, with the same bits.
+ladder runs its batches on threads too, with the same bits; draws
+filled on one thread are filled beside them.
 
 ``FieldResampler`` holds one field's pipeline and is the only place the
 rescale and the hfdb_bias shift are applied; ``bootstrap_distribution``
@@ -59,6 +60,12 @@ _DRAW_BUDGET = 1 << 16
 # 36 and 32 ms at m = 5,001, and 15.0 and 15.9 ms at m = 2,049 (2-vCPU
 # Xeon, numpy 2.4)
 _THREAD_ROW = 1 << 13
+
+
+def _fills_on_threads(m: int) -> bool:
+    """Whether ``fdwb_draws`` shares out replicates of m weights among
+    threads."""
+    return m >= _THREAD_ROW
 
 
 def check_B(B: int, methods, name: str) -> None:
@@ -165,7 +172,7 @@ def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
                 gen.standard_exponential(out=row)
             np.einsum("ij,j->i", w, cvec, out=out[start:start + w.shape[0]])
 
-    k = min(_pool.cpus(), len(starts)) if m >= _THREAD_ROW else 1
+    k = min(_pool.cpus(), len(starts)) if _fills_on_threads(m) else 1
     _pool.map_ordered(fill, [starts[i::k] for i in range(k)])
     out -= cvec.sum()    # sum_j c_j (U_j - 1), centred once per field
     out *= (_TWO_PI ** 2) / np.sqrt(fhat.grid.n)
@@ -192,7 +199,8 @@ class FieldResampler:
     field; the block ensemble, its variance estimates and each kind's
     draws are cached per ``BlockSpec``.  ``ensembles`` computes a
     field's ladder of block sizes at once, the batches of all of them on
-    threads, with the bits of one ensemble at a time.
+    threads, with the bits of one ensemble at a time, and can fill the
+    base draws on this thread meanwhile.
     Bootstrap replicate r reads the weight stream (master_seed, BOOT,
     replicate_id, r) whatever the kind, so fdwb and hybrid draws of one
     field agree replicate by replicate.  A bandwidth is refused at once,
@@ -239,14 +247,25 @@ class FieldResampler:
             self._ensembles[spec] = subsample_ensemble(self.field, spec, self.psi)
         return self._ensembles[spec]
 
-    def ensembles(self, specs) -> None:
+    def ensembles(self, specs, draws: bool = False) -> None:
         """Compute the block ensembles of ``specs`` not computed yet: one
-        by ``ensemble``, two or more as a ladder on threads."""
+        by ``ensemble``, two or more as a ladder on threads.
+
+        With ``draws``, the caller will want the base draws too.  When a
+        ladder runs and the draws would be filled on one thread, this
+        thread fills them while the other threads start on the ladder's
+        first wave, then joins them; the bits are the same either way.
+        """
         todo = [s for s in dict.fromkeys(specs) if s not in self._ensembles]
         if len(todo) == 1:
             self.ensemble(todo[0])
         elif todo:
-            self._ensembles.update(_ladder(self.field, todo, self.psi))
+            fill = (draws and "base_draws" not in self.__dict__
+                    and not _fills_on_threads(np.count_nonzero(
+                        self.pgram.grid.half_plane_mask)))
+            self._ensembles.update(_ladder(
+                self.field, todo, self.psi,
+                (lambda: self.base_draws) if fill else None))
 
     def variance(self, spec: BlockSpec) -> VarianceEstimates:
         if spec not in self._variances:

@@ -16,7 +16,10 @@ a given seed regardless of worker count.
 
 A field whose methods read block ensembles has the ensembles of all its
 block sizes computed at once, as a ladder whose batches run on threads,
-before its rows are made.  Worker processes divide the CPUs among those
+before its rows are made.  When the field has two or more block sizes
+and a bootstrap method, and its draws are filled on one thread, the
+calling thread fills them while the other threads start on the
+ladder's batches.  Worker processes divide the CPUs among those
 running a chunk (``_pool.share``), so processes times threads stay
 within them and a worker left alone uses them all.  Each ensemble's
 batches are merged in batch order, so the bits depend on neither the
@@ -548,7 +551,8 @@ def _replicate(cfg: ExperimentConfig, psi, i: int) -> list[dict]:
     # var_star is written on every row of a run that has a bootstrap
     # method, subsample rows included
     need_boot = any(m != "subsample" for m in cfg.methods)
-    # the blocks whose ensembles a method reads, computed at once per field
+    # the blocks whose ensembles a method reads, computed at once per
+    # field, beside its draws when a method reads them (need_boot)
     ladder = ([BlockSpec(b1, b2) for (b1, b2) in cfg.blocks]
               if any(m in kind.ensembles for m in cfg.methods) else [])
     records = []
@@ -564,7 +568,7 @@ def _replicate(cfg: ExperimentConfig, psi, i: int) -> list[dict]:
                 generator=cfg.generator)
             res = FieldResampler(field, psi, cfg.B, cfg.master_seed,
                                  i * len(cfg.tau_r_list) + t_idx, cfg.bandwidth)
-            res.ensembles(ladder)
+            res.ensembles(ladder, need_boot)
             for (b1, b2) in cfg.blocks or ((0, 0),):
                 spec = BlockSpec(b1, b2) if cfg.blocks else None
                 for method in cfg.methods:

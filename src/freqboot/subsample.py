@@ -270,16 +270,18 @@ class _Blocks(NamedTuple):
                 * self.spec.b1 * self.weights.shape[0])
 
 
-def _wave(values: np.ndarray, blocks: list[_Blocks]) -> list[SubsampleEnsemble]:
+def _wave(values: np.ndarray, blocks: list[_Blocks],
+          first=None) -> list[SubsampleEnsemble]:
     """The ensembles of ``blocks``: every batch of every one a task of
-    ``_pool.map_ordered``, handed out largest first, and each ensemble's
-    batch moments merged in batch order on this thread."""
+    ``_pool.map_ordered``, handed out largest first, with this thread's
+    ``first`` job, and each ensemble's batch moments merged in batch
+    order on this thread."""
     means = [np.empty(blk.L) for blk in blocks]
     tasks = sorted(((i, r0) for i, blk in enumerate(blocks)
                     for r0 in blk.batches()),
                    key=lambda t: -blocks[t[0]].cost(t[1]))
     stats = dict(zip(tasks, _pool.map_ordered(
-        lambda t: blocks[t[0]].run(values, t[1], means[t[0]]), tasks)))
+        lambda t: blocks[t[0]].run(values, t[1], means[t[0]]), tasks, first)))
     out = []
     for i, blk in enumerate(blocks):
         count = 0
@@ -294,7 +296,7 @@ def _wave(values: np.ndarray, blocks: list[_Blocks]) -> list[SubsampleEnsemble]:
     return out
 
 
-def _ladder(fieldz: LatticeField, specs, psi: PsiFunction):
+def _ladder(fieldz: LatticeField, specs, psi: PsiFunction, first=None):
     """Yield (spec, ensemble) for each of ``specs``, in order.
 
     All the batches of a wave of block sizes are tasks of one
@@ -303,7 +305,9 @@ def _ladder(fieldz: LatticeField, specs, psi: PsiFunction):
     alone, whatever the thread count, the spec order or the waves.  A
     wave holds at most ``_WAVE_MEANS`` block means, or one block size's,
     so a caller that keeps only a figure of each ensemble holds one
-    wave's at a time.  Every spec is checked before any batch runs.
+    wave's at a time.  Every spec is checked before any batch runs, and
+    this thread runs ``first``, if given, beside the first wave's
+    batches (``_pool.map_ordered``).
     """
     specs = list(specs)
     blocks = [_Blocks.of(fieldz, s, psi) for s in specs]
@@ -314,8 +318,8 @@ def _ladder(fieldz: LatticeField, specs, psi: PsiFunction):
             held += blocks[end].L
             end += 1
         yield from zip(specs[start:end],
-                       _wave(fieldz.values, blocks[start:end]))
-        start = end
+                       _wave(fieldz.values, blocks[start:end], first))
+        start, first = end, None
 
 
 def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,

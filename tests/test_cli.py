@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import functools
+import inspect
 import io
 import json
 import multiprocessing
@@ -740,6 +742,51 @@ class TestCoverageExperiment:
             calls * fields)
         assert len(counts["_ladder"]) == ladders * fields
         assert len(counts["_wave"]) == fields * (calls + ladders)
+
+    @pytest.mark.parametrize("kind, methods", [
+        ("coverage", ("fdwb", "hfdb_bias", "subsample")),
+        ("isotropy", ("fdwb", "hfdb"))])
+    def test_public_callables_run_on_the_main_thread(self, monkeypatch, kind,
+                                                     methods):
+        # a caller's instrumentation may wrap any public freqboot name and
+        # need not be thread-safe: with a ladder on two threads and the
+        # draws filled beside it, every public function and method is
+        # still called on this thread
+        calls = []
+
+        def watched(fn):
+            @functools.wraps(fn)
+            def run(*args, **kwargs):
+                calls.append((fn.__qualname__, threading.current_thread()))
+                return fn(*args, **kwargs)
+            return run
+
+        modules = [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "freqboot"]
+        public = {v for m in modules for k, v in vars(m).items()
+                  if not k.startswith("_") and (inspect.isfunction(v)
+                                                or inspect.isclass(v))
+                  and v.__module__.split(".")[0] == "freqboot"}
+        for v in public:
+            if inspect.isclass(v):
+                for k, meth in list(vars(v).items()):
+                    if not k.startswith("_") and inspect.isfunction(meth):
+                        monkeypatch.setattr(v, k, watched(meth))
+                continue
+            run = watched(v)
+            for m in modules:
+                for k, held in list(vars(m).items()):
+                    if held is v:
+                        monkeypatch.setattr(m, k, run)
+        monkeypatch.setattr(pool_module, "cpus", lambda: 2)
+        cfg = _cfg(kind=kind, model=SphericalAniso(sigma2=1.0, range_=3.0),
+                   sizes=((14, 13),), blocks=((4, 4), (5, 3), (6, 6)),
+                   methods=methods, B=100, truth=0.0, tau_r_list=(1.0, 1.5)
+                   if kind == "isotropy" else (1.0,))
+        cli_module._replicate(cfg, cli_module.psi_from_name(cfg.psi_name), 0)
+        off = {name for name, t in calls if t is not threading.main_thread()}
+        assert off == set()
+        assert "fdwb_draws" in {name for name, _ in calls}
 
     def test_summary_matches_recomputation_from_replicates(self):
         report = run_coverage_experiment(_cfg(replicates=5))

@@ -18,15 +18,17 @@ from hypothesis import strategies as hst
 from freqboot import (BlockSpec, ConfigError, FieldResampler, LatticeField,
                       WhiteNoise, bias_estimate, block_variogram,
                       block_variogram_contrast, build_frequency_grid,
-                      default_block_candidates,
+                      default_block_candidates, kernel_density_estimate,
                       periodogram, sample_variogram,
                       select_block_size_min_volatility, simulate_gaussian,
                       spectral_mean, subsample_edf, subsample_ensemble,
                       variance_estimates)
 from freqboot import psi_cos_lag, psi_isotropy_contrast, psi_spectral_cdf
 from freqboot import _pool as pool_module
+from freqboot import bootstrap as bootstrap_module
 from freqboot import rng as rngmod
 from freqboot import subsample as subsample_module
+from freqboot.bootstrap import fdwb_draws
 from freqboot.simulate import matern_model
 from freqboot.spectral import SpectralMeanValue
 
@@ -313,10 +315,10 @@ class TestLadder:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        def recorded(fn, tasks, _map=pool_module.map_ordered):
+        def recorded(fn, tasks, first=None, _map=pool_module.map_ordered):
             tasks = list(tasks)
             calls.append(len(tasks))
-            return _map(fn, tasks)
+            return _map(fn, tasks, first)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(subsample_module, "_CHUNK_BUDGET", budget)
@@ -381,6 +383,107 @@ class TestLadder:
         res = FieldResampler(f, psi, 100, 0)
         res.ensembles(specs)
         assert len(threads) == 2
+        for s, ens in zip(specs, want):
+            assert np.array_equal(res.ensemble(s).block_means, ens.block_means)
+            assert np.array_equal(res.ensemble(s).per_freq_m2, ens.per_freq_m2)
+
+    def test_draws_fill_beside_the_ladder_batches(self, monkeypatch):
+        # the draws' fill on this thread and a batch on the pool thread
+        # must be running at once: filled after the ladder, the batch
+        # waits at the barrier alone and fails
+        barrier = threading.Barrier(2, timeout=10)
+        calls, ran = itertools.count(), []
+        rfft, draws = np.fft.rfft, bootstrap_module.fdwb_draws
+
+        def meeting_draws(*args, **kwargs):
+            ran.append(("draws", threading.current_thread()))
+            barrier.wait()
+            return draws(*args, **kwargs)
+
+        def meeting_rfft(*args, **kwargs):   # one call per 1-batch ensemble
+            if next(calls) < 1:
+                ran.append(("batch", threading.current_thread()))
+                barrier.wait()
+            return rfft(*args, **kwargs)
+
+        f = LatticeField(np.random.default_rng(5).standard_normal((20, 20)))
+        specs, psi = [BlockSpec(5, 5), BlockSpec(3, 5)], psi_cos_lag((1, 2))
+        monkeypatch.setattr(pool_module, "cpus", lambda: 2)
+        want = [subsample_ensemble(f, s, psi) for s in specs]
+        want_draws = FieldResampler(f, psi, 100, 0).base_draws
+        monkeypatch.setattr(np.fft, "rfft", meeting_rfft)
+        monkeypatch.setattr(bootstrap_module, "fdwb_draws", meeting_draws)
+        res = FieldResampler(f, psi, 100, 0)
+        res.ensembles(specs, draws=True)
+        main = threading.main_thread()
+        assert sorted((name, t is main) for name, t in ran) == [
+            ("batch", False), ("draws", True)]
+        assert "base_draws" in vars(res)
+        assert np.array_equal(res.base_draws, want_draws)
+        for s, ens in zip(specs, want):
+            assert np.array_equal(res.ensemble(s).block_means, ens.block_means)
+            assert np.array_equal(res.ensemble(s).per_freq_m2, ens.per_freq_m2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=hst.data(), n1=hst.integers(8, 24), n2=hst.integers(8, 24),
+           B=hst.integers(100, 300), cpus=hst.integers(1, 3),
+           psi_least=hst.sampled_from(_PSIS), seed=hst.integers(0, 2 ** 32 - 1))
+    def test_draws_beside_a_ladder_equal_each_alone(self, data, n1, n2, B, cpus,
+                                                    psi_least, seed):
+        # the fill and the batches are those of fdwb_draws and of
+        # subsample_ensemble alone, whatever runs beside them
+        psi, (least1, least2) = psi_least
+        sizes = hst.tuples(hst.integers(least1, min(n1, 10)),
+                           hst.integers(least2, min(n2, 10)))
+        specs = [BlockSpec(*s) for s in data.draw(
+            hst.lists(sizes, min_size=2, max_size=4, unique=True))]
+        f = LatticeField(np.random.default_rng(seed).standard_normal((n1, n2)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pool_module, "cpus", lambda: 1)
+            want = {s: subsample_ensemble(f, s, psi) for s in specs}
+            want_draws = fdwb_draws(kernel_density_estimate(periodogram(f)),
+                                    psi, B, seed)
+            mp.setattr(pool_module, "cpus", lambda: cpus)
+            res = FieldResampler(f, psi, B, seed)
+            res.ensembles(specs, draws=True)
+        assert "base_draws" in vars(res)
+        assert np.array_equal(res.base_draws, want_draws)
+        for s in specs:
+            got = res.ensemble(s)
+            for name in ("block_means", "per_freq_m2", "sigma1_weights"):
+                assert np.array_equal(getattr(got, name), getattr(want[s], name))
+
+    def test_draws_on_threads_wait_for_the_ladder(self, monkeypatch):
+        # 130 x 130: m = 8,451 weights, so the draws use every CPU and are
+        # filled after the ladder, not in a pool inside its pool
+        f = LatticeField(np.random.default_rng(6).standard_normal((130, 130)))
+        specs, psi = [BlockSpec(9, 9), BlockSpec(10, 10)], psi_cos_lag((1, 0))
+        res = FieldResampler(f, psi, 100, 1)
+        assert (np.count_nonzero(res.pgram.grid.half_plane_mask)
+                >= bootstrap_module._THREAD_ROW)
+        depth, opened = [0], []
+
+        class NestingPool(ThreadPoolExecutor):
+            def __enter__(self):
+                opened.append(depth[0])
+                depth[0] += 1
+                return super().__enter__()
+
+            def __exit__(self, *exc):
+                depth[0] -= 1
+                return super().__exit__(*exc)
+
+        monkeypatch.setattr(pool_module, "cpus", lambda: 1)
+        want = [subsample_ensemble(f, s, psi) for s in specs]
+        want_draws = fdwb_draws(res.fhat, psi, 100, 1)
+        monkeypatch.setattr(pool_module, "cpus", lambda: 2)
+        monkeypatch.setattr(pool_module, "ThreadPoolExecutor", NestingPool)
+        res.ensembles(specs, draws=True)
+        assert opened == [0]
+        assert "base_draws" not in vars(res)
+        assert np.array_equal(res.base_draws, want_draws)
+        # the ladder's pool, then the draws' own
+        assert opened == [0, 0]
         for s, ens in zip(specs, want):
             assert np.array_equal(res.ensemble(s).block_means, ens.block_means)
             assert np.array_equal(res.ensemble(s).per_freq_m2, ens.per_freq_m2)

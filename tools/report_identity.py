@@ -50,7 +50,9 @@ experiments name their psi, the contrast of ``test.h1`` and ``test.h2``.
 One case reads a 128x128 field, whose 9x9 block ensemble is computed in
 three batches on threads and whose bootstrap weights are drawn on
 threads.  Another runs a coverage ladder of two block sizes on 128x128
-fields, whose ensembles are computed as tasks on threads.  An 8x8
+fields, whose ensembles are computed as tasks on threads, and one an
+isotropy ladder on 24x24 fields, whose draws are filled beside the
+ladder's tasks.  An 8x8
 exp-Cholesky coverage case checks the dense Matern covariance against
 its truth.
 """
@@ -128,6 +130,13 @@ EXPERIMENTS = {
         "process.kind=spherical", "grid.sizes=128x128",
         "block.sizes=9x9,11x11", "methods=fdwb,hfdb_bias,subsample",
         "boot.B=100", "replicates=2")),
+    # an isotropy ladder: two block sizes per field, with the draws of
+    # each field filled beside its ladder's batches
+    "ladder_isotropy": ("isotropy-experiment", _sets(
+        "process.kind=spherical", "process.range=3",
+        "process.tau_r_list=1.0,1.5", "grid.sizes=24x24", ISO_PSI,
+        "block.sizes=4x4,6x6", "methods=fdwb,hfdb", "boot.B=150",
+        "replicates=6")),
 }
 
 PROCESSES = {
