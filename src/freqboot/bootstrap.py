@@ -44,8 +44,8 @@ from .errors import ConfigError, NumericalError
 from .lattice import LatticeField, Periodogram, periodogram
 from .spectral import PsiFunction, SpectralMeanValue, spectral_mean
 from .subsample import (BlockSpec, SubsampleEnsemble, VarianceEstimates,
-                        _ladder, bias_estimate, subsample_ensemble,
-                        variance_estimates)
+                        _ladder, bias_estimate, check_block,
+                        subsample_ensemble, variance_estimates)
 
 _TWO_PI = 2.0 * np.pi
 _SQRT2 = np.sqrt(2.0)
@@ -276,7 +276,8 @@ class FieldResampler:
         """B replicates of ``kind``: the base FDWB draws, for hybrid kinds
         rescaled by sqrt((Var* + sigma2_hat) / Var*) with sigma2_hat from
         the ``spec`` block ensemble (floored at 0), and for hfdb_bias
-        shifted by the subsampling bias estimate.  fdwb ignores ``spec``.
+        shifted by the subsampling bias estimate.  fdwb ignores ``spec``;
+        a hybrid kind needs two block translates in the field.
         """
         if kind not in KINDS:
             raise ConfigError(f"unknown bootstrap kind {kind!r}, expected one of {KINDS}")
@@ -288,6 +289,8 @@ class FieldResampler:
         values = self.base_draws
         sigma2_raw = sigma2_floored = bias = 0.0
         if kind != "fdwb":
+            check_block((spec.b1, spec.b2), (self.field.n1, self.field.n2),
+                        (kind,), "spec")
             est = self.variance(spec)
             sigma2_raw = est.sigma2_sq_hat
             sigma2_floored = est.floored_sigma2

@@ -5,7 +5,10 @@ plus ``--set key=value`` overrides.  Each key is declared once, in
 ``KEYS``, with its parser, its default and its check.
 
 The coverage and isotropy experiments share one replicate loop, chunk
-worker and runner, and differ only in their row of ``_KINDS``.
+worker and runner, and differ only in their row of ``_KINDS``.  The
+single-field commands ci and isotropy print the result of a kind's row
+on one field, and every command that resamples checks its run with the
+one ``_check_run``.
 Replicate i simulates one field per tau_r index t and grid size index s
 from stream (seed, FIELD, i, t * len(sizes) + s), and bootstrap
 replicate r of that field reads stream (seed, BOOT,
@@ -31,6 +34,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -319,13 +323,28 @@ def build_bandwidth(st: Settings):
     return None if pair[0] is None else pair
 
 
+@contextlib.contextmanager
+def _file_errors(words: str):
+    """Refuse an OSError raised in the block as a configuration error
+    that starts with ``words``: a file that cannot be read or written
+    exits 2."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{words}: {exc}") from exc
+
+
 def _field_source(st: Settings, path: str | None, seed: int):
     """Read the keys that name a single command's field and return the
     function that loads or simulates it, so that the command refuses its
     unread keys before that work."""
     if path is not None:
         load = load_field_binary if path.endswith(".bin") else load_field_csv
-        return lambda: load(path)
+
+        def read():
+            with _file_errors(f"--in: cannot read a field from {path!r}"):
+                return load(path)
+        return read
     model, generator = build_model(st)
     (n1, n2) = st.get("grid.sizes")[0]
     return lambda: simulate_process(
@@ -350,18 +369,28 @@ def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
             f"tau_r={own}, got {list(tau_r_list)}")
 
 
-def _check_windows(psi, iso: bool, grid, grid_name: str, blocks, methods,
-                   reads: bool) -> None:
-    """Refuse, naming keys, a ``grid`` (``grid_name``) that reads a cosine
-    lag of ``psi`` as another lag; a ``block.sizes`` entry of ``blocks``
-    that ``subsample.check_block`` refuses for ``methods``, with the lags
-    an isotropy subsample calibration compares in it; and one that reads
-    a lag as another when a method reads its ensemble (``reads``).  A lag
-    is named by the key that sets it: test.h1 and test.h2 in an isotropy
-    run, psi otherwise."""
+def _check_run(kind: str, psi, grid, grid_name: str, blocks, methods,
+               B: int) -> None:
+    """Refuse, naming keys, what a run of ``kind``'s rows cannot run on one
+    ``grid`` (named ``grid_name``), before any work on it: B below 100
+    for a bootstrap method of ``methods``; a method that reads a block
+    when ``blocks`` gives none; a grid that reads a cosine lag of ``psi``
+    as another lag; a ``block.sizes`` entry that ``subsample.check_block``
+    refuses for ``methods``, with the lags an isotropy subsample
+    calibration compares in it; and one that reads a lag as another where
+    its ensemble is read.  The kind's ``ensembles`` methods read it, and
+    so does a run without methods (estimate, and the minimum-volatility
+    selection) on every block it is given.  A lag is named by the key
+    that sets it: test.h1 and test.h2 in an isotropy run, psi otherwise.
+    The experiments run this check on each grid, and the single-field
+    commands on their field."""
+    check_B(B, methods, "boot.B")
+    check_block_given(methods, blocks, "block.sizes")
+    iso = kind == "isotropy"
     keys = ("test.h1", "test.h2") if iso else ("psi",) * len(psi.cos_terms)
     lags = tuple((key, h) for key, (_, h) in zip(keys, psi.cos_terms))
     check_cos_lags(lags, grid, grid_name)
+    reads = not methods or any(m in _KINDS[kind].ensembles for m in methods)
     for size in blocks:
         check_block(size, grid, methods, "block.sizes",
                     lags if iso and "subsample" in methods else ())
@@ -418,8 +447,6 @@ class ExperimentConfig:
                            *zip(("density.bandwidth1", "density.bandwidth2"),
                                 self.bandwidth or ())):
             _check(key, value, command)
-        check_B(self.B, self.methods, "boot.B")
-        check_block_given(self.methods, self.blocks, "block.sizes")
         iso = self.kind == "isotropy"
         contrast = _contrast(self.h1, self.h2).name if iso else None
         psi = psi_from_name(self.psi_name)
@@ -427,10 +454,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"psi: an isotropy experiment resamples the contrast of "
                 f"test.h1 and test.h2, {contrast}, got {self.psi_name!r}")
-        reads = any(m in _KINDS[self.kind].ensembles for m in self.methods)
         for grid in self.sizes:
-            _check_windows(psi, iso, grid, "grid.sizes", self.blocks,
-                           self.methods, reads)
+            _check_run(self.kind, psi, grid, "grid.sizes", self.blocks,
+                       self.methods, self.B)
         _check_tau(self.kind, self.model, self.tau_r_list, "process.tau_r_list")
         if not iso and self.truth is None and not psi.cos_terms:
             raise ConfigError(
@@ -506,27 +532,30 @@ def experiment_config(st: Settings, kind: str, seed, workers) -> ExperimentConfi
 # ---------------------------------------------------------------------------
 # the replicate loop (module level so the pool can pickle its worker)
 
-def _coverage_cells(cfg, res: FieldResampler, method: str, spec) -> dict:
-    ci = resampled_interval(res, method, spec, cfg.level)
+def _coverage_cells(cfg, res: FieldResampler, ci) -> dict:
     return {"mhat": res.mhat.value, "lower": ci.lower, "upper": ci.upper,
             "covered": int(ci.covers(cfg.truth))}
 
 
-def _isotropy_cells(cfg, res: FieldResampler, method: str, spec) -> dict:
-    test = calibrate_isotropy(res, method, spec, cfg.plus_one)
+def _isotropy_cells(cfg, res: FieldResampler, test) -> dict:
     return {"ts": test.ts, "p_value": test.p_value,
             "reject": int(test.p_value < cfg.test_level)}
 
 
 class _Kind(NamedTuple):
-    """What one experiment kind puts into the shared replicate loop."""
+    """What one experiment kind puts into the shared replicate loop, and
+    what the single-field command of its rows (ci, isotropy) runs."""
 
     keys: tuple[str, ...]     # summary cell keys, "method" first
     flag: str                 # the 0/1 cell a summary row averages
     # replicate columns after the keys: the row function's cells, then
     # var_star and the BootstrapDraws fields the kind records
     columns: tuple[str, ...]
-    row: Callable             # (cfg, res, method, spec) -> the kind's cells
+    # (res, method, spec, setting) -> the interval or the test result of
+    # one field, which the row and the single-field command both print
+    result: Callable
+    setting: str              # the ExperimentConfig field result reads
+    row: Callable             # (cfg, res, result) -> the kind's cells
     ensembles: tuple[str, ...]  # the methods that read the block ensemble
 
 
@@ -534,11 +563,13 @@ _KINDS = {
     "coverage": _Kind(("method", "n1", "n2", "b1", "b2"), "covered",
                       ("mhat", "lower", "upper", "covered", "var_star",
                        "sigma2_raw", "sigma2_floored", "bias_sub"),
-                      _coverage_cells, ("hfdb", "hfdb_bias", "subsample")),
+                      resampled_interval, "level", _coverage_cells,
+                      ("hfdb", "hfdb_bias", "subsample")),
     "isotropy": _Kind(("method", "tau_r", "n1", "n2", "b1", "b2"), "reject",
                       ("ts", "p_value", "reject", "var_star", "sigma2_raw",
                        "sigma2_floored"),
-                      _isotropy_cells, ("hfdb",)),
+                      calibrate_isotropy, "plus_one", _isotropy_cells,
+                      ("hfdb",)),
 }
 
 
@@ -575,9 +606,11 @@ def _replicate(cfg: ExperimentConfig, psi, i: int) -> list[dict]:
                     at = {"method": method, "tau_r": tau, "n1": n1, "n2": n2,
                           "b1": b1, "b2": b2}
                     d = None if method == "subsample" else res.draws(method, spec)
+                    result = kind.result(res, method, spec,
+                                         getattr(cfg, kind.setting))
                     records.append({
                         "replicate": i, **{k: at[k] for k in kind.keys},
-                        **kind.row(cfg, res, method, spec),
+                        **kind.row(cfg, res, result),
                         "var_star": res.var_star if need_boot else 0.0,
                         **{name: 0.0 if d is None else getattr(d, name)
                            for name in drawn}})
@@ -696,26 +729,22 @@ def emit_report(report: ExperimentReport, out_prefix: str,
     _check("format", fmt, None)   # the experiments' formats
     parent = os.path.dirname(out_prefix)
     if parent:
-        os.makedirs(parent, exist_ok=True)
+        with _file_errors(f"cannot write report near {out_prefix!r}"):
+            os.makedirs(parent, exist_ok=True)
     written = []
     if fmt in ("csv", "both"):
         table = _KINDS[report.kind]
         sum_cols = [*table.keys, "proportion", "mc_se", "replicates"]
         rep_cols = ["replicate", *table.keys, *table.columns]
-        try:
+        with _file_errors(f"cannot write report near {out_prefix!r}"):
             _write_csv(report.summary, sum_cols, out_prefix + "_summary.csv")
             _write_csv(report.replicates, rep_cols, out_prefix + "_replicates.csv")
-        except OSError as exc:
-            raise ConfigError(f"cannot write report near {out_prefix!r}: {exc}") from exc
         written += [out_prefix + "_summary.csv", out_prefix + "_replicates.csv"]
     if fmt in ("json", "both"):
         path = out_prefix + ".json"
-        try:
-            with open(path, "w") as fh:
-                fh.write(report_to_json(report))
-                fh.write("\n")
-        except OSError as exc:
-            raise ConfigError(f"cannot write report {path!r}: {exc}") from exc
+        with _file_errors(f"cannot write report {path!r}"), open(path, "w") as fh:
+            fh.write(report_to_json(report))
+            fh.write("\n")
         written.append(path)
     return written
 
@@ -764,7 +793,9 @@ def _dispatch(args) -> int:
         out, fmt = st.get("out"), st.get("format")
         load = _field_source(st, None, seed)
         st.refuse_unread(cmd)
-        (save_field_csv if fmt == "csv" else save_field_binary)(load(), out)
+        fieldz = load()
+        with _file_errors(f"cannot write field {out!r}"):
+            (save_field_csv if fmt == "csv" else save_field_binary)(fieldz, out)
         print(out)
         return 0
 
@@ -788,7 +819,7 @@ def _dispatch(args) -> int:
                    "value": float(np.mean(vals)),
                    "se": float(np.std(vals, ddof=1) / np.sqrt(R)),
                    "var_h": float(n1 * n2 * np.var(vals, ddof=1))}
-        with open(out, "w") as fh:
+        with _file_errors(f"cannot write oracle fixture {out!r}"), open(out, "w") as fh:
             json.dump(fixture, fh, sort_keys=True, indent=1)
             fh.write("\n")
         print(out)
@@ -808,7 +839,9 @@ def _dispatch(args) -> int:
             print("wrote", p, file=sys.stderr)
         return 0
 
-    # estimate, ci, isotropy, blocksize: one field, one psi
+    # estimate, ci, isotropy, blocksize: one field, one psi; ci and
+    # isotropy run the rows of the experiment kinds
+    kind = "isotropy" if cmd == "isotropy" else "coverage"
     if cmd == "isotropy":
         psi = _contrast(st.get("test.h1"), st.get("test.h2"))
     else:
@@ -819,32 +852,25 @@ def _dispatch(args) -> int:
     bandwidth = None if cmd == "blocksize" else build_bandwidth(st)
     # ci and isotropy run the one method of methods; estimate and
     # blocksize run none and draw no bootstrap replicates
-    methods = st.get("methods")[:1] if cmd in ("ci", "isotropy") else ()
-    method, B = (methods[0], st.get("boot.B")) if methods else (None, 0)
+    methods = st.get("methods") if cmd in ("ci", "isotropy") else ()
+    B = st.get("boot.B") if methods else 0
     # the block: blocksize selects one, as block.sizes=minvol does (with
     # block.window); estimate, ci and isotropy read one size, fdwb none
     sizes = ("minvol" if cmd == "blocksize" else
-             () if method == "fdwb" else st.get("block.sizes"))
+             () if methods == ("fdwb",) else st.get("block.sizes"))
     window = st.get("block.window") if sizes == "minvol" else None
-    check_B(B, methods, "boot.B")
-    check_block_given(methods, sizes, "block.sizes")
-    level = st.get("ci.level") if cmd == "ci" else None
-    plus_one = st.get("pvalue.plus_one") if cmd == "isotropy" else None
+    # ci.level or pvalue.plus_one, the key of the field the result reads
+    setting = st.get(_FIELDS[_KINDS[kind].setting][0]) if methods else None
     st.refuse_unread(cmd)
     fieldz = load()
-    # the checks that need the field's extents run here, before any work;
-    # estimate reads the block's ensemble, as do the methods of the kind
-    iso, grid = cmd == "isotropy", (fieldz.n1, fieldz.n2)
-    windows = (psi, iso, grid, "--in" if args.infile else "grid.sizes")
-    reads = cmd == "estimate" or method in _KINDS[
-        "isotropy" if iso else "coverage"].ensembles
+    grid, name = (fieldz.n1, fieldz.n2), "--in" if args.infile else "grid.sizes"
     if sizes == "minvol":
         cands = default_block_candidates(*grid)
-        _check_windows(*windows, [(c.b1, c.b2) for c in cands], (), True)
+        _check_run(kind, psi, grid, name, [(c.b1, c.b2) for c in cands], (), 0)
         spec = select_block_size_min_volatility(fieldz, psi, cands, window,
                                                 "block.window")
         sizes = ((spec.b1, spec.b2),)
-    _check_windows(*windows, sizes or (), methods, reads)
+    _check_run(kind, psi, grid, name, sizes, methods, B)
     spec = BlockSpec(*sizes[0]) if sizes else None
     if cmd == "blocksize":
         result = {"b1": spec.b1, "b2": spec.b2, "window": window,
@@ -862,14 +888,11 @@ def _dispatch(args) -> int:
                            "sigma1_sq": est.sigma1_sq_hat,
                            "sigma2_sq": est.sigma2_sq_hat,
                            "sigma2_floored": est.floored_sigma2})
-    elif cmd == "ci":
-        ci = resampled_interval(res, method, spec, level)
-        result = {"method": ci.method, "level": ci.level,
-                  "mhat": res.mhat.value, "lower": ci.lower, "upper": ci.upper}
-    elif cmd == "isotropy":
-        test = calibrate_isotropy(res, method, spec, plus_one)
-        result = {"ts": test.ts, "p_value": test.p_value, "method": test.method,
-                  "h1": list(test.h1), "h2": list(test.h2)}
+    elif methods:
+        result = dataclasses.asdict(
+            _KINDS[kind].result(res, methods[0], spec, setting))
+        if cmd == "ci":
+            result["mhat"] = res.mhat.value
     print(json.dumps(result, sort_keys=True, indent=1, default=repr))
     return 0
 

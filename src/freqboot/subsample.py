@@ -95,15 +95,20 @@ def check_lag(h, name: str, block=None, block_name: str = "") -> None:
 def check_block(size, grid, methods, name: str, lags=()) -> None:
     """Refuse a (b1, b2) block ``size``, named ``name``, that does not fit
     an (n1, n2) ``grid``, that has one translate in it when one of
-    ``methods`` is subsample, whose EDF needs two, or that has no pair of
-    points at one of ``lags``, (name, h) pairs that the isotropy
-    subsample calibration compares in it."""
+    ``methods`` reads the spread of the block copies, which one translate
+    leaves at 0 (every method but fdwb: the subsample EDF, and the
+    hybrids' second variance component), or that has no pair of points
+    at one of ``lags``, (name, h) pairs that the isotropy subsample
+    calibration compares in it."""
     (b1, b2), (n1, n2) = size, grid
     if b1 > n1 or b2 > n2:
         raise ConfigError(f"{name}: block {b1}x{b2} does not fit grid {n1}x{n2}")
-    if "subsample" in methods and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
+    spread = [m for m in methods if m != "fdwb"]
+    if spread and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
+        # subsample is named where it is listed: its EDF would be one point
+        named = "subsample" if "subsample" in spread else spread[0]
         raise ConfigError(f"{name}: block {b1}x{b2} has one translate in "
-                          f"grid {n1}x{n2}, subsample needs at least 2")
+                          f"grid {n1}x{n2}, {named} needs at least 2")
     for lag_name, h in lags:
         check_lag(h, lag_name, size, name)
 

@@ -205,10 +205,12 @@ class TestConfigParsing:
         dict(blocks=((4, 4), (16, 16)), methods=("fdwb", "subsample")),
         dict(blocks=((16, 16),), methods=("subsample",), kind="isotropy"),
         dict(blocks=((17, 4),), methods=("hfdb",)),
+        dict(blocks=((16, 16),), methods=("hfdb",)),
     ])
     def test_unusable_blocks_name_the_key(self, over):
-        # a 1x1 block, or one translate for a subsample method, would be
-        # refused only inside the first replicate
+        # a 1x1 block, or one translate for a method that reads the spread
+        # of the block copies, would be refused only inside the first
+        # replicate, or, for a hybrid, not at all: its sigma2 would be 0
         with pytest.raises(ConfigError, match="block.sizes"):
             _cfg(**over)
 
@@ -245,9 +247,6 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "block.sizes" in err and "test.h1" in err
         assert not list(tmp_path.iterdir())
-
-    def test_hybrid_methods_take_a_single_translate(self):
-        assert _cfg(blocks=((16, 16),), methods=("hfdb",)).blocks == ((16, 16),)
 
     @pytest.mark.parametrize("settings", [
         ["block.sizes=1x1", "methods=fdwb,hfdb"],
@@ -1247,6 +1246,30 @@ class TestCommandLine:
         assert out == "" and key in err and "does not read" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, words", [
+        (["estimate", "--in", "missing.csv"],
+         "--in: cannot read a field from 'missing.csv': "),
+        (["estimate", "--in", "missing.bin"],
+         "--in: cannot read a field from 'missing.bin': "),
+        (["--out", "no/dir/f.csv", "simulate"],
+         "cannot write field 'no/dir/f.csv': "),
+        (["--set", "grid.sizes=8x8", "--set", "replicates=2",
+          "--out", "no/dir/o.json", "oracle"],
+         "cannot write oracle fixture 'no/dir/o.json': "),
+        (["--set", "grid.sizes=8x8", "--set", "replicates=1",
+          "--set", "methods=fdwb", "--out", "/dev/null/r", "coverage"],
+         "cannot write report near '/dev/null/r': "),
+    ], ids=["estimate_csv", "estimate_bin", "simulate", "oracle",
+            "report_directory"])
+    def test_unreadable_and_unwritable_files_exit_2(self, tmp_path, capsys,
+                                                    monkeypatch, argv, words):
+        # a file that cannot be read or written is refused naming it
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: " + words), err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command, settings, key", [
         ("ci", ["ci.level=0.4"], "ci.level"),
         ("ci", ["boot.B=50"], "boot.B"),
@@ -1445,11 +1468,11 @@ def test_a_rule_words_the_library_and_the_cli_alike(
 class _Run(NamedTuple):
     """One run, given to the library and to the commands alike."""
 
-    command: str           # ci or isotropy
+    command: str           # ci, isotropy or estimate
     grid: tuple            # the field's extents
     block: tuple | None
-    lags: tuple            # ci: psi's lag h; isotropy: the test lags
-    method: str
+    lags: tuple            # ci, estimate: psi's lag h; isotropy: the test lags
+    method: str | None     # estimate: None
     B: int
     bandwidth: tuple | None
     level: float           # ci only
@@ -1512,9 +1535,9 @@ def _broken(run: _Run) -> list:
         if not 0.0 < b <= np.pi:
             out.append(lambda n, k=k, b=b:
                        f"{n[f'bandwidth{k}']} must lie in (0, pi], got {b}")
-    if not iso and not 0.5 < run.level < 1.0:
+    if run.command == "ci" and not 0.5 < run.level < 1.0:
         out.append(lambda n: f"{n['level']} must be in (0.5, 1), got {run.level}")
-    if m != "subsample" and run.B < 100:
+    if m not in (None, "subsample") and run.B < 100:
         out.append(lambda n: f"{n['B']} must be >= 100 for bootstrap methods, "
                              f"got {run.B}")
     if iso and run.lags[0] == run.lags[1]:
@@ -1541,7 +1564,8 @@ def _broken(run: _Run) -> list:
     if m == "fdwb":
         return out
     if run.block is None:
-        out.append(lambda n: f"{n['block']}: methods={m} needs a block size")
+        if m is not None:    # estimate runs without a block
+            out.append(lambda n: f"{n['block']}: methods={m} needs a block size")
         return out
     b1, b2 = run.block
     if min(b1, b2) < 2:
@@ -1550,12 +1574,13 @@ def _broken(run: _Run) -> list:
     if b1 > n1 or b2 > n2:
         out.append(lambda n: f"{n['block']}: block {b1}x{b2} does not fit "
                              f"grid {n1}x{n2}")
-    elif m == "subsample" and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
+    elif m is not None and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
+        # the method reads the spread of the block copies
         out.append(lambda n: f"{n['block']}: block {b1}x{b2} has one translate "
-                             f"in grid {n1}x{n2}, subsample needs at least 2")
+                             f"in grid {n1}x{n2}, {m} needs at least 2")
     for role, h in lags:
         # the isotropy subsample calibration compares variograms in the
-        # blocks; every other method evaluates psi on them
+        # blocks; every other method, and estimate, evaluates psi on them
         if not (iso and m == "subsample") and _aliased(h, run.block):
             out.append(alias("block", role, h))
         if (iso and m == "subsample" and h != (0, 0)
@@ -1571,23 +1596,26 @@ def _broken(run: _Run) -> list:
 def _runs(draw):
     # a setting breaks its rule one time in eight, a lag component is
     # drawn past the blocks one time in four, and a block extent may be
-    # 1, so that about one run in seven breaks no rule; an experiment
-    # lists its method twice one time in eight
+    # 1, so that about one ci or isotropy run in seven breaks no rule; an
+    # experiment lists its method twice one time in eight.  estimate runs
+    # no method, and has no experiment
     def sometimes(good, bad):
         return draw(hst.sampled_from((good,) * 7 + (bad,)))
 
-    iso = draw(hst.booleans())
+    command = draw(hst.sampled_from(("ci", "isotropy", "estimate")))
+    iso = command == "isotropy"
     n1, n2 = draw(hst.tuples(hst.integers(4, 13), hst.integers(4, 13)))
     size = hst.tuples(hst.integers(1, n1 + 1), hst.integers(1, n2 + 1))
     block = sometimes(draw(size), None)
     part = hst.sampled_from((hst.integers(-2, 2),) * 3 + (
         hst.integers(-2 * max(n1, n2), 2 * max(n1, n2)),)).flatmap(lambda p: p)
     lags = tuple(draw(hst.tuples(part, part)) for _ in range(1 + iso))
-    return _Run("isotropy" if iso else "ci", (n1, n2), block, lags,
-                draw(hst.sampled_from(TEST_METHODS if iso else CI_METHODS)),
-                sometimes(100, 50),
+    method = (None if command == "estimate" else
+              draw(hst.sampled_from(TEST_METHODS if iso else CI_METHODS)))
+    return _Run(command, (n1, n2), block, lags, method, sometimes(100, 50),
                 draw(hst.sampled_from((None,) * 6 + ((0.6, 0.4), (4.0, 0.5)))),
-                sometimes(0.9, 0.4), sometimes(False, True))
+                sometimes(0.9, 0.4),
+                sometimes(False, True) and command != "estimate")
 
 
 @pytest.fixture(scope="module")
@@ -1618,24 +1646,27 @@ def _command(argv):
 
 def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
     """Give ``run`` to the library entry point, to its single-field
-    command with the same field as --in, and to its experiment; each must
-    accept it when it breaks no rule it can break, and otherwise refuse it
-    in one broken rule's words, with its own names, and before any field
-    work."""
+    command with the same field as --in, and to its experiment (estimate
+    has none); each must accept it when it breaks no rule it can break,
+    and otherwise refuse it in one broken rule's words, with its own
+    names, and before any field work."""
     broken = _broken(run)
     field = load_field_csv(path)
     # fdwb reads no block, so neither side is given one
     block = run.block if run.method != "fdwb" else None
-    kv = [f"methods={run.method}", f"boot.B={run.B}"]
+    kv = [] if run.method is None else [f"methods={run.method}",
+                                        f"boot.B={run.B}"]
     if block:
         kv.append("block.sizes=%dx%d" % block)
     if run.bandwidth:
         kv += [f"density.bandwidth{k}={b}"
                for k, b in enumerate(run.bandwidth, 1)]
-    if run.command == "ci":
-        kv += ["psi=cos_lag{h=(%d,%d)}" % run.lags[0], f"ci.level={run.level}"]
-    else:
+    if run.command == "isotropy":
         kv += ["test.h%d=(%d,%d)" % (k, *h) for k, h in enumerate(run.lags, 1)]
+    else:
+        kv.append("psi=cos_lag{h=(%d,%d)}" % run.lags[0])
+    if run.command == "ci":
+        kv.append(f"ci.level={run.level}")
     sets = [a for item in kv for a in ("--set", item)]
     built = []
 
@@ -1659,6 +1690,16 @@ def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
                                    0, run.bandwidth), run.method, spec,
                     run.level)
                 got = {"lower": got.lower, "upper": got.upper}
+            elif run.command == "estimate":
+                res = FieldResampler(field, psi_cos_lag(run.lags[0]), run.B,
+                                     4, 0, run.bandwidth)
+                got = {"mhat": res.mhat.value, "var_star": res.var_star}
+                if spec is not None:
+                    est = res.variance(spec)
+                    got.update(sigma_sq=est.sigma_sq_hat,
+                               sigma1_sq=est.sigma1_sq_hat,
+                               sigma2_sq=est.sigma2_sq_hat,
+                               sigma2_floored=est.floored_sigma2)
             else:
                 got = isotropy_test(field, *run.lags, run.method, spec, run.B,
                                     4, 0, run.bandwidth)
@@ -1668,7 +1709,7 @@ def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
         code, out, err = _command(sets + ["--seed", "4", run.command,
                                           "--in", path])
         twice = ["--set", f"methods={run.method},{run.method}"] * run.repeat
-        experiment = _command(
+        experiment = None if run.command == "estimate" else _command(
             sets + twice + ["--set", "process.kind=spherical",
                             "--set", "grid.sizes=%dx%d" % run.grid,
                             "--set", "replicates=1", "--out", out_dir + "/r",
@@ -1691,6 +1732,8 @@ def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
         assert (code, out, built) == (2, "", []), err
         assert err.startswith("config error: ")
         assert err[len("config error: "):-1] in words["command"], err
+    if experiment is None:
+        return
     if not words["experiment"]:
         assert experiment[0] is None, experiment
         return
@@ -1721,6 +1764,14 @@ def _check_agreement(run: _Run, path: str, out_dir: str) -> None:
 # and a method an experiment lists twice, which the single-field sides run
 @example(run=_Run("ci", (12, 12), (4, 4), ((1, 0),), "hfdb", 100, None, 0.9,
                   True))
+# and hybrid blocks with one translate, whose subsampling spread is 0,
+# which estimate still prints
+@example(run=_Run("ci", (12, 12), (12, 12), ((1, 0),), "hfdb_bias", 100, None,
+                  0.9))
+@example(run=_Run("isotropy", (12, 12), (12, 12), ((1, 0), (0, 1)), "hfdb",
+                  100, None, 0.9))
+@example(run=_Run("estimate", (12, 12), (12, 12), ((1, 0),), None, 100, None,
+                  0.9))
 def test_library_and_cli_refuse_the_same_runs(field_files, tmp_path_factory,
                                               run):
     _check_agreement(run, field_files(run.grid),

@@ -25,7 +25,13 @@ block, a zero lag or one outside its blocks, equal test lags and test
 lags h and -h, B below 100 and a bandwidth outside (0, pi]); and a cosine
 lag of psi that a Fourier grid reads as another lag (one past the field's
 grid, one past a block's, and an off-axis lag within the grid's extents);
-and an entry listed twice in a list key.
+an entry listed twice in a list key; and a hybrid block with one
+translate.  The single-field commands have cases of their own: B below
+100, a hybrid ci without a block, a block that does not fit, a psi lag
+that the block grid reads as another lag, an isotropy subsample lag
+outside the block, and the keys they do not read (``--workers`` given to
+``estimate``, ``block.sizes`` to an fdwb ``ci``, ``grid.sizes`` to a run
+that reads ``--in``) or refuse (an even ``block.window``).
 
 A refusal case that the change refuses (exit 2, empty stdout, no files)
 and that the parent runs (exit 0) is a refusal the change adds: it is
@@ -233,6 +239,9 @@ CASES = _cases()
 _RUN = _sets("process.kind=spherical", "grid.sizes=12x12", "block.sizes=4x4",
              "boot.B=100", "replicates=2") + ["--out", "r"]
 
+# the settings of a 12x12 field that a single-field command simulates
+_FIELD_RUN = _sets("process.kind=spherical", "grid.sizes=12x12")
+
 # name -> argv of one command that both trees refuse with exit 2
 REFUSALS = {
     "unknown_key": _sets("bogus.key=1") + _RUN + ["coverage"],
@@ -292,6 +301,29 @@ REFUSALS = {
     "off_axis_alias": _RUN + _sets("psi=cos_lag{h=(8,1)}") + ["coverage"],
     "repeated_list_entry": _RUN + _sets("methods=fdwb,fdwb,hfdb") + [
         "coverage"],
+    "one_translate_hybrid": _RUN + _sets(
+        "block.sizes=12x12", "methods=hfdb_bias") + ["coverage"],
+    # the single-field commands, on a simulated field but for the --in run,
+    # which is refused before its file is read
+    "single_field_boot_B_below_100": _FIELD_RUN + _sets(
+        "block.sizes=4x4", "methods=hfdb", "boot.B=50") + ["ci"],
+    "single_field_hybrid_without_block": _FIELD_RUN + _sets(
+        "methods=hfdb") + ["ci"],
+    "single_field_block_does_not_fit": _FIELD_RUN + _sets(
+        "block.sizes=20x20") + ["estimate"],
+    "single_field_block_lag": _FIELD_RUN + _sets(
+        "block.sizes=4x4", "psi=cos_lag{h=(3,0)}") + ["estimate"],
+    "single_field_lag_outside_block": _FIELD_RUN + _sets(
+        "block.sizes=3x3", "methods=subsample", "test.h1=(3,0)",
+        "test.h2=(0,3)") + ["isotropy"],
+    "single_field_workers": _FIELD_RUN + _sets("block.sizes=4x4") + [
+        "--workers", "2", "estimate"],
+    "single_field_fdwb_block": _FIELD_RUN + _sets(
+        "methods=fdwb", "block.sizes=4x4") + ["ci"],
+    "single_field_window": _FIELD_RUN + _sets("block.window=4") + [
+        "blocksize"],
+    "single_field_in_grid_sizes": _sets("grid.sizes=12x12") + [
+        "estimate", "--in", "f.csv"],
 }
 
 
