@@ -75,14 +75,6 @@ def check_B(B: int, methods, name: str) -> None:
         raise ConfigError(f"{name} must be >= 100 for bootstrap methods, got {B}")
 
 
-def check_block_given(methods, block, name: str) -> None:
-    """Refuse a method of ``methods`` that reads a block ensemble (all but
-    fdwb) when ``block``, named ``name``, gives none."""
-    for m in methods:
-        if m != "fdwb" and not block:
-            raise ConfigError(f"{name}: methods={m} needs a block size")
-
-
 @dataclass(frozen=True)
 class BootstrapDraws:
     """B replicate values plus the scaling bookkeeping.
@@ -282,15 +274,14 @@ class FieldResampler:
         if kind not in KINDS:
             raise ConfigError(f"unknown bootstrap kind {kind!r}, expected one of {KINDS}")
         check_B(self.B, (kind,), "B")
-        check_block_given((kind,), spec, "spec")
-        key = (kind, None if kind == "fdwb" else spec)
+        block = None if kind == "fdwb" else spec    # fdwb reads no block
+        key = (kind, block)
         if key in self._draws:
             return self._draws[key]
+        check_block(block, (self.field.n1, self.field.n2), (kind,), "spec")
         values = self.base_draws
         sigma2_raw = sigma2_floored = bias = 0.0
         if kind != "fdwb":
-            check_block((spec.b1, spec.b2), (self.field.n1, self.field.n2),
-                        (kind,), "spec")
             est = self.variance(spec)
             sigma2_raw = est.sigma2_sq_hat
             sigma2_floored = est.floored_sigma2

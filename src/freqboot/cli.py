@@ -8,7 +8,7 @@ The coverage and isotropy experiments share one replicate loop, chunk
 worker and runner, and differ only in their row of ``_KINDS``.  The
 single-field commands ci and isotropy print the result of a kind's row
 on one field, and every command that resamples checks its run with the
-one ``_check_run``.
+one ``_check_methods``, once, and the one ``_check_run`` on each grid.
 Replicate i simulates one field per tau_r index t and grid size index s
 from stream (seed, FIELD, i, t * len(sizes) + s), and bootstrap
 replicate r of that field reads stream (seed, BOOT,
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _pool
 from . import rng as rngmod
-from .bootstrap import FieldResampler, check_B, check_block_given
+from .bootstrap import FieldResampler, check_B
 from .density import check_bandwidth
 from .errors import ConfigError, FreqbootError, NumericalError
 from .infer import (CI_METHODS, TEST_METHODS, calibrate_isotropy,
@@ -369,28 +369,32 @@ def _check_tau(kind: str, model, tau_r_list, name: str) -> None:
             f"tau_r={own}, got {list(tau_r_list)}")
 
 
-def _check_run(kind: str, psi, grid, grid_name: str, blocks, methods,
-               B: int) -> None:
-    """Refuse, naming keys, what a run of ``kind``'s rows cannot run on one
-    ``grid`` (named ``grid_name``), before any work on it: B below 100
-    for a bootstrap method of ``methods``; a method that reads a block
-    when ``blocks`` gives none; a grid that reads a cosine lag of ``psi``
-    as another lag; a ``block.sizes`` entry that ``subsample.check_block``
-    refuses for ``methods``, with the lags an isotropy subsample
-    calibration compares in it; and one that reads a lag as another where
-    its ensemble is read.  The kind's ``ensembles`` methods read it, and
-    so does a run without methods (estimate, and the minimum-volatility
-    selection) on every block it is given.  A lag is named by the key
-    that sets it: test.h1 and test.h2 in an isotropy run, psi otherwise.
-    The experiments run this check on each grid, and the single-field
-    commands on their field."""
+def _check_methods(methods, blocks, B: int) -> None:
+    """Refuse, naming keys, what a run of ``methods`` cannot run on any
+    grid, before any work: B below 100 for a bootstrap method, and a
+    method that reads a block when ``blocks`` gives none.  The
+    experiments run this check once, and the single-field commands
+    before they load their field or select its block."""
     check_B(B, methods, "boot.B")
-    check_block_given(methods, blocks, "block.sizes")
+    if not blocks:
+        check_block(None, None, methods, "block.sizes")
+
+
+def _check_run(kind: str, psi, grid, grid_name: str, blocks, methods) -> None:
+    """Refuse, naming keys, what a run of ``kind``'s rows cannot run on one
+    ``grid`` (named ``grid_name``), before any work on it: a grid that
+    reads a cosine lag of ``psi`` as another lag; a ``block.sizes`` entry
+    that ``subsample.check_block`` refuses for ``methods``, with the lags
+    an isotropy subsample calibration compares in it; and one that reads
+    a lag as another where its ensemble is read (``_Kind.reads``).  A lag
+    is named by the key that sets it: test.h1 and test.h2 in an isotropy
+    run, psi otherwise.  The experiments run this check on each grid, and
+    the single-field commands on their field."""
     iso = kind == "isotropy"
     keys = ("test.h1", "test.h2") if iso else ("psi",) * len(psi.cos_terms)
     lags = tuple((key, h) for key, (_, h) in zip(keys, psi.cos_terms))
     check_cos_lags(lags, grid, grid_name)
-    reads = not methods or any(m in _KINDS[kind].ensembles for m in methods)
+    reads = _KINDS[kind].reads(methods)
     for size in blocks:
         check_block(size, grid, methods, "block.sizes",
                     lags if iso and "subsample" in methods else ())
@@ -454,9 +458,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"psi: an isotropy experiment resamples the contrast of "
                 f"test.h1 and test.h2, {contrast}, got {self.psi_name!r}")
+        _check_methods(self.methods, self.blocks, self.B)
         for grid in self.sizes:
             _check_run(self.kind, psi, grid, "grid.sizes", self.blocks,
-                       self.methods, self.B)
+                       self.methods)
         _check_tau(self.kind, self.model, self.tau_r_list, "process.tau_r_list")
         if not iso and self.truth is None and not psi.cos_terms:
             raise ConfigError(
@@ -558,6 +563,12 @@ class _Kind(NamedTuple):
     row: Callable             # (cfg, res, result) -> the kind's cells
     ensembles: tuple[str, ...]  # the methods that read the block ensemble
 
+    def reads(self, methods) -> bool:
+        """Whether a run of ``methods`` reads the block ensemble: one of
+        them is in ``ensembles``, or it has none (estimate, and the
+        minimum-volatility selection, read it on every block given)."""
+        return not methods or any(m in self.ensembles for m in methods)
+
 
 _KINDS = {
     "coverage": _Kind(("method", "n1", "n2", "b1", "b2"), "covered",
@@ -584,8 +595,7 @@ def _replicate(cfg: ExperimentConfig, psi, i: int) -> list[dict]:
     need_boot = any(m != "subsample" for m in cfg.methods)
     # the blocks whose ensembles a method reads, computed at once per
     # field, beside its draws when a method reads them (need_boot)
-    ladder = ([BlockSpec(b1, b2) for (b1, b2) in cfg.blocks]
-              if any(m in kind.ensembles for m in cfg.methods) else [])
+    ladder = [BlockSpec(*b) for b in cfg.blocks] if kind.reads(cfg.methods) else []
     records = []
     for t_idx, tau in enumerate(cfg.tau_r_list):
         model = cfg.model
@@ -723,14 +733,21 @@ def report_to_json(report: ExperimentReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=1, default=repr)
 
 
-def emit_report(report: ExperimentReport, out_prefix: str,
-                fmt: str = "csv") -> list[str]:
-    """Write the summary and per-replicate files; returns written paths."""
-    _check("format", fmt, None)   # the experiments' formats
+def _report_dir(out_prefix: str) -> None:
+    """Make the directory of the report ``out_prefix``, refusing one that
+    cannot be made; the experiment commands make it before their first
+    replicate."""
     parent = os.path.dirname(out_prefix)
     if parent:
         with _file_errors(f"cannot write report near {out_prefix!r}"):
             os.makedirs(parent, exist_ok=True)
+
+
+def emit_report(report: ExperimentReport, out_prefix: str,
+                fmt: str = "csv") -> list[str]:
+    """Write the summary and per-replicate files; returns written paths."""
+    _check("format", fmt, None)   # the experiments' formats
+    _report_dir(out_prefix)
     written = []
     if fmt in ("csv", "both"):
         table = _KINDS[report.kind]
@@ -830,6 +847,7 @@ def _dispatch(args) -> int:
         out, fmt = st.get("out"), st.get("format")
         cfg = experiment_config(st, kind, seed, st.get("workers"))
         st.refuse_unread(cmd)
+        _report_dir(out)
         report = (run_coverage_experiment if kind == "coverage"
                   else run_isotropy_experiment)(cfg)
         paths = emit_report(report, out, fmt)
@@ -862,15 +880,15 @@ def _dispatch(args) -> int:
     # ci.level or pvalue.plus_one, the key of the field the result reads
     setting = st.get(_FIELDS[_KINDS[kind].setting][0]) if methods else None
     st.refuse_unread(cmd)
+    _check_methods(methods, sizes, B)
     fieldz = load()
     grid, name = (fieldz.n1, fieldz.n2), "--in" if args.infile else "grid.sizes"
     if sizes == "minvol":
         cands = default_block_candidates(*grid)
-        _check_run(kind, psi, grid, name, [(c.b1, c.b2) for c in cands], (), 0)
-        spec = select_block_size_min_volatility(fieldz, psi, cands, window,
-                                                "block.window")
-        sizes = ((spec.b1, spec.b2),)
-    _check_run(kind, psi, grid, name, sizes, methods, B)
+        _check_run(kind, psi, grid, name, cands, ())
+        sizes = (select_block_size_min_volatility(fieldz, psi, cands, window,
+                                                  "block.window"),)
+    _check_run(kind, psi, grid, name, sizes, methods)
     spec = BlockSpec(*sizes[0]) if sizes else None
     if cmd == "blocksize":
         result = {"b1": spec.b1, "b2": spec.b2, "window": window,

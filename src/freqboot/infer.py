@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import (BootstrapDraws, FieldResampler, check_B,
-                        check_block_given)
+from .bootstrap import BootstrapDraws, FieldResampler, check_B
 from .errors import ConfigError
 from .lattice import LatticeField
 from .spectral import SpectralMeanValue, psi_isotropy_contrast
@@ -101,9 +100,7 @@ def resampled_interval(res: FieldResampler, method: str,
     ``CI_METHODS``: the centered subsample EDF of the ``spec`` blocks, or
     the resampler's bootstrap draws of that kind."""
     if method == "subsample":
-        check_block_given((method,), spec, "spec")
-        check_block((spec.b1, spec.b2), (res.field.n1, res.field.n2),
-                    (method,), "spec")
+        check_block(spec, (res.field.n1, res.field.n2), (method,), "spec")
         return _centered_interval(res.mhat, subsample_edf(res.ensemble(spec)),
                                   level, "subsample")
     return confidence_interval(res.mhat, res.draws(method, spec), level)
@@ -176,9 +173,8 @@ def calibrate_isotropy(res: FieldResampler, method: str,
     mhat = res.mhat
     ts = float(mhat.n * mhat.value ** 2)
     if method == "subsample":
-        check_block_given((method,), spec, "spec")
-        check_block((spec.b1, spec.b2), (res.field.n1, res.field.n2),
-                    (method,), "spec", (("h1", h1), ("h2", h2)))
+        check_block(spec, (res.field.n1, res.field.n2), (method,), "spec",
+                    (("h1", h1), ("h2", h2)))
         contrast = sample_variogram(res.field, h1) - sample_variogram(res.field, h2)
         ts_vario = float(mhat.n * contrast ** 2)
         copies = block_variogram_contrast(res.field, spec, h1, h2)

@@ -54,7 +54,8 @@ _WAVE_MEANS = 524_288
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """Block extents; implies L = (n1 - b1 + 1)(n2 - b2 + 1) translates."""
+    """Block extents; implies L = (n1 - b1 + 1)(n2 - b2 + 1) translates.
+    A spec unpacks as its (b1, b2), so one value serves every caller."""
 
     b1: int
     b2: int
@@ -65,6 +66,9 @@ class BlockSpec:
     @property
     def b(self) -> int:
         return self.b1 * self.b2
+
+    def __iter__(self):
+        return iter((self.b1, self.b2))
 
 
 # The preconditions of block subsampling.  Each is tested and worded here
@@ -93,24 +97,29 @@ def check_lag(h, name: str, block=None, block_name: str = "") -> None:
 
 
 def check_block(size, grid, methods, name: str, lags=()) -> None:
-    """Refuse a (b1, b2) block ``size``, named ``name``, that does not fit
-    an (n1, n2) ``grid``, that has one translate in it when one of
-    ``methods`` reads the spread of the block copies, which one translate
-    leaves at 0 (every method but fdwb: the subsample EDF, and the
-    hybrids' second variance component), or that has no pair of points
-    at one of ``lags``, (name, h) pairs that the isotropy subsample
-    calibration compares in it."""
+    """Refuse a (b1, b2) block ``size``, named ``name``, that is None (no
+    block) when one of ``methods`` reads a block ensemble (every method
+    but fdwb), that does not fit an (n1, n2) ``grid``, that has one
+    translate in it when one of ``methods`` reads the spread of the block
+    copies, which one translate leaves at 0 (every method but fdwb: the
+    subsample EDF, and the hybrids' second variance component), or that
+    has no pair of points at one of ``lags``, (name, h) pairs that the
+    isotropy subsample calibration compares in it."""
+    spread = [m for m in methods if m != "fdwb"]
+    if size is None:
+        if spread:
+            raise ConfigError(f"{name}: methods={spread[0]} needs a block size")
+        return
     (b1, b2), (n1, n2) = size, grid
     if b1 > n1 or b2 > n2:
         raise ConfigError(f"{name}: block {b1}x{b2} does not fit grid {n1}x{n2}")
-    spread = [m for m in methods if m != "fdwb"]
     if spread and (n1 - b1 + 1) * (n2 - b2 + 1) < 2:
         # subsample is named where it is listed: its EDF would be one point
         named = "subsample" if "subsample" in spread else spread[0]
         raise ConfigError(f"{name}: block {b1}x{b2} has one translate in "
                           f"grid {n1}x{n2}, {named} needs at least 2")
     for lag_name, h in lags:
-        check_lag(h, lag_name, size, name)
+        check_lag(h, lag_name, (b1, b2), name)
 
 
 def check_window(window: int, name: str) -> None:
@@ -416,8 +425,7 @@ def block_variogram(fieldz: LatticeField, spec: BlockSpec, h) -> np.ndarray:
     Uses only pairs interior to each block (no wrap-around), so the block
     copies match the full-sample variogram's structure at small scales.
     """
-    check_block((spec.b1, spec.b2), (fieldz.n1, fieldz.n2), (), "spec",
-                (("h", h),))
+    check_block(spec, (fieldz.n1, fieldz.n2), (), "spec", (("h", h),))
     h1, h2 = int(h[0]), int(h[1])
     sq = _lag_squares(fieldz.values, h1, h2)
     return _block_lag_means(sq, spec, abs(h1), abs(h2)).ravel()

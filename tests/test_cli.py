@@ -1246,6 +1246,28 @@ class TestCommandLine:
         assert out == "" and key in err and "does not read" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("settings, command, words", [
+        (["block.sizes=minvol", "boot.B=50"], "ci",
+         "boot.B must be >= 100 for bootstrap methods, got 50"),
+        (["block.sizes=minvol", "boot.B=50"], "isotropy",
+         "boot.B must be >= 100 for bootstrap methods, got 50"),
+        (["methods=hfdb_bias"], "ci", "block.sizes: methods=hfdb_bias needs "
+                                      "a block size"),
+    ], ids=["ci_minvol_B", "isotropy_minvol_B", "ci_missing_block"])
+    def test_single_field_B_and_block_refuse_before_any_work(
+            self, tmp_path, capsys, monkeypatch, settings, command, words):
+        # B and a missing block need no field: they are refused before the
+        # field is loaded or a minimum-volatility block selected
+        def work(*args, **kwargs):
+            pytest.fail("work started before the refusal")
+
+        for name in ("load_field_csv", "select_block_size_min_volatility"):
+            monkeypatch.setattr(cli_module, name, work)
+        monkeypatch.chdir(tmp_path)
+        argv = [arg for kv in settings for arg in ("--set", kv)]
+        assert main(argv + [command, "--in", "f.csv"]) == 2
+        assert capsys.readouterr() == ("", f"config error: {words}\n")
+
     @pytest.mark.parametrize("argv, words", [
         (["estimate", "--in", "missing.csv"],
          "--in: cannot read a field from 'missing.csv': "),
@@ -1259,11 +1281,20 @@ class TestCommandLine:
         (["--set", "grid.sizes=8x8", "--set", "replicates=1",
           "--set", "methods=fdwb", "--out", "/dev/null/r", "coverage"],
          "cannot write report near '/dev/null/r': "),
+        (["--set", "process.kind=spherical", "--set", "grid.sizes=8x8",
+          "--set", "replicates=1", "--set", "methods=fdwb",
+          "--out", "/dev/null/r", "isotropy-experiment"],
+         "cannot write report near '/dev/null/r': "),
     ], ids=["estimate_csv", "estimate_bin", "simulate", "oracle",
-            "report_directory"])
+            "report_directory", "report_directory_isotropy"])
     def test_unreadable_and_unwritable_files_exit_2(self, tmp_path, capsys,
                                                     monkeypatch, argv, words):
-        # a file that cannot be read or written is refused naming it
+        # a file that cannot be read or written is refused naming it, an
+        # experiment's report directory before its first replicate
+        def replicate(*args, **kwargs):
+            pytest.fail("a replicate ran before the refusal")
+
+        monkeypatch.setattr(cli_module, "_replicate", replicate)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         out, err = capsys.readouterr()

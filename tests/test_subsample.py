@@ -76,6 +76,22 @@ class TestEnumerateBlocks:
         with pytest.raises(ConfigError):
             BlockSpec(1, 3)
 
+    def test_check_block_owns_the_missing_block(self):
+        # None is no block: refused naming the first method that reads
+        # one, and accepted for fdwb alone
+        for methods, named in ((("hfdb",), "hfdb"),
+                               (("fdwb", "subsample"), "subsample")):
+            with pytest.raises(ConfigError) as refused:
+                subsample_module.check_block(None, (12, 12), methods, "spec")
+            assert str(refused.value) == f"spec: methods={named} needs a block size"
+        subsample_module.check_block(None, (12, 12), ("fdwb",), "spec")
+        # a BlockSpec is its (b1, b2), down to the lag rule
+        with pytest.raises(ConfigError, match=r"^spec: block 4x4 has no pairs "
+                                              r"at lag h1=\(4, 0\)"):
+            subsample_module.check_block(BlockSpec(4, 4), (12, 12),
+                                         ("subsample",), "spec",
+                                         (("h1", (4, 0)),))
+
 
 class TestEnsemble:
     def test_constant_field_all_zero(self):

@@ -33,9 +33,16 @@ outside the block, and the keys they do not read (``--workers`` given to
 ``estimate``, ``block.sizes`` to an fdwb ``ci``, ``grid.sizes`` to a run
 that reads ``--in``) or refuse (an even ``block.window``).
 
-A refusal case that the change refuses (exit 2, empty stdout, no files)
-and that the parent runs (exit 0) is a refusal the change adds: it is
-listed as a new refusal, with the change's message, and counted apart.
+A refusal case that reads a file has the commands that write it in
+``REFUSAL_SETUP``; they run first and must exit 0.  Two cases pin the
+words of refusals that may come before or after a run's work: a report
+directory that cannot be made (``--out /dev/null/r``) and a ``ci`` with
+B below 100 and a minimum-volatility block.
+
+A refusal case without setup that the change refuses (exit 2, empty
+stdout, no files) and that the parent runs (exit 0) is a refusal the
+change adds: it is listed as a new refusal, with the change's message,
+and counted apart.
 
 Exit status: 0 when every case ran and matched or is a new refusal, 1
 when a case differs, a command failed in either tree or a refusal did
@@ -324,7 +331,19 @@ REFUSALS = {
         "blocksize"],
     "single_field_in_grid_sizes": _sets("grid.sizes=12x12") + [
         "estimate", "--in", "f.csv"],
+    # a report directory that cannot be made, and B below 100 with a
+    # minimum-volatility block: their words stay wherever in the run the
+    # refusal comes, before or after the replicates or the selection
+    "report_directory": _sets("grid.sizes=8x8", "methods=fdwb", "boot.B=100",
+                              "replicates=2") + [
+        "--out", "/dev/null/r", "coverage"],
+    "single_field_minvol_boot_B_below_100": _sets(
+        "block.sizes=minvol", "boot.B=50") + ["ci", *READ],
 }
+
+# name -> the commands that write the files a refusal case reads, run
+# before it in the same directory; each must exit 0
+REFUSAL_SETUP = {"single_field_minvol_boot_B_below_100": [FIELD]}
 
 
 def run_case(tree: str, steps: list[list[str]]):
@@ -358,9 +377,11 @@ def main(argv: list[str]) -> int:
         return 2
     parent, change = argv
     bad = new = n_files = 0
-    cases = {**CASES, **{name: [argv] for name, argv in REFUSALS.items()}}
+    cases = {**CASES, **{name: [*REFUSAL_SETUP.get(name, ()), argv]
+                         for name, argv in REFUSALS.items()}}
     for name, steps in cases.items():
         refusal = name in REFUSALS
+        codes = [0] * (len(steps) - refusal) + [2] * refusal
         p_out, p_files, p_err = run_case(parent, steps)
         c_out, c_files, c_err = run_case(change, steps)
         if refusal and c_out == [(2, "")] and not c_files and p_out[0][0] == 0:
@@ -370,13 +391,13 @@ def main(argv: list[str]) -> int:
         problems = [f"exited {code} in {which}: {err.strip()}"
                     for which, out, errs in (("parent", p_out, p_err),
                                              ("change", c_out, c_err))
-                    for (code, _), err in zip(out, errs)
-                    if code != (2 if refusal else 0)]
+                    for (code, _), err, want in zip(out, errs, codes)
+                    if code != want]
         if p_out != c_out:
             problems.append("exit codes or stdout differ")
         if refusal and p_err != c_err:
-            problems.append(f"stderr differs: {p_err[0].strip()!r} against "
-                            f"{c_err[0].strip()!r}")
+            problems.append(f"stderr differs: {p_err[-1].strip()!r} against "
+                            f"{c_err[-1].strip()!r}")
         for rel in sorted(set(p_files) | set(c_files)):
             if p_files.get(rel) != c_files.get(rel):
                 problems.append(f"{rel} differs")
