@@ -19,9 +19,13 @@ subsampling-estimated fourth-cumulant component:
 Replicate r reads its m half-plane weights from its own stream and is
 reduced without BLAS, so the draws do not depend on the BLAS thread
 count; on large fields the replicates are filled on threads, and the
-draws do not depend on their number either.  A field's block-size
-ladder runs its batches on threads too, with the same bits; draws
-filled on one thread are filled beside them.
+draws do not depend on their number either.  The weights never depend
+on the field, so fields that share a bootstrap address (every tau and
+grid size of one Monte Carlo replicate) fill each row once, at the
+largest m, and each reduces its own prefix of it, with the bits it
+draws alone (``_fdwb``, ``test_shared_fill_equals_each_field_alone``).
+A field's block-size ladder runs its batches on threads too, with the
+same bits; draws filled on one thread are filled beside them.
 
 ``FieldResampler`` holds one field's pipeline and is the only place the
 rescale and the hfdb_bias shift are applied; ``bootstrap_distribution``
@@ -52,7 +56,7 @@ _SQRT2 = np.sqrt(2.0)
 
 KINDS = ("fdwb", "hfdb", "hfdb_bias")
 
-# weights drawn per block of bootstrap rows in ``fdwb_draws``
+# weights drawn per block of bootstrap rows in ``_fdwb``
 _DRAW_BUDGET = 1 << 16
 
 # replicates of at least this many weights are filled on threads; with
@@ -63,8 +67,8 @@ _THREAD_ROW = 1 << 13
 
 
 def _fills_on_threads(m: int) -> bool:
-    """Whether ``fdwb_draws`` shares out replicates of m weights among
-    threads."""
+    """Whether an FDWB fill (``_fdwb``) shares out replicates of m
+    weights among threads."""
     return m >= _THREAD_ROW
 
 
@@ -134,24 +138,28 @@ def _half_plane_reduction(fhat: SpectralDensityEstimate, psi: PsiFunction):
     return paired[grid.half_plane_mask]
 
 
-def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
-               master_seed: int, replicate_id: int = 0) -> np.ndarray:
-    """B FDWB replicates; bootstrap replicate r draws its weights from the
-    dedicated stream (master_seed, replicate_id, r), so serial and
-    parallel generation agree and reruns are bit-identical.
+def _fdwb(fields, B: int, master_seed: int,
+          replicate_id: int) -> list[np.ndarray]:
+    """B FDWB replicates of each (fhat, psi) of ``fields`` from one fill
+    of weights: row r is drawn once, from the stream (master_seed, BOOT,
+    replicate_id, r), at the largest half-plane size m among the fields,
+    and each field reduces the prefix of the row that its own half-plane
+    covers.  A Philox fill is sequential, so a prefix holds the bits that
+    a fill of its field alone draws, and each field's draws are
+    ``fdwb_draws`` of it alone, bit for bit.
 
     Weights are drawn into blocks of rows, and each row is reduced by
     ``np.einsum``, numpy's own loop rather than a BLAS call, so the bits
     depend neither on the block size nor on the BLAS thread count.  When
-    a replicate has at least ``_THREAD_ROW`` weights the blocks are
-    shared out among up to one thread per available CPU, each with its
-    own buffer and Philox; every row still reads its own address, so the
-    bits do not depend on the thread count either."""
-    cvec = _half_plane_reduction(fhat, psi)
-    m = cvec.size
+    a row has at least ``_THREAD_ROW`` weights the blocks are shared out
+    among up to one thread per available CPU, each with its own buffer
+    and Philox; every row still reads its own address, so the bits do
+    not depend on the thread count either."""
+    cvecs = [_half_plane_reduction(fhat, psi) for fhat, psi in fields]
+    m = max(c.size for c in cvecs)
     rows = max(1, min(B, _DRAW_BUDGET // m))
     starts = range(0, B, rows)
-    out = np.empty(B)
+    outs = [np.empty(B) for _ in cvecs]
 
     def fill(block_starts: range) -> None:
         buf = np.empty((rows, m))
@@ -162,13 +170,41 @@ def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
             w = buf[:min(rows, B - start)]
             for row, gen in zip(w, gens):
                 gen.standard_exponential(out=row)
-            np.einsum("ij,j->i", w, cvec, out=out[start:start + w.shape[0]])
+            for cvec, out in zip(cvecs, outs):
+                np.einsum("ij,j->i", w[:, :cvec.size], cvec,
+                          out=out[start:start + w.shape[0]])
 
     k = min(_pool.cpus(), len(starts)) if _fills_on_threads(m) else 1
     _pool.map_ordered(fill, [starts[i::k] for i in range(k)])
-    out -= cvec.sum()    # sum_j c_j (U_j - 1), centred once per field
-    out *= (_TWO_PI ** 2) / np.sqrt(fhat.grid.n)
-    return out
+    for (fhat, _), cvec, out in zip(fields, cvecs, outs):
+        out -= cvec.sum()    # sum_j c_j (U_j - 1), centred once per field
+        out *= (_TWO_PI ** 2) / np.sqrt(fhat.grid.n)
+    return outs
+
+
+def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
+               master_seed: int, replicate_id: int = 0) -> np.ndarray:
+    """B FDWB replicates; bootstrap replicate r draws its weights from the
+    dedicated stream (master_seed, replicate_id, r), so serial and
+    parallel generation agree and reruns are bit-identical.  The fill
+    and its threads are ``_fdwb``'s, for this one field."""
+    return _fdwb([(fhat, psi)], B, master_seed, replicate_id)[0]
+
+
+def _fill_draws(resamplers) -> None:
+    """Fill the base draws of those ``resamplers`` that have none yet.
+    They must share one bootstrap address (master seed, replicate id and
+    B): one is filled by its ``base_draws``, two or more by one
+    ``_fdwb`` fill, with the same bits."""
+    todo = [r for r in resamplers if "base_draws" not in vars(r)]
+    if len(todo) == 1:
+        todo[0].base_draws
+    elif todo:
+        one = todo[0]
+        drawn = _fdwb([(r.fhat, r.psi) for r in todo], one.B,
+                      one.master_seed, one.replicate_id)
+        for r, values in zip(todo, drawn):
+            r.__dict__["base_draws"] = values
 
 
 def _hybrid_rescale(values: np.ndarray, var_star: float,
@@ -192,7 +228,8 @@ class FieldResampler:
     draws are cached per ``BlockSpec``.  ``ensembles`` computes a
     field's ladder of block sizes at once, the batches of all of them on
     threads, with the bits of one ensemble at a time, and can fill the
-    base draws on this thread meanwhile.
+    base draws of the fields sharing its bootstrap address on this
+    thread meanwhile.
     Bootstrap replicate r reads the weight stream (master_seed, BOOT,
     replicate_id, r) whatever the kind, so fdwb and hybrid draws of one
     field agree replicate by replicate.  A bandwidth is refused at once,
@@ -239,25 +276,29 @@ class FieldResampler:
             self._ensembles[spec] = subsample_ensemble(self.field, spec, self.psi)
         return self._ensembles[spec]
 
-    def ensembles(self, specs, draws: bool = False) -> None:
+    def ensembles(self, specs, fill=()) -> None:
         """Compute the block ensembles of ``specs`` not computed yet: one
         by ``ensemble``, two or more as a ladder on threads.
 
-        With ``draws``, the caller will want the base draws too.  When a
-        ladder runs and the draws would be filled on one thread, this
-        thread fills them while the other threads start on the ladder's
-        first wave, then joins them; the bits are the same either way.
+        ``fill`` is the caller's fill job: resamplers that share one
+        bootstrap address, this one or others, whose base draws the
+        caller will want (``_fill_draws``).  This thread fills them too:
+        when a ladder runs and they are filled on one thread, while the
+        other threads start on the ladder's first wave, then joins them;
+        otherwise after the ensembles.  The bits are the same either way.
         """
         todo = [s for s in dict.fromkeys(specs) if s not in self._ensembles]
+        fill = [r for r in fill if "base_draws" not in vars(r)]
+        beside = len(todo) > 1 and fill and not _fills_on_threads(max(
+            np.count_nonzero(r.pgram.grid.half_plane_mask) for r in fill))
         if len(todo) == 1:
             self.ensemble(todo[0])
         elif todo:
-            fill = (draws and "base_draws" not in self.__dict__
-                    and not _fills_on_threads(np.count_nonzero(
-                        self.pgram.grid.half_plane_mask)))
             self._ensembles.update(_ladder(
                 self.field, todo, self.psi,
-                (lambda: self.base_draws) if fill else None))
+                (lambda: _fill_draws(fill)) if beside else None))
+        if not beside:
+            _fill_draws(fill)
 
     def variance(self, spec: BlockSpec) -> VarianceEstimates:
         if spec not in self._variances:

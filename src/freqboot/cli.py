@@ -11,22 +11,30 @@ on one field, and every command that resamples checks its run with the
 one ``_check_methods``, once, and the one ``_check_run`` on each grid.
 Replicate i simulates one field per tau_r index t and grid size index s
 from stream (seed, FIELD, i, t * len(sizes) + s), and bootstrap
-replicate r of that field reads stream (seed, BOOT,
-i * len(tau_r_list) + t, r); coverage runs only the model's own tau_r,
-so there t = 0.  Replicates fan out over a process pool in chunks; as
-every draw is addressed by these indices, reports are byte-identical for
-a given seed regardless of worker count.
+replicate r of every one of its fields reads stream (seed, BOOT,
+i * len(tau_r_list), r), the address of its first tau; coverage runs
+only the model's own tau_r.  The report's config echo names this rule
+``boot_streams: 2``; under rule 1 the fields of tau index t read (seed,
+BOOT, i * len(tau_r_list) + t, r), so only the rows of the second and
+later tau of a multi-tau isotropy run differ between the two
+(``test_replicate_fields_share_one_bootstrap_address``).  Replicates fan
+out over a process pool in chunks; as every draw is addressed by these
+indices, reports are byte-identical for a given seed regardless of
+worker count.
 
-A field whose methods read block ensembles has the ensembles of all its
-block sizes computed at once, as a ladder whose batches run on threads,
-before its rows are made.  When the field has two or more block sizes
-and a bootstrap method, and its draws are filled on one thread, the
-calling thread fills them while the other threads start on the
-ladder's batches.  Worker processes divide the CPUs among those
-running a chunk (``_pool.share``), so processes times threads stay
-within them and a worker left alone uses them all.  Each ensemble's
-batches are merged in batch order, so the bits depend on neither the
-thread nor the worker count.
+A replicate simulates all its fields first.  As they share one address,
+one fill of weight rows serves the draws of them all
+(``bootstrap._fdwb``); a replicate of one field fills through
+``fdwb_draws``.  A field whose methods read block ensembles has the
+ensembles of all its block sizes computed at once, as a ladder whose
+batches run on threads, before its rows are made.  When the first field
+has two or more block sizes and a bootstrap method, and the draws are
+filled on one thread, the calling thread fills them while the other
+threads start on the ladder's batches.  Worker processes divide the
+CPUs among those running a chunk (``_pool.share``), so processes times
+threads stay within them and a worker left alone uses them all.  Each
+ensemble's batches are merged in batch order, so the bits depend on
+neither the thread nor the worker count.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -594,9 +602,9 @@ def _replicate(cfg: ExperimentConfig, psi, i: int) -> list[dict]:
     # method, subsample rows included
     need_boot = any(m != "subsample" for m in cfg.methods)
     # the blocks whose ensembles a method reads, computed at once per
-    # field, beside its draws when a method reads them (need_boot)
+    # field, the first field's beside the draws when a method reads them
     ladder = [BlockSpec(*b) for b in cfg.blocks] if kind.reads(cfg.methods) else []
-    records = []
+    fields = []
     for t_idx, tau in enumerate(cfg.tau_r_list):
         model = cfg.model
         if isinstance(model, SphericalAniso):
@@ -607,23 +615,31 @@ def _replicate(cfg: ExperimentConfig, psi, i: int) -> list[dict]:
                 model, n1, n2,
                 rngmod.stream(cfg.master_seed, rngmod.TAG_FIELD, i, stream_id),
                 generator=cfg.generator)
-            res = FieldResampler(field, psi, cfg.B, cfg.master_seed,
-                                 i * len(cfg.tau_r_list) + t_idx, cfg.bandwidth)
-            res.ensembles(ladder, need_boot)
-            for (b1, b2) in cfg.blocks or ((0, 0),):
-                spec = BlockSpec(b1, b2) if cfg.blocks else None
-                for method in cfg.methods:
-                    at = {"method": method, "tau_r": tau, "n1": n1, "n2": n2,
-                          "b1": b1, "b2": b2}
-                    d = None if method == "subsample" else res.draws(method, spec)
-                    result = kind.result(res, method, spec,
-                                         getattr(cfg, kind.setting))
-                    records.append({
-                        "replicate": i, **{k: at[k] for k in kind.keys},
-                        **kind.row(cfg, res, result),
-                        "var_star": res.var_star if need_boot else 0.0,
-                        **{name: 0.0 if d is None else getattr(d, name)
-                           for name in drawn}})
+            fields.append((tau, FieldResampler(
+                field, psi, cfg.B, cfg.master_seed, i * len(cfg.tau_r_list),
+                cfg.bandwidth)))
+    # the fields share the replicate's bootstrap address: one fill serves all
+    fill = [res for _, res in fields] if need_boot else []
+    records = []
+    fields.reverse()
+    while fields:    # popped, so a field's ensembles go once its rows are made
+        tau, res = fields.pop()
+        res.ensembles(ladder, fill)
+        fill = []
+        for (b1, b2) in cfg.blocks or ((0, 0),):
+            spec = BlockSpec(b1, b2) if cfg.blocks else None
+            for method in cfg.methods:
+                at = {"method": method, "tau_r": tau, "n1": res.field.n1,
+                      "n2": res.field.n2, "b1": b1, "b2": b2}
+                d = None if method == "subsample" else res.draws(method, spec)
+                result = kind.result(res, method, spec,
+                                     getattr(cfg, kind.setting))
+                records.append({
+                    "replicate": i, **{k: at[k] for k in kind.keys},
+                    **kind.row(cfg, res, result),
+                    "var_star": res.var_star if need_boot else 0.0,
+                    **{name: 0.0 if d is None else getattr(d, name)
+                       for name in drawn}})
     return records
 
 
@@ -689,6 +705,7 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
     # execution detail, not part of the experiment: reports must be
     # byte-identical across worker counts
     del echo["workers"]
+    echo["boot_streams"] = 2    # the bootstrap address rule (module docstring)
     return ExperimentReport(kind=kind, config=echo,
                             summary=_summarize(records, table.keys, table.flag),
                             replicates=records)

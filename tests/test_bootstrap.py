@@ -9,14 +9,14 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 import scipy.stats as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from freqboot import (BlockSpec, ConfigError, FieldResampler, NumericalError,
-                      SpectralDensityEstimate, WhiteNoise,
+from freqboot import (BlockSpec, ConfigError, FieldResampler, LatticeField,
+                      NumericalError, SpectralDensityEstimate, WhiteNoise,
                       bootstrap_distribution, build_frequency_grid,
-                      fdwb_variance, periodogram, psi_cos_lag,
-                      simulate_gaussian)
+                      fdwb_variance, kernel_density_estimate, periodogram,
+                      psi_cos_lag, simulate_gaussian)
 from freqboot import _pool
 from freqboot import bootstrap as bootstrap_module
 from freqboot import rng as rngmod
@@ -272,6 +272,52 @@ class TestStreamAddressing:
                                  capture_output=True, text=True, check=True)
             digests.add(run.stdout.strip())
         assert len(digests) == 1
+
+
+@hst.composite
+def _shared_field(draw):
+    """(n1, n2, psi, bandwidth, field seed) of one field of a shared fill:
+    extents of either parity, a cosine psi of a lag the grid reads as
+    itself or a psi that is not even, and a bandwidth pair or the
+    default rate."""
+    n1, n2 = draw(hst.integers(4, 33)), draw(hst.integers(4, 33))
+    lag = hst.tuples(hst.integers(-((n1 - 1) // 2), (n1 - 1) // 2),
+                     hst.integers(-((n2 - 1) // 2), (n2 - 1) // 2))
+    psi = draw(hst.builds(psi_cos_lag, lag) | hst.just(_UNEVEN))
+    bandwidth = draw(hst.none() | hst.tuples(hst.floats(0.2, 1.5),
+                                             hst.floats(0.2, 1.5)))
+    return n1, n2, psi, bandwidth, draw(hst.integers(0, 2 ** 32 - 1))
+
+
+class TestSharedFill:
+    @settings(max_examples=40, deadline=None)
+    @given(fields=hst.lists(_shared_field(), min_size=2, max_size=4),
+           B=hst.integers(100, 300), cpus=hst.integers(1, 3),
+           master_seed=hst.integers(0, (1 << 64) - 1),
+           replicate_id=hst.integers(0, 1 << 40))
+    # 128 x 128: m = 8,193 weights, so the rows are filled on threads and
+    # the 9 x 10 field reduces a prefix of each
+    @example(fields=[(9, 10, _UNEVEN, (0.6, 1.1), 2),
+                     (128, 128, psi_cos_lag((1, 0)), None, 1)],
+             B=100, cpus=2, master_seed=5, replicate_id=3)
+    def test_shared_fill_equals_each_field_alone(self, fields, B, cpus,
+                                                 master_seed, replicate_id):
+        # fields of one bootstrap address, filled at once at the largest
+        # m, draw what fdwb_draws draws for each alone, bit for bit
+        resamplers = [FieldResampler(
+            LatticeField(np.random.default_rng(seed).standard_normal((n1, n2))),
+            psi, B, master_seed, replicate_id, bandwidth)
+            for n1, n2, psi, bandwidth, seed in fields]
+        with patch.object(_pool, "cpus", lambda: 1):
+            alone = [fdwb_draws(kernel_density_estimate(
+                periodogram(r.field), bandwidth=bandwidth), r.psi, B,
+                master_seed, replicate_id)
+                for r, (*_, bandwidth, _) in zip(resamplers, fields)]
+        with patch.object(_pool, "cpus", lambda: cpus):
+            bootstrap_module._fill_draws(resamplers)
+        for r, want in zip(resamplers, alone):
+            assert "base_draws" in vars(r)
+            assert np.array_equal(r.base_draws, want)
 
 
 class TestFdwbVariance:

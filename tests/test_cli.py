@@ -750,7 +750,8 @@ class TestCoverageExperiment:
         # a caller's instrumentation may wrap any public freqboot name and
         # need not be thread-safe: with a ladder on two threads and the
         # draws filled beside it, every public function and method is
-        # still called on this thread
+        # still called on this thread, and so is the shared fill of the
+        # isotropy run's two tau fields
         calls = []
 
         def watched(fn):
@@ -777,6 +778,8 @@ class TestCoverageExperiment:
                 for k, held in list(vars(m).items()):
                     if held is v:
                         monkeypatch.setattr(m, k, run)
+        monkeypatch.setattr(bootstrap_module, "_fdwb",
+                            watched(bootstrap_module._fdwb))
         monkeypatch.setattr(pool_module, "cpus", lambda: 2)
         cfg = _cfg(kind=kind, model=SphericalAniso(sigma2=1.0, range_=3.0),
                    sizes=((14, 13),), blocks=((4, 4), (5, 3), (6, 6)),
@@ -785,7 +788,11 @@ class TestCoverageExperiment:
         cli_module._replicate(cfg, cli_module.psi_from_name(cfg.psi_name), 0)
         off = {name for name, t in calls if t is not threading.main_thread()}
         assert off == set()
-        assert "fdwb_draws" in {name for name, _ in calls}
+        # one field's draws come through fdwb_draws, two fields' from
+        # one shared fill; either way the fill was watched
+        names = {name for name, _ in calls}
+        assert "_fdwb" in names
+        assert kind == "isotropy" or "fdwb_draws" in names
 
     def test_summary_matches_recomputation_from_replicates(self):
         report = run_coverage_experiment(_cfg(replicates=5))
@@ -824,6 +831,34 @@ class TestIsotropyExperiment:
         emit_report(report, str(tmp_path / "r"), "csv")
         rows = (tmp_path / "r_replicates.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 * 2
+
+    def test_replicate_fields_share_one_bootstrap_address(self, monkeypatch):
+        # every tau and grid size of replicate i reads the bootstrap
+        # address of its first tau, (seed, BOOT, i * len(tau_r_list), r):
+        # each fdwb row's draws are a lone resampler's at that address
+        cfg = _cfg(kind="isotropy", model=SphericalAniso(sigma2=1.0, range_=3.0),
+                   sizes=((12, 12), (14, 13)), blocks=((4, 4), (5, 3)),
+                   methods=("fdwb", "hfdb"), B=100, tau_r_list=(1.0, 1.5))
+        drawn = []
+
+        def recorded(res, kind, spec=None, _fn=FieldResampler.draws):
+            d = _fn(res, kind, spec)
+            if kind == "fdwb":
+                drawn.append((res.field, d.values))
+            return d
+
+        monkeypatch.setattr(FieldResampler, "draws", recorded)
+        i = 3
+        cli_module._replicate(cfg, cli_module.psi_from_name(cfg.psi_name), i)
+        monkeypatch.undo()
+        fields = {f.values.tobytes(): f for f, _ in drawn}
+        assert sorted(f.values.shape for f in fields.values()) == [
+            (12, 12), (12, 12), (14, 13), (14, 13)]
+        psi = cli_module.psi_from_name(cfg.psi_name)
+        for field, values in drawn:
+            want = FieldResampler(field, psi, cfg.B, cfg.master_seed,
+                                  i * len(cfg.tau_r_list)).draws("fdwb")
+            assert np.array_equal(values, want.values)
 
     def test_rejects_wrong_process(self):
         with pytest.raises(ConfigError):

@@ -430,7 +430,7 @@ class TestLadder:
         monkeypatch.setattr(np.fft, "rfft", meeting_rfft)
         monkeypatch.setattr(bootstrap_module, "fdwb_draws", meeting_draws)
         res = FieldResampler(f, psi, 100, 0)
-        res.ensembles(specs, draws=True)
+        res.ensembles(specs, [res])
         main = threading.main_thread()
         assert sorted((name, t is main) for name, t in ran) == [
             ("batch", False), ("draws", True)]
@@ -461,7 +461,7 @@ class TestLadder:
                                     psi, B, seed)
             mp.setattr(pool_module, "cpus", lambda: cpus)
             res = FieldResampler(f, psi, B, seed)
-            res.ensembles(specs, draws=True)
+            res.ensembles(specs, [res])
         assert "base_draws" in vars(res)
         assert np.array_equal(res.base_draws, want_draws)
         for s in specs:
@@ -494,12 +494,11 @@ class TestLadder:
         want_draws = fdwb_draws(res.fhat, psi, 100, 1)
         monkeypatch.setattr(pool_module, "cpus", lambda: 2)
         monkeypatch.setattr(pool_module, "ThreadPoolExecutor", NestingPool)
-        res.ensembles(specs, draws=True)
-        assert opened == [0]
-        assert "base_draws" not in vars(res)
-        assert np.array_equal(res.base_draws, want_draws)
+        res.ensembles(specs, [res])
         # the ladder's pool, then the draws' own
         assert opened == [0, 0]
+        assert "base_draws" in vars(res)
+        assert np.array_equal(res.base_draws, want_draws)
         for s, ens in zip(specs, want):
             assert np.array_equal(res.ensemble(s).block_means, ens.block_means)
             assert np.array_equal(res.ensemble(s).per_freq_m2, ens.per_freq_m2)

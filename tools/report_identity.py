@@ -65,9 +65,11 @@ three batches on threads and whose bootstrap weights are drawn on
 threads.  Another runs a coverage ladder of two block sizes on 128x128
 fields, whose ensembles are computed as tasks on threads, and one an
 isotropy ladder on 24x24 fields, whose draws are filled beside the
-ladder's tasks.  An 8x8
-exp-Cholesky coverage case checks the dense Matern covariance against
-its truth.
+ladder's tasks.  Two cases give a replicate several fields on one
+bootstrap address: an isotropy run of two tau on 20x20 and 24x24 grids,
+and a coverage run on 128x128 and 130x130 grids, whose shared weight
+rows are filled on threads.  An 8x8 exp-Cholesky coverage case checks
+the dense Matern covariance against its truth.
 """
 
 from __future__ import annotations
@@ -150,6 +152,19 @@ EXPERIMENTS = {
         "process.tau_r_list=1.0,1.5", "grid.sizes=24x24", ISO_PSI,
         "block.sizes=4x4,6x6", "methods=fdwb,hfdb", "boot.B=150",
         "replicates=6")),
+    # two tau fields of two grid sizes each, all four reading the
+    # replicate's one bootstrap address
+    "tau_sizes_isotropy": ("isotropy-experiment", _sets(
+        "process.kind=spherical", "process.range=3",
+        "process.tau_r_list=1.0,1.5", "grid.sizes=20x20,24x24", ISO_PSI,
+        "block.sizes=4x4,5x5", "methods=fdwb,hfdb,subsample", "boot.B=150",
+        "replicates=6")),
+    # two grid sizes whose weights are filled on threads after each
+    # field's ladder, the smaller reducing a prefix of the larger's rows
+    "threaded_sizes_coverage": ("coverage", _sets(
+        "process.kind=spherical", "grid.sizes=128x128,130x130",
+        "block.sizes=9x9,11x11", "methods=fdwb,hfdb_bias", "boot.B=100",
+        "replicates=2")),
 }
 
 PROCESSES = {
