@@ -623,7 +623,9 @@ class TestBlockVariogram:
            seed=hst.integers(0, 2 ** 32 - 1), scale=hst.floats(1e-3, 1e3))
     def test_separable_sums_match_the_window_sum(self, data, n1, n2, seed,
                                                  scale):
-        # the row-then-column sliding sums against one 4-D window sum
+        # the row-then-column sliding sums against one 4-D window sum, and
+        # bit for bit against the plain two-pass construction: a sum of each
+        # row window, then of each column window of those sums
         b1 = data.draw(hst.integers(2, n1))
         b2 = data.draw(hst.integers(2, n2))
         h1 = data.draw(hst.integers(0, b1 - 1))
@@ -640,6 +642,9 @@ class TestBlockVariogram:
         got = block_variogram(LatticeField(v), BlockSpec(b1, b2), (h1, h2))
         assert got.shape == (want.size,)
         assert np.allclose(got, want.ravel(), rtol=1e-12, atol=0.0)
+        row_sums = sliding_window_view(d * d, w2, axis=1).sum(axis=-1)
+        sums = sliding_window_view(row_sums, w1, axis=0).sum(axis=-1)
+        assert np.array_equal(got, (sums / (w1 * w2)).ravel())
 
     def test_contrast_antisymmetry(self, rng):
         f = LatticeField(rng.standard_normal((9, 9)))

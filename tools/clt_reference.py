@@ -4,17 +4,18 @@ and against the fixture's exact law.
     python3 tools/clt_reference.py [--exact 200] [--seeds 40] [--fixture TAG|all]
 
 Criterion 6 (``tests/test_acceptance.py``) draws 100,000 FDWB replicates
-per fixture and asks that the KS test of draws / sqrt(Var*) against
-N(0, 1) give p > 0.01.  For the fixture named (default
-``flat-64x64/one``, read from the test module's ``_fixtures``) this tool
-takes samples of that size two ways:
+per fixture and asks that their KS test against the fixture's exact law
+give p > 0.01.  It compared draws / sqrt(Var*) with N(0, 1) before, and
+the rates this tool measures are why it no longer does.  For the fixture
+named (default ``flat-64x64/one``, read from the test module's
+``_fixtures``) this tool takes samples of that size two ways:
 
 - exact draws: sum_j a_j (U_j - 1) with the a_j of ``tests/exact_law.py``
   and numpy's default generator, seeds 0, 1, ...; the weights of equal
   coefficients are summed as one Gamma draw;
 - today's ``fdwb_draws`` at master seeds 1, 2, ... (the test reads 99).
 
-Each sample gets the test's KS against N(0, 1) and the KS against the
+Each sample gets the KS against N(0, 1) and the test's KS against the
 fixture's exact law; the tool prints how many samples give p <= 0.01
 under each reference.  Run from the root of a checkout.
 """

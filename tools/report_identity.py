@@ -69,7 +69,9 @@ ladder's tasks.  Two cases give a replicate several fields on one
 bootstrap address: an isotropy run of two tau on 20x20 and 24x24 grids,
 and a coverage run on 128x128 and 130x130 grids, whose shared weight
 rows are filled on threads.  An 8x8 exp-Cholesky coverage case checks
-the dense Matern covariance against its truth.
+the dense Matern covariance against its truth.  Two cases run
+rectangular blocks: a coverage ladder of 4x6, 7x5 and 6x9 blocks on
+37x52 fields, and an isotropy run with 5x7 blocks on 24x30 fields.
 """
 
 from __future__ import annotations
@@ -165,6 +167,17 @@ EXPERIMENTS = {
         "process.kind=spherical", "grid.sizes=128x128,130x130",
         "block.sizes=9x9,11x11", "methods=fdwb,hfdb_bias", "boot.B=100",
         "replicates=2")),
+    # rectangular blocks, odd extents among them, on an odd rectangular
+    # grid: windows and half grids of unequal extents on both axes
+    "rectangular_coverage": ("coverage", _sets(
+        "process.kind=spherical", "process.tau_r=1.5", "grid.sizes=37x52",
+        "block.sizes=4x6,7x5,6x9", "methods=fdwb,hfdb_bias,subsample",
+        "boot.B=150", "replicates=4")),
+    "rectangular_isotropy": ("isotropy-experiment", _sets(
+        "process.kind=spherical", "process.range=3",
+        "process.tau_r_list=1.0,1.5", "grid.sizes=24x30", ISO_PSI,
+        "block.sizes=5x7", "methods=fdwb,hfdb,subsample", "boot.B=150",
+        "replicates=6")),
 }
 
 PROCESSES = {
