@@ -42,16 +42,15 @@ import numpy as np
 
 from . import _pool
 from . import rng as rngmod
-from .density import (SpectralDensityEstimate, check_bandwidth,
+from .density import (SpectralDensityEstimate, check_bandwidth_pair,
                       kernel_density_estimate)
 from .errors import ConfigError, NumericalError
-from .lattice import LatticeField, Periodogram, periodogram
+from .lattice import _TWO_PI, LatticeField, Periodogram, periodogram
 from .spectral import PsiFunction, SpectralMeanValue, spectral_mean
 from .subsample import (BlockSpec, SubsampleEnsemble, VarianceEstimates,
                         _ladder, bias_estimate, check_block,
                         subsample_ensemble, variance_estimates)
 
-_TWO_PI = 2.0 * np.pi
 _SQRT2 = np.sqrt(2.0)
 
 KINDS = ("fdwb", "hfdb", "hfdb_bias")
@@ -192,10 +191,10 @@ def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
 
 
 def _fill_draws(resamplers) -> None:
-    """Fill the base draws of those ``resamplers`` that have none yet.
-    They must share one bootstrap address (master seed, replicate id and
-    B): one is filled by its ``base_draws``, two or more by one
-    ``_fdwb`` fill, with the same bits."""
+    """Fill the base draws of those ``resamplers`` that have none yet,
+    which share one bootstrap address (``FieldResampler.ensembles``): one
+    is filled by its ``base_draws``, two or more by one ``_fdwb`` fill,
+    with the same bits."""
     todo = [r for r in resamplers if "base_draws" not in vars(r)]
     if len(todo) == 1:
         todo[0].base_draws
@@ -238,8 +237,8 @@ class FieldResampler:
 
     def __init__(self, fieldz: LatticeField, psi: PsiFunction, B: int,
                  master_seed: int, replicate_id: int = 0, bandwidth=None):
-        for k, b in enumerate(bandwidth or ()):
-            check_bandwidth(b, f"bandwidth[{k}]")
+        if bandwidth is not None:
+            bandwidth = check_bandwidth_pair(bandwidth)
         self.field = fieldz
         self.psi = psi
         self.B = B
@@ -280,13 +279,18 @@ class FieldResampler:
         """Compute the block ensembles of ``specs`` not computed yet: one
         by ``ensemble``, two or more as a ladder on threads.
 
-        ``fill`` is the caller's fill job: resamplers that share one
-        bootstrap address, this one or others, whose base draws the
-        caller will want (``_fill_draws``).  This thread fills them too:
-        when a ladder runs and they are filled on one thread, while the
-        other threads start on the ladder's first wave, then joins them;
+        ``fill`` is the caller's fill job: resamplers, this one or
+        others, whose base draws the caller will want (``_fill_draws``).
+        They must share one bootstrap address, their B, master seed and
+        replicate id, which one fill of weight rows reads; others are
+        refused before any work.  This thread fills them too: when a
+        ladder runs and they are filled on one thread, while the other
+        threads start on the ladder's first wave, then joins them;
         otherwise after the ensembles.  The bits are the same either way.
         """
+        if len({(r.B, r.master_seed, r.replicate_id) for r in fill}) > 1:
+            raise ConfigError("fill: the resamplers must share one bootstrap "
+                              "address (B, master_seed, replicate_id)")
         todo = [s for s in dict.fromkeys(specs) if s not in self._ensembles]
         fill = [r for r in fill if "base_draws" not in vars(r)]
         beside = len(todo) > 1 and fill and not _fills_on_threads(max(

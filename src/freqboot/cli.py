@@ -59,15 +59,15 @@ import numpy as np
 from . import _pool
 from . import rng as rngmod
 from .bootstrap import FieldResampler, check_B
-from .density import check_bandwidth
+from .density import check_bandwidth, check_bandwidth_pair
 from .errors import ConfigError, FreqbootError, NumericalError
 from .infer import (CI_METHODS, TEST_METHODS, calibrate_isotropy,
                     check_level, resampled_interval)
 from .lattice import (load_field_binary, load_field_csv,
                       periodogram, save_field_binary, save_field_csv)
 from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
-                       TransformedGaussian, WhiteNoise, matern_model,
-                       model_autocovariance, simulate_process)
+                       TransformedGaussian, WhiteNoise, check_generator,
+                       matern_model, model_autocovariance, simulate_process)
 from .spectral import (check_cos_lags, check_distinct_lags, psi_from_name,
                        psi_isotropy_contrast, spectral_mean)
 from .subsample import (BlockSpec, check_block, check_extents, check_lag,
@@ -452,13 +452,18 @@ class ExperimentConfig:
     truth: float | None
 
     def __post_init__(self):
+        if self.kind not in _COMMAND:
+            raise ConfigError(f"kind must be one of {tuple(_COMMAND)}, "
+                              f"got {self.kind!r}")
+        check_generator(self.generator)
         command = _COMMAND[self.kind]
         for key, value in (*((key, getattr(self, f)) for f, (key, _) in _FIELDS.items()),
                            ("workers", self.workers),
-                           ("process.tau_r_list", self.tau_r_list),
-                           *zip(("density.bandwidth1", "density.bandwidth2"),
-                                self.bandwidth or ())):
+                           ("process.tau_r_list", self.tau_r_list)):
             _check(key, value, command)
+        if self.bandwidth is not None:
+            check_bandwidth_pair(self.bandwidth, ("density.bandwidth1",
+                                                  "density.bandwidth2"))
         iso = self.kind == "isotropy"
         contrast = _contrast(self.h1, self.h2).name if iso else None
         psi = psi_from_name(self.psi_name)

@@ -15,9 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import FrequencyGrid, Periodogram
+from .lattice import FrequencyGrid, Periodogram, _omegas
 
-_TWO_PI = 2.0 * np.pi
 _FLOOR_REL = 1e-6
 
 
@@ -46,10 +45,19 @@ def check_bandwidth(b: float, name: str) -> None:
         raise ConfigError(f"{name} must lie in (0, pi], got {b}")
 
 
-def _wrap_distance(n: int) -> np.ndarray:
-    """Circular frequency distance of each FFT-layout offset from 0."""
-    p = np.arange(n)
-    return _TWO_PI * np.minimum(p, n - p) / n
+def check_bandwidth_pair(bandwidth, names=("bandwidth[0]", "bandwidth[1]")
+                         ) -> tuple[float, float]:
+    """``bandwidth`` as a pair of floats, refused unless it is a pair
+    whose entries, named ``names``, ``check_bandwidth`` accepts."""
+    try:
+        b1, b2 = bandwidth
+    except (TypeError, ValueError):
+        raise ConfigError(f"bandwidth must be a pair ({names[0]}, {names[1]}), "
+                          f"got {bandwidth!r}") from None
+    b1, b2 = float(b1), float(b2)
+    check_bandwidth(b1, names[0])
+    check_bandwidth(b2, names[1])
+    return b1, b2
 
 
 def _epanechnikov(u: np.ndarray) -> np.ndarray:
@@ -60,13 +68,18 @@ def _epanechnikov(u: np.ndarray) -> np.ndarray:
 def _smoother_pieces(n1: int, n2: int, b1: float, b2: float):
     """Circular-convolution pieces for one grid and bandwidth: the
     kernel's transform and the denominator, which never changes for a
-    given grid and bandwidth."""
-    kern = np.outer(_epanechnikov(_wrap_distance(n1) / b1),
-                    _epanechnikov(_wrap_distance(n2) / b2))
+    given grid and bandwidth.  The kernel reads each frequency's
+    circular distance from 0, |omega|.  The denominator is positive off
+    the origin (every ordinate keeps its self weight); the origin entry
+    is excluded from all spectral sums and only needs a finite
+    placeholder, at least 1."""
+    kern = np.outer(_epanechnikov(np.abs(_omegas(n1)) / b1),
+                    _epanechnikov(np.abs(_omegas(n2)) / b2))
     kern_f = np.fft.rfft2(kern)
     mask = np.ones((n1, n2))
     mask[0, 0] = 0.0
     denom = np.fft.irfft2(np.fft.rfft2(mask) * kern_f, s=(n1, n2))
+    denom[0, 0] = max(denom[0, 0], 1.0)
     return kern_f, denom
 
 
@@ -86,20 +99,13 @@ def kernel_density_estimate(pgram: Periodogram,
     grid = pgram.grid
     if bandwidth is None:
         bandwidth = default_bandwidth(grid.n1, grid.n2)
-    b1, b2 = float(bandwidth[0]), float(bandwidth[1])
-    check_bandwidth(b1, "bandwidth[0]")
-    check_bandwidth(b2, "bandwidth[1]")
+    b1, b2 = check_bandwidth_pair(bandwidth)
 
     kern_f, denom = _smoother_pieces(grid.n1, grid.n2, b1, b2)
     masked = pgram.values.copy()
     masked[0, 0] = 0.0
     numer = np.fft.irfft2(np.fft.rfft2(masked) * kern_f, s=(grid.n1, grid.n2))
-    # denom is positive off the origin (every ordinate keeps its self
-    # weight); the origin entry is excluded from all spectral sums and
-    # only needs a finite placeholder
-    denom_safe = denom.copy()
-    denom_safe[0, 0] = max(denom[0, 0], 1.0)
-    fhat = numer / denom_safe
+    fhat = numer / denom
     fhat[0, 0] = float(np.mean(fhat[grid.nonzero_mask]))
 
     fhat = 0.5 * (fhat + grid.negate_array(fhat))

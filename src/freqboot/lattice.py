@@ -68,6 +68,11 @@ def _signed_indices(n: int) -> np.ndarray:
     return np.where(p <= n // 2, p, p - n)
 
 
+def _omegas(n: int) -> np.ndarray:
+    """The frequencies 2 pi j / n of the signed indices, in FFT layout."""
+    return _TWO_PI * _signed_indices(n) / n
+
+
 class FrequencyGrid:
     """Nonzero discrete Fourier frequency grid for an n1 x n2 lattice.
 
@@ -92,8 +97,8 @@ class FrequencyGrid:
 
         j1f = _signed_indices(self.n1)            # FFT-layout signed indices
         j2f = _signed_indices(self.n2)
-        self.omega1 = _TWO_PI * j1f / self.n1     # per-axis frequencies, FFT layout
-        self.omega2 = _TWO_PI * j2f / self.n2
+        self.omega1 = _omegas(self.n1)            # per-axis frequencies, FFT layout
+        self.omega2 = _omegas(self.n2)
 
         # modular negation as a position permutation per axis
         self.neg1 = (-np.arange(self.n1)) % self.n1

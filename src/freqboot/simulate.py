@@ -26,9 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .lattice import LatticeField, _signed_indices
-
-_TWO_PI = 2.0 * np.pi
+from .lattice import _TWO_PI, LatticeField, _omegas, _signed_indices
 
 _BLOCK = 1 << 16        # torus points per block of a torus pass
 DENSE_LIMIT = 4096      # largest n1*n2 for dense Cholesky paths
@@ -240,7 +238,7 @@ def _matern_lags(alpha: float, nu: float, r1: int, r2: int) -> np.ndarray:
         # the density is even, so half of axis 2 gives the real inverse:
         # irfft2's ifft along axis 1 and then irfft along axis 2, here the
         # two passes over the transposed half torus
-        w1 = _torus_omegas(m1)[None, :]
+        w1 = _omegas(m1)[None, :]
         w2 = (_TWO_PI / m2) * np.arange(m2 // 2 + 1)[:, None]
         lags = _two_pass(
             lambda r: (_TWO_PI ** 2) * model_spectral_density(model, w1, w2[r]),
@@ -266,10 +264,6 @@ def matern_model(alpha: float, nu: float, phi: float | None = None) -> MaternSpe
 
 # ---------------------------------------------------------------------------
 # torus synthesis and circulant embedding
-
-def _torus_omegas(m: int) -> np.ndarray:
-    return _TWO_PI * _signed_indices(m) / m
-
 
 def _blocks(m: int, per: int) -> list[slice]:
     """range(m) cut into slices of ``per`` (at least 1) entries, the last
@@ -470,12 +464,17 @@ def simulate_exp_cholesky(model, n1: int, n2: int,
 # ---------------------------------------------------------------------------
 # uniform dispatch used by the CLI
 
+def check_generator(generator: str) -> None:
+    """Refuse a ``generator`` that ``simulate_process`` does not run."""
+    if generator not in ("default", "exp_cholesky"):
+        raise ConfigError(f"unknown generator {generator!r}")
+
+
 def simulate_process(model, n1: int, n2: int, rng: np.random.Generator,
                      generator: str = "default") -> LatticeField:
+    check_generator(generator)
     if generator == "exp_cholesky":
         return simulate_exp_cholesky(model, n1, n2, rng)
-    if generator != "default":
-        raise ConfigError(f"unknown generator {generator!r}")
     if isinstance(model, SeparableARMA):
         return simulate_separable(model, n1, n2, rng)
     if isinstance(model, TransformedGaussian):

@@ -14,9 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .lattice import Periodogram
-
-_TWO_PI = 2.0 * np.pi
+from .lattice import _TWO_PI, Periodogram
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,8 @@ import numpy as np
 
 from . import _pool
 from .errors import ConfigError
-from .lattice import FrequencyGrid, LatticeField, build_frequency_grid
+from .lattice import _TWO_PI, FrequencyGrid, LatticeField, build_frequency_grid
 from .spectral import PsiFunction, SpectralMeanValue
-
-_TWO_PI = 2.0 * np.pi
 
 # cap each batch's workspace, one C-order complex buffer of its column
 # transforms, at roughly this many half-grid values (4 MiB, plus one
@@ -216,41 +214,6 @@ def _block_tables(psi_block: np.ndarray, grid: FrequencyGrid):
     return half.T, sigma1
 
 
-def _ensemble_batch(values: np.ndarray, r0: int, r1: int, b1: int, b2: int,
-                    norm: float, weights: np.ndarray, scale: float,
-                    out: np.ndarray):
-    """Write the means of the blocks with origin rows r0..r1-1 to ``out``
-    and return their (count, mean, m2) per half-grid frequency.
-
-    The column transform writes into one C-order complex buffer, so
-    |f|^2 norm is formed from its float view, with the operations and
-    the order of (f.real ** 2 + f.imag ** 2) * norm, into one C-order
-    real array of half its size, which is reshaped without a copy.  The
-    transform is dropped before the deviations, so a batch holds those
-    two arrays at most.  The block means are the ``np.dot`` that
-    ``np.tensordot(intens, weights, axes=2)`` performs, and the moments
-    the ``np.add.reduce`` sums of ``ndarray.mean`` and ``.sum``, called
-    without those Python wrappers, which hold the GIL against the
-    bootstrap fill that may run beside a ladder.
-    """
-    row_f = np.fft.rfft(_windows(values[r0:r1 + b1 - 1], b2, 1), axis=-1)
-    f = np.empty((r1 - r0, row_f.shape[1], b2 // 2 + 1, b1), complex)
-    np.fft.fft(_windows(row_f, b1, 0), axis=-1, out=f)
-    del row_f
-    v = f.view(np.float64)
-    np.square(v, out=v)
-    intens = v[..., 0::2] + v[..., 1::2]
-    del f, v
-    intens *= norm
-    intens = intens.reshape(-1, *weights.shape)
-    count = intens.shape[0]
-    out[:] = scale * np.dot(intens.reshape(count, -1), weights.reshape(-1))
-    mean = np.add.reduce(intens, axis=0) / count
-    intens -= mean
-    np.square(intens, out=intens)
-    return count, mean, np.add.reduce(intens, axis=0)
-
-
 class _Blocks(NamedTuple):
     """One block size's ensemble before its batches run: what every batch
     reads, built on the calling thread."""
@@ -284,12 +247,40 @@ class _Blocks(NamedTuple):
         return range(0, self.rows, self.rows_per_batch)
 
     def run(self, values: np.ndarray, r0: int, block_means: np.ndarray):
-        """The batch starting at origin row r0, as ``_ensemble_batch``."""
-        r1 = min(r0 + self.rows_per_batch, self.rows)
-        return _ensemble_batch(values, r0, r1, self.spec.b1, self.spec.b2,
-                               1.0 / ((_TWO_PI ** 2) * self.spec.b),
-                               self.weights, (_TWO_PI ** 2) / self.spec.b,
-                               block_means[r0 * self.cols:r1 * self.cols])
+        """Write the means of the blocks of the batch starting at origin
+        row r0 to ``block_means`` and return the batch's (count, mean,
+        m2) per half-grid frequency.
+
+        The column transform writes into one C-order complex buffer, so
+        |f|^2 norm is formed from its float view, with the operations and
+        the order of (f.real ** 2 + f.imag ** 2) * norm, into one C-order
+        real array of half its size, which is reshaped without a copy.
+        The transform is dropped before the deviations, so a batch holds
+        those two arrays at most.  The block means are the ``np.dot``
+        that ``np.tensordot(intens, weights, axes=2)`` performs, and the
+        moments the ``np.add.reduce`` sums of ``ndarray.mean`` and
+        ``.sum``, called without those Python wrappers, which hold the
+        GIL against the bootstrap fill that may run beside a ladder.
+        """
+        (b1, b2), r1 = self.spec, min(r0 + self.rows_per_batch, self.rows)
+        row_f = np.fft.rfft(_windows(values[r0:r1 + b1 - 1], b2, 1), axis=-1)
+        f = np.empty((r1 - r0, self.cols, b2 // 2 + 1, b1), complex)
+        np.fft.fft(_windows(row_f, b1, 0), axis=-1, out=f)
+        del row_f
+        v = f.view(np.float64)
+        np.square(v, out=v)
+        intens = v[..., 0::2] + v[..., 1::2]
+        del f, v
+        intens *= 1.0 / ((_TWO_PI ** 2) * self.spec.b)
+        intens = intens.reshape(-1, *self.weights.shape)
+        count = intens.shape[0]
+        block_means[r0 * self.cols:r1 * self.cols] = (
+            (_TWO_PI ** 2) / self.spec.b
+            * np.dot(intens.reshape(count, -1), self.weights.reshape(-1)))
+        mean = np.add.reduce(intens, axis=0) / count
+        intens -= mean
+        np.square(intens, out=intens)
+        return count, mean, np.add.reduce(intens, axis=0)
 
     def cost(self, r0: int) -> int:
         """The batch's half-grid values, its share of the work."""

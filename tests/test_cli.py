@@ -40,7 +40,8 @@ from freqboot.errors import ConfigError, NumericalError
 from freqboot.infer import CI_METHODS, TEST_METHODS, resampled_interval
 from freqboot.spectral import PsiFunction, psi_cos_lag
 from freqboot.simulate import (SeparableARMA, SphericalAniso, WhiteNoise,
-                               matern_model, model_autocovariance)
+                               matern_model, model_autocovariance,
+                               simulate_process)
 
 
 def _cfg(**over):
@@ -1526,6 +1527,42 @@ def test_a_rule_words_the_library_and_the_cli_alike(
         args += [] if v is None else ["--set", f"{k}={v}"]
     assert main(args + ["--out", str(tmp_path / "r"), command]) == 2
     assert capsys.readouterr().err == f"config error: {wording.format(*key)}\n"
+
+
+@pytest.mark.parametrize("bandwidth", [(0.5,), (0.5, 0.6, 0.7), 0.5],
+                         ids=["one", "three", "scalar"])
+@pytest.mark.parametrize("entry, names", [
+    (lambda b: kernel_density_estimate(periodogram(_ZEROS), b),
+     "bandwidth[0], bandwidth[1]"),
+    (lambda b: FieldResampler(_ZEROS, _COS, 100, 0, bandwidth=b),
+     "bandwidth[0], bandwidth[1]"),
+    (lambda b: _cfg(bandwidth=b), "density.bandwidth1, density.bandwidth2"),
+], ids=["kernel_density_estimate", "FieldResampler", "ExperimentConfig"])
+def test_a_bandwidth_that_is_not_a_pair_is_refused(entry, names, bandwidth):
+    # the smoother reads a pair: one entry raised IndexError, a third was
+    # dropped unread, and a scalar raised TypeError
+    with pytest.raises(ConfigError) as refused:
+        entry(bandwidth)
+    assert str(refused.value) == (f"bandwidth must be a pair ({names}), "
+                                  f"got {bandwidth!r}")
+
+
+@pytest.mark.parametrize("over, words", [
+    (dict(kind="bogus"), "kind must be one of ('coverage', 'isotropy'), "
+                         "got 'bogus'"),
+    (dict(generator="nope"), "unknown generator 'nope'"),
+], ids=["kind", "generator"])
+def test_config_refuses_an_unknown_kind_or_generator(over, words):
+    # refused at construction, not by a KeyError or by the first
+    # replicate's simulation, which refuses a generator in the same words
+    with pytest.raises(ConfigError) as refused:
+        _cfg(**over)
+    assert str(refused.value) == words
+    if "generator" in over:
+        with pytest.raises(ConfigError) as simulated:
+            simulate_process(WhiteNoise(1.0), 4, 4, np.random.default_rng(0),
+                             generator=over["generator"])
+        assert str(simulated.value) == words
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 variograms, and minimum-volatility selection."""
 
 import itertools
+import os
 import re
 import sys
 import threading
@@ -306,6 +307,40 @@ class TestEnsemble:
             assert np.array_equal(got[2], intens.sum(axis=0))
         assert np.array_equal(got_means, want_means)
 
+    def test_batch_enters_no_numpy_python_wrapper(self, monkeypatch):
+        # a batch builds its windows and reduces without the Python
+        # wrappers sliding_window_view, tensordot and ndarray.mean/.sum,
+        # which hold the GIL against a fill running beside a ladder
+        values = np.random.default_rng(7).standard_normal((20, 20))
+        # 16 origin rows, 5 per batch: full batches and a ragged 1-row one
+        monkeypatch.setattr(subsample_module, "_CHUNK_BUDGET", 16 * 5 * 3 * 5)
+        blk = subsample_module._Blocks.of(LatticeField(values), BlockSpec(5, 5),
+                                          psi_spectral_cdf((0.5, -1.0)))
+        assert list(blk.batches()) == [0, 5, 10, 15]
+        means = np.empty(blk.L)
+        blk.run(values, 0, means)              # warm-up
+        numpy_dir = os.path.dirname(np.__file__)
+        wrappers = (os.path.join(numpy_dir, "lib", "_stride_tricks_impl.py"),
+                    os.path.join(numpy_dir, "_core", "_methods.py"))
+        entered = []
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and (
+                    code.co_filename in wrappers
+                    or (code.co_filename == os.path.join(numpy_dir, "_core",
+                                                         "numeric.py")
+                        and code.co_name == "tensordot")):
+                entered.append(f"{code.co_filename}:{code.co_name}")
+
+        for r0 in (0, 15):
+            sys.setprofile(profile)
+            try:
+                blk.run(values, r0, means)
+            finally:
+                sys.setprofile(None)
+        assert entered == []
+
 
 class TestLadder:
     @settings(max_examples=40, deadline=None)
@@ -468,6 +503,21 @@ class TestLadder:
             got = res.ensemble(s)
             for name in ("block_means", "per_freq_m2", "sigma1_weights"):
                 assert np.array_equal(getattr(got, name), getattr(want[s], name))
+
+    def test_a_fill_on_two_addresses_is_refused_before_work(self):
+        # one fill of weight rows serves one (B, master seed, replicate
+        # id); a resampler on another would silently get its draws
+        f = LatticeField(np.random.default_rng(8).standard_normal((16, 16)))
+        psi = psi_cos_lag((1, 0))
+        res = FieldResampler(f, psi, 100, 5, replicate_id=0)
+        other = FieldResampler(f, psi, 200, 9, replicate_id=3)
+        for specs in ([BlockSpec(4, 4)], [BlockSpec(4, 4), BlockSpec(5, 5)]):
+            with pytest.raises(ConfigError, match="^fill: "):
+                res.ensembles(specs, [res, other])
+        assert res._ensembles == {}
+        assert "base_draws" not in vars(res) and "base_draws" not in vars(other)
+        other.ensembles([BlockSpec(4, 4)], [other])
+        assert other.draws("fdwb").B == 200
 
     def test_draws_on_threads_wait_for_the_ladder(self, monkeypatch):
         # 130 x 130: m = 8,451 weights, so the draws use every CPU and are

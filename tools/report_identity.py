@@ -1,6 +1,11 @@
 """Check that two source trees give byte-identical CLI results.
 
     python3 tools/report_identity.py PARENT_TREE CHANGE_TREE
+    python3 tools/report_identity.py --parent REV CHANGE_TREE
+
+With ``--parent``, the parent tree is the ``src`` directory of git
+revision REV of the repository that holds CHANGE_TREE, extracted by
+``git archive`` into a temporary directory.
 
 Every case of ``CASES`` is a short sequence of ``python3 -m freqboot.cli``
 commands.  It runs once per tree, in a fresh directory of its own, with
@@ -398,12 +403,30 @@ def run_case(tree: str, steps: list[list[str]]):
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2 or not all(
-            os.path.isdir(os.path.join(t, "src", "freqboot")) for t in argv):
+    rev = argv[1] if len(argv) == 3 and argv[0] == "--parent" else None
+    # absolute: each case runs in a temporary directory of its own
+    trees = [os.path.abspath(t) for t in (argv[2:] if rev is not None else argv)]
+    if len(trees) != 2 - (rev is not None) or not all(
+            os.path.isdir(os.path.join(t, "src", "freqboot")) for t in trees):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         print("both trees need src/freqboot", file=sys.stderr)
         return 2
-    parent, change = argv
+    if rev is None:
+        return compare(*trees)
+    archive = subprocess.run(["git", "-C", trees[0], "archive", rev, "src"],
+                             capture_output=True)
+    if archive.returncode:
+        print(f"--parent {rev}: {archive.stderr.decode().strip()}",
+              file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as parent:
+        subprocess.run(["tar", "-x", "-C", parent], input=archive.stdout,
+                       check=True)
+        return compare(parent, trees[0])
+
+
+def compare(parent: str, change: str) -> int:
+    """Run every case against both trees and report each one."""
     bad = new = n_files = 0
     cases = {**CASES, **{name: [*REFUSAL_SETUP.get(name, ()), argv]
                          for name, argv in REFUSALS.items()}}
