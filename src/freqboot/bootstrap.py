@@ -9,10 +9,12 @@ frequency half-plane and mirrored elsewhere:
 
 Its conditional variance has the closed form
 
-    Var* = n^-1 (4 pi^2)^2 sum_j psi_j (psi_j + psi_-j) fhat_j^2,
+    Var* = n^-1 (4 pi^2)^2 sum_j psi_j (psi_j + psi_-j) fhat_j^2
+         = n^-1 (4 pi^2)^2 sum_j c_j^2
 
-and the hybrid statistic rescales Q* so its spread also covers the
-subsampling-estimated fourth-cumulant component:
+over the half-plane coefficient vector c that the draws reduce
+(``_half_plane_reduction``), and the hybrid statistic rescales Q* so its
+spread also covers the subsampling-estimated fourth-cumulant component:
 
     H* = sqrt(Var* + sigma2_hat) * Q* / sqrt(Var*).
 
@@ -103,38 +105,28 @@ class BootstrapDraws:
         return self.var_star + self.sigma2_floored
 
 
-def _effective_coefficients(fhat: SpectralDensityEstimate,
-                            psi: PsiFunction) -> np.ndarray:
-    """psi * fhat with the self-conjugate convention applied.
-
-    Self-conjugate (Nyquist) indices appear once in the grid but carry a
-    doubled term in the closed-form Var*; scaling their coefficient by
-    sqrt(2) keeps that formula exact for every grid parity.
-    """
+def _half_plane_reduction(fhat: SpectralDensityEstimate, psi: PsiFunction):
+    """The field's coefficient vector c over the half-plane, which Var*
+    and the draws both read: psi * fhat, times sqrt(2) at self-conjugate
+    (Nyquist) indices, which appear once in the grid but carry a doubled
+    term in Var*, and plus the coefficient of the negated index elsewhere,
+    so that each exponential weight multiplies one coefficient."""
     grid = fhat.grid
     coef = psi.on_grid(grid) * fhat.values
     coef[grid.self_conjugate_mask] *= _SQRT2
     coef[0, 0] = 0.0
-    return coef
-
-
-def fdwb_variance(fhat: SpectralDensityEstimate, psi: PsiFunction) -> float:
-    """Closed-form bootstrap variance of the FDWB statistic."""
-    grid = fhat.grid
-    pvals = psi.on_grid(grid)
-    terms = pvals * (pvals + grid.negate_array(pvals)) * fhat.values ** 2
-    terms[0, 0] = 0.0
-    return float((_TWO_PI ** 2) ** 2 / grid.n * np.sum(terms))
-
-
-def _half_plane_reduction(fhat: SpectralDensityEstimate, psi: PsiFunction):
-    """Coefficient vector over the half-plane: pairs grouped, so each
-    exponential weight multiplies one coefficient."""
-    grid = fhat.grid
-    coef = _effective_coefficients(fhat, psi)
     paired = coef + np.where(grid.self_conjugate_mask, 0.0,
                              grid.negate_array(coef))
     return paired[grid.half_plane_mask]
+
+
+def fdwb_variance(fhat: SpectralDensityEstimate, psi: PsiFunction) -> float:
+    """Closed-form bootstrap variance of the FDWB statistic: the variance
+    (2 pi)^4 n^-1 sum_j c_j^2 of the draws' (2 pi)^2 n^-1/2 sum_j c_j
+    (U_j - 1), reduced by ``np.einsum``, numpy's own loop, as the draws
+    are, so that it does not depend on the BLAS either."""
+    c = _half_plane_reduction(fhat, psi)
+    return float((_TWO_PI ** 2) ** 2 / fhat.grid.n * np.einsum("i,i->", c, c))
 
 
 def _fdwb(fields, B: int, master_seed: int,

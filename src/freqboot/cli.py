@@ -17,10 +17,17 @@ only the model's own tau_r.  The report's config echo names this rule
 ``boot_streams: 2``; under rule 1 the fields of tau index t read (seed,
 BOOT, i * len(tau_r_list) + t, r), so only the rows of the second and
 later tau of a multi-tau isotropy run differ between the two
-(``test_replicate_fields_share_one_bootstrap_address``).  Replicates fan
-out over a process pool in chunks; as every draw is addressed by these
-indices, reports are byte-identical for a given seed regardless of
-worker count.
+(``test_replicate_fields_share_one_bootstrap_address``).  The echo's
+``rounding: 2`` names how Var*, sigma1^2 and the Matern lag tables are
+summed.  Under rule 1, Var* summed psi (psi + psi_-) fhat^2 over the
+whole frequency grid, sigma1^2 weighed the block moments mirrored onto
+each block's whole grid, and a lag table took its half-axis frequencies
+as (2 pi / m) k.  Rule 2 reads Var* from the draws' half-plane
+coefficients, sigma1^2 on the block half grid and those frequencies as
+2 pi k / m: the values agree to rounding.  Replicates fan out over a
+process pool in chunks; as every draw is addressed by these indices,
+reports are byte-identical for a given seed regardless of worker
+count.
 
 A replicate simulates all its fields first.  As they share one address,
 one fill of weight rows serves the draws of them all
@@ -711,6 +718,7 @@ def _run(cfg: ExperimentConfig, kind: str) -> ExperimentReport:
     # byte-identical across worker counts
     del echo["workers"]
     echo["boot_streams"] = 2    # the bootstrap address rule (module docstring)
+    echo["rounding"] = 2        # the Var*, sigma1^2 and lag-table sums (same)
     return ExperimentReport(kind=kind, config=echo,
                             summary=_summarize(records, table.keys, table.flag),
                             replicates=records)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,22 +128,6 @@ class FrequencyGrid:
     def negate_array(self, a: np.ndarray) -> np.ndarray:
         """Array indexed by FFT position, re-indexed at negated positions."""
         return a[np.ix_(self.neg1, self.neg2)]
-
-    @cached_property
-    def mirror_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (rows, columns) that expand per-frequency values of a real
-        input on the columns k2 = 0..n2//2 to the full FFT layout by
-        a(-k) = a(k): ``half[grid.mirror_index]``.
-
-        Each mirror pair is read from one side only (the paired columns,
-        and the rows k1 <= n1//2 of the self-mirrored columns), so the
-        result is exactly mirror symmetric.
-        """
-        k1, k2 = np.ogrid[:self.n1, :self.n2]
-        paired = (k2 > 0) & (2 * k2 < self.n2)
-        own = (k2 <= self.n2 // 2) & (paired | (k1 <= self.n1 // 2))
-        return (np.where(own, k1, self.neg1[:, None]),
-                np.where(own, k2, self.neg2[None, :]))
 
 
 @lru_cache(maxsize=128)

@@ -239,7 +239,7 @@ def _matern_lags(alpha: float, nu: float, r1: int, r2: int) -> np.ndarray:
         # irfft2's ifft along axis 1 and then irfft along axis 2, here the
         # two passes over the transposed half torus
         w1 = _omegas(m1)[None, :]
-        w2 = (_TWO_PI / m2) * np.arange(m2 // 2 + 1)[:, None]
+        w2 = _omegas(m2)[:m2 // 2 + 1, None]
         lags = _two_pass(
             lambda r: (_TWO_PI ** 2) * model_spectral_density(model, w1, w2[r]),
             (m2 // 2 + 1, m1), (r2 + 1, r1 + 1), np.fft.ifft,

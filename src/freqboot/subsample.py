@@ -140,7 +140,7 @@ class SubsampleEnsemble:
     grid: FrequencyGrid                                  # block Fourier grid
     L: int
     block_means: np.ndarray = field(repr=False)          # per-block spectral means
-    per_freq_m2: np.ndarray = field(repr=False)          # sum (I - Itilde)^2
+    per_freq_m2: np.ndarray = field(repr=False)          # sum (I - Itilde)^2, half grid (k1, k2)
     sigma1_weights: np.ndarray = field(repr=False)       # see _block_tables
 
     @property
@@ -189,25 +189,31 @@ def _windows(a: np.ndarray, w: int, axis: int) -> np.ndarray:
 
 def _block_tables(psi_block: np.ndarray, grid: FrequencyGrid):
     """psi's read-only tables on a block grid, built once per (psi, block
-    shape): its weights on the half grid k2 = 0..b2//2, as (k2, k1), for
-    the block means, and the sigma1^2 weights of the full grid.
+    shape), both on the half grid k2 = 0..b2//2: its weights, as (k2,
+    k1), for the block means, and the sigma1^2 weights, as (k1, k2).
 
     A paired column k2 (0 < k2 < b2/2) stands for itself and for its
     mirror -k2, whose intensity at (k1, -k2) is I(-k1, k2); so it carries
     psi(k) + psi(-k).  Column 0 and, for even b2, column b2/2 are their
-    own mirrors and carry psi(k).  sigma1^2 weighs frequency k by
-    psi(k) (psi(k) + psi(-k)), but self-conjugate (Nyquist) ordinates
-    appear once in the spectral sum and their empirical variance already
-    carries the real-coefficient doubling, so they enter with psi^2; the
-    paired weight would double count them and bias sigma1 upward by
-    O(1/b) on even-extent blocks.  The origin carries 0 in both.
+    own mirrors and carry psi(k).  sigma1^2 weighs frequency k of the
+    full grid by psi(k) (psi(k) + psi(-k)), so a paired column, which
+    stands for k and -k with one variance, carries (psi(k) + psi(-k))^2
+    and a self-mirrored one psi(k) (psi(k) + psi(-k)).  Self-conjugate
+    (Nyquist) ordinates appear once in the spectral sum and their
+    empirical variance already carries the real-coefficient doubling, so
+    they enter with psi^2; the paired weight would double count them and
+    bias sigma1 upward by O(1/b) on even-extent blocks.  The origin
+    carries 0 in both.
     """
-    psi_neg = grid.negate_array(psi_block)
-    half = psi_block[:, :grid.n2 // 2 + 1].copy()
+    cols = grid.n2 // 2 + 1
+    psi, psi_neg = psi_block[:, :cols], grid.negate_array(psi_block)[:, :cols]
+    half = psi.copy()
     paired = slice(1, (grid.n2 + 1) // 2)
     half[:, paired] += psi_neg[:, paired]
-    sigma1 = psi_block * (psi_block + psi_neg)
-    sigma1[grid.self_conjugate_mask] = psi_block[grid.self_conjugate_mask] ** 2
+    sigma1 = psi * (psi + psi_neg)
+    sigma1[:, paired] = half[:, paired] ** 2
+    own = grid.self_conjugate_mask[:, :cols]
+    sigma1[own] = psi[own] ** 2
     half[0, 0] = sigma1[0, 0] = 0.0
     half.flags.writeable = sigma1.flags.writeable = False
     # transforms come out as (origin, k2, k1); keep that order throughout
@@ -309,7 +315,7 @@ def _wave(values: np.ndarray, blocks: list[_Blocks],
             count, mean, m2 = _welford_merge(count, mean, m2, *stats[i, r0])
         out.append(SubsampleEnsemble(
             spec=blk.spec, grid=blk.grid, L=blk.L, block_means=means[i],
-            per_freq_m2=m2.T[blk.grid.mirror_index],
+            per_freq_m2=m2.T,
             sigma1_weights=blk.sigma1_weights))
     return out
 
@@ -351,8 +357,8 @@ def subsample_ensemble(fieldz: LatticeField, spec: BlockSpec,
     length-b2 row window of the field rows it covers, then one length-b1
     FFT down each b1-row window of those transforms, giving the half grid
     k2 = 0..b2//2 of every block.  Block means use psi folded onto the
-    half grid; the per-frequency moments are accumulated there and
-    mirrored to the full layout at the end.
+    half grid; the per-frequency moments are accumulated there, and kept
+    there as (k1, k2), where sigma1^2 weighs them.
 
     A field of two or more batches has them computed on up to one thread
     per CPU; their moments are merged in batch order on this thread, so
@@ -368,6 +374,9 @@ def variance_estimates(ens: SubsampleEnsemble) -> VarianceEstimates:
     sigma1^2:  b^-1 (4 pi^2)^2 sum_j psi_j (psi_j + psi_-j)
                L^-1 sum_l (I_l(omega_j) - Itilde(omega_j))^2
     sigma2^2:  their difference (not floored here).
+
+    sigma1^2's sum over the full grid is taken on the half grid, with
+    each column's weight standing for its mirror too (``_block_tables``).
     """
     dev = ens.block_means - ens.subsample_grand_mean
     sigma_sq = float(ens.b * np.mean(dev * dev))

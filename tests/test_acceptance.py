@@ -13,6 +13,7 @@ argument, and each verdict carries its measured values by name, so that
 ``tools/acceptance_spread.py`` runs these same tests at other seeds.
 """
 
+import math
 import time
 
 import numpy as np
@@ -41,11 +42,30 @@ def _verdict(tag, ok, detail, **values):
     print(f"ACCEPTANCE {tag} {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def _cell(report, **keys):
+def _row(report, **keys):
     rows = [r for r in report.summary
             if all(r[k] == v for k, v in keys.items())]
     assert len(rows) == 1, f"no unique cell for {keys}"
-    return rows[0]["proportion"]
+    return rows[0]
+
+
+def _cell(report, **keys):
+    return _row(report, **keys)["proportion"]
+
+
+def _margin(report, lo=-math.inf, hi=math.inf, **keys):
+    """The Monte Carlo se of the summary row at ``keys`` and the distance
+    of its proportion to the nearer of the bounds ``lo`` and ``hi``, in
+    se: positive inside, negative outside."""
+    row = _row(report, **keys)
+    p, se = row["proportion"], row["mc_se"]
+    d = min(p - lo, hi - p)
+    return se, d / se if se > 0 else math.copysign(math.inf, d)
+
+
+def _se_text(se, margin):
+    side = "inside" if margin >= 0 else "outside"
+    return f"se {se:.4f}, {abs(margin):.1f} se {side} the bound"
 
 
 def run_table1(seed):
@@ -109,10 +129,12 @@ def separable_coverage():
 def test_criterion_1_fdwb_size(table1):
     report, elapsed = table1
     p = _cell(report, method="fdwb", tau_r=1.0)
+    se, margin = _margin(report, 0.058, 0.148, method="fdwb", tau_r=1.0)
     ok = 0.058 <= p <= 0.148 and elapsed <= 900.0
     _verdict("1/FDWB-size", ok,
-             f"rejection {p:.3f} in [0.058, 0.148], wall {elapsed:.0f}s <= 900s",
-             rejection=p)
+             f"rejection {p:.3f} in [0.058, 0.148] ({_se_text(se, margin)}), "
+             f"wall {elapsed:.0f}s <= 900s",
+             rejection=p, se=se, margin_se=margin)
     assert 0.058 <= p <= 0.148
     assert elapsed <= 900.0
 
@@ -131,16 +153,20 @@ def test_criterion_1_hfdb_size(table1):
     """
     report, _ = table1
     p = _cell(report, method="hfdb", tau_r=1.0)
+    se, margin = _margin(report, 0.058, 0.148, method="hfdb", tau_r=1.0)
     _verdict("1/HFDB-size", 0.058 <= p <= 0.148,
-             f"rejection {p:.3f} vs [0.058, 0.148]", rejection=p)
+             f"rejection {p:.3f} vs [0.058, 0.148] ({_se_text(se, margin)})",
+             rejection=p, se=se, margin_se=margin)
     assert 0.058 <= p <= 0.148
 
 
 def test_criterion_1_subsampling_size(table1):
     report, _ = table1
     p = _cell(report, method="subsample", tau_r=1.0)
+    se, margin = _margin(report, 0.039, 0.129, method="subsample", tau_r=1.0)
     _verdict("1/subsampling-size", 0.039 <= p <= 0.129,
-             f"rejection {p:.3f} in [0.039, 0.129]", rejection=p)
+             f"rejection {p:.3f} in [0.039, 0.129] ({_se_text(se, margin)})",
+             rejection=p, se=se, margin_se=margin)
     assert 0.039 <= p <= 0.129
 
 
@@ -153,10 +179,13 @@ def test_criterion_2_hfdb_power_trend(table1):
              for t in (1.0, 1.2, 1.4, 1.5)]
     nondecreasing = all(a <= b for a, b in zip(rates, rates[1:]))
     ok = nondecreasing and rates[-1] >= 0.95
+    se, margin = _margin(report, 0.95, method="hfdb", tau_r=1.5)
     _verdict("2/power-trend", ok,
              "hfdb rejection over tau_R {1,1.2,1.4,1.5} = "
-             + ", ".join(f"{r:.3f}" for r in rates),
-             **{f"tau_r={t}": r for t, r in zip((1.0, 1.2, 1.4, 1.5), rates)})
+             + ", ".join(f"{r:.3f}" for r in rates)
+             + f" (tau_R 1.5 >= 0.95: {_se_text(se, margin)})",
+             **{f"tau_r={t}": r for t, r in zip((1.0, 1.2, 1.4, 1.5), rates)},
+             se=se, margin_se=margin)
     assert nondecreasing
     assert rates[-1] >= 0.95
 
@@ -166,22 +195,28 @@ def test_criterion_2_hfdb_power_trend(table1):
 
 def test_criterion_3_fdwb_invalidity(table2):
     p = _cell(table2, method="fdwb", tau_r=1.0)
-    _verdict("3/FDWB-invalid", p > 0.18, f"rejection {p:.3f} > 0.18",
-             rejection=p)
+    se, margin = _margin(table2, 0.18, method="fdwb", tau_r=1.0)
+    _verdict("3/FDWB-invalid", p > 0.18,
+             f"rejection {p:.3f} > 0.18 ({_se_text(se, margin)})",
+             rejection=p, se=se, margin_se=margin)
     assert p > 0.18
 
 
 def test_criterion_3_hfdb_size(table2):
     p = _cell(table2, method="hfdb", tau_r=1.0)
+    se, margin = _margin(table2, 0.055, 0.145, method="hfdb", tau_r=1.0)
     _verdict("3/HFDB-size", 0.055 <= p <= 0.145,
-             f"rejection {p:.3f} in [0.055, 0.145]", rejection=p)
+             f"rejection {p:.3f} in [0.055, 0.145] ({_se_text(se, margin)})",
+             rejection=p, se=se, margin_se=margin)
     assert 0.055 <= p <= 0.145
 
 
 def test_criterion_3_subsampling_size(table2):
     p = _cell(table2, method="subsample", tau_r=1.0)
+    se, margin = _margin(table2, 0.033, 0.123, method="subsample", tau_r=1.0)
     _verdict("3/subsampling-size", 0.033 <= p <= 0.123,
-             f"rejection {p:.3f} in [0.033, 0.123]", rejection=p)
+             f"rejection {p:.3f} in [0.033, 0.123] ({_se_text(se, margin)})",
+             rejection=p, se=se, margin_se=margin)
     assert 0.033 <= p <= 0.123
 
 
@@ -206,9 +241,12 @@ def test_criterion_4_hfdb_bias_coverage(separable_coverage):
         c = _cell(separable_coverage, method="hfdb_bias", b1=b)
         if c > best:
             best_b, best = b, c
+    se, margin = _margin(separable_coverage, 0.82, 0.95, method="hfdb_bias",
+                         b1=best_b)
     _verdict("4/hfdb-bias-coverage", 0.82 <= best <= 0.95,
-             f"best coverage {best:.3f} at block {best_b} vs [0.82, 0.95]",
-             best=best, block=best_b)
+             f"best coverage {best:.3f} at block {best_b} vs [0.82, 0.95] "
+             f"({_se_text(se, margin)})",
+             best=best, block=best_b, se=se, margin_se=margin)
     assert any(0.82 <= _cell(separable_coverage, method="hfdb_bias", b1=b) <= 0.95
                for b in range(4, 16))
 
@@ -219,9 +257,13 @@ def test_criterion_4_fdwb_undercoverage_gap(separable_coverage):
     fdwb = _cell(separable_coverage, method="fdwb", b1=4)
     best = max(_cell(separable_coverage, method="hfdb_bias", b1=b)
                for b in range(4, 16))
+    # the fdwb row's se, against its bound best - 0.08
+    se, margin = _margin(separable_coverage, hi=best - 0.08, method="fdwb",
+                         b1=4)
     _verdict("4/FDWB-gap", fdwb <= best - 0.08,
-             f"fdwb coverage {fdwb:.3f} <= best hfdb_bias {best:.3f} - 0.08",
-             fdwb=fdwb, gap=best - fdwb)
+             f"fdwb coverage {fdwb:.3f} <= best hfdb_bias {best:.3f} - 0.08 "
+             f"({_se_text(se, margin)})",
+             fdwb=fdwb, gap=best - fdwb, se=se, margin_se=margin)
     assert fdwb <= best - 0.08
 
 

@@ -20,8 +20,8 @@ from freqboot import (BlockSpec, ConfigError, FieldResampler, LatticeField,
 from freqboot import _pool
 from freqboot import bootstrap as bootstrap_module
 from freqboot import rng as rngmod
-from freqboot.bootstrap import (_effective_coefficients, _half_plane_reduction,
-                                _hybrid_rescale, fdwb_draws)
+from freqboot.bootstrap import (_half_plane_reduction, _hybrid_rescale,
+                                fdwb_draws)
 from freqboot.simulate import TransformedGaussian, matern_model
 from freqboot.spectral import PsiFunction
 
@@ -82,7 +82,10 @@ class TestWeights:
         de = SpectralDensityEstimate(
             grid=grid, bandwidth=(1.0, 1.0),
             values=np.random.default_rng(71).uniform(0.1, 2.0, (6, 5)))
-        coef = _effective_coefficients(de, _UNEVEN)
+        # psi_j fhat_j, times sqrt(2) at self-conjugate j, 0 at the origin
+        coef = _UNEVEN.on_grid(grid) * de.values
+        coef[grid.self_conjugate_mask] *= np.sqrt(2.0)
+        coef[0, 0] = 0.0
         draws = fdwb_draws(de, _UNEVEN, 5, master_seed=71)
         for r in range(5):
             w = _mirrored_weights(grid, _boot_uniforms(grid, 71, r))

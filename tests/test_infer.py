@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from freqboot import (BlockSpec, ConfigError, FieldResampler, LatticeField,
-                      WhiteNoise, confidence_interval, isotropy_test,
-                      periodogram, psi_cos_lag, psi_isotropy_contrast,
-                      resampled_interval, sample_variogram, simulate_gaussian,
-                      spectral_mean)
+                      SphericalAniso, WhiteNoise, calibrate_isotropy,
+                      confidence_interval, isotropy_test, periodogram,
+                      psi_cos_lag, psi_isotropy_contrast, resampled_interval,
+                      sample_variogram, simulate_gaussian, spectral_mean)
+from freqboot import _pool
+from freqboot import bootstrap as bootstrap_module
 from freqboot import rng as rngmod
 from freqboot.bootstrap import BootstrapDraws
 from freqboot.infer import _type7_quantiles, p_value_from_replicates
@@ -219,3 +221,48 @@ class TestIsotropyTest:
                 g.append(abs(m + vd))  # M targets the negated contrast
             gaps.append(np.median(g))
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+class TestTwoPsiOnOneField:
+    @pytest.mark.parametrize("n", [24, 128])
+    def test_two_psi_share_one_fill(self, monkeypatch, n):
+        # an hfdb isotropy test and an hfdb_bias interval of one field
+        # read one bootstrap address, so r_iso.ensembles([spec], [r_iso,
+        # r_ci]) fills their weight rows once for both, and the p-value,
+        # the interval and the draws are those of separate isotropy_test
+        # and resampled_interval calls, bit for bit.  At 128 x 128 the
+        # rows (m = 8,193) are filled on threads.
+        f = simulate_gaussian(SphericalAniso(sigma2=1.0, range_=5.0), n, n,
+                              rngmod.stream(17, rngmod.TAG_FIELD, 0))
+        spec, B, seed, index = BlockSpec(6, 6), 100, 17, 3
+        r_iso = FieldResampler(f, psi_isotropy_contrast((1, 0), (0, 1)), B,
+                               seed, index)
+        r_ci = FieldResampler(f, PSI, B, seed, index)
+        m = int(r_ci.pgram.grid.half_plane_mask.sum())
+        assert bootstrap_module._fills_on_threads(m) == (n == 128)
+        fills = []
+        fdwb = bootstrap_module._fdwb
+
+        def counted(fields, *args):
+            fills.append(len(fields))
+            return fdwb(fields, *args)
+
+        monkeypatch.setattr(_pool, "cpus", lambda: 2)
+        monkeypatch.setattr(bootstrap_module, "_fdwb", counted)
+        r_iso.ensembles([spec], [r_iso, r_ci])
+        assert fills == [2]
+        test = calibrate_isotropy(r_iso, "hfdb", spec)
+        ci = resampled_interval(r_ci, "hfdb_bias", spec, 0.9)
+        assert fills == [2]
+        monkeypatch.undo()
+
+        assert test == isotropy_test(f, (1, 0), (0, 1), "hfdb", spec, B,
+                                     seed, index)
+        alone = FieldResampler(f, PSI, B, seed, index)
+        assert ci == resampled_interval(alone, "hfdb_bias", spec, 0.9)
+        for kind in ("fdwb", "hfdb", "hfdb_bias"):
+            assert np.array_equal(r_ci.draws(kind, spec).values,
+                                  alone.draws(kind, spec).values)
+        iso_alone = FieldResampler(f, r_iso.psi, B, seed, index)
+        assert np.array_equal(r_iso.draws("hfdb", spec).values,
+                              iso_alone.draws("hfdb", spec).values)

@@ -116,7 +116,7 @@ def _irfft2_lags(alpha: float, nu: float, r1: int, r2: int) -> np.ndarray:
     while True:
         m1, m2 = max(p, 2 * (r1 + 1)), max(p, 2 * (r2 + 1))
         w1 = 2.0 * np.pi * simulate_module._signed_indices(m1)[:, None] / m1
-        w2 = (2.0 * np.pi / m2) * np.arange(m2 // 2 + 1)[None, :]
+        w2 = 2.0 * np.pi * np.arange(m2 // 2 + 1)[None, :] / m2
         lam = (2.0 * np.pi) ** 2 * model_spectral_density(model, w1, w2)
         lags = np.fft.irfft2(lam, s=(m1, m2))[:r1 + 1, :r2 + 1]
         if prev is not None and np.max(np.abs(lags - prev)) <= 1e-6 * lags[0, 0]:

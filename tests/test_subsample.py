@@ -139,11 +139,20 @@ class TestEnsemble:
         direct = [spectral_mean(pg, psi).value for pg in blocks]
         np.testing.assert_allclose(ens.block_means, direct, rtol=1e-10, atol=1e-12)
         stack = np.array([pg.values for pg in blocks])
-        np.testing.assert_allclose(
-            ens.per_freq_m2, np.sum((stack - stack.mean(axis=0)) ** 2, axis=0),
-            rtol=1e-8, atol=1e-14)
-        # I(-omega) = I(omega) holds bit for bit on the mirrored layout
-        assert np.array_equal(ens.per_freq_m2, ens.grid.negate_array(ens.per_freq_m2))
+        m2 = np.sum((stack - stack.mean(axis=0)) ** 2, axis=0)
+        np.testing.assert_allclose(ens.per_freq_m2, m2[:, :b2 // 2 + 1],
+                                   rtol=1e-8, atol=1e-14)
+        # sigma1^2 by its full-grid definition: b^-1 (2 pi)^4 sum_j w_j
+        # L^-1 sum_l (I_lj - Ibar_j)^2, w_j = psi_j (psi_j + psi_-j),
+        # psi_j^2 at self-conjugate j and 0 at the origin
+        grid = ens.grid
+        p = psi.on_grid(grid)
+        w = p * (p + grid.negate_array(p))
+        w[grid.self_conjugate_mask] = p[grid.self_conjugate_mask] ** 2
+        w[0, 0] = 0.0
+        want = (2 * np.pi) ** 4 / spec.b * np.sum(w * m2 / len(blocks))
+        np.testing.assert_allclose(variance_estimates(ens).sigma1_sq_hat, want,
+                                   rtol=1e-10, atol=1e-14)
         # one origin row per batch: the Welford merges agree with one batch
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(subsample_module, "_CHUNK_BUDGET", 1)
