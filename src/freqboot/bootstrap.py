@@ -25,7 +25,8 @@ draws do not depend on their number either.  The weights never depend
 on the field, so fields that share a bootstrap address (every tau and
 grid size of one Monte Carlo replicate) fill each row once, at the
 largest m, and each reduces its own prefix of it, with the bits it
-draws alone (``_fdwb``, ``test_shared_fill_equals_each_field_alone``).
+draws alone: the fill job of ``FieldResampler.ensembles`` hands them to
+one ``_fdwb`` call (``test_shared_fill_equals_each_field_alone``).
 A field's block-size ladder runs its batches on threads too, with the
 same bits; draws filled on one thread are filled beside them.
 
@@ -182,22 +183,6 @@ def fdwb_draws(fhat: SpectralDensityEstimate, psi: PsiFunction, B: int,
     return _fdwb([(fhat, psi)], B, master_seed, replicate_id)[0]
 
 
-def _fill_draws(resamplers) -> None:
-    """Fill the base draws of those ``resamplers`` that have none yet,
-    which share one bootstrap address (``FieldResampler.ensembles``): one
-    is filled by its ``base_draws``, two or more by one ``_fdwb`` fill,
-    with the same bits."""
-    todo = [r for r in resamplers if "base_draws" not in vars(r)]
-    if len(todo) == 1:
-        todo[0].base_draws
-    elif todo:
-        one = todo[0]
-        drawn = _fdwb([(r.fhat, r.psi) for r in todo], one.B,
-                      one.master_seed, one.replicate_id)
-        for r, values in zip(todo, drawn):
-            r.__dict__["base_draws"] = values
-
-
 def _hybrid_rescale(values: np.ndarray, var_star: float,
                     sigma2_floored: float) -> np.ndarray:
     """Q* -> H*: scale FDWB draws from spread sqrt(Var*) to
@@ -272,29 +257,40 @@ class FieldResampler:
         by ``ensemble``, two or more as a ladder on threads.
 
         ``fill`` is the caller's fill job: resamplers, this one or
-        others, whose base draws the caller will want (``_fill_draws``).
-        They must share one bootstrap address, their B, master seed and
-        replicate id, which one fill of weight rows reads; others are
-        refused before any work.  This thread fills them too: when a
-        ladder runs and they are filled on one thread, while the other
-        threads start on the ladder's first wave, then joins them;
-        otherwise after the ensembles.  The bits are the same either way.
+        others, whose base draws the caller will want.  They must share
+        one bootstrap address, their B, master seed and replicate id,
+        which one fill of weight rows reads; others are refused before
+        any work.  Of those with no base draws yet, one is filled by its
+        ``base_draws``, two or more by one ``_fdwb`` fill, with the same
+        bits.  This thread fills them: when a ladder runs and they are
+        filled on one thread, while the other threads start on the
+        ladder's first wave, then joins them; otherwise after the
+        ensembles.  The bits are the same either way.
         """
-        if len({(r.B, r.master_seed, r.replicate_id) for r in fill}) > 1:
+        address = {(r.B, r.master_seed, r.replicate_id) for r in fill}
+        if len(address) > 1:
             raise ConfigError("fill: the resamplers must share one bootstrap "
                               "address (B, master_seed, replicate_id)")
         todo = [s for s in dict.fromkeys(specs) if s not in self._ensembles]
         fill = [r for r in fill if "base_draws" not in vars(r)]
+
+        def fill_draws() -> None:
+            if len(fill) == 1:
+                fill[0].base_draws
+            elif fill:
+                drawn = _fdwb([(r.fhat, r.psi) for r in fill], *address.pop())
+                for r, values in zip(fill, drawn):
+                    r.__dict__["base_draws"] = values
+
         beside = len(todo) > 1 and fill and not _fills_on_threads(max(
             np.count_nonzero(r.pgram.grid.half_plane_mask) for r in fill))
         if len(todo) == 1:
             self.ensemble(todo[0])
         elif todo:
-            self._ensembles.update(_ladder(
-                self.field, todo, self.psi,
-                (lambda: _fill_draws(fill)) if beside else None))
+            self._ensembles.update(_ladder(self.field, todo, self.psi,
+                                           fill_draws if beside else None))
         if not beside:
-            _fill_draws(fill)
+            fill_draws()
 
     def variance(self, spec: BlockSpec) -> VarianceEstimates:
         if spec not in self._variances:

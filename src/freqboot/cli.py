@@ -67,7 +67,8 @@ from . import _pool
 from . import rng as rngmod
 from .bootstrap import FieldResampler, check_B
 from .density import check_bandwidth, check_bandwidth_pair
-from .errors import ConfigError, FreqbootError, NumericalError
+from .errors import (ConfigError, FreqbootError, NonFiniteFieldError,
+                     NumericalError)
 from .infer import (CI_METHODS, TEST_METHODS, calibrate_isotropy,
                     check_level, resampled_interval)
 from .lattice import (load_field_binary, load_field_csv,
@@ -340,19 +341,20 @@ def build_bandwidth(st: Settings):
 
 @contextlib.contextmanager
 def _file_errors(words: str):
-    """Refuse an OSError raised in the block as a configuration error
-    that starts with ``words``: a file that cannot be read or written
-    exits 2."""
+    """Refuse an OSError, or a field of non-finite values, raised in the
+    block as a configuration error that starts with ``words``: a file
+    that cannot be read or written, or that holds such a field, exits 2."""
     try:
         yield
-    except OSError as exc:
+    except (OSError, NonFiniteFieldError) as exc:
         raise ConfigError(f"{words}: {exc}") from exc
 
 
 def _field_source(st: Settings, path: str | None, seed: int):
-    """Read the keys that name a single command's field and return the
-    function that loads or simulates it, so that the command refuses its
-    unread keys before that work."""
+    """Read the keys that name a single command's field, refuse a
+    generator that cannot simulate its grid, and return the function that
+    loads or simulates it, so that the command refuses its unread keys
+    before that work."""
     if path is not None:
         load = load_field_binary if path.endswith(".bin") else load_field_csv
 
@@ -362,6 +364,7 @@ def _field_source(st: Settings, path: str | None, seed: int):
         return read
     model, generator = build_model(st)
     (n1, n2) = st.get("grid.sizes")[0]
+    check_generator(generator, (n1, n2), "grid.sizes")
     return lambda: simulate_process(
         model, n1, n2, rngmod.stream(seed, rngmod.TAG_GENERIC, 0, 0),
         generator=generator)
@@ -462,7 +465,6 @@ class ExperimentConfig:
         if self.kind not in _COMMAND:
             raise ConfigError(f"kind must be one of {tuple(_COMMAND)}, "
                               f"got {self.kind!r}")
-        check_generator(self.generator)
         command = _COMMAND[self.kind]
         for key, value in (*((key, getattr(self, f)) for f, (key, _) in _FIELDS.items()),
                            ("workers", self.workers),
@@ -480,6 +482,7 @@ class ExperimentConfig:
                 f"test.h1 and test.h2, {contrast}, got {self.psi_name!r}")
         _check_methods(self.methods, self.blocks, self.B)
         for grid in self.sizes:
+            check_generator(self.generator, grid, "grid.sizes")
             _check_run(self.kind, psi, grid, "grid.sizes", self.blocks,
                        self.methods)
         _check_tau(self.kind, self.model, self.tau_r_list, "process.tau_r_list")
@@ -850,6 +853,7 @@ def _dispatch(args) -> int:
         model, generator = build_model(st)
         psi = psi_from_name(st.get("psi"))
         (n1, n2) = st.get("grid.sizes")[0]
+        check_generator(generator, (n1, n2), "grid.sizes")
         R = st.get("replicates")
         out = st.get("out")
         st.refuse_unread(cmd)

@@ -10,7 +10,7 @@ with frequencies ``omega_j = (2*pi*j1/n1, 2*pi*j2/n2)``.  Internally all
 per-frequency arrays use FFT layout, shape ``(n1, n2)``, where position
 ``p`` along an axis holds signed index ``j = p`` for ``p <= n//2`` and
 ``j = p - n`` otherwise; the origin sits at position ``(0, 0)`` and is
-excluded from every spectral sum.
+excluded from every spectral sum (``FrequencyGrid.nonzero_mask``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteFieldError
 
 _TWO_PI = 2.0 * np.pi
 _MAGIC = b"FREQBOOT"  # binary field dump, 8-byte magic
@@ -45,7 +45,7 @@ class LatticeField:
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ConfigError(f"field must be a 2-D matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise ConfigError("field contains non-finite values")
+            raise NonFiniteFieldError("field contains non-finite values")
         object.__setattr__(self, "values", np.ascontiguousarray(v))
 
     @property
@@ -84,7 +84,9 @@ class FrequencyGrid:
     to even extents by treating the Nyquist value n_k/2 like 0 (it is its
     own modular negation).  Every index is then covered exactly once by
     the half-plane and its modular negations; self-conjugate indices
-    (both coordinates in {0, Nyquist}) belong to the half-plane.
+    (both coordinates in {0, Nyquist}) belong to the half-plane.  The
+    origin's exclusion is stated once, in ``nonzero_mask``, and the
+    self-conjugate and half-plane masks are derived from it.
     """
 
     def __init__(self, n1: int, n2: int):
@@ -104,26 +106,20 @@ class FrequencyGrid:
         self.neg1 = (-np.arange(self.n1)) % self.n1
         self.neg2 = (-np.arange(self.n2)) % self.n2
 
-        # positions whose index is its own modular negation per axis
-        sc1 = self.neg1 == np.arange(self.n1)
-        sc2 = self.neg2 == np.arange(self.n2)
-        self_conj = np.logical_and.outer(sc1, sc2)
-        self_conj[0, 0] = False                   # origin excluded from the grid
-        self.self_conjugate_mask = self_conj
-
+        # the origin is excluded from the grid, and so from every mask
         nonzero = np.ones((self.n1, self.n2), dtype=bool)
         nonzero[0, 0] = False
         self.nonzero_mask = nonzero
 
+        # positions whose index is its own modular negation per axis
+        sc1 = self.neg1 == np.arange(self.n1)
+        sc2 = self.neg2 == np.arange(self.n2)
+        self.self_conjugate_mask = sc1[:, None] & sc2 & nonzero
+
         # half-plane: decide on j1 unless it is self-negating (0 or Nyquist),
-        # then decide on j2; fully self-conjugate positions are included
-        J1 = np.broadcast_to(j1f[:, None], (self.n1, self.n2))
-        J2 = np.broadcast_to(j2f[None, :], (self.n1, self.n2))
-        axis1_free = np.broadcast_to(~sc1[:, None], (self.n1, self.n2))
-        axis2_free = np.broadcast_to(~sc2[None, :], (self.n1, self.n2))
-        hp = np.where(axis1_free, J1 > 0, np.where(axis2_free, J2 > 0, True))
-        hp &= self.nonzero_mask
-        self.half_plane_mask = hp
+        # then on j2; fully self-conjugate positions are included
+        self.half_plane_mask = np.where(sc1[:, None], sc2 | (j2f > 0),
+                                        (j1f > 0)[:, None]) & nonzero
 
     def negate_array(self, a: np.ndarray) -> np.ndarray:
         """Array indexed by FFT position, re-indexed at negated positions."""

@@ -451,11 +451,9 @@ def simulate_exp_cholesky(model, n1: int, n2: int,
                           rng: np.random.Generator) -> LatticeField:
     """Non-Gaussian field with the model's covariance: the dense Cholesky
     factor applied to centered standard exponential variables,
-    Z = C (E - 1)."""
-    if n1 * n2 > DENSE_LIMIT:
-        raise ConfigError(
-            f"exp-Cholesky generator is dense-only; {n1}x{n2} exceeds the "
-            f"limit of {DENSE_LIMIT} sites")
+    Z = C (E - 1).  A grid past ``DENSE_LIMIT`` sites is refused
+    (``check_generator``)."""
+    check_generator("exp_cholesky", (n1, n2), "n1, n2")
     chol = _dense_cholesky(model, n1, n2)
     innovations = rng.standard_exponential(n1 * n2)
     return LatticeField((chol @ (innovations - 1.0)).reshape(n1, n2))
@@ -464,15 +462,23 @@ def simulate_exp_cholesky(model, n1: int, n2: int,
 # ---------------------------------------------------------------------------
 # uniform dispatch used by the CLI
 
-def check_generator(generator: str) -> None:
-    """Refuse a ``generator`` that ``simulate_process`` does not run."""
+def check_generator(generator: str, grid, name: str) -> None:
+    """Refuse a ``generator`` that ``simulate_process`` does not run, and
+    one that cannot run on an (n1, n2) ``grid``, named ``name``: the
+    exp-Cholesky generator factors the dense covariance, so it runs on at
+    most ``DENSE_LIMIT`` sites."""
     if generator not in ("default", "exp_cholesky"):
         raise ConfigError(f"unknown generator {generator!r}")
+    (n1, n2) = grid
+    if generator == "exp_cholesky" and n1 * n2 > DENSE_LIMIT:
+        raise ConfigError(
+            f"{name}: exp-Cholesky generator is dense-only; {n1}x{n2} exceeds "
+            f"the limit of {DENSE_LIMIT} sites")
 
 
 def simulate_process(model, n1: int, n2: int, rng: np.random.Generator,
                      generator: str = "default") -> LatticeField:
-    check_generator(generator)
+    check_generator(generator, (n1, n2), "n1, n2")
     if generator == "exp_cholesky":
         return simulate_exp_cholesky(model, n1, n2, rng)
     if isinstance(model, SeparableARMA):

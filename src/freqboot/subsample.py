@@ -134,10 +134,11 @@ class SubsampleEnsemble:
     running mean and sum of squared deviations (Welford merge over
     batches, fixed block order) are accumulated as the FFT batches
     stream through, so results are bit-reproducible for a given field.
+    The moments lie on the half grid of the block's Fourier grid,
+    ``build_frequency_grid(*spec)``, which the ensemble does not hold.
     """
 
     spec: BlockSpec
-    grid: FrequencyGrid                                  # block Fourier grid
     L: int
     block_means: np.ndarray = field(repr=False)          # per-block spectral means
     per_freq_m2: np.ndarray = field(repr=False)          # sum (I - Itilde)^2, half grid (k1, k2)
@@ -222,10 +223,10 @@ def _block_tables(psi_block: np.ndarray, grid: FrequencyGrid):
 
 class _Blocks(NamedTuple):
     """One block size's ensemble before its batches run: what every batch
-    reads, built on the calling thread."""
+    reads, built on the calling thread from psi's tables on the block
+    grid (``_block_tables``)."""
 
     spec: BlockSpec
-    grid: FrequencyGrid
     weights: np.ndarray       # psi on the half grid, as (k2, k1)
     sigma1_weights: np.ndarray
     rows: int                 # origin rows
@@ -240,7 +241,7 @@ class _Blocks(NamedTuple):
         check_block((b1, b2), (n1, n2), (), "spec")
         grid = build_frequency_grid(b1, b2)
         cols = n2 - b2 + 1
-        return cls(spec, grid, *psi.derived("block", grid, _block_tables, "spec"),
+        return cls(spec, *psi.derived("block", grid, _block_tables, "spec"),
                    n1 - b1 + 1, cols,
                    max(1, _CHUNK_BUDGET // (cols * b1 * (b2 // 2 + 1))))
 
@@ -314,8 +315,7 @@ def _wave(values: np.ndarray, blocks: list[_Blocks],
         for r0 in blk.batches():
             count, mean, m2 = _welford_merge(count, mean, m2, *stats[i, r0])
         out.append(SubsampleEnsemble(
-            spec=blk.spec, grid=blk.grid, L=blk.L, block_means=means[i],
-            per_freq_m2=m2.T,
+            spec=blk.spec, L=blk.L, block_means=means[i], per_freq_m2=m2.T,
             sigma1_weights=blk.sigma1_weights))
     return out
 

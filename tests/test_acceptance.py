@@ -56,11 +56,17 @@ def _cell(report, **keys):
 def _margin(report, lo=-math.inf, hi=math.inf, **keys):
     """The Monte Carlo se of the summary row at ``keys`` and the distance
     of its proportion to the nearer of the bounds ``lo`` and ``hi``, in
-    se: positive inside, negative outside."""
+    se: positive inside, negative outside.
+
+    The se is Agresti and Coull's (1998, The American Statistician 52):
+    the binomial se of the proportion with z^2/2 successes and z^2/2
+    failures added, z = 1.96.  Unlike the row's Wald ``mc_se``, it is not
+    0 at a proportion of 0 or 1."""
     row = _row(report, **keys)
-    p, se = row["proportion"], row["mc_se"]
-    d = min(p - lo, hi - p)
-    return se, d / se if se > 0 else math.copysign(math.inf, d)
+    p, n, z2 = row["proportion"], row["replicates"], 1.96 ** 2
+    p_ac = (p * n + z2 / 2) / (n + z2)
+    se = math.sqrt(p_ac * (1.0 - p_ac) / (n + z2))
+    return se, min(p - lo, hi - p) / se
 
 
 def _se_text(se, margin):

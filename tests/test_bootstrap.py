@@ -317,7 +317,7 @@ class TestSharedFill:
                 master_seed, replicate_id)
                 for r, (*_, bandwidth, _) in zip(resamplers, fields)]
         with patch.object(_pool, "cpus", lambda: cpus):
-            bootstrap_module._fill_draws(resamplers)
+            resamplers[0].ensembles([], resamplers)
         for r, want in zip(resamplers, alone):
             assert "base_draws" in vars(r)
             assert np.array_equal(r.base_draws, want)

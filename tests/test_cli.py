@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -1335,6 +1336,52 @@ class TestCommandLine:
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error: " + words), err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["f.csv", "f.bin"])
+    def test_a_non_finite_field_file_exits_2_naming_it(self, tmp_path, capsys,
+                                                        monkeypatch, name):
+        # a field file that holds nan or inf is refused as an unreadable
+        # one is, naming --in and the file
+        monkeypatch.chdir(tmp_path)
+        values = np.array([[1.0, 2.0, 3.0], [np.nan, 3.0, 4.0],
+                           [5.0, 6.0, np.inf]])
+        if name.endswith(".csv"):
+            np.savetxt(name, values, delimiter=",")
+        else:
+            with open(name, "wb") as fh:
+                fh.write(b"FREQBOOT" + struct.pack("<II", 3, 3)
+                         + values.tobytes(order="F"))
+        assert main(["estimate", "--in", name]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: --in: cannot read a field from {name!r}: "
+                f"field contains non-finite values\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--set", "grid.sizes=20x20,70x70", "--set", "methods=fdwb",
+         "--out", "r/x", "coverage"],
+        ["--set", "grid.sizes=20x20,70x70", "--set", "methods=fdwb",
+         "--out", "r/x", "isotropy-experiment"],
+        ["--set", "grid.sizes=70x70", "--out", "f.csv", "simulate"],
+        ["--set", "grid.sizes=70x70", "--set", "replicates=2",
+         "--out", "o.json", "oracle"],
+        ["--set", "grid.sizes=70x70", "--set", "methods=fdwb", "ci"],
+        ["--set", "grid.sizes=70x70", "estimate"],
+    ], ids=["coverage", "isotropy-experiment", "simulate", "oracle", "ci",
+            "estimate"])
+    def test_exp_cholesky_past_the_dense_limit_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, argv):
+        # the dense factor's limit is refused naming grid.sizes before any
+        # field is simulated or any report directory made
+        def simulate(*args, **kwargs):
+            pytest.fail("a field was simulated before the refusal")
+
+        monkeypatch.setattr(cli_module, "simulate_process", simulate)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--set", "process.kind=exp_cholesky", *argv]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: grid.sizes: exp-Cholesky generator is "
+                "dense-only; 70x70 exceeds the limit of 4096 sites\n")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, settings, key", [

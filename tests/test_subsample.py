@@ -145,7 +145,7 @@ class TestEnsemble:
         # sigma1^2 by its full-grid definition: b^-1 (2 pi)^4 sum_j w_j
         # L^-1 sum_l (I_lj - Ibar_j)^2, w_j = psi_j (psi_j + psi_-j),
         # psi_j^2 at self-conjugate j and 0 at the origin
-        grid = ens.grid
+        grid = build_frequency_grid(b1, b2)
         p = psi.on_grid(grid)
         w = p * (p + grid.negate_array(p))
         w[grid.self_conjugate_mask] = p[grid.self_conjugate_mask] ** 2
@@ -399,7 +399,7 @@ class TestLadder:
         assert pools == [min(cpus, n) - 1 for n in calls if min(cpus, n) > 1]
         for s in specs:
             got, want = res.ensemble(s), single[s]
-            assert (got.spec, got.L, got.grid) == (want.spec, want.L, want.grid)
+            assert (got.spec, got.L) == (want.spec, want.L)
             for name in ("block_means", "per_freq_m2", "sigma1_weights"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
 

@@ -10,7 +10,9 @@ the module's own runs make the fixtures the tests ask for (``table1``,
 as their argument; so the configurations, the criteria and their bounds
 are the tests', read from that module and never copied.  A test passes
 at a seed when its assertions hold; its values are the numbers its
-ACCEPTANCE line reports.
+ACCEPTANCE line reports, among them a rate's Agresti-Coull se (``se``,
+not 0 at a rate of 0 or 1) and its distance to the nearer bound in that
+se (``margin_se``).
 
 It prints each test's values and verdict at each seed as it goes, then,
 per test, the quantiles of each value over the seeds and the fraction of

@@ -30,13 +30,15 @@ block, a zero lag or one outside its blocks, equal test lags and test
 lags h and -h, B below 100 and a bandwidth outside (0, pi]); and a cosine
 lag of psi that a Fourier grid reads as another lag (one past the field's
 grid, one past a block's, and an off-axis lag within the grid's extents);
-an entry listed twice in a list key; and a hybrid block with one
-translate.  The single-field commands have cases of their own: B below
-100, a hybrid ci without a block, a block that does not fit, a psi lag
-that the block grid reads as another lag, an isotropy subsample lag
-outside the block, and the keys they do not read (``--workers`` given to
-``estimate``, ``block.sizes`` to an fdwb ``ci``, ``grid.sizes`` to a run
-that reads ``--in``) or refuse (an even ``block.window``).
+an entry listed twice in a list key; a hybrid block with one translate;
+and an exp-Cholesky grid past the dense limit, given to ``coverage``,
+``isotropy-experiment``, ``simulate`` and ``oracle``.  The single-field
+commands have cases of their own: B below 100, a hybrid ci without a
+block, a block that does not fit, a psi lag that the block grid reads as
+another lag, an isotropy subsample lag outside the block, and the keys
+they do not read (``--workers`` given to ``estimate``, ``block.sizes`` to
+an fdwb ``ci``, ``grid.sizes`` to a run that reads ``--in``) or refuse
+(an even ``block.window``).
 
 A refusal case that reads a file has the commands that write it in
 ``REFUSAL_SETUP``; they run first and must exit 0.  Two cases pin the
@@ -282,6 +284,9 @@ _RUN = _sets("process.kind=spherical", "grid.sizes=12x12", "block.sizes=4x4",
 # the settings of a 12x12 field that a single-field command simulates
 _FIELD_RUN = _sets("process.kind=spherical", "grid.sizes=12x12")
 
+# an exp-Cholesky grid of 4,900 sites, past simulate.DENSE_LIMIT = 4,096
+_DENSE = _sets("process.kind=exp_cholesky", "grid.sizes=70x70")
+
 # name -> argv of one command that both trees refuse with exit 2
 REFUSALS = {
     "unknown_key": _sets("bogus.key=1") + _RUN + ["coverage"],
@@ -343,6 +348,11 @@ REFUSALS = {
         "coverage"],
     "one_translate_hybrid": _RUN + _sets(
         "block.sizes=12x12", "methods=hfdb_bias") + ["coverage"],
+    "dense_limit_coverage": _RUN + _DENSE + ["coverage"],
+    "dense_limit_isotropy": _RUN + _DENSE + ["isotropy-experiment"],
+    "dense_limit_simulate": _DENSE + ["--out", "f.csv", "simulate"],
+    "dense_limit_oracle": _DENSE + _sets("replicates=2") + [
+        "--out", "o.json", "oracle"],
     # the single-field commands, on a simulated field but for the --in run,
     # which is refused before its file is read
     "single_field_boot_B_below_100": _FIELD_RUN + _sets(
