@@ -67,8 +67,7 @@ from . import _pool
 from . import rng as rngmod
 from .bootstrap import FieldResampler, check_B
 from .density import check_bandwidth, check_bandwidth_pair
-from .errors import (ConfigError, FreqbootError, NonFiniteFieldError,
-                     NumericalError)
+from .errors import ConfigError, FreqbootError, NumericalError
 from .infer import (CI_METHODS, TEST_METHODS, calibrate_isotropy,
                     check_level, resampled_interval)
 from .lattice import (load_field_binary, load_field_csv,
@@ -97,7 +96,7 @@ _COMMAND = {"coverage": "coverage", "isotropy": "isotropy-experiment"}
 
 def parse_config_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -341,12 +340,13 @@ def build_bandwidth(st: Settings):
 
 @contextlib.contextmanager
 def _file_errors(words: str):
-    """Refuse an OSError, or a field of non-finite values, raised in the
-    block as a configuration error that starts with ``words``: a file
-    that cannot be read or written, or that holds such a field, exits 2."""
+    """Refuse a file that cannot be read or written in the block, or whose
+    contents its reader refuses, as a configuration error that starts with
+    ``words``: an OSError, a file that is not text, or a loader's
+    ConfigError (not a field, or one of non-finite values) exits 2."""
     try:
         yield
-    except (OSError, NonFiniteFieldError) as exc:
+    except (OSError, UnicodeError, ConfigError) as exc:
         raise ConfigError(f"{words}: {exc}") from exc
 
 
@@ -826,7 +826,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    values = parse_config_file(args.config) if args.config else {}
+    with _file_errors(f"--config: cannot read a configuration from {args.config!r}"):
+        values = parse_config_file(args.config) if args.config else {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")

@@ -9,10 +9,6 @@ class ConfigError(FreqbootError):
     """Invalid configuration, argument, or input file (CLI exit code 2)."""
 
 
-class NonFiniteFieldError(ConfigError):
-    """A field that holds NaN or infinite values (CLI exit code 2)."""
-
-
 class NumericalError(FreqbootError):
     """Numerical failure: degenerate bootstrap, failed embedding, a
     Matern lag table that does not settle (CLI exit code 3)."""

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteFieldError
+from .errors import ConfigError
 
 _TWO_PI = 2.0 * np.pi
 _MAGIC = b"FREQBOOT"  # binary field dump, 8-byte magic
@@ -45,7 +45,7 @@ class LatticeField:
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ConfigError(f"field must be a 2-D matrix, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise NonFiniteFieldError("field contains non-finite values")
+            raise ConfigError("field contains non-finite values")
         object.__setattr__(self, "values", np.ascontiguousarray(v))
 
     @property

@@ -1322,8 +1322,15 @@ class TestCommandLine:
           "--set", "replicates=1", "--set", "methods=fdwb",
           "--out", "/dev/null/r", "isotropy-experiment"],
          "cannot write report near '/dev/null/r': "),
+        (["--config", "missing.cfg", "estimate"],
+         "--config: cannot read a configuration from 'missing.cfg': "),
+        (["--config", ".", "estimate"],
+         "--config: cannot read a configuration from '.': "),
+        (["--config", sys.executable, "estimate"],
+         f"--config: cannot read a configuration from {sys.executable!r}: "),
     ], ids=["estimate_csv", "estimate_bin", "simulate", "oracle",
-            "report_directory", "report_directory_isotropy"])
+            "report_directory", "report_directory_isotropy", "config_missing",
+            "config_directory", "config_binary"])
     def test_unreadable_and_unwritable_files_exit_2(self, tmp_path, capsys,
                                                     monkeypatch, argv, words):
         # a file that cannot be read or written is refused naming it, an
@@ -1338,15 +1345,28 @@ class TestCommandLine:
         assert out == "" and err.startswith("config error: " + words), err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("name", ["f.csv", "f.bin"])
+    @pytest.mark.parametrize("name, contents, words", [
+        ("f.csv", None, "field contains non-finite values"),
+        ("f.bin", None, "field contains non-finite values"),
+        ("g.csv", b"1.0,2.0\n3.0,x\n", "cannot parse CSV field file g.csv: "
+         "could not convert string 'x' to float64 at row 1, column 2."),
+        ("h.bin", b"1.0,2.0\n3.0,4.0\n", "h.bin is not a field dump (bad magic)"),
+        ("k.bin", b"FREQBOOT" + struct.pack("<II", 3, 3) + bytes(8 * 8),
+         "k.bin: expected 9 values, found 8"),
+    ], ids=["f.csv", "f.bin", "unparsable.csv", "bad_magic.bin",
+            "value_count.bin"])
     def test_a_non_finite_field_file_exits_2_naming_it(self, tmp_path, capsys,
-                                                        monkeypatch, name):
+                                                        monkeypatch, name,
+                                                        contents, words):
         # a field file that holds nan or inf is refused as an unreadable
-        # one is, naming --in and the file
+        # one is, naming --in and the file; so is one that is not a field
         monkeypatch.chdir(tmp_path)
         values = np.array([[1.0, 2.0, 3.0], [np.nan, 3.0, 4.0],
                            [5.0, 6.0, np.inf]])
-        if name.endswith(".csv"):
+        if contents is not None:
+            with open(name, "wb") as fh:
+                fh.write(contents)
+        elif name.endswith(".csv"):
             np.savetxt(name, values, delimiter=",")
         else:
             with open(name, "wb") as fh:
@@ -1355,7 +1375,7 @@ class TestCommandLine:
         assert main(["estimate", "--in", name]) == 2
         assert capsys.readouterr() == (
             "", f"config error: --in: cannot read a field from {name!r}: "
-                f"field contains non-finite values\n")
+                f"{words}\n")
 
     @pytest.mark.parametrize("argv", [
         ["--set", "grid.sizes=20x20,70x70", "--set", "methods=fdwb",

@@ -1,5 +1,6 @@
 """The names README.md cites exist: every backticked test name, freqboot
-``module.NAME`` and ``BENCH_*.json`` file."""
+``module.NAME``, ``BENCH_*.json`` file and repository path (of the
+repository or of ``src``), such as a command's script."""
 
 import ast
 import importlib
@@ -68,7 +69,15 @@ def test_readme_names_exist():
     missing = [s for s in benches if not os.path.isfile(os.path.join(ROOT, s))]
     assert not missing, f"README names bench files that do not exist: {missing}"
 
+    paths = [m.group(1) for m in (re.fullmatch(
+        r"(?:python3 )?((?:[\w.-]+/)+[\w.-]+\.(?:py|json))(?: .*)?", s)
+        for s in spans) if m]
+    missing = [p for p in paths if not any(
+        os.path.isfile(os.path.join(ROOT, top, p)) for top in ("", "src"))]
+    assert not missing, f"README names paths that do not exist: {missing}"
+
     # the patterns still find what the README cites
     assert len(tests) >= 20 and len(benches) >= 7
+    assert {"tools/report_identity.py", "tests/golden/digests.json"} <= set(paths)
     assert {"bootstrap._THREAD_ROW", "simulate.DENSE_LIMIT"} <= {
         s for s, _ in dotted}
