@@ -35,7 +35,9 @@ def test_digests_equal_the_recorded_file(results):
         f"test on the change")
     want, got = recorded[here], identity.digests(results)
     moved = [f"{key}: " + ("not recorded" if key not in want else
-                           "not produced" if key not in got else "differs")
+                           "not produced" if key not in got else
+                           f"{want[key]!r} became {got[key]!r}"
+                           if key.endswith(": stderr") else "differs")
              for key in sorted(want.keys() | got.keys())
              if want.get(key) != got.get(key)]
     assert not moved, (

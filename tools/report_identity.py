@@ -1,4 +1,4 @@
-"""Record the CLI's results, byte for byte, as sha256 digests.
+"""Record the CLI's results, byte for byte, as sha256 digests and texts.
 
     python3 tools/report_identity.py
 
@@ -23,8 +23,9 @@ stdout``, and of every file it writes, part ``file <relative path>``.
 stderr holds only the written paths and diagnostics and is not recorded.
 
 Each case of ``REFUSALS`` is one command refused as a configuration
-error, exit 2; it also records the digest of that command's stderr, the
-message that names the key, part ``stderr``.  There is at least one case
+error, exit 2; it also records that command's stderr, the message that
+names the key, part ``stderr``, as its text rather than its digest, so
+the file's diff shows a refusal's old and new words.  There is at least one case
 per family of refusal: an unknown, unread, unparsable or non-finite
 value, and a ``--set`` without ``=``; a level, method, format, worker
 count or oracle replicate count out of range; a list given to a
@@ -465,7 +466,7 @@ REFUSAL_FILES = {
 
 class Result(NamedTuple):
     """One case run: each command's exit code and stderr, and the digest
-    of each recorded part."""
+    of each recorded part, a refusal's stderr as its text."""
 
     codes: list[int]
     errors: list[str]
@@ -514,7 +515,8 @@ def run_case(name: str) -> Result:
                 with open(path, "rb") as fh:
                     parts[f"file {os.path.relpath(path, work)}"] = fh.read()
     return Result([code for code, _, _ in runs], [err for _, _, err in runs],
-                  {part: hashlib.sha256(data).hexdigest()
+                  {part: data.decode() if part == "stderr"
+                   else hashlib.sha256(data).hexdigest()
                    for part, data in parts.items()})
 
 
