@@ -102,7 +102,7 @@ def parse_config_file(path) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
             key, val = line.split("=", 1)
             out[key.strip()] = val.strip()
     return out
@@ -263,12 +263,13 @@ def _for(command, entry):
     return entry.get(command, entry[None]) if isinstance(entry, dict) else entry
 
 
-def _check(key: str, value, command: str | None):
-    """``value``, refused naming ``key`` unless its check passes for ``command``."""
+def _check(key: str, value, command: str | None, name: str | None = None):
+    """``value``, refused naming ``key`` (or ``name``, the flag that gave
+    it) unless ``key``'s check passes for ``command``."""
     check = _for(command, KEYS[key].check)
     refusal = None if check is None else check(value, command)
     if refusal:
-        raise ConfigError(key + refusal)
+        raise ConfigError((name or key) + refusal)
     return value
 
 
@@ -339,15 +340,18 @@ def build_bandwidth(st: Settings):
 
 
 @contextlib.contextmanager
-def _file_errors(words: str):
-    """Refuse a file that cannot be read or written in the block, or whose
-    contents its reader refuses, as a configuration error that starts with
-    ``words``: an OSError, a file that is not text, or a loader's
-    ConfigError (not a field, or one of non-finite values) exits 2."""
+def _file_errors(name: str, path, verb: str):
+    """The one wording of a file fault: refuse the file ``path``, given by
+    the flag or key ``name``, that the block cannot ``verb`` (read or
+    write), as the configuration error ``{name}: cannot {verb} {path!r}:
+    {reason}``.  The reason is an OSError's strerror, which holds no path,
+    or a reader's own words: a ValueError (a file that is not text or not
+    JSON) or a ConfigError (not a field, a field of non-finite values)."""
     try:
         yield
-    except (OSError, UnicodeError, ConfigError) as exc:
-        raise ConfigError(f"{words}: {exc}") from exc
+    except (OSError, ValueError, ConfigError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{name}: cannot {verb} {path!r}: {reason}") from exc
 
 
 def _field_source(st: Settings, path: str | None, seed: int):
@@ -359,7 +363,7 @@ def _field_source(st: Settings, path: str | None, seed: int):
         load = load_field_binary if path.endswith(".bin") else load_field_csv
 
         def read():
-            with _file_errors(f"--in: cannot read a field from {path!r}"):
+            with _file_errors("--in", path, "read"):
                 return load(path)
         return read
     model, generator = build_model(st)
@@ -401,13 +405,15 @@ def _check_methods(methods, blocks, B: int) -> None:
 def _check_run(kind: str, psi, grid, grid_name: str, blocks, methods) -> None:
     """Refuse, naming keys, what a run of ``kind``'s rows cannot run on one
     ``grid`` (named ``grid_name``), before any work on it: a grid that
-    reads a cosine lag of ``psi`` as another lag; a ``block.sizes`` entry
+    grid.sizes' own check refuses (an extent below 2); one that reads a
+    cosine lag of ``psi`` as another lag; a ``block.sizes`` entry
     that ``subsample.check_block`` refuses for ``methods``, with the lags
     an isotropy subsample calibration compares in it; and one that reads
     a lag as another where its ensemble is read (``_Kind.reads``).  A lag
     is named by the key that sets it: test.h1 and test.h2 in an isotropy
     run, psi otherwise.  The experiments run this check on each grid, and
     the single-field commands on their field."""
+    _check("grid.sizes", (grid,), None, grid_name)
     iso = kind == "isotropy"
     keys = ("test.h1", "test.h2") if iso else ("psi",) * len(psi.cos_terms)
     lags = tuple((key, h) for key, (_, h) in zip(keys, psi.cos_terms))
@@ -499,15 +505,16 @@ def _fixture_truth(path: str, model, generator: str, psi_name: str,
                    sizes) -> float:
     """The value of an ``oracle`` fixture, refused unless the fixture was
     made for this run's model, generator, psi and single grid size."""
-    try:
-        with open(path) as fh:
-            fx = json.load(fh)
-        made_for = (fx["kind"], fx["model"], fx["generator"], fx["psi"],
-                    ((fx["n1"], fx["n2"]),))
-        value = _finite(fx["value"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"truth.fixture: cannot read an oracle fixture "
-                          f"from {path!r}: {exc!r}") from exc
+    with _file_errors("truth.fixture", path, "read"), open(path, encoding="utf-8") as fh:
+        fx = json.load(fh)
+        lacks = [k for k in ("kind", "model", "generator", "psi", "n1", "n2", "value")
+                 if not isinstance(fx, dict) or k not in fx]
+        if lacks:
+            raise ConfigError(f"not an oracle fixture: no field {lacks[0]!r}")
+        # as a string, a null or a list is refused as a ValueError, as nan is
+        value = _finite(str(fx["value"]))
+    made_for = (fx["kind"], fx["model"], fx["generator"], fx["psi"],
+                ((fx["n1"], fx["n2"]),))
     run = ("spectral_mean_oracle", repr(model), generator,
            psi_from_name(psi_name).name, tuple(sizes))
     for name, want, got in zip(("kind", "model", "generator", "psi",
@@ -753,7 +760,7 @@ def _csv_cell(v) -> str:
 
 
 def _write_csv(rows: list[dict], columns: list[str], path) -> None:
-    with open(path, "w") as fh:
+    with _file_errors("--out", path, "write"), open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")
@@ -772,7 +779,7 @@ def _report_dir(out_prefix: str) -> None:
     replicate."""
     parent = os.path.dirname(out_prefix)
     if parent:
-        with _file_errors(f"cannot write report near {out_prefix!r}"):
+        with _file_errors("--out", parent, "write"):
             os.makedirs(parent, exist_ok=True)
 
 
@@ -786,13 +793,12 @@ def emit_report(report: ExperimentReport, out_prefix: str,
         table = _KINDS[report.kind]
         sum_cols = [*table.keys, "proportion", "mc_se", "replicates"]
         rep_cols = ["replicate", *table.keys, *table.columns]
-        with _file_errors(f"cannot write report near {out_prefix!r}"):
-            _write_csv(report.summary, sum_cols, out_prefix + "_summary.csv")
-            _write_csv(report.replicates, rep_cols, out_prefix + "_replicates.csv")
+        _write_csv(report.summary, sum_cols, out_prefix + "_summary.csv")
+        _write_csv(report.replicates, rep_cols, out_prefix + "_replicates.csv")
         written += [out_prefix + "_summary.csv", out_prefix + "_replicates.csv"]
     if fmt in ("json", "both"):
         path = out_prefix + ".json"
-        with _file_errors(f"cannot write report {path!r}"), open(path, "w") as fh:
+        with _file_errors("--out", path, "write"), open(path, "w") as fh:
             fh.write(report_to_json(report))
             fh.write("\n")
         written.append(path)
@@ -826,7 +832,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    with _file_errors(f"--config: cannot read a configuration from {args.config!r}"):
+    with _file_errors("--config", args.config, "read"):
         values = parse_config_file(args.config) if args.config else {}
     for item in args.set:
         if "=" not in item:
@@ -845,7 +851,7 @@ def _dispatch(args) -> int:
         load = _field_source(st, None, seed)
         st.refuse_unread(cmd)
         fieldz = load()
-        with _file_errors(f"cannot write field {out!r}"):
+        with _file_errors("--out", out, "write"):
             (save_field_csv if fmt == "csv" else save_field_binary)(fieldz, out)
         print(out)
         return 0
@@ -871,7 +877,7 @@ def _dispatch(args) -> int:
                    "value": float(np.mean(vals)),
                    "se": float(np.std(vals, ddof=1) / np.sqrt(R)),
                    "var_h": float(n1 * n2 * np.var(vals, ddof=1))}
-        with _file_errors(f"cannot write oracle fixture {out!r}"), open(out, "w") as fh:
+        with _file_errors("--out", out, "write"), open(out, "w") as fh:
             json.dump(fixture, fh, sort_keys=True, indent=1)
             fh.write("\n")
         print(out)
@@ -919,7 +925,8 @@ def _dispatch(args) -> int:
     fieldz = load()
     grid, name = (fieldz.n1, fieldz.n2), "--in" if args.infile else "grid.sizes"
     if sizes == "minvol":
-        cands = default_block_candidates(*grid)
+        _check_run(kind, psi, grid, name, (), ())   # the grid, then its candidates
+        cands = default_block_candidates(*grid, name)
         _check_run(kind, psi, grid, name, cands, ())
         sizes = (select_block_size_min_volatility(fieldz, psi, cands, window,
                                                   "block.window"),)

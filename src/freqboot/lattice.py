@@ -169,11 +169,11 @@ def save_field_csv(fieldz: LatticeField, path) -> None:
 
 
 def load_field_csv(path) -> LatticeField:
-    try:
-        vals = np.loadtxt(path, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse CSV field file {path}: {exc}") from exc
-    return LatticeField(vals)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return LatticeField(np.loadtxt(fh, delimiter=",", ndmin=2))
+        except ValueError as exc:
+            raise ConfigError(f"not a CSV field: {exc}") from exc
 
 
 def save_field_binary(fieldz: LatticeField, path) -> None:
@@ -187,9 +187,9 @@ def load_field_binary(path) -> LatticeField:
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:8] != _MAGIC:
-            raise ConfigError(f"{path} is not a field dump (bad magic)")
+            raise ConfigError("not a field dump (bad magic)")
         n1, n2 = struct.unpack("<II", header[8:])
         data = np.frombuffer(fh.read(), dtype=np.float64)
     if data.size != n1 * n2:
-        raise ConfigError(f"{path}: expected {n1 * n2} values, found {data.size}")
+        raise ConfigError(f"expected {n1 * n2} values, found {data.size}")
     return LatticeField(data.reshape((n1, n2), order="F"))

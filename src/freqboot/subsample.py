@@ -455,14 +455,15 @@ def block_variogram_contrast(fieldz: LatticeField, spec: BlockSpec,
 # ---------------------------------------------------------------------------
 # block size selection
 
-def default_block_candidates(n1: int, n2: int) -> list[BlockSpec]:
+def default_block_candidates(n1: int, n2: int, name: str = "grid") -> list[BlockSpec]:
     """Square blocks b_k in {ceil(0.5 n^(1/4)), ..., ceil(2 n^(1/4))},
-    clipped to fit the grid."""
+    clipped to fit the grid; a grid too small for the first, named
+    ``name``, is refused."""
     root = (n1 * n2) ** 0.25
     lo = max(2, int(np.ceil(0.5 * root)))
     hi = min(int(np.ceil(2.0 * root)), n1, n2)
     if hi < lo:
-        raise ConfigError(f"grid ({n1}, {n2}) too small for block candidates")
+        raise ConfigError(f"{name}: {n1}x{n2} is smaller than the first minvol block, {lo}x{lo}")
     return [BlockSpec(b, b) for b in range(lo, hi + 1)]
 
 

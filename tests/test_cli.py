@@ -95,7 +95,8 @@ class TestConfigParsing:
     def test_file_diagnostics_carry_line(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("seed : 7\n")
-        with pytest.raises(ConfigError, match="bad.cfg:1"):
+        # the reader says what is wrong; the CLI names the flag and the file
+        with pytest.raises(ConfigError, match="^line 1: expected 'key = value'"):
             parse_config_file(p)
 
     def test_readme_lists_exactly_the_declared_keys(self):
@@ -1307,34 +1308,36 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("argv, words", [
         (["estimate", "--in", "missing.csv"],
-         "--in: cannot read a field from 'missing.csv': "),
+         "--in: cannot read 'missing.csv': No such file or directory\n"),
         (["estimate", "--in", "missing.bin"],
-         "--in: cannot read a field from 'missing.bin': "),
+         "--in: cannot read 'missing.bin': No such file or directory\n"),
         (["--out", "no/dir/f.csv", "simulate"],
-         "cannot write field 'no/dir/f.csv': "),
+         "--out: cannot write 'no/dir/f.csv': No such file or directory\n"),
         (["--set", "grid.sizes=8x8", "--set", "replicates=2",
           "--out", "no/dir/o.json", "oracle"],
-         "cannot write oracle fixture 'no/dir/o.json': "),
+         "--out: cannot write 'no/dir/o.json': No such file or directory\n"),
         (["--set", "grid.sizes=8x8", "--set", "replicates=1",
           "--set", "methods=fdwb", "--out", "/dev/null/r", "coverage"],
-         "cannot write report near '/dev/null/r': "),
+         "--out: cannot write '/dev/null': File exists\n"),
         (["--set", "process.kind=spherical", "--set", "grid.sizes=8x8",
           "--set", "replicates=1", "--set", "methods=fdwb",
           "--out", "/dev/null/r", "isotropy-experiment"],
-         "cannot write report near '/dev/null/r': "),
+         "--out: cannot write '/dev/null': File exists\n"),
         (["--config", "missing.cfg", "estimate"],
-         "--config: cannot read a configuration from 'missing.cfg': "),
+         "--config: cannot read 'missing.cfg': No such file or directory\n"),
         (["--config", ".", "estimate"],
-         "--config: cannot read a configuration from '.': "),
+         "--config: cannot read '.': Is a directory\n"),
         (["--config", sys.executable, "estimate"],
-         f"--config: cannot read a configuration from {sys.executable!r}: "),
+         f"--config: cannot read {sys.executable!r}: 'utf-8' codec can't "
+         f"decode byte"),
     ], ids=["estimate_csv", "estimate_bin", "simulate", "oracle",
             "report_directory", "report_directory_isotropy", "config_missing",
             "config_directory", "config_binary"])
     def test_unreadable_and_unwritable_files_exit_2(self, tmp_path, capsys,
                                                     monkeypatch, argv, words):
-        # a file that cannot be read or written is refused naming it, an
-        # experiment's report directory before its first replicate
+        # a file that cannot be read or written is refused naming its flag,
+        # the file and what is wrong, once each; an experiment's report
+        # directory before its first replicate
         def replicate(*args, **kwargs):
             pytest.fail("a replicate ran before the refusal")
 
@@ -1348,11 +1351,11 @@ class TestCommandLine:
     @pytest.mark.parametrize("name, contents, words", [
         ("f.csv", None, "field contains non-finite values"),
         ("f.bin", None, "field contains non-finite values"),
-        ("g.csv", b"1.0,2.0\n3.0,x\n", "cannot parse CSV field file g.csv: "
-         "could not convert string 'x' to float64 at row 1, column 2."),
-        ("h.bin", b"1.0,2.0\n3.0,4.0\n", "h.bin is not a field dump (bad magic)"),
+        ("g.csv", b"1.0,2.0\n3.0,x\n", "not a CSV field: could not convert "
+         "string 'x' to float64 at row 1, column 2."),
+        ("h.bin", b"1.0,2.0\n3.0,4.0\n", "not a field dump (bad magic)"),
         ("k.bin", b"FREQBOOT" + struct.pack("<II", 3, 3) + bytes(8 * 8),
-         "k.bin: expected 9 values, found 8"),
+         "expected 9 values, found 8"),
     ], ids=["f.csv", "f.bin", "unparsable.csv", "bad_magic.bin",
             "value_count.bin"])
     def test_a_non_finite_field_file_exits_2_naming_it(self, tmp_path, capsys,
@@ -1374,8 +1377,7 @@ class TestCommandLine:
                          + values.tobytes(order="F"))
         assert main(["estimate", "--in", name]) == 2
         assert capsys.readouterr() == (
-            "", f"config error: --in: cannot read a field from {name!r}: "
-                f"{words}\n")
+            "", f"config error: --in: cannot read {name!r}: {words}\n")
 
     @pytest.mark.parametrize("argv", [
         ["--set", "grid.sizes=20x20,70x70", "--set", "methods=fdwb",
@@ -1451,6 +1453,30 @@ class TestCommandLine:
         assert main(args + [command, "--in", field]) == 2
         out, err = capsys.readouterr()
         assert out == "" and key in err
+
+    @pytest.mark.parametrize("size, argv, words", [
+        ("5x1", ["estimate", "--in", "g.csv"],
+         "--in: extents must be >= 2 to take a periodogram, got 5x1"),
+        ("5x1", ["blocksize", "--in", "g.csv"],
+         "--in: extents must be >= 2 to take a periodogram, got 5x1"),
+        ("2x200", ["blocksize", "--in", "g.csv"],
+         "--in: 2x200 is smaller than the first minvol block, 3x3"),
+        (None, ["--set", "grid.sizes=2x200", "blocksize"],
+         "grid.sizes: 2x200 is smaller than the first minvol block, 3x3"),
+    ], ids=["estimate_5x1", "blocksize_5x1", "blocksize_2x200",
+            "grid_sizes_2x200"])
+    def test_a_grid_too_small_for_its_run_names_its_key(
+            self, tmp_path, capsys, monkeypatch, size, argv, words):
+        # a field read with --in meets grid.sizes' own check before its
+        # minimum-volatility candidates are built, and a grid too small
+        # for them is refused, each naming the flag or key that gave it
+        monkeypatch.chdir(tmp_path)
+        if size is not None:
+            assert main(["--set", f"grid.sizes={size}", "--out", "g.csv",
+                         "simulate"]) == 0
+            capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"config error: {words}\n")
 
     @pytest.mark.parametrize("command, settings, key", [
         ("coverage", ["density.bandwidth1=50", "density.bandwidth2=50"],

@@ -53,10 +53,15 @@ isotropy subsample lag outside the block, a ``block.window`` wider than
 the candidate blocks, and the keys they do not read (``--workers``
 given to ``estimate``, ``block.sizes`` to an fdwb ``ci``,
 ``grid.sizes`` to a run that reads ``--in``) or refuse (an even
-``block.window``).  Files that cannot be read are refused naming their
-flag or key: a ``--config`` that is missing, a directory or not text; an
-``--in`` that is missing, not CSV, a ``.bin`` without the magic or with
-fewer values than its header gives; and a missing ``truth.fixture``.
+``block.window``), a field read with ``--in`` that has an extent below
+2, and a grid too small for the minimum-volatility block candidates.
+Files that cannot be read or written are refused naming their flag or
+key: a ``--config`` that is missing, a directory or not text; an
+``--in`` that is missing (``.csv`` and ``.bin``), not CSV, a ``.bin``
+without the magic or with fewer values than its header gives; a
+``truth.fixture`` that is missing, a directory, not JSON or lacks a
+field; and a ``simulate --out`` that is a directory and an ``oracle
+--out`` in a directory that does not exist.
 
 A refusal case that reads a file has the commands that write it in
 ``REFUSAL_SETUP``, which run first and exit 0, or its bytes in
@@ -440,6 +445,20 @@ REFUSALS = {
     "in_unparsable_csv": ["estimate", "--in", "g.csv"],
     "in_bad_magic": ["estimate", "--in", "h.bin"],
     "in_value_count": ["estimate", "--in", "k.bin"],
+    "in_missing_bin": ["estimate", "--in", "missing.bin"],
+    "simulate_out_directory": _sets("grid.sizes=8x8") + [
+        "--out", ".", "simulate"],
+    "oracle_out_unwritable": _sets("grid.sizes=8x8", "replicates=2") + [
+        "--out", "no/dir/o.json", "oracle"],
+    "truth_fixture_directory": _RUN + _sets("truth.fixture=.") + ["coverage"],
+    "truth_fixture_not_json": _RUN + _sets("truth.fixture=fx.json") + [
+        "coverage"],
+    "truth_fixture_lacks_field": _RUN + _sets("truth.fixture=fx.json") + [
+        "coverage"],
+    # a 5x1 field read with --in, and a grid too small for the
+    # minimum-volatility candidates
+    "in_extent_below_2": ["estimate", "--in", "g.csv"],
+    "minvol_grid_too_small": _sets("grid.sizes=2x200") + ["blocksize"],
 }
 
 # name -> the commands that write the files a refusal case reads, run
@@ -453,6 +472,8 @@ REFUSAL_SETUP = {
     "in_unparsable_csv": [_FIELD_RUN + ["--format", "bin", "--out", "g.csv",
                                         "simulate"]],
     "in_bad_magic": [_FIELD_RUN + ["--out", "h.bin", "simulate"]],
+    "in_extent_below_2": [_sets("grid.sizes=5x1") + ["--out", "g.csv",
+                                                     "simulate"]],
 }
 
 # name -> the files (relative path -> bytes) a refusal case reads that no
@@ -461,6 +482,11 @@ REFUSAL_FILES = {
     # a 3x3 header over 8 values
     "in_value_count": {"k.bin": b"FREQBOOT" + struct.pack("<II", 3, 3)
                        + bytes(8 * 8)},
+    "truth_fixture_not_json": {"fx.json": b"value = 0.1\n"},
+    # every field of a fixture but its model
+    "truth_fixture_lacks_field": {"fx.json": json.dumps(
+        {"kind": "spectral_mean_oracle", "generator": "default",
+         "psi": "cos_lag{h=(1,0)}", "n1": 12, "n2": 12, "value": 0.1}).encode()},
 }
 
 
