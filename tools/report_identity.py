@@ -25,9 +25,9 @@ stderr holds only the written paths and diagnostics and is not recorded.
 Each case of ``REFUSALS`` is one command refused as a configuration
 error, exit 2; it also records that command's stderr, the message that
 names the key, part ``stderr``, as its text rather than its digest, so
-the file's diff shows a refusal's old and new words.  There is at least one case
-per family of refusal: an unknown, unread, unparsable or non-finite
-value, and a ``--set`` without ``=``; a level, method, format, worker
+the file's diff shows a refusal's old and new words.  There is at least
+one case per family of refusal: an unknown, unread, unparsable or
+non-finite value, and a ``--set`` without ``=``; a level, method, format, worker
 count or oracle replicate count out of range; a list given to a
 single-field command; a tau on an isotropic model, and process.tau_r
 with process.tau_r_list; truth.value with truth.fixture, and a
