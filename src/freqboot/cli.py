@@ -72,7 +72,7 @@ from .infer import (CI_METHODS, TEST_METHODS, calibrate_isotropy,
                     check_level, resampled_interval)
 from .lattice import (load_field_binary, load_field_csv,
                       periodogram, save_field_binary, save_field_csv)
-from .simulate import (MaternSpectral, SeparableARMA, SphericalAniso,
+from .simulate import (RULES, MaternSpectral, SeparableARMA, SphericalAniso,
                        TransformedGaussian, WhiteNoise, check_generator,
                        matern_model, model_autocovariance, simulate_process)
 from .spectral import (check_cos_lags, check_distinct_lags, psi_from_name,
@@ -170,6 +170,18 @@ def _entries(items, command):
     return None if items else ": no entries configured"
 
 
+def _rule(param: str, each: bool = False):
+    """The check of the key that sets the model parameter ``param``: its
+    rule in ``simulate.RULES``, or with ``each`` that rule on every entry
+    of a list that ``_entries`` checks."""
+    test, words = RULES[param]
+    if each:
+        return lambda values, command: next(
+            (": each entry " + words.format(v) for v in values if not test(v)),
+            _entries(values, command))
+    return _when(test, " " + words)
+
+
 def _extents(sizes, command, least: int, why: str = ""):
     """A list of sizes whose extents are all at least ``least``."""
     for n1, n2 in sizes:
@@ -203,20 +215,23 @@ Key = namedtuple("Key", "parser default check", defaults=(None, None))
 KEYS = {
     "process.kind": Key(STRING, "white_noise", _when(
         lambda k: k in PROCESS_KINDS, f" must be one of {PROCESS_KINDS}, got {{!r}}")),
-    "process.variance": Key(NUMBER, 1.0),
-    "process.alpha": Key(NUMBER, 1.0 / 3.0),
-    "process.nu": Key(NUMBER, 1.0),
-    "process.phi": Key(NUMBER),     # unset: calibrated to unit variance
-    "process.sigma2": Key(NUMBER, 1.0),
-    "process.range": Key(NUMBER, 5.0),
-    "process.eta": Key(NUMBER, 0.0),
-    "process.tau_a": Key(NUMBER, 0.0),
-    "process.tau_r": Key(NUMBER, 1.0),
-    "process.tau_r_list": Key(NUMBERS, None, _entries),  # unset: process.tau_r
-    "process.ar": Key(NUMBER, 0.2),
-    "process.ma": Key(NUMBER, -0.7),
-    "process.innov1": Key(STRING, "gaussian"),
-    "process.innov2": Key(STRING, "gaussian"),
+    # a descriptor's default is its field's; Matern's are the CLI's own
+    "process.variance": Key(NUMBER, WhiteNoise.variance, _rule("variance")),
+    "process.alpha": Key(NUMBER, 1.0 / 3.0, _rule("alpha")),
+    "process.nu": Key(NUMBER, 1.0, _rule("nu")),
+    # unset: calibrated to unit variance
+    "process.phi": Key(NUMBER, None, _rule("phi")),
+    "process.sigma2": Key(NUMBER, SphericalAniso.sigma2, _rule("sigma2")),
+    "process.range": Key(NUMBER, SphericalAniso.range_, _rule("range_")),
+    "process.eta": Key(NUMBER, SphericalAniso.eta, _rule("eta")),
+    "process.tau_a": Key(NUMBER, SphericalAniso.tau_a),
+    "process.tau_r": Key(NUMBER, SphericalAniso.tau_r, _rule("tau_r")),
+    # unset: process.tau_r
+    "process.tau_r_list": Key(NUMBERS, None, _rule("tau_r", each=True)),
+    "process.ar": Key(NUMBER, SeparableARMA.ar, _rule("ar")),
+    "process.ma": Key(NUMBER, SeparableARMA.ma),
+    "process.innov1": Key(STRING, SeparableARMA.innov1, _rule("innov1")),
+    "process.innov2": Key(STRING, SeparableARMA.innov2, _rule("innov2")),
     "grid.sizes": Key(SIZES, ((50, 50),), {
         "simulate": lambda s, c: _extents(s, c, 1),
         None: lambda s, c: _extents(s, c, 2, " to take a periodogram")}),
@@ -520,8 +535,8 @@ def _fixture_truth(path: str, model, generator: str, psi_name: str,
     for name, want, got in zip(("kind", "model", "generator", "psi",
                                 "grid size"), run, made_for):
         if got != want:
-            raise ConfigError(f"truth.fixture {path!r} has {name} {got!r}, "
-                              f"this run needs {want!r}")
+            raise ConfigError(f"truth.fixture: {path!r} was made for {name} "
+                              f"{got!r}, this run needs {want!r}")
     return value
 
 

@@ -1,5 +1,8 @@
 """Random field generators for the experimental designs.
 
+Each model parameter's rule is stated once, in ``RULES``, which the model
+descriptors and the CLI's ``process.*`` keys both read.
+
 All generators are exact in distribution and bit-reproducible from a
 seed.  Every Gaussian covariance model, Matern or spherical, goes
 through one circulant embedding of its lag covariance on a doubled
@@ -20,6 +23,7 @@ torus that doubles until the lags settle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,22 +46,39 @@ INNOVATIONS = ("gaussian", "exponential_centered")
 # ---------------------------------------------------------------------------
 # model descriptors
 
-def _finite_parameters(model) -> None:
-    """Refuse a nan or infinite parameter, which a range check passes."""
+_POSITIVE = (lambda v: v > 0, "must be > 0, got {}")
+_NONNEGATIVE = (lambda v: v >= 0, "must be >= 0, got {}")
+_INNOVATION = (lambda v: v in INNOVATIONS, f"must be one of {INNOVATIONS}, got {{!r}}")
+# each model parameter's rule, by its descriptor field: (test, words), the
+# words that follow the parameter's name, formatted with the value the test
+# refuses.  The descriptors and the CLI's process.* keys both read it; a
+# parameter with no entry takes any finite value.
+RULES = {"variance": _NONNEGATIVE, "phi": _POSITIVE, "alpha": _POSITIVE,
+         "nu": _POSITIVE, "sigma2": _POSITIVE, "range_": _POSITIVE,
+         "eta": _NONNEGATIVE, "tau_r": (lambda v: v >= 1, "must be >= 1, got {}"),
+         "ar": (lambda v: -1 < v < 1, "must lie in (-1, 1), got {}"),
+         "innov1": _INNOVATION, "innov2": _INNOVATION}
+
+
+def _check_parameters(model) -> None:
+    """Refuse, by its own name, the first parameter of ``model`` that is
+    nan or infinite (which a rule's test passes or words as out of range)
+    or that fails its rule in ``RULES``: the ``__post_init__`` of every
+    model descriptor but ``TransformedGaussian``."""
     for name, value in vars(model).items():
-        if not isinstance(value, str) and not np.isfinite(value):
+        if not isinstance(value, str) and not math.isfinite(value):
             raise ConfigError(f"{type(model).__name__} parameter {name} "
                               f"must be finite, got {value}")
+        rule = RULES.get(name)
+        if rule and not rule[0](value):
+            raise ConfigError(f"{name} " + rule[1].format(value))
 
 
 @dataclass(frozen=True)
 class WhiteNoise:
     variance: float = 1.0
 
-    def __post_init__(self):
-        _finite_parameters(self)
-        if self.variance < 0:
-            raise ConfigError("white noise variance must be >= 0")
+    __post_init__ = _check_parameters
 
 
 @dataclass(frozen=True)
@@ -69,10 +90,7 @@ class MaternSpectral:
     alpha: float
     nu: float
 
-    def __post_init__(self):
-        _finite_parameters(self)
-        if self.phi <= 0 or self.alpha <= 0 or self.nu <= 0:
-            raise ConfigError("Matern parameters phi, alpha, nu must be positive")
+    __post_init__ = _check_parameters
 
 
 @dataclass(frozen=True)
@@ -90,11 +108,7 @@ class SphericalAniso:
     tau_a: float = 0.0
     tau_r: float = 1.0
 
-    def __post_init__(self):
-        _finite_parameters(self)
-        if self.sigma2 <= 0 or self.range_ <= 0 or self.eta < 0 or self.tau_r < 1:
-            raise ConfigError(
-                "spherical model needs sigma2 > 0, range > 0, eta >= 0, tau_r >= 1")
+    __post_init__ = _check_parameters
 
 
 @dataclass(frozen=True)
@@ -106,13 +120,7 @@ class SeparableARMA:
     innov1: str = "gaussian"
     innov2: str = "gaussian"
 
-    def __post_init__(self):
-        _finite_parameters(self)
-        if not abs(self.ar) < 1:
-            raise ConfigError(f"AR coefficient must satisfy |ar| < 1, got {self.ar}")
-        for innov in (self.innov1, self.innov2):
-            if innov not in INNOVATIONS:
-                raise ConfigError(f"unknown innovation kind {innov!r}")
+    __post_init__ = _check_parameters
 
 
 @dataclass(frozen=True)
@@ -368,7 +376,7 @@ def simulate_gaussian(model, n1: int, n2: int,
     n1 x n2 values, so the torus is freed on return.
     """
     if n1 < 1 or n2 < 1:
-        raise ConfigError("grid extents must be positive")
+        raise ConfigError(f"n1, n2: extents must be >= 1, got {n1}x{n2}")
     if isinstance(model, WhiteNoise):
         return LatticeField(np.sqrt(model.variance) * rng.standard_normal((n1, n2)))
     if not isinstance(model, (MaternSpectral, SphericalAniso)):

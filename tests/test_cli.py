@@ -324,6 +324,22 @@ class TestConfigParsing:
         assert "process.tau_r_list" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_a_tau_r_list_entry_below_1_exits_2_before_any_work(self, tmp_path,
+                                                                capsys):
+        # the list was checked only when the first replicate rebuilt the
+        # spherical model for its tau, after --out's directory was made,
+        # and in words that named no key
+        code = main(["--set", "process.kind=spherical", "--set", "grid.sizes=12x12",
+                     "--set", "block.sizes=4x4", "--set", "boot.B=100",
+                     "--set", "replicates=2", "--set", "process.tau_r_list=0.5,1.0",
+                     "--out", str(tmp_path / "r" / "x"), "isotropy-experiment"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "config error: process.tau_r_list: "
+                                           "each entry must be >= 1, got 0.5\n")
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(ConfigError, match=r"^process\.tau_r_list: each entry"):
+            _cfg(kind="isotropy", model=SphericalAniso(), tau_r_list=(0.5, 1.0))
+
     def test_tau_on_directly_built_config(self):
         # the library path builds ExperimentConfig without experiment_config
         with pytest.raises(ConfigError, match="tau_r"):
@@ -419,7 +435,8 @@ class TestConfigParsing:
             experiment_config(Settings(kv), "coverage", 0, 1)
         args = [a for k, v in kv.items() for a in ("--set", f"{k}={v}")]
         assert main(args + ["--out", str(tmp_path / "r"), "coverage"]) == 2
-        assert "truth.fixture" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"config error: truth.fixture: {str(fixture)!r} was made for ")
         assert not list(tmp_path.glob("r*"))
 
     def test_unreadable_truth_fixture_is_named(self, tmp_path):
@@ -1046,6 +1063,18 @@ class TestCommandLine:
         assert main(["--set", "bogus.key=1", "coverage"]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_exit_code_3_on_numerical_failure(self, capsys):
+        # a zero-variance field has a zero density estimate, so Var* is 0
+        # and the hybrid rescale is undefined
+        args = [a for kv in ("process.kind=white_noise", "process.variance=0",
+                             "grid.sizes=12x12", "block.sizes=4x4",
+                             "methods=hfdb", "boot.B=100")
+                for a in ("--set", kv)]
+        assert main(args + ["ci"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: degenerate bootstrap: Var* <= 0")
+
     @pytest.mark.parametrize("kv", ["density.auto=true", "boot.seed=3",
                                     "block.b1=4", "block.b2=4",
                                     "block.auto=minvol", "boot.kind=fdwb",
@@ -1491,12 +1520,30 @@ class TestCommandLine:
         ("estimate", ["grid.sizes=1x40"], "grid.sizes"),
         ("oracle", ["grid.sizes=1x40"], "grid.sizes"),
         ("simulate", ["grid.sizes=0x5"], "grid.sizes"),
+        ("coverage", ["process.kind=spherical", "process.range=-1"],
+         "process.range"),
+        ("simulate", ["process.kind=spherical", "process.tau_r=0.5"],
+         "process.tau_r"),
+        ("coverage", ["process.kind=separable", "process.ar=1.5"], "process.ar"),
+        ("estimate", ["process.kind=separable", "process.innov1=cauchy"],
+         "process.innov1"),
+        ("oracle", ["process.kind=matern", "process.nu=-1"], "process.nu"),
+        ("coverage", ["process.variance=-1"], "process.variance"),
+        ("simulate", ["process.kind=matern", "process.alpha=0"], "process.alpha"),
+        ("estimate", ["process.kind=matern", "process.phi=-2"], "process.phi"),
+        ("simulate", ["process.kind=spherical", "process.sigma2=0"],
+         "process.sigma2"),
+        ("simulate", ["process.kind=spherical", "process.eta=-0.1"],
+         "process.eta"),
+        ("simulate", ["process.kind=separable", "process.innov2=t"],
+         "process.innov2"),
     ])
     def test_bandwidths_and_grid_extents_exit_2_before_a_field(
             self, tmp_path, capsys, monkeypatch, command, settings, key):
         # a bandwidth outside (0, pi] or a grid with no nonzero frequency
         # was refused only by the smoother or the frequency grid, after a
-        # field was simulated, without naming the key
+        # field was simulated, without naming the key; a model parameter
+        # out of its range (simulate.RULES) by the model, naming no key
         def no_field(*args, **kwargs):
             pytest.fail("a field was simulated")
         monkeypatch.setattr(cli_module, "simulate_process", no_field)
@@ -1605,13 +1652,16 @@ _RUN = {"process.kind": "spherical", "grid.sizes": "12x12",
      "(-1, 0): their contrast is 0", ("h1", "h2"), ("test.h1", "test.h2")),
     (lambda: BlockSpec(1, 4), {"block.sizes": "1x4"}, "coverage",
      "{}: extents must be >= 2, got 1x4", ("spec",), ("block.sizes",)),
+    (lambda: SphericalAniso(range_=-1.0), {"process.range": "-1"}, "coverage",
+     "{} must be > 0, got -1.0", ("range_",), ("process.range",)),
 ], ids=["block_fits", "two_translates", "nonzero_lag", "lag_in_block",
         "boot_B", "block_given", "bandwidth", "distinct_lags",
-        "opposite_lags", "block_extents"])
+        "opposite_lags", "block_extents", "model_parameter"])
 def test_a_rule_words_the_library_and_the_cli_alike(
         tmp_path, capsys, library, settings, command, wording, arg, key):
-    # each resampling precondition is worded once: the library's refusal
-    # names the argument, the command's the key, in the same words
+    # each resampling precondition and model parameter rule is worded
+    # once: the library's refusal names the argument, the command's the
+    # key, in the same words
     with pytest.raises(ConfigError) as refused:
         library()
     assert str(refused.value) == wording.format(*arg)

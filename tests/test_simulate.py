@@ -70,6 +70,26 @@ class TestModelDescriptors:
         with pytest.raises(ConfigError, match="must be finite"):
             build()
 
+    @pytest.mark.parametrize("build, words", [
+        (lambda: WhiteNoise(-1.0), "variance must be >= 0, got -1.0"),
+        (lambda: MaternSpectral(phi=1.0, alpha=0.0, nu=1.0),
+         "alpha must be > 0, got 0.0"),
+        (lambda: SphericalAniso(eta=-0.5), "eta must be >= 0, got -0.5"),
+        (lambda: SphericalAniso(range_=2.0, tau_r=0.5),
+         "tau_r must be >= 1, got 0.5"),
+        (lambda: SeparableARMA(ar=-1.0), "ar must lie in (-1, 1), got -1.0"),
+        (lambda: SeparableARMA(innov2="cauchy"),
+         "innov2 must be one of ('gaussian', 'exponential_centered'), "
+         "got 'cauchy'"),
+    ], ids=["wn-variance", "matern-alpha", "sph-eta", "sph-tau_r", "sep-ar",
+            "sep-innov2"])
+    def test_descriptors_refuse_a_parameter_by_its_name(self, build, words):
+        # each rule is one entry of simulate.RULES, which the CLI's
+        # process.* keys read too
+        with pytest.raises(ConfigError) as refused:
+            build()
+        assert str(refused.value) == words
+
     def test_separable_validation(self):
         with pytest.raises(ConfigError):
             SeparableARMA(ar=1.0, ma=0.0)

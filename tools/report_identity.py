@@ -33,8 +33,10 @@ single-field command; a tau on an isotropic model, and process.tau_r
 with process.tau_r_list; truth.value with truth.fixture, and a
 spectral_cdf coverage run with no truth; a psi an isotropy experiment
 does not resample; a process kind an isotropy experiment cannot run; a
-model parameter out of range (an AR coefficient of 1.5, an unknown
-innovation, a spherical tau_r below 1, a negative Matern nu); a psi
+model parameter out of range, refused by its ``process.*`` key (an AR
+coefficient of 1.5, an unknown innovation, a spherical tau_r below 1
+and a tau_r_list entry below 1, a negative spherical range, a negative
+white-noise variance, a negative Matern nu); a psi
 with a non-integer lag, of an unknown kind, or a spectral_cdf corner
 outside [-pi, pi]^2; only one of the two bandwidths; and each
 precondition of the resampling methods (a block extent below 2, a block
@@ -59,9 +61,9 @@ Files that cannot be read or written are refused naming their flag or
 key: a ``--config`` that is missing, a directory or not text; an
 ``--in`` that is missing (``.csv`` and ``.bin``), not CSV, a ``.bin``
 without the magic or with fewer values than its header gives; a
-``truth.fixture`` that is missing, a directory, not JSON or lacks a
-field; and a ``simulate --out`` that is a directory and an ``oracle
---out`` in a directory that does not exist.
+``truth.fixture`` that is missing, a directory, not JSON, lacks a
+field or was made for another model; and a ``simulate --out`` that is
+a directory and an ``oracle --out`` in a directory that does not exist.
 
 A refusal case that reads a file has the commands that write it in
 ``REFUSAL_SETUP``, which run first and exit 0, or its bytes in
@@ -434,6 +436,12 @@ REFUSALS = {
         "coverage"],
     "matern_parameter": _RUN + _sets(
         "process.kind=matern", "process.nu=-1") + ["coverage"],
+    "spherical_range_negative": _RUN + _sets("process.range=-1") + [
+        "coverage"],
+    "white_noise_variance_negative": _RUN + _sets(
+        "process.kind=white_noise", "process.variance=-1") + ["coverage"],
+    "tau_list_below_1": _RUN + _sets("process.tau_r_list=0.5,1.0") + [
+        "isotropy-experiment"],
     "missing_truth_fixture": _RUN + _sets("truth.fixture=missing.json") + [
         "coverage"],
     "single_field_window_candidates": _FIELD_RUN + _sets("block.window=7") + [
@@ -455,6 +463,9 @@ REFUSALS = {
         "coverage"],
     "truth_fixture_lacks_field": _RUN + _sets("truth.fixture=fx.json") + [
         "coverage"],
+    # a white-noise fixture given to a spherical run
+    "truth_fixture_mismatch": _RUN + _sets("truth.fixture=oracle.json") + [
+        "coverage"],
     # a 5x1 field read with --in, and a grid too small for the
     # minimum-volatility candidates
     "in_extent_below_2": ["estimate", "--in", "g.csv"],
@@ -474,6 +485,8 @@ REFUSAL_SETUP = {
     "in_bad_magic": [_FIELD_RUN + ["--out", "h.bin", "simulate"]],
     "in_extent_below_2": [_sets("grid.sizes=5x1") + ["--out", "g.csv",
                                                      "simulate"]],
+    "truth_fixture_mismatch": [_sets("grid.sizes=12x12", "replicates=5") + [
+        "--out", "oracle.json", "oracle"]],
 }
 
 # name -> the files (relative path -> bytes) a refusal case reads that no
